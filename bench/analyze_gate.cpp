@@ -109,9 +109,10 @@ int main(int argc, char** argv) {
   }
 
   // Same engine under the product-form basis: the eta-file kernel
-  // variants (sparse_ftran / sparse_btran / eta_apply / make_eta) must
-  // be as hazard-, uninit- and cost-clean as the explicit-inverse
-  // stream (DESIGN.md "Basis oracles").
+  // variants (sparse_ftran / sparse_btran / eta_ftran_chain /
+  // eta_btran_chain / ratio_select / pivot_beta / make_eta) must be as
+  // hazard-, uninit- and cost-clean as the explicit-inverse stream
+  // (DESIGN.md "Basis oracles").
   {
     vgpu::analyze::CaptureLog capture;
     simplex::SolverOptions opt;

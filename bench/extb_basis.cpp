@@ -6,8 +6,7 @@
 // work for k accumulated etas but as 2k+2 *tiny dependent kernels* per
 // FTRAN/BTRAN — exactly what a 2009 GPU is worst at. Expected shape: on
 // the GPU model, explicit inverse wins and product form degrades as the
-// eta file grows (short reinversion periods recover some of it); on the
-// CPU model the gap narrows or reverses at small sizes.
+// eta file grows (short reinversion periods recover some of it).
 #include "bench/common.hpp"
 
 int main(int argc, char** argv) {
@@ -38,22 +37,19 @@ int main(int argc, char** argv) {
           .add(r.stats.sim_seconds * 1e3)
           .add(r.stats.device_stats.kernel_launches);
     }
-    for (const BasisScheme scheme :
-         {BasisScheme::kProductForm, BasisScheme::kLuFactors}) {
-      for (const std::size_t period : {std::size_t{16}, std::size_t{64},
-                                       std::size_t{0} /* m */}) {
-        simplex::SolverOptions opt;
-        opt.basis = scheme;
-        opt.reinversion_period = period;
-        const auto r = bench::solve_device(problem, vgpu::gtx280_model(), opt);
-        table.new_row()
-            .add(size)
-            .add(std::string(to_string(scheme)))
-            .add(period == 0 ? "m" : std::to_string(period))
-            .add(r.stats.iterations)
-            .add(r.stats.sim_seconds * 1e3)
-            .add(r.stats.device_stats.kernel_launches);
-      }
+    for (const std::size_t period : {std::size_t{16}, std::size_t{64},
+                                     std::size_t{0} /* m */}) {
+      simplex::SolverOptions opt;
+      opt.basis = BasisScheme::kProductForm;
+      opt.reinversion_period = period;
+      const auto r = bench::solve_device(problem, vgpu::gtx280_model(), opt);
+      table.new_row()
+          .add(size)
+          .add(std::string(to_string(opt.basis)))
+          .add(period == 0 ? "m" : std::to_string(period))
+          .add(r.stats.iterations)
+          .add(r.stats.sim_seconds * 1e3)
+          .add(r.stats.device_stats.kernel_launches);
     }
   }
   table.print(std::cout);

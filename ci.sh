@@ -204,8 +204,9 @@ echo "==> telemetry + SLO gates"
 # Basis-oracle + dual-engine gates (DESIGN.md "Basis oracles",
 # SERVICE.md warm-start): the static analyzer and roofline profiler must
 # account the dual engine and the product-form device path natively —
-# analyze_gate covers the sparse/product-form kernel stream, and the
-# profiler must reconcile bit-exactly over both. The Klee–Minty cube is
+# analyze_gate covers the sparse/product-form kernel stream (including the
+# single-block eta chains), and the profiler must reconcile bit-exactly
+# over both. The Klee–Minty cube is
 # the classic exponential-path/cycling stressor: the dual engine must
 # finish it optimally (anti-cycling smoke) rather than stall.
 echo "==> basis-oracle + dual-engine gates"
@@ -221,6 +222,20 @@ echo "==> basis-oracle + dual-engine gates"
   ./examples/lp_cli --gen klee:12 --engine dual \
     | grep -i 'status: *optimal'
 )
+
+# Two-clock benchmark (perfbench/README.md, BENCHMARK.json): the runner's
+# self-checks (a wrong answer exits nonzero, a failed solve is counted,
+# the seed changes the inputs but no metric name, a bare checkout refuses
+# to run), then one pass of the launch-bound sparse_pf workload on its
+# shrunken shape, which must verify every answer.
+echo "==> perfbench self-checks + sparse_pf smoke"
+if command -v python3 > /dev/null 2>&1; then
+  CARGO_TARGET_DIR=build/perfbench python3 perfbench/tests/test_perfbench.py
+  CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+    --workload sparse_pf --small --seconds 0 > /dev/null
+else
+  echo "==> python3 not installed; skipping perfbench checks"
+fi
 
 run_config build-asan   -DCMAKE_BUILD_TYPE=Debug -DGS_SANITIZE=address,undefined
 run_config build-tsan   -DCMAKE_BUILD_TYPE=Debug -DGS_SANITIZE=thread

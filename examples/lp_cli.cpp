@@ -5,7 +5,7 @@
 //     --engine device|device-float|host|dual|tableau|sparse
 //                                                        (default device)
 //     --pricing dantzig|bland|hybrid|devex               (default hybrid)
-//     --basis explicit|product-form|lu                   (default explicit)
+//     --basis explicit|product-form                      (default explicit)
 //     --device gtx280|gtx570|titan                       (default gtx280)
 //     --max-iters N                                      (default 50000)
 //     --presolve                                         run reductions first
@@ -554,9 +554,14 @@ int main(int argc, char** argv) {
     }
     if (auto it = flags.find("basis"); it != flags.end()) {
       const std::string& b = it->second;
-      options.basis = b == "product-form" ? simplex::BasisScheme::kProductForm
-                      : b == "lu"         ? simplex::BasisScheme::kLuFactors
-                                          : simplex::BasisScheme::kExplicitInverse;
+      if (b != "explicit" && b != "product-form") {
+        std::cerr << "error: unknown --basis '" << b
+                  << "' (explicit|product-form)\n";
+        return 1;
+      }
+      options.basis = b == "product-form"
+                          ? simplex::BasisScheme::kProductForm
+                          : simplex::BasisScheme::kExplicitInverse;
     }
     vgpu::MachineModel device_model = vgpu::gtx280_model();
     if (auto it = flags.find("device"); it != flags.end()) {

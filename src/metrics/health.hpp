@@ -177,8 +177,8 @@ class HealthMonitor {
     }
   }
 
-  /// Record the eta-file / update-factor length for product-form and LU
-  /// basis representations (explicit-inverse engines never call this).
+  /// Record the eta-file length for the product-form basis representation
+  /// (explicit-inverse engines never call this).
   void record_eta_count(std::size_t count) {
     if (registry_ == nullptr) return;
     eta_count_->set(static_cast<double>(count));

@@ -135,11 +135,15 @@ void Profiler::on_kernel_slice(const trace::TraceEvent& e) {
     const double b_eff = m.mem_gbps * 1e9 * occ;
     const double t_compute = f_eff > 0 ? flops / f_eff : 0.0;
     const double t_memory = b_eff > 0 ? bytes / b_eff : 0.0;
-    agg.launch_seconds += m.launch_overhead_s;
+    // Dependent steps are latency, not work: they join the launch term.
+    const double t_latency =
+        m.launch_overhead_s +
+        arg_value(e, "dependent_steps", 0.0) * m.dependent_step_s;
+    agg.launch_seconds += t_latency;
     agg.compute_seconds += t_compute;
     agg.memory_seconds += t_memory;
     BoundClass cls;
-    if (m.launch_overhead_s >= std::max(t_compute, t_memory)) {
+    if (t_latency >= std::max(t_compute, t_memory)) {
       cls = BoundClass::kLaunch;
     } else if (t_memory >= t_compute) {
       cls = BoundClass::kBandwidth;

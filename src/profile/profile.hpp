@@ -12,9 +12,10 @@
 //                roofline decomposition (launch / compute / memory seconds
 //                recomputed per launch from the bound MachineModel), the
 //                achieved-vs-peak bandwidth and compute fractions, and a
-//                bound classification: launch-bound when the fixed launch
-//                overhead dominates the work term, else bandwidth-bound
-//                or compute-bound by the dominant roofline term;
+//                bound classification: launch-bound when the latency term
+//                (fixed launch overhead plus any declared dependent steps)
+//                dominates the work term, else bandwidth-bound or
+//                compute-bound by the dominant roofline term;
 //   per phase    total and self modeled time for every B/E span (solve,
 //                phase1/2, iteration, price, ftran, ratio, update, ...),
 //                where self = total minus enclosed child spans and slices;
@@ -48,9 +49,10 @@
 namespace gs::profile {
 
 /// Roofline bound class of a kernel: which term of
-/// t = t_launch + max(flops/F_eff, bytes/B_eff) dominates its time.
+/// t = t_launch + max(flops/F_eff, bytes/B_eff) + steps * t_step dominates
+/// its time (the dependent steps count as latency, with the launch).
 enum class BoundClass : std::uint8_t {
-  kLaunch,     ///< fixed launch overhead >= the max(work) term
+  kLaunch,     ///< launch overhead + dependent steps >= the max(work) term
   kBandwidth,  ///< memory term dominates (bytes/B_eff >= flops/F_eff)
   kCompute,    ///< arithmetic term dominates
 };
@@ -75,6 +77,7 @@ struct KernelProfile {
   /// Roofline decomposition, summed per launch from the bound machine
   /// model. Note launch+max(compute,memory) per launch == seconds; the
   /// three components overlap (max), so they do not sum to `seconds`.
+  /// `launch_seconds` includes the dependent-step latency.
   double launch_seconds = 0.0;
   double compute_seconds = 0.0;
   double memory_seconds = 0.0;

@@ -163,8 +163,8 @@ template <typename Real>
 class DenseAt {
  public:
   /// Dense storage keeps the paper's m-proportional kernel names; the
-  /// sparse basis-kernel variants (sparse_ftran / sparse_btran /
-  /// eta_apply) only make sense when column extents are known.
+  /// sparse basis-kernel variants (sparse_ftran / sparse_btran / the eta
+  /// chains) only make sense when column extents are known.
   static constexpr bool kSparseKernels = false;
 
   DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
@@ -438,7 +438,7 @@ template <typename Real>
 class SparseAt {
  public:
   /// CSR storage opts the product-form basis into the sparse kernel
-  /// variants (sparse_ftran / sparse_btran / eta_apply).
+  /// variants (sparse_ftran / sparse_btran / the eta chains).
   static constexpr bool kSparseKernels = true;
 
   SparseAt(vgpu::Device& dev, const AugmentedLp& aug)
@@ -494,6 +494,47 @@ class SparseAt {
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           // a_q's values/indices are read once and reused across the
           // block (cached on a real GPU); annotate them in bulk.
+          vals.read_range(k_lo, k_hi);
+          cols.read_range(k_lo, k_hi);
+          const Real* vp = vals.data();
+          const std::uint32_t* cp = cols.data();
+          for (std::size_t i = lo; i < hi; ++i) {
+            Real acc{0};
+            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
+              acc += vp[k] * bs[i * m + cp[k]];
+            }
+            as[i] = acc;
+          }
+        });
+  }
+
+  /// Speculative "sparse_ftran" for the fused product-form path: the
+  /// entering index is read from the descriptor on device, and the launch
+  /// early-exits when pricing found no candidate. Cost is declared from
+  /// the widest column, as in ftran_ratio_select.
+  void ftran_alpha_desc(const vblas::DeviceMatrix<Real>& binv,
+                        const vgpu::DeviceBuffer<Real>& desc,
+                        vgpu::DeviceBuffer<Real>& alpha) const {
+    const std::size_t m = m_;
+    auto offs = at_.row_offsets().device_span();
+    auto cols = at_.col_indices().device_span();
+    auto vals = at_.values().device_span();
+    auto bs = binv.device_span();
+    auto as = alpha.device_span();
+    auto desc_s = desc.device_span();
+    const std::size_t nnz_max = max_col_nnz_;
+    device().launch_blocks(
+        "sparse_ftran", m, vgpu::Device::kBlockSize,
+        {2.0 * double(m) * double(nnz_max),
+         double(m * nnz_max * sizeof(Real) +
+                nnz_max * (sizeof(Real) + sizeof(std::uint32_t)) +
+                (m + 1) * sizeof(Real)),
+         sizeof(Real)},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
+          const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
+          const std::uint32_t k_lo = offs[q];
+          const std::uint32_t k_hi = offs[q + 1];
           vals.read_range(k_lo, k_hi);
           cols.read_range(k_lo, k_hi);
           const Real* vp = vals.data();

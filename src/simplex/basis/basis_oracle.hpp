@@ -24,6 +24,12 @@
 
 namespace gs::simplex::basis {
 
+/// Eta-file conditioning guard shared by the host ProductFormOracle and the
+/// device engines' product form: refactorize as soon as an eta multiplier
+/// (|1/alpha_p| or |alpha_i/alpha_p|) exceeds it — a huge multiplier means
+/// the represented inverse is drifting.
+inline constexpr double kEtaGrowthLimit = 1e8;
+
 /// Read-only access to columns of the augmented constraint matrix A
 /// (the source from which basis columns are gathered for factorization).
 /// `gather` writes column `col` (length m) into `out`; the caller

@@ -16,8 +16,10 @@
 //     eta-file conditioning guard from the GPU-simplex literature).
 // The engine emits the recorder's refactor event when either fires.
 //
-// CostMeter step names match the vgpu kernel variants (`sparse_ftran`,
-// `sparse_btran`, `eta_apply`) so host and device profiles line up.
+// CostMeter step names match the vgpu base-solve kernels (`sparse_ftran`,
+// `sparse_btran`); the host charges its eta applications as `eta_apply`
+// where the device walks the file in one `eta_ftran_chain` /
+// `eta_btran_chain` launch per direction.
 #pragma once
 
 #include <cmath>
@@ -35,7 +37,7 @@ namespace gs::simplex::basis {
 
 class ProductFormOracle final : public BasisOracle {
  public:
-  static constexpr double kGrowthLimit = 1e8;
+  static constexpr double kGrowthLimit = kEtaGrowthLimit;
 
   /// `cols` and `basis0` describe the initial (crash) basis; `cols` must
   /// outlive the oracle. The crash basis is diagonal (+/-1 slacks and

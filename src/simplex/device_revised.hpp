@@ -10,8 +10,11 @@
 //                   scheme; a product-form eta file is the Ext. B ablation)
 //   * beta = B^-1 b, pi, d, alpha, ratio vectors, pricing mask, c, c_B
 //
-// Only scalars cross the PCIe boundary each iteration: the chosen entering/
-// leaving indices, theta, and the entering reduced cost. That per-iteration
+// Per-iteration PCIe traffic is scalar-sized. The fused path (the default
+// for the explicit inverse and the sparse product form) reads back one
+// packed pivot descriptor; the sparse product form also uploads the new
+// eta's support indices. The reference path round-trips the chosen
+// indices, theta and the entering reduced cost one scalar at a time. That
 // transfer latency is charged through the device's machine model and is a
 // first-order term below the paper's crossover size.
 //
@@ -31,13 +34,13 @@
 #include "lp/standard_form.hpp"
 #include "profile/profile.hpp"
 #include "simplex/at_policy.hpp"
+#include "simplex/basis/basis_oracle.hpp"
 #include "simplex/phase_setup.hpp"
 #include "simplex/types.hpp"
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vblas/containers.hpp"
 #include "vblas/host_ref.hpp"
-#include "vblas/lu.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/primitives.hpp"
@@ -84,12 +87,6 @@ class DeviceRevisedSimplex {
     trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
     const AugmentedLp aug = augment(sf);
     Workspace ws(dev_, aug, opt_);
-    if (opt_.basis == BasisScheme::kLuFactors) {
-      // The LU scheme reads constraint columns host-side; factor the crash
-      // basis once up front.
-      ws.at_host_lu = aug.dense_at();
-      lu_refactorize(ws);
-    }
     record::Recorder* rec = opt_.recorder;
     if (rec != nullptr) {
       rec->begin_solve(engine_name(), sizeof(Real) * 8, aug.m, aug.n_aug,
@@ -291,10 +288,10 @@ class DeviceRevisedSimplex {
     vgpu::DeviceBuffer<Real> desc;
 
     /// Product-form eta file: one entry per pivot since the last
-    /// reinversion. Dense schemes keep the full m-vector in `values`;
-    /// the sparse-kernel scheme (SparseAt + product form) stores only the
-    /// eta's support as (idx, val) pairs so the eta_apply kernels cost
-    /// nnz instead of m.
+    /// reinversion. The dense-eta scheme (DenseAt, Ext. B) keeps the full
+    /// m-vector in `values`; the sparse-kernel scheme (SparseAt + product
+    /// form) stores only the eta's support as (idx, val) pairs so the
+    /// chain kernels cost nnz instead of m per eta.
     struct Eta {
       std::size_t p;
       std::optional<vgpu::DeviceBuffer<Real>> values;
@@ -302,12 +299,8 @@ class DeviceRevisedSimplex {
       std::optional<vgpu::DeviceBuffer<Real>> val;
     };
     std::vector<Eta> etas;
-
-    /// LU-factor scheme state: factors of the basis at the last
-    /// refactorization (host-side double; the device is charged for the
-    /// equivalent blocked kernels), plus a dense host A^T for column reads.
-    std::optional<vblas::LuFactors> lu;
-    vblas::Matrix<double> at_host_lu;
+    /// Largest eta multiplier since the last reinversion (growth trigger).
+    double eta_growth = 0.0;
 
     std::vector<std::uint32_t> basic;
     std::vector<bool> in_basis;
@@ -320,38 +313,42 @@ class DeviceRevisedSimplex {
   // Kernels (each one launch on the device, costed like its CUDA original)
   // ---------------------------------------------------------------------
 
+  /// Sparse-kernel product form: the CSR policy's eta file, walked by the
+  /// single-block chain kernels.
+  [[nodiscard]] static bool sparse_pf(const Workspace& ws) noexcept {
+    return At<Real>::kSparseKernels &&
+           ws.options.basis == BasisScheme::kProductForm;
+  }
+
   /// out = (B^-1)^T seed under the active basis scheme.
+  /// With etas: y = seed, eta transposes newest-first, then (B0^-1)^T y.
   void btran_generic(Workspace& ws, const vgpu::DeviceBuffer<Real>& seed,
                      vgpu::DeviceBuffer<Real>& out) {
-    const bool with_etas = !ws.etas.empty();
-    const bool sparse_pf = At<Real>::kSparseKernels &&
-                           ws.options.basis == BasisScheme::kProductForm;
-    if ((ws.options.basis == BasisScheme::kProductForm && with_etas) ||
-        ws.options.basis == BasisScheme::kLuFactors) {
-      // y = seed; apply eta transposes newest-first; then (B0^-1)^T y.
-      auto ysp = ws.eta_work.device_span();
-      auto ssp = seed.device_span();
-      dev_.launch_blocks(
-          "price_btran_seed", ws.m, vgpu::Device::kBlockSize,
-          {0.0, bytes(2 * ws.m), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) ysp[i] = ssp[i];
-          });
-      for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
-        eta_btran_apply(ws, *it);
+    if (sparse_pf(ws)) {
+      if (ws.etas.empty()) {
+        btran_sparse_base(ws, seed, out);
+        return;
       }
-      if (ws.options.basis == BasisScheme::kLuFactors) {
-        lu_btran_tail(ws, out);
-      } else if (sparse_pf) {
-        btran_sparse_base(ws, ws.eta_work, out);
-      } else {
-        btran_dense(ws, ws.eta_work, out);
-      }
-    } else if (sparse_pf) {
-      btran_sparse_base(ws, seed, out);
-    } else {
-      btran_dense(ws, seed, out);
+      eta_btran_chain(ws, &seed, 0);
+      btran_sparse_base(ws, ws.eta_work, out);
+      return;
     }
+    if (ws.etas.empty()) {
+      btran_dense(ws, seed, out);
+      return;
+    }
+    auto ysp = ws.eta_work.device_span();
+    auto ssp = seed.device_span();
+    dev_.launch_blocks(
+        "price_btran_seed", ws.m, vgpu::Device::kBlockSize,
+        {0.0, bytes(2 * ws.m), sizeof(Real)},
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) ysp[i] = ssp[i];
+        });
+    for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
+      eta_btran_apply(ws, *it);
+    }
+    btran_dense(ws, ws.eta_work, out);
   }
 
   void btran(Workspace& ws) { btran_generic(ws, ws.cb, ws.pi); }
@@ -409,103 +406,39 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// alpha = B^-1 a_q (FTRAN). Under product form / LU: B0^-1 a_q via the
-  /// dense inverse or the LU solves, then the eta chain in order.
+  /// alpha = B^-1 a_q (FTRAN). Under product form: B0^-1 a_q via the
+  /// dense inverse, then the eta file oldest-first.
   void ftran(Workspace& ws, std::size_t q) {
-    if (ws.options.basis == BasisScheme::kLuFactors) {
-      lu_ftran_head(ws, q);
-    } else if (At<Real>::kSparseKernels &&
-               ws.options.basis == BasisScheme::kProductForm) {
+    if (sparse_pf(ws)) {
       ws.at.ftran_alpha(ws.binv, q, ws.alpha, "sparse_ftran");
-    } else {
-      ws.at.ftran_alpha(ws.binv, q, ws.alpha);
+      if (!ws.etas.empty()) eta_ftran_chain(ws, false);
+      return;
     }
-    if (ws.options.basis != BasisScheme::kExplicitInverse) {
-      for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
+    ws.at.ftran_alpha(ws.binv, q, ws.alpha);
+    for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
+  }
+
+  /// Speculative FTRAN of the fused sparse product-form path: the base
+  /// solve reads the entering column from the descriptor on device, and
+  /// both launches early-exit when pricing found no candidate.
+  void ftran_speculative(Workspace& ws) {
+    if constexpr (At<Real>::kSparseKernels) {
+      ws.at.ftran_alpha_desc(ws.binv, ws.desc, ws.alpha);
+      if (!ws.etas.empty()) eta_ftran_chain(ws, true);
     }
   }
 
   // -------------------------------------------------------------------
-  // LU-factor scheme: B0 = P^-1 L U. The triangular solves execute on the
-  // host in double (exactness), while the device is charged the blocked
-  // trsv it would run: ceil(m/64) dependent panel kernels per solve — the
-  // launch-latency chain that made 2009 GPU implementations avoid LU.
+  // Dense eta file (DenseAt + product form, the Ext. B ablation). One
+  // launch pair per eta and direction, as a 2009 implementation would
+  // issue it: this is the many-small-dependent-kernels cost Ext. B
+  // measures, so it stays per-eta on purpose.
   // -------------------------------------------------------------------
-
-  static constexpr std::size_t kTrsvPanel = 64;
-
-  void charge_trsv(Workspace& ws, std::string_view name) {
-    const std::size_t m = ws.m;
-    const std::size_t stages = (m + kTrsvPanel - 1) / kTrsvPanel;
-    const double flops_total = static_cast<double>(m) * static_cast<double>(m);
-    const double bytes_total = bytes(m * m + 2 * m);
-    for (std::size_t s = 0; s < stages; ++s) {
-      dev_.account_kernel(name,
-                          {flops_total / static_cast<double>(stages),
-                           bytes_total / static_cast<double>(stages),
-                           sizeof(Real)},
-                          m - s * kTrsvPanel);
-    }
-  }
-
-  /// alpha = B0^-1 a_q via LU solves (charged as 2 blocked trsv chains).
-  void lu_ftran_head(Workspace& ws, std::size_t q) {
-    GS_CHECK_MSG(ws.lu.has_value(), "LU factors missing");
-    std::vector<double> aq(ws.m);
-    for (std::size_t i = 0; i < ws.m; ++i) aq[i] = ws.at_host_lu(q, i);
-    const std::vector<double> x = vblas::lu_solve(*ws.lu, aq);
-    auto asp = ws.alpha.device_span();
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      asp[i] = static_cast<Real>(x[i]);
-    }
-    charge_trsv(ws, "ftran_trsv_l");
-    charge_trsv(ws, "ftran_trsv_u");
-  }
-
-  /// out = (B0^-1)^T eta_work via transposed LU solves.
-  void lu_btran_tail(Workspace& ws, vgpu::DeviceBuffer<Real>& out) {
-    GS_CHECK_MSG(ws.lu.has_value(), "LU factors missing");
-    auto ysp = ws.eta_work.device_span();
-    std::vector<double> y(ws.m);
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      y[i] = static_cast<double>(ysp[i]);
-    }
-    const std::vector<double> x = vblas::lu_solve_transposed(*ws.lu, y);
-    auto osp = out.device_span();
-    for (std::size_t i = 0; i < ws.m; ++i) {
-      osp[i] = static_cast<Real>(x[i]);
-    }
-    charge_trsv(ws, "btran_trsv_u");
-    charge_trsv(ws, "btran_trsv_l");
-  }
-
-  /// Refactorize the LU basis: assemble B, factor, clear etas, refresh beta.
-  void lu_refactorize(Workspace& ws) {
-    const std::size_t m = ws.m;
-    ws.lu = vblas::lu_factor(assemble_basis(ws));
-    ws.etas.clear();
-    ws.pivots_since_refactor = 0;
-    dev_.account_kernel(
-        "lu_refactor",
-        {(2.0 / 3.0) * double(m) * double(m) * double(m), bytes(2 * m * m),
-         sizeof(Real)},
-        m);
-    const std::vector<double> beta = vblas::lu_solve(*ws.lu, ws.aug.b);
-    auto bsp = ws.beta.device_span();
-    for (std::size_t i = 0; i < m; ++i) {
-      bsp[i] = beta[i] < 0.0 ? Real{0} : static_cast<Real>(beta[i]);
-    }
-    charge_trsv(ws, "refresh_beta_trsv");
-  }
 
   /// Product-form FTRAN step: x = M x with M the eta matrix. x[p] is
   /// snapshotted by a tiny kernel first so all lanes read the pre-update
   /// value (as the CUDA original would).
   void eta_ftran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    if (eta.idx.has_value()) {
-      eta_ftran_apply_sparse(ws, eta);
-      return;
-    }
     auto xsp = ws.alpha.device_span();
     auto esp = eta.values->device_span();
     auto tmp = ws.scalar_tmp.device_span();
@@ -525,43 +458,8 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Sparse eta_apply (FTRAN direction): only the eta's support is
-  /// touched, so the launch costs nnz flops/bytes instead of m. Each
-  /// entry has one writer (support indices are unique) — race-free under
-  /// the checker.
-  void eta_ftran_apply_sparse(Workspace& ws,
-                              const typename Workspace::Eta& eta) {
-    auto xsp = ws.alpha.device_span();
-    auto isp = eta.idx->device_span();
-    auto vsp = eta.val->device_span();
-    auto tmp = ws.scalar_tmp.device_span();
-    const std::size_t p = eta.p;
-    const std::size_t nnz = eta.val->size();
-    dev_.launch_blocks("eta_snapshot", 1, 1, {0.0, bytes(2), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         tmp[0] = xsp[p];
-                       });
-    dev_.launch_blocks(
-        "eta_apply", nnz, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz),
-         double(nnz * (2 * sizeof(Real) + sizeof(std::uint32_t)) +
-                nnz * sizeof(Real) + 2 * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real xp = tmp[0];
-          for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t i = isp[k];
-            xsp[i] = (i == p) ? vsp[k] * xp : xsp[i] + vsp[k] * xp;
-          }
-        });
-  }
-
   /// Product-form BTRAN step on ws.eta_work: y_p = eta . y.
   void eta_btran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    if (eta.idx.has_value()) {
-      eta_btran_apply_sparse(ws, eta);
-      return;
-    }
     auto ysp = ws.eta_work.device_span();
     auto esp = eta.values->device_span();
     const std::size_t m = ws.m;
@@ -587,37 +485,96 @@ class DeviceRevisedSimplex {
                        });
   }
 
-  /// Sparse eta_apply (BTRAN direction): the dot runs over the eta's
-  /// support only; the per-block partials combine in the same tiny write
-  /// kernel as the dense path.
-  void eta_btran_apply_sparse(Workspace& ws,
-                              const typename Workspace::Eta& eta) {
-    auto ysp = ws.eta_work.device_span();
-    auto isp = eta.idx->device_span();
-    auto vsp = eta.val->device_span();
-    const std::size_t nnz = eta.val->size();
-    const std::size_t blocks =
-        (nnz + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<Real> partial(blocks, Real{0});
+  // -------------------------------------------------------------------
+  // Sparse eta file (SparseAt + product form): ONE launch per direction
+  // walks the whole file. The chain runs as a single block — each eta
+  // reads what the previous one wrote, so it cannot spread across the
+  // grid — and every eta is charged as a dependent step
+  // (KernelCost::dependent_steps) on top of one block's occupancy. Per
+  // eta, the arithmetic and summation order are those of a one-launch-
+  // per-eta grid (FTRAN: snapshot x_p, then scatter over the support;
+  // BTRAN: kBlockSize-wide partial dots folded in block order), so
+  // recordings made with per-eta launches replay pivot for pivot. The
+  // per-eta buffers' addresses are host metadata handed to the launch,
+  // like the CSR extents in SparseAt.
+  // -------------------------------------------------------------------
+
+  /// alpha := E_k ... E_1 alpha, oldest eta first. `speculative` launches
+  /// (fused path) read the entering index from the descriptor and do
+  /// nothing when pricing found no candidate.
+  void eta_ftran_chain(Workspace& ws, bool speculative) {
+    double flops = 0.0;
+    double traffic = speculative ? bytes(1) : 0.0;
+    for (const auto& eta : ws.etas) {
+      const auto nnz = static_cast<double>(eta.val->size());
+      flops += 2.0 * nnz;
+      // idx + val + x[i] read, x[i] written, plus the x[p] snapshot.
+      traffic += nnz * double(3 * sizeof(Real) + sizeof(std::uint32_t)) +
+                 bytes(2);
+    }
+    auto xsp = ws.alpha.device_span();
+    auto dsp = ws.desc.device_span();
     dev_.launch_blocks(
-        "eta_apply", nnz, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz),
-         double(nnz * (2 * sizeof(Real) + sizeof(std::uint32_t))),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          Real acc{0};
-          for (std::size_t k = lo; k < hi; ++k) acc += vsp[k] * ysp[isp[k]];
-          partial[blk] = acc;
+        "eta_ftran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
+        {flops, traffic, sizeof(Real), ws.etas.size()},
+        [&](std::size_t, std::size_t, std::size_t) {
+          if (speculative && dsp[kDescQ] < Real{0}) return;
+          for (const auto& eta : ws.etas) {
+            auto isp = eta.idx->device_span();
+            auto vsp = eta.val->device_span();
+            const std::size_t p = eta.p;
+            const std::size_t nnz = eta.val->size();
+            const Real xp = xsp[p];
+            for (std::size_t k = 0; k < nnz; ++k) {
+              const std::size_t i = isp[k];
+              xsp[i] = (i == p) ? vsp[k] * xp : xsp[i] + vsp[k] * xp;
+            }
+          }
         });
-    const std::size_t p = eta.p;
-    dev_.launch_blocks("eta_btran_write", 1, 1,
-                       {double(blocks), bytes(blocks + 1), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         Real acc{0};
-                         for (std::size_t b = 0; b < blocks; ++b)
-                           acc += partial[b];
-                         ysp[p] = acc;
-                       });
+  }
+
+  /// ws.eta_work := E_1^T ... E_k^T y, newest eta first, where y is a copy
+  /// of `seed` or, when `seed` is null, the unit vector e_{unit_row}.
+  void eta_btran_chain(Workspace& ws, const vgpu::DeviceBuffer<Real>* seed,
+                       std::size_t unit_row) {
+    const std::size_t m = ws.m;
+    double flops = 0.0;
+    double traffic = seed != nullptr ? bytes(2 * m) : bytes(m);
+    for (const auto& eta : ws.etas) {
+      const auto nnz = static_cast<double>(eta.val->size());
+      flops += 2.0 * nnz;
+      // idx + val + y[idx] read, y[p] written.
+      traffic += nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
+                 bytes(1);
+    }
+    auto ysp = ws.eta_work.device_span();
+    auto ssp = seed != nullptr ? seed->device_span()
+                               : vgpu::check::CheckedSpan<const Real>{};
+    dev_.launch_blocks(
+        "eta_btran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
+        {flops, traffic, sizeof(Real), ws.etas.size()},
+        [&](std::size_t, std::size_t, std::size_t) {
+          for (std::size_t i = 0; i < m; ++i) {
+            ysp[i] = seed != nullptr ? Real(ssp[i])
+                                     : (i == unit_row ? Real{1} : Real{0});
+          }
+          for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
+            auto isp = it->idx->device_span();
+            auto vsp = it->val->device_span();
+            const std::size_t nnz = it->val->size();
+            Real acc{0};
+            for (std::size_t k0 = 0; k0 < nnz; k0 += vgpu::Device::kBlockSize) {
+              const std::size_t k1 =
+                  std::min(nnz, k0 + vgpu::Device::kBlockSize);
+              Real part{0};
+              for (std::size_t k = k0; k < k1; ++k) {
+                part += vsp[k] * ysp[isp[k]];
+              }
+              acc += part;
+            }
+            ysp[it->p] = acc;
+          }
+        });
   }
 
   /// ratio_i = beta_i / alpha_i where alpha_i > pivot_tol, else +inf.
@@ -636,14 +593,69 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// beta update after the pivot: beta_p = theta, beta_i -= theta*alpha_i.
-  void update_beta(Workspace& ws, std::size_t p, Real theta) {
+  /// Fused ratio test + leaving selection for the sparse product form:
+  /// the ratio half of ftran_ratio_select, launched once the eta chain
+  /// has finished alpha. Speculative like the rest of the fused FTRAN;
+  /// writes desc[kDescP/kDescTheta/kDescAlphaP].
+  void ratio_select(Workspace& ws) {
+    const std::size_t m = ws.m;
+    const std::size_t blocks =
+        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
+    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
+    std::vector<Real> part_val(blocks, Real{0});
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
+    auto rsp = ws.ratio.device_span();
+    auto dsp = ws.desc.device_span();
+    const Real tol = static_cast<Real>(ws.options.pivot_tol);
+    dev_.launch_blocks(
+        "ratio_select", m, vgpu::Device::kBlockSize,
+        {double(m), bytes(4 * m + 6), sizeof(Real)},
+        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
+          if (dsp[kDescQ] < Real{0}) return;  // optimal: nothing entered
+          for (std::size_t i = lo; i < hi; ++i) {
+            rsp[i] = asp[i] > tol ? bsp[i] / asp[i] : kInf;
+          }
+          const std::size_t best = vgpu::detail::block_argmin(rsp, lo, hi);
+          if (blocks == 1) {
+            fused_detail::write_leaving<Real>(best, rsp, asp, dsp);
+          } else {
+            part_idx[blk] = best;
+            part_val[blk] = rsp[best];
+          }
+        });
+    if (blocks > 1) {
+      fused_detail::combine_leaving<Real>(dev_, part_idx, part_val, rsp, asp,
+                                          dsp);
+    }
+  }
+
+  /// The pivot's scalar bookkeeping: c_B[p] takes the entering cost, the
+  /// entering column leaves the pricing mask and the leaving one rejoins
+  /// it (unless it is an artificial, which never re-enters).
+  struct Pokes {
+    std::size_t q;
+    std::size_t leaving;
+    Real cb_new;
+    bool unmask_leaving;
+  };
+
+  /// beta update after the pivot: beta_p = theta, beta_i -= theta*alpha_i.
+  /// With `pokes` (fused product form) the pivot lane also writes the
+  /// bookkeeping on device, as pivot_apply does for the explicit inverse,
+  /// replacing the reference path's three upload_value round trips.
+  void update_beta(Workspace& ws, std::size_t p, Real theta,
+                   const Pokes* pokes = nullptr) {
+    auto asp = ws.alpha.device_span();
+    auto bsp = ws.beta.device_span();
+    auto csp = ws.cb.device_span();
+    auto msp = ws.mask.device_span();
     const Real round_tol = static_cast<Real>(ws.options.round_tol);
     dev_.launch_blocks(
-        "update_beta", ws.m, vgpu::Device::kBlockSize,
-        {2.0 * double(ws.m), bytes(3 * ws.m), sizeof(Real)},
+        pokes != nullptr ? "pivot_beta" : "update_beta", ws.m,
+        vgpu::Device::kBlockSize,
+        {2.0 * double(ws.m), bytes(3 * ws.m + (pokes != nullptr ? 3 : 0)),
+         sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
             Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
@@ -651,6 +663,11 @@ class DeviceRevisedSimplex {
             // The ratio test guarantees v >= 0 in exact arithmetic; clamp
             // the rounding dust so the basis stays primal feasible.
             bsp[i] = v < Real{0} ? Real{0} : v;
+            if (i == p && pokes != nullptr) {
+              csp[p] = pokes->cb_new;
+              msp[pokes->q] = Real{0};
+              if (pokes->unmask_leaving) msp[pokes->leaving] = Real{1};
+            }
           }
         });
   }
@@ -798,9 +815,19 @@ class DeviceRevisedSimplex {
   }
 
   /// Product-form: append the eta for this pivot instead of updating B^-1.
+  /// The growth trigger's multiplier max(|1/alpha_p|, |alpha_i/alpha_p|) —
+  /// the measure ProductFormOracle::update folds — is read from alpha
+  /// through host_view(), outside the machine model (no PCIe charge).
   void append_eta(Workspace& ws, std::size_t p, Real alpha_p) {
-    if (At<Real>::kSparseKernels &&
-        ws.options.basis == BasisScheme::kProductForm) {
+    const std::span<const Real> ah = ws.alpha.host_view();
+    const double inv_p = std::abs(1.0 / static_cast<double>(alpha_p));
+    ws.eta_growth = std::max(ws.eta_growth, inv_p);
+    for (std::size_t i = 0; i < ws.m; ++i) {
+      if (i == p) continue;
+      ws.eta_growth = std::max(
+          ws.eta_growth, std::abs(static_cast<double>(ah[i]) * inv_p));
+    }
+    if (sparse_pf(ws)) {
       append_eta_sparse(ws, p, alpha_p);
       return;
     }
@@ -816,7 +843,7 @@ class DeviceRevisedSimplex {
             esp[i] = (i == p) ? inv : -asp[i] * inv;
           }
         });
-    ws.etas.push_back({p, std::move(eta)});
+    ws.etas.push_back({p, std::move(eta), std::nullopt, std::nullopt});
   }
 
   /// Sparse-kernel eta append: the support is alpha's nonzero pattern.
@@ -895,6 +922,7 @@ class DeviceRevisedSimplex {
           }
         });
     ws.etas.clear();
+    ws.eta_growth = 0.0;
     ws.pivots_since_refactor = 0;
     // beta = B^-1 b (clamped: the basis is primal feasible by invariant).
     auto bsp = ws.b_dev.device_span();
@@ -950,10 +978,16 @@ class DeviceRevisedSimplex {
   }
 
   /// pivot_row <- row `i` of B^-1 under the active basis scheme: a cheap
-  /// row copy for the explicit inverse, a unit-vector BTRAN otherwise.
+  /// row copy for the explicit inverse, a unit-vector BTRAN otherwise
+  /// (the sparse eta chain writes its own unit seed).
   void compute_binv_row(Workspace& ws, std::size_t i) {
     if (ws.options.basis == BasisScheme::kExplicitInverse) {
       save_pivot_row(ws, i);
+      return;
+    }
+    if (sparse_pf(ws)) {
+      eta_btran_chain(ws, nullptr, i);
+      btran_sparse_base(ws, ws.eta_work, ws.pivot_row);
       return;
     }
     // ws.ratio is free at every call site; use it as the unit seed.
@@ -1001,11 +1035,28 @@ class DeviceRevisedSimplex {
   // Main loop
   // ---------------------------------------------------------------------
 
+  /// Refactorization policy, mirrored from the host oracles. The explicit
+  /// inverse refactors on the opt-in refactor_period to shed rounding
+  /// error; the eta file is folded back every reinversion_period pivots
+  /// (0 means every m) or as soon as an eta multiplier exceeds the growth
+  /// limit.
+  [[nodiscard]] static bool refactor_due(const Workspace& ws) noexcept {
+    if (ws.options.basis == BasisScheme::kExplicitInverse) {
+      const std::size_t period = ws.options.refactor_period;
+      return period > 0 && ws.pivots_since_refactor >= period;
+    }
+    const std::size_t period = ws.options.reinversion_period > 0
+                                   ? ws.options.reinversion_period
+                                   : ws.m;
+    return (period > 0 && ws.pivots_since_refactor >= period) ||
+           ws.eta_growth > basis::kEtaGrowthLimit;
+  }
+
   LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
                     metrics::SimplexOpMetrics& om,
                     metrics::HealthMonitor& health, std::uint8_t phase) {
     if (ws.options.fused_iteration &&
-        ws.options.basis == BasisScheme::kExplicitInverse) {
+        (ws.options.basis == BasisScheme::kExplicitInverse || sparse_pf(ws))) {
       return run_loop_fused(ws, budget, stats, om, health, phase);
     }
     const trace::Track& tr = dev_.trace();
@@ -1118,22 +1169,10 @@ class DeviceRevisedSimplex {
           tel != nullptr && tel->want_iteration_sample(iter);
       if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
 
-      // Periodic refactorization to shed accumulated rounding error
-      // (explicit inverse) or to bound the eta file (product form / LU).
       ++ws.pivots_since_refactor;
-      const std::size_t period =
-          ws.options.basis == BasisScheme::kExplicitInverse
-              ? ws.options.refactor_period
-              : (ws.options.reinversion_period > 0
-                     ? ws.options.reinversion_period
-                     : ws.m);
-      if (period > 0 && ws.pivots_since_refactor >= period) {
+      if (refactor_due(ws)) {
         trace::ScopedSpan op(tr, "refactor", clock, "op");
-        if (ws.options.basis == BasisScheme::kLuFactors) {
-          lu_refactorize(ws);
-        } else {
-          reinvert(ws);
-        }
+        reinvert(ws);
         lap_observe(metrics::SimplexOp::kRefactor);
         if (record::Recorder* rec = opt_.recorder) {
           rec->record_refactor(stats.iterations);
@@ -1149,9 +1188,16 @@ class DeviceRevisedSimplex {
     return LoopExit::kIterationLimit;
   }
 
-  /// The fused twin of run_loop (explicit inverse only): per iteration,
-  ///   price_btran -> price_select -> ftran_ratio -> [descriptor d2h]
-  ///   -> pivot_stage -> [devex_update_fused] -> pivot_apply.
+  /// The fused twin of run_loop, for the explicit inverse and the sparse
+  /// product form. Per iteration:
+  ///   explicit inverse:  price_btran -> price_select -> ftran_ratio
+  ///     -> [descriptor d2h] -> pivot_stage -> [devex_update_fused]
+  ///     -> pivot_apply;
+  ///   sparse product form:  [eta_btran_chain] -> sparse_btran
+  ///     -> price_select -> sparse_ftran -> [eta_ftran_chain]
+  ///     -> ratio_select -> [descriptor d2h] -> [devex row + update]
+  ///     -> pivot_beta -> make_eta (+ the eta-support h2d).
+  /// Selections spanning more than one block add a small combine launch.
   /// The pivot sequence is bit-identical to run_loop's — the fused
   /// selections share the primitives' block-scan semantics and the device-
   /// side acceptance tests mirror the host ones — so recordings diff clean
@@ -1174,6 +1220,7 @@ class DeviceRevisedSimplex {
     double z = ws.current_objective();
     std::size_t since_improve = 0;
     bool bland_mode = false;
+    const bool pf = sparse_pf(ws);
     std::array<Real, kDescSlots> desc_h{};
     for (std::size_t iter = 0; iter < budget; ++iter) {
       if (ws.options.pricing == PricingRule::kHybrid) {
@@ -1193,7 +1240,7 @@ class DeviceRevisedSimplex {
                            : EnteringRule::kDantzig);
       {
         trace::ScopedSpan op(tr, "price", clock, "op");
-        btran_dense(ws, ws.cb, ws.pi);
+        btran(ws);
         ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
                            ws.devex_w, ws.desc, rule,
                            static_cast<Real>(ws.options.opt_tol));
@@ -1201,16 +1248,21 @@ class DeviceRevisedSimplex {
       lap_observe(metrics::SimplexOp::kPrice);
       {
         // Speculative: issued before the host knows whether pricing found
-        // a candidate; the kernel early-exits on-device when it did not.
+        // a candidate; the kernels early-exit on-device when it did not.
         trace::ScopedSpan op(tr, "ftran", clock, "op");
-        ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
-                                 ws.desc,
-                                 static_cast<Real>(ws.options.pivot_tol));
+        if (pf) {
+          ftran_speculative(ws);
+        } else {
+          ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
+                                   ws.desc,
+                                   static_cast<Real>(ws.options.pivot_tol));
+        }
       }
       lap_observe(metrics::SimplexOp::kFtran);
       {
-        // The iteration's ONLY PCIe transfer: one packed descriptor.
+        // The iteration's only d2h: one packed descriptor.
         trace::ScopedSpan op(tr, "ratio", clock, "op");
+        if (pf) ratio_select(ws);
         ws.desc.download(std::span<Real>(desc_h.data(), desc_h.size()));
       }
       lap_observe(metrics::SimplexOp::kRatio);
@@ -1250,13 +1302,27 @@ class DeviceRevisedSimplex {
       {
         trace::ScopedSpan op(tr, "update", clock, "op");
         const std::uint32_t leaving = ws.basic[p];
-        pivot_stage(ws, p, theta);
-        if (ws.options.pricing == PricingRule::kDevex) {
-          ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
-                             alpha_p);
+        const bool devex = ws.options.pricing == PricingRule::kDevex;
+        const Pokes pokes{q, leaving, static_cast<Real>(ws.c_host[q]),
+                          !ws.aug.is_artificial[leaving]};
+        if (pf) {
+          if (devex) {
+            // Row p of the pre-pivot B^-1 is a unit BTRAN here.
+            compute_binv_row(ws, p);
+            ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
+                               alpha_p);
+          }
+          update_beta(ws, p, theta, &pokes);
+          append_eta(ws, p, alpha_p);
+        } else {
+          pivot_stage(ws, p, theta);
+          if (devex) {
+            ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
+                               alpha_p);
+          }
+          pivot_apply(ws, q, p, alpha_p, pokes.cb_new, leaving,
+                      pokes.unmask_leaving);
         }
-        pivot_apply(ws, q, p, alpha_p, static_cast<Real>(ws.c_host[q]),
-                    leaving, !ws.aug.is_artificial[leaving]);
         ws.basic[p] = static_cast<std::uint32_t>(q);
         ws.in_basis[leaving] = false;
         ws.in_basis[q] = true;
@@ -1283,8 +1349,7 @@ class DeviceRevisedSimplex {
       if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
 
       ++ws.pivots_since_refactor;
-      const std::size_t period = ws.options.refactor_period;
-      if (period > 0 && ws.pivots_since_refactor >= period) {
+      if (refactor_due(ws)) {
         trace::ScopedSpan op(tr, "refactor", clock, "op");
         reinvert(ws);
         lap_observe(metrics::SimplexOp::kRefactor);
@@ -1311,8 +1376,8 @@ class DeviceRevisedSimplex {
   /// sparse rows (plus any basic artificial on that row), so one probe is
   /// O(nnz(row i)); the max |probe| is a cheap lower-bound estimate of
   /// `‖B·B⁻¹ − I‖∞` that tracks drift in the rank-1 update. Growth is the
-  /// max |B⁻¹| over the probed rows. Product-form / LU schemes have no
-  /// drifting inverse to probe; they report the eta-file length instead.
+  /// max |B⁻¹| over the probed rows. The product form has no drifting
+  /// inverse to probe; it reports the eta-file length instead.
   /// The health monitor and the telemetry sink sample on independent
   /// strides; each consumer is fed only when its own gate fired, so
   /// attaching telemetry never changes what the HealthMonitor records.

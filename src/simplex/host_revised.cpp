@@ -52,8 +52,7 @@ struct State {
       oracle = std::make_unique<basis::ExplicitInverseOracle>(
           m, aug.binv_diag, cols, meter, opt);
     } else {
-      // Both sparse schemes (product-form, lu-factors) map onto the
-      // eta-file oracle on the host: LU factors plus an eta file.
+      // Product form: sparse LU factors plus an eta file.
       oracle = std::make_unique<basis::ProductFormOracle>(m, basic, cols,
                                                           meter, opt);
     }

@@ -65,14 +65,12 @@ enum class PricingRule {
 enum class BasisScheme {
   kExplicitInverse,  ///< dense B^-1, rank-1 Gauss-Jordan update (the paper's)
   kProductForm,      ///< eta file + periodic reinversion
-  kLuFactors,        ///< LU factors + eta file; FTRAN/BTRAN as blocked trsv
 };
 
 [[nodiscard]] constexpr std::string_view to_string(BasisScheme b) noexcept {
   switch (b) {
     case BasisScheme::kExplicitInverse: return "explicit-inverse";
     case BasisScheme::kProductForm: return "product-form";
-    case BasisScheme::kLuFactors: return "lu-factors";
   }
   return "?";
 }
@@ -98,16 +96,19 @@ struct SolverOptions {
   /// Compute post-optimal sensitivity ranges (HostRevisedSimplex only).
   bool ranging = false;
 
-  /// Fused per-iteration kernels (device engine, explicit inverse only):
-  /// the pricing chain, the ratio-test chain and the rank-1 B⁻¹ update
-  /// each collapse into a single launch, and the per-iteration scalar
-  /// ping-pong is replaced by one packed PivotDescriptor readback. The
-  /// pivot sequence is bit-identical to the unfused reference path (the
-  /// fused reductions share the primitives' block-scan semantics); only
-  /// launch/transfer counts and modeled time change. Set false to run the
-  /// pre-fusion reference path (tests/test_fusion.cpp diffs the two).
-  /// Ignored by non-explicit basis schemes, which always use the
-  /// reference kernels.
+  /// Fused per-iteration kernels (device engines): the pricing chain and
+  /// the ratio-test chain each collapse into a single launch, the pivot's
+  /// bookkeeping moves on device, and the per-iteration scalar ping-pong
+  /// is replaced by one packed PivotDescriptor readback. Applies to the
+  /// explicit inverse (where the rank-1 B⁻¹ update is fused too) and to
+  /// the sparse product form (CSR engine; its eta file is walked by one
+  /// chain launch per direction either way). The pivot sequence is
+  /// bit-identical to the unfused reference path (the fused reductions
+  /// share the primitives' block-scan semantics); only launch/transfer
+  /// counts and modeled time change. Set false to run the pre-fusion
+  /// reference path (tests/test_fusion.cpp diffs the two). The dense-eta
+  /// product form (Ext. B) ignores it and always runs the reference
+  /// kernels.
   bool fused_iteration = true;
 
   BasisScheme basis = BasisScheme::kExplicitInverse;

@@ -30,10 +30,15 @@ namespace gs::vgpu {
 
 /// Work declaration for one kernel launch: totals across all threads.
 /// `scalar_bytes` selects the arithmetic roofline (4 = float, 8 = double).
+/// `dependent_steps` counts the serial steps a launch walks internally
+/// (each waits on the previous one); each is charged
+/// MachineModel::dependent_step_s on top of the roofline time. Ordinary
+/// data-parallel kernels leave it at 0.
 struct KernelCost {
   double flops = 0.0;
   double bytes = 0.0;
   std::size_t scalar_bytes = 8;
+  std::size_t dependent_steps = 0;
 };
 
 /// Per-kernel aggregate, keyed by kernel name (the rows of the Tab.1
@@ -253,15 +258,6 @@ class Device {
     record_kernel(name, cost, n);
   }
 
-  /// Charge a kernel launch without executing a body. Used by multi-stage
-  /// operations (e.g. blocked triangular solves) whose functional result is
-  /// produced once elsewhere but whose device execution would be a chain of
-  /// dependent launches — each stage is accounted individually.
-  void account_kernel(std::string_view name, KernelCost cost,
-                      std::size_t threads) {
-    record_kernel(name, cost, threads);
-  }
-
   /// Charge a host-to-device copy of `bytes`. A zero-byte copy never
   /// reaches the driver (the sparse paths hit this with empty index
   /// ranges, same as the zero-block launch case above), so it costs
@@ -312,14 +308,21 @@ class Device {
   void record_kernel(std::string_view name, const KernelCost& cost,
                      std::size_t threads) {
     const double t = model_.kernel_seconds(cost.flops, cost.bytes, threads,
-                                           cost.scalar_bytes);
+                                           cost.scalar_bytes,
+                                           cost.dependent_steps);
     if (trace_.enabled()) {
+      std::vector<trace::TraceArg> args = {
+          {"flops", cost.flops},
+          {"bytes", cost.bytes},
+          {"threads", static_cast<double>(threads)},
+          {"scalar_bytes", static_cast<double>(cost.scalar_bytes)},
+          {"sim_seconds", t}};
+      if (cost.dependent_steps > 0) {
+        args.emplace_back("dependent_steps",
+                          static_cast<double>(cost.dependent_steps));
+      }
       trace_.complete(name, stats_.sim_seconds(), t, "kernel",
-                      {{"flops", cost.flops},
-                       {"bytes", cost.bytes},
-                       {"threads", static_cast<double>(threads)},
-                       {"scalar_bytes", static_cast<double>(cost.scalar_bytes)},
-                       {"sim_seconds", t}});
+                      std::move(args));
     }
     if (metrics_ != nullptr) {
       agg_.kernel_launches->inc();

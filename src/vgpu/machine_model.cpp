@@ -4,9 +4,9 @@
 
 namespace gs::vgpu {
 
-double MachineModel::kernel_seconds(double flops, double bytes,
-                                    std::size_t threads,
-                                    std::size_t scalar_bytes) const noexcept {
+double MachineModel::kernel_seconds(
+    double flops, double bytes, std::size_t threads, std::size_t scalar_bytes,
+    std::size_t dependent_steps) const noexcept {
   const double peak_gflops =
       scalar_bytes <= 4 ? peak_gflops_sp : peak_gflops_dp;
   const double occupancy =
@@ -16,7 +16,11 @@ double MachineModel::kernel_seconds(double flops, double bytes,
   const double b_eff = mem_gbps * 1e9 * occupancy;
   const double t_compute = f_eff > 0 ? flops / f_eff : 0.0;
   const double t_memory = b_eff > 0 ? bytes / b_eff : 0.0;
-  return launch_overhead_s + std::max(t_compute, t_memory);
+  double t = launch_overhead_s + std::max(t_compute, t_memory);
+  if (dependent_steps > 0) {
+    t += static_cast<double>(dependent_steps) * dependent_step_s;
+  }
+  return t;
 }
 
 double MachineModel::transfer_seconds(std::size_t bytes) const noexcept {
@@ -30,7 +34,9 @@ MachineModel gtx280_model() {
   // 240 SPs @ 1.296 GHz; sustained (non-MUL-dual-issue) SP ~= 400 GFLOP/s,
   // DP unit is 1/8 rate -> ~60 GFLOP/s sustained ~40. Bandwidth 141.7 GB/s
   // peak, ~110 sustained. Launch overhead ~6 us (2009 driver stack),
-  // PCIe 1.1 x16 ~ 4 GB/s effective.
+  // PCIe 1.1 x16 ~ 4 GB/s effective. A dependent step is one
+  // __syncthreads() plus one uncached global read (~500 cycles) at
+  // 1.3 GHz: ~0.5 us.
   m.peak_gflops_sp = 400.0;
   m.peak_gflops_dp = 40.0;
   m.mem_gbps = 110.0;
@@ -38,6 +44,7 @@ MachineModel gtx280_model() {
   m.saturation_threads = 240 * 32;  // SPs x threads-in-flight each
   m.xfer_gbps = 4.0;
   m.xfer_latency_s = 8e-6;
+  m.dependent_step_s = 0.5e-6;
   return m;
 }
 
@@ -51,6 +58,7 @@ MachineModel gtx570_model() {
   m.saturation_threads = 480 * 32;
   m.xfer_gbps = 6.0;
   m.xfer_latency_s = 7e-6;
+  m.dependent_step_s = 0.4e-6;  // L2-cached dependent read
   return m;
 }
 
@@ -64,6 +72,7 @@ MachineModel titan_model() {
   m.saturation_threads = 2688 * 16;
   m.xfer_gbps = 10.0;
   m.xfer_latency_s = 6e-6;
+  m.dependent_step_s = 0.3e-6;
   return m;
 }
 
@@ -80,6 +89,7 @@ MachineModel cpu2009_model() {
   m.saturation_threads = 1;
   m.xfer_gbps = 0.0;  // host memory: no interconnect cost
   m.xfer_latency_s = 0.0;
+  m.dependent_step_s = 0.0;
   return m;
 }
 

@@ -6,6 +6,7 @@
 // analytic model:
 //
 //   t_kernel  = t_launch + max(flops / F_eff, bytes / B_eff)
+//               + dependent_steps * t_step
 //   F_eff     = F_peak * min(1, threads / saturation_threads)   (same for B)
 //   t_copy    = t_latency + bytes / B_pcie
 //
@@ -14,6 +15,12 @@
 // bandwidth advantage over a single 2009 core yields the headline speedup;
 // (2) small kernels are dominated by launch latency and under-occupancy,
 // which is why the CPU wins below the crossover size.
+//
+// The t_step term charges kernels that walk a serial dependency chain
+// inside one launch (e.g. an eta file applied by a single block): each
+// step waits on a barrier and a dependent global read, latency that no
+// amount of occupancy hides. Ordinary data-parallel kernels declare zero
+// steps and pay nothing for it.
 #pragma once
 
 #include <cstddef>
@@ -44,11 +51,19 @@ struct MachineModel {
   double xfer_gbps = 0.0;
   double xfer_latency_s = 0.0;
 
+  /// Latency of one dependent step inside a launch (barrier + dependent
+  /// global read), seconds. 0 for a host model: a serial loop on one core
+  /// already pays its dependencies in its flop/byte terms.
+  double dependent_step_s = 0.0;
+
   /// Roofline time for one kernel launch. `scalar_bytes` selects the
   /// arithmetic peak: 4 -> single precision, 8 -> double precision.
-  [[nodiscard]] double kernel_seconds(double flops, double bytes,
-                                      std::size_t threads,
-                                      std::size_t scalar_bytes) const noexcept;
+  /// `dependent_steps` adds exactly `dependent_steps * dependent_step_s`
+  /// on top of the roofline time (nothing at all when 0).
+  [[nodiscard]] double kernel_seconds(
+      double flops, double bytes, std::size_t threads,
+      std::size_t scalar_bytes,
+      std::size_t dependent_steps = 0) const noexcept;
 
   /// Time to move `bytes` across the host<->device interconnect.
   [[nodiscard]] double transfer_seconds(std::size_t bytes) const noexcept;

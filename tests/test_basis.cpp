@@ -4,6 +4,7 @@
 // and whole solves must take the same pivot path under either oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -290,8 +291,9 @@ TEST(DualEngine, AgreesWithPrimalOnOptimalValue) {
 }
 
 // Device sparse kernel variants: the CSR engine's product-form path
-// (sparse_ftran / sparse_btran / eta_apply) reaches the host optimum in
-// both precisions and its kernel stream carries the variant names.
+// (sparse_ftran / sparse_btran bases, eta file walked by one chain launch
+// per direction) reaches the host optimum in both precisions and its
+// kernel stream carries the variant names.
 TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
   const auto problem = lp::random_sparse_lp(
       {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
@@ -308,8 +310,13 @@ TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
     const auto& pk = r.stats.device_stats.per_kernel;
     EXPECT_TRUE(pk.contains("sparse_ftran"));
     EXPECT_TRUE(pk.contains("sparse_btran"));
-    EXPECT_TRUE(pk.contains("eta_apply"));
-    // The dense-path eta kernels must NOT appear on the sparse variant.
+    EXPECT_TRUE(pk.contains("eta_ftran_chain"));
+    EXPECT_TRUE(pk.contains("eta_btran_chain"));
+    // Neither the per-eta kernels nor the dense-path eta kernels appear
+    // on the sparse variant.
+    EXPECT_FALSE(pk.contains("eta_apply"));
+    EXPECT_FALSE(pk.contains("eta_snapshot"));
+    EXPECT_FALSE(pk.contains("eta_btran_write"));
     EXPECT_FALSE(pk.contains("eta_ftran"));
     EXPECT_FALSE(pk.contains("eta_btran_dot"));
   }
@@ -322,9 +329,10 @@ TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
   }
 }
 
-// The sparse eta kernels only touch the eta's support: the modeled
-// byte traffic of the sparse product-form path must come in under the
-// dense-eta device path on the same instance.
+// The sparse eta chains only touch each eta's support: the modeled byte
+// traffic of the sparse product-form path must come in under the
+// dense-eta device path on the same instance (both sides counting their
+// BTRAN seed copies).
 TEST(DeviceSparseBasis, SparseEtaKernelsCostLessThanDenseEtas) {
   const auto problem = lp::random_sparse_lp(
       {.rows = 48, .cols = 192, .density = 0.05, .seed = 21});
@@ -335,8 +343,8 @@ TEST(DeviceSparseBasis, SparseEtaKernelsCostLessThanDenseEtas) {
   const auto rs = sparse_solver.solve(problem);
   ASSERT_EQ(rs.status, simplex::SolveStatus::kOptimal);
   const auto& pk = rs.stats.device_stats.per_kernel;
-  ASSERT_TRUE(pk.contains("eta_apply"));
-  const auto& sparse_eta = pk.at("eta_apply");
+  ASSERT_TRUE(pk.contains("eta_ftran_chain"));
+  ASSERT_TRUE(pk.contains("eta_btran_chain"));
   // Dense-path eta applies on the same problem via the dense At engine.
   vgpu::Device dev_dense(vgpu::gtx280_model());
   simplex::DeviceRevisedSimplex<double> dense_solver(dev_dense, opt);
@@ -345,9 +353,52 @@ TEST(DeviceSparseBasis, SparseEtaKernelsCostLessThanDenseEtas) {
   const auto& pkd = rd.stats.device_stats.per_kernel;
   ASSERT_TRUE(pkd.contains("eta_ftran"));
   const double dense_eta_bytes =
-      pkd.at("eta_ftran").bytes + pkd.at("eta_btran_dot").bytes;
-  const double sparse_eta_bytes = sparse_eta.bytes;
+      pkd.at("eta_ftran").bytes + pkd.at("eta_btran_dot").bytes +
+      pkd.at("price_btran_seed").bytes;
+  const double sparse_eta_bytes =
+      pk.at("eta_ftran_chain").bytes + pk.at("eta_btran_chain").bytes;
   EXPECT_LT(sparse_eta_bytes, dense_eta_bytes);
+  // One launch per direction per iteration instead of two per eta.
+  EXPECT_LT(pk.at("eta_ftran_chain").launches +
+                pk.at("eta_btran_chain").launches,
+            pkd.at("eta_ftran").launches + pkd.at("eta_btran_dot").launches);
+}
+
+// Growth trigger (DESIGN.md "Refactorization policy"): the first pivot of
+//   max x1  s.t.  3e-9 x1 <= 0,  x1 <= 1
+// is alpha_p = 3e-9, so the eta multiplier 1/alpha_p ~ 3.3e8 exceeds the
+// 1e8 growth limit long before the interval trigger (m = 2 etas). Every
+// product-form engine, host and device, must refactorize right there and
+// record it.
+TEST(BasisOracles, GrowthTriggerRefactorsOnHostAndDevice) {
+  lp::LpProblem p(lp::Objective::kMaximize, "tiny_pivot");
+  const auto x1 = p.add_variable("x1", 1.0);
+  p.add_constraint("tiny", {{x1, 3e-9}}, lp::RowSense::kLe, 0.0);
+  p.add_constraint("cap", {{x1, 1.0}}, lp::RowSense::kLe, 1.0);
+  for (const simplex::Engine engine :
+       {simplex::Engine::kHostRevised, simplex::Engine::kDeviceRevised,
+        simplex::Engine::kSparseRevised}) {
+    for (const bool fused : {true, false}) {
+      record::Recorder rec;
+      simplex::SolverOptions opt;
+      opt.basis = simplex::BasisScheme::kProductForm;
+      opt.fused_iteration = fused;
+      opt.recorder = &rec;
+      const auto r = simplex::solve(p, engine, opt);
+      ASSERT_TRUE(r.optimal()) << to_string(engine);
+      EXPECT_NEAR(r.objective, 0.0, 1e-12) << to_string(engine);
+      const auto& records = rec.recording().records;
+      const auto first = std::find_if(
+          records.begin(), records.end(), [](const auto& d) {
+            return d.kind == record::RecordKind::kPivot;
+          });
+      ASSERT_NE(first, records.end()) << to_string(engine);
+      EXPECT_LT(std::abs(first->pivot_value), 1e-8);
+      ASSERT_NE(first + 1, records.end()) << to_string(engine);
+      EXPECT_EQ((first + 1)->kind, record::RecordKind::kRefactor)
+          << to_string(engine) << (fused ? " fused" : " reference");
+    }
+  }
 }
 
 }  // namespace

@@ -304,8 +304,7 @@ TEST(CheckedEngines, PricingAndBasisVariantsSolveCleanUnderCheck) {
        {simplex::PricingRule::kDantzig, simplex::PricingRule::kDevex}) {
     for (simplex::BasisScheme basis :
          {simplex::BasisScheme::kExplicitInverse,
-          simplex::BasisScheme::kProductForm,
-          simplex::BasisScheme::kLuFactors}) {
+          simplex::BasisScheme::kProductForm}) {
       Checker chk;
       simplex::SolverOptions opt = checked_options(chk);
       opt.pricing = pricing;

@@ -3,11 +3,12 @@
 //
 // The fused path collapses the pricing chain, the FTRAN/ratio chain and
 // the rank-1 B^-1 update into single launches and replaces the scalar
-// PCIe ping-pong with one packed descriptor readback. None of that may
-// change the algorithm: these tests record both paths with the decision
-// recorder and require the pivot streams to align with ZERO divergence —
-// pivot for pivot, in both precisions, under every pricing rule — and the
-// launch/transfer budget the fusion exists to buy.
+// PCIe ping-pong with one packed descriptor readback; on the sparse
+// product form it also moves the pivot bookkeeping on device. None of that
+// may change the algorithm: these tests record both paths with the
+// decision recorder and require the pivot streams to align with ZERO
+// divergence — pivot for pivot, in both precisions, under every pricing
+// rule — and the launch/transfer budget the fusion exists to buy.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,14 +28,10 @@ struct Run {
 };
 
 template <typename Real, template <typename> class At = DenseAt>
-Run run_recorded(const lp::LpProblem& problem, bool fused, PricingRule rule,
-                 std::size_t max_iterations = 50000) {
+Run run_recorded(const lp::LpProblem& problem, bool fused, SolverOptions opt) {
   vgpu::Device dev(vgpu::gtx280_model());
   record::Recorder rec;
-  SolverOptions opt;
   opt.fused_iteration = fused;
-  opt.pricing = rule;
-  opt.max_iterations = max_iterations;
   opt.recorder = &rec;
   DeviceRevisedSimplex<Real, At> solver(dev, opt);
   Run out;
@@ -43,31 +40,56 @@ Run run_recorded(const lp::LpProblem& problem, bool fused, PricingRule rule,
   return out;
 }
 
+SolverOptions rule_options(PricingRule rule,
+                           std::size_t max_iterations = 50000) {
+  SolverOptions opt;
+  opt.pricing = rule;
+  opt.max_iterations = max_iterations;
+  return opt;
+}
+
+/// Sparse product form: the CSR engine walking its eta file with the
+/// chain kernels, every `period` pivots reinverted (0 = every m).
+SolverOptions product_form(PricingRule rule, std::size_t period = 0,
+                           std::size_t max_iterations = 50000) {
+  SolverOptions opt = rule_options(rule, max_iterations);
+  opt.basis = BasisScheme::kProductForm;
+  opt.reinversion_period = period;
+  return opt;
+}
+
+std::size_t count_kind(const record::Recording& rec, record::RecordKind k) {
+  std::size_t n = 0;
+  for (const auto& r : rec.records) n += r.kind == k ? 1 : 0;
+  return n;
+}
+
 template <typename Real, template <typename> class At = DenseAt>
 void expect_identical_decisions(const lp::LpProblem& problem,
-                                PricingRule rule,
-                                std::size_t max_iterations = 50000) {
-  const Run fused = run_recorded<Real, At>(problem, true, rule,
-                                           max_iterations);
-  const Run ref = run_recorded<Real, At>(problem, false, rule,
-                                         max_iterations);
+                                const SolverOptions& opt) {
+  const Run fused = run_recorded<Real, At>(problem, true, opt);
+  const Run ref = run_recorded<Real, At>(problem, false, opt);
   const record::DiffResult d = record::diff(fused.recording, ref.recording);
   ASSERT_TRUE(d.comparable) << d.describe();
   EXPECT_FALSE(d.diverged) << d.describe();
   EXPECT_EQ(fused.recording.records.size(), ref.recording.records.size());
-  const auto pivots = [](const record::Recording& rec) {
-    std::size_t n = 0;
-    for (const auto& r : rec.records)
-      if (r.kind == record::RecordKind::kPivot) ++n;
-    return n;
-  };
-  EXPECT_EQ(d.common, pivots(ref.recording));
+  EXPECT_EQ(d.common, count_kind(ref.recording, record::RecordKind::kPivot));
+  EXPECT_EQ(count_kind(fused.recording, record::RecordKind::kRefactor),
+            count_kind(ref.recording, record::RecordKind::kRefactor));
   EXPECT_EQ(fused.result.status, ref.result.status);
   EXPECT_EQ(fused.result.stats.iterations, ref.result.stats.iterations);
   if (fused.result.optimal()) {
     // Same pivot path in the same precision: bit-identical optimum.
     EXPECT_EQ(fused.result.objective, ref.result.objective);
   }
+}
+
+template <typename Real, template <typename> class At = DenseAt>
+void expect_identical_decisions(const lp::LpProblem& problem,
+                                PricingRule rule,
+                                std::size_t max_iterations = 50000) {
+  expect_identical_decisions<Real, At>(problem,
+                                       rule_options(rule, max_iterations));
 }
 
 constexpr PricingRule kAllRules[] = {PricingRule::kHybrid,
@@ -145,6 +167,78 @@ TEST(Fusion, RefactorPeriodKeptIdentical) {
                                             rec_b.recording());
   ASSERT_TRUE(d.comparable) << d.describe();
   EXPECT_FALSE(d.diverged) << d.describe();
+}
+
+TEST(Fusion, SparseProductFormStreamsIdenticalAcrossRules) {
+  const auto problem = lp::random_sparse_lp(
+      {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
+  for (const PricingRule rule : kAllRules) {
+    SCOPED_TRACE(testing::Message() << "rule " << to_string(rule));
+    expect_identical_decisions<double, SparseAt>(problem, product_form(rule));
+    expect_identical_decisions<float, SparseAt>(problem, product_form(rule));
+  }
+}
+
+TEST(Fusion, SparseProductFormStreamsIdenticalWithPhaseOneAndShortPeriod) {
+  // Phase 1, the artificial drive-out (which shares the chain kernels) and
+  // the phase transition, with the eta file folded back every 4 pivots.
+  const auto transport = lp::transportation(5, 6, 17);
+  for (const std::size_t period : {std::size_t{0}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "period " << period);
+    expect_identical_decisions<double, SparseAt>(
+        transport, product_form(PricingRule::kHybrid, period));
+    expect_identical_decisions<float, SparseAt>(
+        transport, product_form(PricingRule::kDevex, period));
+  }
+  const auto problem = lp::random_sparse_lp(
+      {.rows = 32, .cols = 128, .density = 0.08, .seed = 4});
+  const auto fused = run_recorded<double, SparseAt>(
+      problem, true, product_form(PricingRule::kDantzig, 4));
+  EXPECT_GE(count_kind(fused.recording, record::RecordKind::kRefactor), 2u);
+  expect_identical_decisions<double, SparseAt>(
+      problem, product_form(PricingRule::kDantzig, 4));
+  expect_identical_decisions<float, SparseAt>(
+      problem, product_form(PricingRule::kBland, 4));
+}
+
+TEST(Fusion, SparseProductFormStreamsIdenticalOnMultiBlockSweeps) {
+  // m = 300 rows and n_aug = 600 columns: both fused selections (pricing
+  // and ratio) span several blocks and take their combine launches.
+  const auto problem = lp::random_sparse_lp(
+      {.rows = 300, .cols = 300, .density = 0.02, .seed = 6});
+  expect_identical_decisions<double, SparseAt>(
+      problem, product_form(PricingRule::kDantzig, 0, 40));
+  expect_identical_decisions<double, SparseAt>(
+      problem, product_form(PricingRule::kBland, 0, 40));
+}
+
+TEST(Fusion, SparseProductFormBudgetIndependentOfEtaFile) {
+  // The eta file grows to ~m etas between reinversions at period 0 and
+  // stays <= 8 at period 8; either way each iteration issues the same
+  // launches (one chain per direction, never one kernel per eta), one
+  // descriptor d2h and one eta-support h2d.
+  const auto problem = lp::random_sparse_lp(
+      {.rows = 96, .cols = 384, .density = 0.03, .seed = 5});
+  for (const std::size_t period : {std::size_t{8}, std::size_t{0}}) {
+    SCOPED_TRACE(testing::Message() << "period " << period);
+    vgpu::Device dev(vgpu::gtx280_model());
+    SparseRevisedSimplex<double> solver(
+        dev, product_form(PricingRule::kHybrid, period));
+    const SolveResult r = solver.solve(problem);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    ASSERT_GT(r.stats.iterations, 50u);
+    const auto& ds = r.stats.device_stats;
+    const double iters = static_cast<double>(r.stats.iterations);
+    EXPECT_LE(static_cast<double>(ds.kernel_launches), 10.0 * iters + 16.0);
+    EXPECT_LE(ds.d2h_count, r.stats.iterations + 8);
+    EXPECT_LE(ds.h2d_count, r.stats.iterations + 16);
+    // At most one chain per direction per iteration (plus the final
+    // pricing pass that finds no entering column).
+    EXPECT_LE(ds.per_kernel.at("eta_btran_chain").launches,
+              r.stats.iterations + 1);
+    EXPECT_LE(ds.per_kernel.at("eta_ftran_chain").launches,
+              r.stats.iterations + 1);
+  }
 }
 
 TEST(Fusion, LaunchAndTransferBudgetHeld) {

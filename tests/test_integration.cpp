@@ -285,8 +285,7 @@ TEST(Integration, ScaledStandardFormStillSolvesWithEveryBasisScheme) {
   const double direct = solve(p, Engine::kHostRevised).objective;
   for (const simplex::BasisScheme scheme :
        {simplex::BasisScheme::kExplicitInverse,
-        simplex::BasisScheme::kProductForm,
-        simplex::BasisScheme::kLuFactors}) {
+        simplex::BasisScheme::kProductForm}) {
     auto sf = lp::to_standard_form(p);
     const lp::ScalingInfo info = lp::scale_geometric(sf);
     simplex::SolverOptions opt;

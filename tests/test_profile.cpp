@@ -148,6 +148,69 @@ TEST(ProfileRoofline, CraftedKernelsLandInEachBoundClass) {
   EXPECT_LT(rep.launch_bound_fraction, 0.01);
 }
 
+// A single-block chain launch: its memory term (~27us at one block's
+// occupancy) would make it bandwidth-bound on its own, but 2000 dependent
+// steps (1ms) are latency, so it lands in the launch/latency class.
+TEST(ProfileRoofline, DependentStepsFoldIntoTheLatencyClass) {
+  profile::Profiler prof;
+  vgpu::Device dev(vgpu::gtx280_model());
+  dev.set_trace(&prof);
+  prof.bind_machine(trace::kDevicePid, dev.model());
+  const auto noop = [](std::size_t, std::size_t, std::size_t) {};
+  dev.launch_blocks("craft_block", 256, 256, {.flops = 1e4, .bytes = 1e5},
+                    noop);
+  dev.launch_blocks("craft_chain", 256, 256,
+                    {.flops = 1e4, .bytes = 1e5, .dependent_steps = 2000},
+                    noop);
+  const profile::ProfileReport rep = prof.report();
+  const profile::KernelProfile* block = rep.find_kernel("craft_block");
+  const profile::KernelProfile* chain = rep.find_kernel("craft_chain");
+  ASSERT_NE(block, nullptr);
+  ASSERT_NE(chain, nullptr);
+  EXPECT_EQ(block->bound, profile::BoundClass::kBandwidth);
+  EXPECT_EQ(chain->bound, profile::BoundClass::kLaunch);
+  const vgpu::MachineModel& m = dev.model();
+  EXPECT_EQ(chain->launch_seconds,
+            m.launch_overhead_s + 2000.0 * m.dependent_step_s);
+  EXPECT_EQ(rep.kernel_seconds(), dev.stats().kernel_seconds);
+}
+
+// The sparse product form walks its eta file with the chain kernels: the
+// profile still reconciles bit-exactly, the chains are latency-bound, and
+// every chain launch is charged at least its steps x dependent_step_s.
+TEST(ProfileReconcile, EtaChainsReconcileAndAreChargedTheirSteps) {
+  profile::Profiler prof;
+  trace::ChromeTraceSink sink;
+  simplex::SolverOptions opt;
+  opt.profiler = &prof;
+  opt.trace_sink = &sink;
+  opt.basis = simplex::BasisScheme::kProductForm;
+  vgpu::Device dev(vgpu::gtx280_model());
+  simplex::SparseRevisedSimplex<double> solver(dev, opt);
+  const auto result = solver.solve(lp::random_sparse_lp(
+      {.rows = 48, .cols = 192, .density = 0.05, .seed = 21}));
+  ASSERT_TRUE(result.optimal());
+  const profile::ProfileReport rep = prof.report();
+  EXPECT_EQ(rep.kernel_seconds(), result.stats.device_stats.kernel_seconds);
+  for (const char* name : {"eta_ftran_chain", "eta_btran_chain"}) {
+    const profile::KernelProfile* k = rep.find_kernel(name);
+    ASSERT_NE(k, nullptr) << name;
+    EXPECT_EQ(k->bound, profile::BoundClass::kLaunch) << name;
+  }
+  const double step = dev.model().dependent_step_s;
+  std::size_t chains = 0;
+  for (const trace::TraceEvent& e : sink.events()) {
+    if (e.category != "kernel" || !e.name.ends_with("_chain")) continue;
+    double steps = 0.0;
+    for (const auto& [key, value] : e.args) {
+      if (key == "dependent_steps") steps = value;
+    }
+    EXPECT_GE(e.dur, steps * step) << e.name;
+    ++chains;
+  }
+  EXPECT_GT(chains, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Service request spans: the tiling invariant.
 // ---------------------------------------------------------------------

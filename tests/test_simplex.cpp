@@ -336,36 +336,6 @@ TEST_P(ReinversionPeriods, ProductFormMatchesExplicitInverse) {
 INSTANTIATE_TEST_SUITE_P(Periods, ReinversionPeriods,
                          ::testing::Values(1, 4, 16, 0 /* default: m */));
 
-class LuPeriods : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(LuPeriods, LuFactorsMatchExplicitInverse) {
-  const auto problem = lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 7});
-  const double expect = solve(problem, Engine::kDeviceRevised).objective;
-  SolverOptions opt;
-  opt.basis = BasisScheme::kLuFactors;
-  opt.reinversion_period = GetParam();
-  const SolveResult r = solve(problem, Engine::kDeviceRevised, opt);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, expect, 1e-6 * (1.0 + std::abs(expect)));
-  // The trsv chains must show up in the kernel breakdown.
-  EXPECT_TRUE(r.stats.device_stats.per_kernel.contains("ftran_trsv_l"));
-  EXPECT_TRUE(r.stats.device_stats.per_kernel.contains("lu_refactor"));
-}
-
-INSTANTIATE_TEST_SUITE_P(Periods, LuPeriods,
-                         ::testing::Values(1, 8, 0 /* default: m */));
-
-TEST(BasisSchemes, LuFactorsHandleTwoPhase) {
-  SolverOptions opt;
-  opt.basis = BasisScheme::kLuFactors;
-  opt.reinversion_period = 8;
-  const auto problem = lp::transportation(5, 6, 19);
-  const double expect = solve(problem, Engine::kHostRevised).objective;
-  const SolveResult r = solve(problem, Engine::kDeviceRevised, opt);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, expect, 1e-6 * (1.0 + std::abs(expect)));
-}
-
 TEST(BasisSchemes, DevexUnderProductFormIsCorrect) {
   // Devex needs a true row of B^-1; under the eta file that is a BTRAN,
   // not a row of the (stale) B0^-1.

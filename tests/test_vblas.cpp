@@ -10,7 +10,6 @@
 #include "vblas/blas3.hpp"
 #include "vblas/containers.hpp"
 #include "vblas/host_ref.hpp"
-#include "vblas/lu.hpp"
 #include "vgpu/machine_model.hpp"
 
 namespace gs::vblas {
@@ -289,63 +288,6 @@ TEST(Invert, SingularMatrixThrows) {
 
 TEST(Invert, RequiresSquare) {
   EXPECT_THROW((void)ref::invert(Matrix<double>(2, 3)), Error);
-}
-
-// ---------------------------------------------------------------------- LU
-
-TEST(Lu, FactorSolveRoundTrip) {
-  auto a = random_matrix(10, 10, 60);
-  for (std::size_t i = 0; i < 10; ++i) a(i, i) += 12.0;  // well conditioned
-  const auto f = lu_factor(a);
-  const auto b = random_vector(10, 61);
-  const auto x = lu_solve(f, b);
-  const auto ax = ref::gemv(a, std::span<const double>(x));
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(ax[i], b[i], 1e-9);
-}
-
-TEST(Lu, TransposedSolve) {
-  auto a = random_matrix(9, 9, 62);
-  for (std::size_t i = 0; i < 9; ++i) a(i, i) += 10.0;
-  const auto f = lu_factor(a);
-  const auto b = random_vector(9, 63);
-  const auto x = lu_solve_transposed(f, b);
-  // A^T x = b  <=>  x^T A = b^T: check with gemv on the transpose.
-  const auto atx = ref::gemv(a.transposed(), std::span<const double>(x));
-  for (std::size_t i = 0; i < 9; ++i) EXPECT_NEAR(atx[i], b[i], 1e-9);
-}
-
-TEST(Lu, NeedsPivotingMatrixSolves) {
-  // Zero on the leading diagonal: fails without row pivoting.
-  Matrix<double> a(3, 3);
-  a(0, 1) = 2.0;
-  a(1, 0) = 3.0;
-  a(2, 2) = 4.0;
-  a(0, 2) = 1.0;
-  const auto f = lu_factor(a);
-  const std::vector<double> b{5.0, 6.0, 8.0};
-  const auto x = lu_solve(f, b);
-  const auto ax = ref::gemv(a, std::span<const double>(x));
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ax[i], b[i], 1e-12);
-}
-
-TEST(Lu, SingularMatrixThrows) {
-  Matrix<double> a(2, 2);
-  a(0, 0) = 1.0;
-  a(1, 0) = 2.0;  // second column all zero
-  EXPECT_THROW((void)lu_factor(a), Error);
-}
-
-TEST(Lu, AgreesWithExplicitInverse) {
-  auto a = random_matrix(8, 8, 64);
-  for (std::size_t i = 0; i < 8; ++i) a(i, i) += 9.0;
-  const auto f = lu_factor(a);
-  const auto inv = ref::invert(a);
-  const auto b = random_vector(8, 65);
-  const auto via_lu = lu_solve(f, b);
-  const auto via_inv = ref::gemv(inv, std::span<const double>(b));
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_NEAR(via_lu[i], via_inv[i], 1e-9);
-  }
 }
 
 TEST(Invert, PermutationMatrix) {

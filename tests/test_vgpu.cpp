@@ -2,6 +2,7 @@
 // device accounting, buffers, and the data-parallel primitives.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
@@ -9,6 +10,7 @@
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "trace/ring_sink.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/machine_model.hpp"
@@ -67,6 +69,41 @@ TEST(MachineModel, GpuHasBandwidthAdvantageOverHost) {
 TEST(MachineModel, PresetsAreOrderedByGeneration) {
   EXPECT_LT(gtx280_model().peak_gflops_sp, gtx570_model().peak_gflops_sp);
   EXPECT_LT(gtx570_model().peak_gflops_sp, titan_model().peak_gflops_sp);
+}
+
+// Every existing kernel declares zero dependent steps; the term must then
+// vanish without a trace, not merely round away.
+TEST(MachineModel, ZeroDependentStepsLeaveKernelTimeBitIdentical) {
+  for (const MachineModel& m :
+       {gtx280_model(), gtx570_model(), titan_model(), cpu2009_model()}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{256},
+                                      std::size_t{1} << 20}) {
+      EXPECT_EQ(m.kernel_seconds(3e6, 7e5, threads, 8, 0),
+                m.kernel_seconds(3e6, 7e5, threads, 8))
+          << m.name;
+      EXPECT_EQ(m.kernel_seconds(0, 0, threads, 4, 0), m.launch_overhead_s)
+          << m.name;
+    }
+  }
+}
+
+TEST(MachineModel, DependentStepsAddExactlyTheStepLatency) {
+  const MachineModel m = gtx280_model();
+  EXPECT_EQ(m.dependent_step_s, 0.5e-6);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{7},
+                              std::size_t{1000}}) {
+    EXPECT_EQ(m.kernel_seconds(2e4, 1e5, 256, 8, k),
+              m.kernel_seconds(2e4, 1e5, 256, 8) +
+                  static_cast<double>(k) * m.dependent_step_s)
+        << k;
+  }
+  // A host core pays its dependencies in its flop/byte terms already.
+  const MachineModel cpu = cpu2009_model();
+  EXPECT_EQ(cpu.dependent_step_s, 0.0);
+  EXPECT_EQ(cpu.kernel_seconds(2e4, 1e5, 1, 8, 1000),
+            cpu.kernel_seconds(2e4, 1e5, 1, 8));
+  EXPECT_GT(gtx570_model().dependent_step_s, 0.0);
+  EXPECT_GT(titan_model().dependent_step_s, 0.0);
 }
 
 // ------------------------------------------------------------ thread pool
@@ -195,6 +232,41 @@ TEST(Device, SimTimeGrowsWithLaunches) {
   const double t1 = dev.sim_seconds();
   dev.parallel_for("k", 256, {1e6, 1e6, 8}, [](std::size_t) {});
   EXPECT_GT(dev.sim_seconds(), t1);
+}
+
+// A launch that declares dependent steps is charged the roofline time plus
+// exactly steps x dependent_step_s, and only such launches carry the
+// "dependent_steps" trace argument.
+TEST(Device, DependentStepsChargedAndTracedOnlyWhenNonzero) {
+  Device dev(gtx280_model());
+  trace::RingBufferSink sink;
+  dev.set_trace(&sink);
+  dev.launch_blocks("plain", 256, 256, {.flops = 1e3, .bytes = 4e3},
+                    [](std::size_t, std::size_t, std::size_t) {});
+  dev.launch_blocks("chain", 256, 256,
+                    {.flops = 1e3, .bytes = 4e3, .dependent_steps = 40},
+                    [](std::size_t, std::size_t, std::size_t) {});
+  const MachineModel& m = dev.model();
+  const double roofline = m.kernel_seconds(1e3, 4e3, 256, 8);
+  const DeviceStats& s = dev.stats();
+  EXPECT_EQ(s.per_kernel.at("plain").sim_seconds, roofline);
+  EXPECT_EQ(s.per_kernel.at("chain").sim_seconds,
+            roofline + 40.0 * m.dependent_step_s);
+  std::size_t slices = 0;
+  for (const trace::TraceEvent& e : sink.events()) {
+    if (e.category != "kernel") continue;
+    ++slices;
+    const auto steps =
+        std::find_if(e.args.begin(), e.args.end(),
+                     [](const auto& a) { return a.first == "dependent_steps"; });
+    if (e.name == "plain") {
+      EXPECT_EQ(steps, e.args.end());
+    } else {
+      ASSERT_NE(steps, e.args.end());
+      EXPECT_EQ(steps->second, 40.0);
+    }
+  }
+  EXPECT_EQ(slices, 2u);
 }
 
 // ---------------------------------------------------------------- buffer
