@@ -205,8 +205,9 @@ echo "==> telemetry + SLO gates"
 # SERVICE.md warm-start): the static analyzer and roofline profiler must
 # account the dual engine and the product-form device path natively —
 # analyze_gate covers the sparse/product-form kernel stream (including the
-# single-block eta chains), and the profiler must reconcile bit-exactly
-# over both. The Klee–Minty cube is
+# single-block eta chains), the dynamic checker must run the CSR product
+# form clean (no race, OOB, NaN or cost-declaration finding: exit 0), and
+# the profiler must reconcile bit-exactly over both. The Klee–Minty cube is
 # the classic exponential-path/cycling stressor: the dual engine must
 # finish it optimally (anti-cycling smoke) rather than stall.
 echo "==> basis-oracle + dual-engine gates"
@@ -219,6 +220,8 @@ echo "==> basis-oracle + dual-engine gates"
   ./examples/lp_cli --gen sparse:96:7 --engine sparse --basis product-form \
     --profile=ci_pf_profile.json \
     | grep 'profile: reconciled bit-exactly'
+  ./examples/lp_cli --gen sparse:64 --engine sparse --basis product-form \
+    --check > /dev/null
   ./examples/lp_cli --gen klee:12 --engine dual \
     | grep -i 'status: *optimal'
 )

@@ -4,18 +4,23 @@
 // matrix A^T is stored on the device:
 //   * DenseAt  — dense n_aug x m row-major (the paper's layout), and
 //   * SparseAt — CSR (the follow-on sparse variant, Ext. C).
-// A policy supplies the kernels whose cost depends on the storage: the
-// reduced-cost sweep, FTRAN's B^-1 a_q product, the pivot-row product used
-// by Devex pricing and artificial drive-out, and — for the fused iteration
-// path (SolverOptions::fused_iteration) — the collapsed pricing+selection
-// and FTRAN+ratio+selection launches that write the on-device
-// PivotDescriptor instead of round-tripping scalars over PCIe.
+// A policy supplies only what the storage changes: column access — the
+// product a_j . y, and the entering column a_q against one row of B^-1,
+// each with the format's own read_range annotations and summation order —
+// plus the cost terms its launches declare. AtKernels writes every kernel
+// once on top of that: the reduced-cost sweep, FTRAN's B^-1 a_q, the
+// pivot-row product used by Devex pricing and artificial drive-out, and,
+// for the fused iteration path (SolverOptions::fused_iteration), the
+// collapsed pricing+selection, FTRAN+ratio+selection and Devex launches
+// that write the on-device PivotDescriptor instead of round-tripping
+// scalars over PCIe.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "simplex/phase_setup.hpp"
@@ -50,130 +55,199 @@ enum class EnteringRule { kDantzig, kBland, kDevex };
 
 namespace fused_detail {
 
-/// Apply the reference path's host-side acceptance test to the block/
-/// combine argmin result and write the entering decision into the
-/// descriptor. d_q is always reported from the reduced-cost span, exactly
-/// like the reference path's `d.download_value(q)`.
-template <typename Real, typename DSpan, typename DescSpan>
-void write_entering(EnteringRule rule, Real tol, std::size_t best_idx,
-                    Real best_val, const DSpan& d, DescSpan& desc) {
-  bool none = false;
-  switch (rule) {
-    case EnteringRule::kBland:
-      none = best_idx == vgpu::detail::kNoIndex;
-      break;
-    case EnteringRule::kDevex:
-      none = best_val >= Real{0};  // best devex score
-      break;
-    case EnteringRule::kDantzig:
-      none = best_val >= -tol;  // most negative reduced cost
-      break;
+/// Per-block winners of one selection launch over n lanes, kept host-side
+/// like the primitives' reductions (invisible to the machine model).
+template <typename Real>
+struct BlockPartials {
+  explicit BlockPartials(std::size_t n)
+      : idx((n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize,
+            vgpu::detail::kNoIndex),
+        val(idx.size(), Real{0}) {}
+
+  /// The winner with the primitives' combine semantics: block order,
+  /// strict <.
+  [[nodiscard]] std::pair<std::size_t, Real> argmin() const {
+    std::size_t best = idx[0];
+    Real v = val[0];
+    for (std::size_t b = 1; b < idx.size(); ++b) {
+      if (val[b] < v) {
+        best = idx[b];
+        v = val[b];
+      }
+    }
+    return {best, v};
   }
-  if (none) {
-    desc[kDescQ] = Real{-1};
-    desc[kDescDq] = Real{0};
-  } else {
-    desc[kDescQ] = static_cast<Real>(best_idx);
-    desc[kDescDq] = d[best_idx];
+
+  std::vector<std::size_t> idx;
+  std::vector<Real> val;
+};
+
+/// Entering-column selection of one fused pricing launch. Each block scans
+/// its columns with the rule's block primitive. A one-block grid writes
+/// the descriptor inline; a wider one keeps BlockPartials that finish()
+/// reduces in a small combine launch (argmin, or the first hit for
+/// Bland), so the winner is bit-identical to vgpu::argmin /
+/// find_first_below over the full buffer. The acceptance test is the reference path's host-side
+/// one, and d_q is reported from the reduced-cost span, exactly like the
+/// reference path's `d.download_value(q)`.
+template <typename Real>
+class EnteringSelect {
+ public:
+  EnteringSelect(std::size_t n, EnteringRule rule, Real tol)
+      : rule_(rule), tol_(tol), parts_(n) {}
+
+  /// Select among columns [lo, hi) of block `blk`. Devex first writes its
+  /// scores -d_j^2 / w_j into `score`.
+  template <typename DSpan, typename SSpan, typename WSpan, typename DescSpan>
+  void block(std::size_t blk, std::size_t lo, std::size_t hi, const DSpan& d,
+             const SSpan& score, const WSpan& devex_w, const DescSpan& desc) {
+    std::size_t best = vgpu::detail::kNoIndex;
+    Real val{0};
+    if (rule_ == EnteringRule::kBland) {
+      best = vgpu::detail::block_first_below(d, lo, hi, -tol_);
+    } else if (rule_ == EnteringRule::kDevex) {
+      for (std::size_t j = lo; j < hi; ++j) {
+        score[j] = d[j] < -tol_ ? -(d[j] * d[j]) / devex_w[j] : Real{0};
+      }
+      best = vgpu::detail::block_argmin(score, lo, hi);
+      val = score[best];
+    } else {
+      best = vgpu::detail::block_argmin(d, lo, hi);
+      val = d[best];
+    }
+    if (parts_.idx.size() == 1) {
+      write(best, val, d, desc);
+    } else {
+      parts_.idx[blk] = best;
+      parts_.val[blk] = val;
+    }
   }
-}
 
-/// Cross-block combine for the fused pricing selection, launched only
-/// when the column sweep spans more than one block. Reduces the per-block
-/// partials with the primitives' combine semantics (block order, strict
-/// <; first hit for Bland) so the winner is bit-identical to
-/// vgpu::argmin / find_first_below over the full buffer.
-template <typename Real, typename DSpan, typename DescSpan>
-void combine_entering(vgpu::Device& dev, EnteringRule rule, Real tol,
-                      const std::vector<std::size_t>& part_idx,
-                      const std::vector<Real>& part_val, DSpan d,
-                      DescSpan desc) {
-  const std::size_t blocks = part_idx.size();
-  dev.launch_blocks(
-      "price_select_final", 1, 1,
-      {static_cast<double>(blocks),
-       static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
-                           2 * sizeof(Real)),
-       sizeof(Real)},
-      [&](std::size_t, std::size_t, std::size_t) {
-        std::size_t best = vgpu::detail::kNoIndex;
-        Real val{0};
-        if (rule == EnteringRule::kBland) {
-          for (std::size_t b = 0; b < blocks; ++b) {
-            if (part_idx[b] != vgpu::detail::kNoIndex) {
-              best = part_idx[b];
-              break;
-            }
+  /// The "price_select_final" combine, launched only for multi-block grids.
+  template <typename DSpan, typename DescSpan>
+  void finish(vgpu::Device& dev, const DSpan& d, const DescSpan& desc) {
+    const std::size_t blocks = parts_.idx.size();
+    if (blocks <= 1) return;
+    dev.launch_blocks(
+        "price_select_final", 1, 1,
+        {static_cast<double>(blocks),
+         static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
+                             2 * sizeof(Real)),
+         sizeof(Real)},
+        [&](std::size_t, std::size_t, std::size_t) {
+          if (rule_ == EnteringRule::kBland) {
+            const auto hit = std::find_if(
+                parts_.idx.begin(), parts_.idx.end(),
+                [](std::size_t i) { return i != vgpu::detail::kNoIndex; });
+            write(hit == parts_.idx.end() ? vgpu::detail::kNoIndex : *hit,
+                  Real{0}, d, desc);
+          } else {
+            const auto [best, val] = parts_.argmin();
+            write(best, val, d, desc);
           }
-        } else {
-          best = part_idx[0];
-          val = part_val[0];
-          for (std::size_t b = 1; b < blocks; ++b) {
-            if (part_val[b] < val) {
-              best = part_idx[b];
-              val = part_val[b];
-            }
-          }
-        }
-        write_entering(rule, tol, best, val, d, desc);
-      });
-}
+        });
+  }
 
-/// Finalize the fused ratio test: pick the leaving row from the block
-/// partials (argmin semantics) and write the descriptor. Runs inline in
-/// the single-block case; as a small combine launch otherwise.
-template <typename Real, typename RSpan, typename ASpan, typename DescSpan>
-void write_leaving(std::size_t best, const RSpan& ratio, const ASpan& alpha,
-                   DescSpan& desc) {
-  desc[kDescP] = static_cast<Real>(best);
-  desc[kDescTheta] = ratio[best];
-  desc[kDescAlphaP] = alpha[best];
-}
+ private:
+  template <typename DSpan, typename DescSpan>
+  void write(std::size_t best, Real val, const DSpan& d,
+             const DescSpan& desc) const {
+    bool none = false;
+    switch (rule_) {
+      case EnteringRule::kBland:
+        none = best == vgpu::detail::kNoIndex;
+        break;
+      case EnteringRule::kDevex:
+        none = val >= Real{0};  // best devex score
+        break;
+      case EnteringRule::kDantzig:
+        none = val >= -tol_;  // most negative reduced cost
+        break;
+    }
+    if (none) {
+      desc[kDescQ] = Real{-1};
+      desc[kDescDq] = Real{0};
+    } else {
+      desc[kDescQ] = static_cast<Real>(best);
+      desc[kDescDq] = d[best];
+    }
+  }
 
-template <typename Real, typename RSpan, typename ASpan, typename DescSpan>
-void combine_leaving(vgpu::Device& dev,
-                     const std::vector<std::size_t>& part_idx,
-                     const std::vector<Real>& part_val, RSpan ratio,
-                     ASpan alpha, DescSpan desc) {
-  const std::size_t blocks = part_idx.size();
-  dev.launch_blocks(
-      "ftran_ratio_final", 1, 1,
-      {static_cast<double>(blocks),
-       static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
-                           5 * sizeof(Real)),
-       sizeof(Real)},
-      [&](std::size_t, std::size_t, std::size_t) {
-        if (desc[kDescQ] < Real{0}) return;  // speculative: nothing entered
-        std::size_t best = part_idx[0];
-        Real val = part_val[0];
-        for (std::size_t b = 1; b < blocks; ++b) {
-          if (part_val[b] < val) {
-            best = part_idx[b];
-            val = part_val[b];
-          }
-        }
-        write_leaving<Real>(best, ratio, alpha, desc);
-      });
-}
+  EnteringRule rule_;
+  Real tol_;
+  BlockPartials<Real> parts_;
+};
+
+/// Leaving-row selection of one fused ratio launch: the ratio test, the
+/// block argmin, and the descriptor write (inline for a one-block grid,
+/// else the "ftran_ratio_final" combine of the BlockPartials).
+template <typename Real>
+class LeavingSelect {
+ public:
+  LeavingSelect(std::size_t m, Real pivot_tol) : tol_(pivot_tol), parts_(m) {}
+
+  /// Rows [lo, hi) of block `blk`: ratio_i = beta_i / alpha_i where
+  /// alpha_i = alpha_of(i) exceeds the pivot tolerance, +inf otherwise;
+  /// then the block's selection.
+  template <typename AlphaOf, typename BSpan, typename RSpan, typename ASpan,
+            typename DescSpan>
+  void block(std::size_t blk, std::size_t lo, std::size_t hi,
+             AlphaOf&& alpha_of, const BSpan& beta, const RSpan& ratio,
+             const ASpan& alpha, const DescSpan& desc) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Real a = alpha_of(i);
+      ratio[i] = a > tol_ ? beta[i] / a : kInf;
+    }
+    const std::size_t best = vgpu::detail::block_argmin(ratio, lo, hi);
+    if (parts_.idx.size() == 1) {
+      write(best, ratio, alpha, desc);
+    } else {
+      parts_.idx[blk] = best;
+      parts_.val[blk] = ratio[best];
+    }
+  }
+
+  template <typename RSpan, typename ASpan, typename DescSpan>
+  void finish(vgpu::Device& dev, const RSpan& ratio, const ASpan& alpha,
+              const DescSpan& desc) {
+    const std::size_t blocks = parts_.idx.size();
+    if (blocks <= 1) return;
+    dev.launch_blocks(
+        "ftran_ratio_final", 1, 1,
+        {static_cast<double>(blocks),
+         static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
+                             5 * sizeof(Real)),
+         sizeof(Real)},
+        [&](std::size_t, std::size_t, std::size_t) {
+          if (desc[kDescQ] < Real{0}) return;  // speculative: nothing entered
+          write(parts_.argmin().first, ratio, alpha, desc);
+        });
+  }
+
+ private:
+  static constexpr Real kInf = std::numeric_limits<Real>::infinity();
+
+  template <typename RSpan, typename ASpan, typename DescSpan>
+  static void write(std::size_t best, const RSpan& ratio, const ASpan& alpha,
+                    const DescSpan& desc) {
+    desc[kDescP] = static_cast<Real>(best);
+    desc[kDescTheta] = ratio[best];
+    desc[kDescAlphaP] = alpha[best];
+  }
+
+  Real tol_;
+  BlockPartials<Real> parts_;
+};
 
 }  // namespace fused_detail
 
-/// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels.
-template <typename Real>
-class DenseAt {
+/// Every A^T-dependent kernel, written once over a storage policy
+/// (DenseAt / SparseAt derive from this). The policy provides m(),
+/// n_aug(), device(), columns() — the per-launch column access — and the
+/// declared cost terms sweep_cost, ftran_cost and ftran_ratio_cost.
+template <typename Real, typename Policy>
+class AtKernels {
  public:
-  /// Dense storage keeps the paper's m-proportional kernel names; the
-  /// sparse basis-kernel variants (sparse_ftran / sparse_btran / the eta
-  /// chains) only make sense when column extents are known.
-  static constexpr bool kSparseKernels = false;
-
-  DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
-      : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_at(aug)) {}
-
-  [[nodiscard]] std::size_t m() const noexcept { return m_; }
-  [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
-  [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
-
   /// d_j = mask_j ? c_j - a_j . pi : 0  for every column j.
   void price(const vgpu::DeviceBuffer<Real>& pi,
              const vgpu::DeviceBuffer<Real>& c,
@@ -188,29 +262,47 @@ class DenseAt {
     column_products("pivot_row_product", y, nullptr, nullptr, out);
   }
 
-  /// alpha = B^-1 a_q (dense gemv against the contiguous column a_q).
-  /// `name` lets basis schemes label their FTRAN variant in the stream.
+  /// alpha = B^-1 a_q. `name` lets basis schemes label their FTRAN variant
+  /// in the stream ("sparse_ftran" for the product form's base solve).
   void ftran_alpha(const vblas::DeviceMatrix<Real>& binv, std::size_t q,
                    vgpu::DeviceBuffer<Real>& alpha,
                    std::string_view name = "ftran") const {
-    const std::size_t m = m_;
-    auto at = at_.device_span();
+    const std::size_t m = policy().m();
+    const auto cols = policy().columns();
+    // The column extent is read host-side (a scalar lookup, like the
+    // pivot index).
+    const auto aq = cols.column(q);
     auto bs = binv.device_span();
     auto as = alpha.device_span();
-    device().launch_blocks(
+    policy().device().launch_blocks(
         name, m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m),
-         double((m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
+        policy().ftran_cost(aq.nnz(), 0.0, m),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          at.read_range(q * m, q * m + m);
-          const Real* aq = at.data() + q * m;
-          for (std::size_t i = lo; i < hi; ++i) {
-            bs.read_range(i * m, i * m + m);
-            const Real* row = bs.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
-            as[i] = acc;
-          }
+          aq.annotate();
+          for (std::size_t i = lo; i < hi; ++i) as[i] = aq.binv_row_dot(bs, i);
+        });
+  }
+
+  /// Speculative "sparse_ftran" for the fused product-form path: the
+  /// entering index is read from the descriptor on device, and the launch
+  /// early-exits when pricing found no candidate. Cost is declared from
+  /// the widest column, as in ftran_ratio_select.
+  void ftran_alpha_desc(const vblas::DeviceMatrix<Real>& binv,
+                        const vgpu::DeviceBuffer<Real>& desc,
+                        vgpu::DeviceBuffer<Real>& alpha) const {
+    const std::size_t m = policy().m();
+    const auto cols = policy().columns();
+    auto bs = binv.device_span();
+    auto as = alpha.device_span();
+    auto desc_s = desc.device_span();
+    policy().device().launch_blocks(
+        "sparse_ftran", m, vgpu::Device::kBlockSize,
+        policy().ftran_cost(policy().max_col_nnz(), 0.0, m + 1),
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
+          const auto aq = cols.column(static_cast<std::size_t>(desc_s[kDescQ]));
+          aq.annotate();
+          for (std::size_t i = lo; i < hi; ++i) as[i] = aq.binv_row_dot(bs, i);
         });
   }
 
@@ -231,15 +323,9 @@ class DenseAt {
                     const vgpu::DeviceBuffer<Real>& devex_w,
                     vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
                     Real tol) const {
-    const std::size_t m = m_;
-    const std::size_t n = n_aug_;
-    const std::size_t blocks =
-        (n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    // Per-block partials live host-side, like the primitives' reductions:
-    // invisible to the machine model, combined by a separate small launch.
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto at = at_.device_span();
+    const std::size_t n = policy().n_aug();
+    fused_detail::EnteringSelect<Real> select(n, rule, tol);
+    const auto cols = policy().columns();
     auto ys = pi.device_span();
     auto cs = c.device_span();
     auto ms = mask.device_span();
@@ -247,10 +333,9 @@ class DenseAt {
     auto ss = score.device_span();
     auto wsp = devex_w.device_span();
     auto desc_s = desc.device_span();
-    device().launch_blocks(
+    policy().device().launch_blocks(
         "price_select", n, vgpu::Device::kBlockSize,
-        {2.0 * double(n) * double(m) + 4.0 * double(n),
-         double((n * m + 6 * n + m) * sizeof(Real)), sizeof(Real)},
+        policy().sweep_cost(4.0 * double(n), 6 * n),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           // Reduced costs, exactly as price() computes them.
           for (std::size_t j = lo; j < hi; ++j) {
@@ -258,38 +343,12 @@ class DenseAt {
               ds[j] = Real{0};
               continue;
             }
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
+            const Real acc = cols.dot(j, ys);
             ds[j] = cs[j] - acc;
           }
-          // Rule-specific selection over this block's columns.
-          std::size_t best = vgpu::detail::kNoIndex;
-          Real val{0};
-          if (rule == EnteringRule::kBland) {
-            best = vgpu::detail::block_first_below(ds, lo, hi, -tol);
-          } else if (rule == EnteringRule::kDevex) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ss[j] = ds[j] < -tol ? -(ds[j] * ds[j]) / wsp[j] : Real{0};
-            }
-            best = vgpu::detail::block_argmin(ss, lo, hi);
-            val = ss[best];
-          } else {
-            best = vgpu::detail::block_argmin(ds, lo, hi);
-            val = ds[best];
-          }
-          if (blocks == 1) {
-            fused_detail::write_entering(rule, tol, best, val, ds, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = val;
-          }
+          select.block(blk, lo, hi, ds, ss, wsp, desc_s);
         });
-    if (blocks > 1) {
-      fused_detail::combine_entering(device(), rule, tol, part_idx, part_val,
-                                     ds, desc_s);
-    }
+    select.finish(policy().device(), ds, desc_s);
   }
 
   /// Fused FTRAN + ratio test + leaving selection in ONE launch. The
@@ -304,47 +363,29 @@ class DenseAt {
                           vgpu::DeviceBuffer<Real>& ratio,
                           vgpu::DeviceBuffer<Real>& desc,
                           Real pivot_tol) const {
-    const std::size_t m = m_;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto at = at_.device_span();
+    const std::size_t m = policy().m();
+    fused_detail::LeavingSelect<Real> select(m, pivot_tol);
+    const auto cols = policy().columns();
     auto bs = binv.device_span();
     auto be = beta.device_span();
     auto as = alpha.device_span();
     auto rs = ratio.device_span();
     auto desc_s = desc.device_span();
-    constexpr Real kRInf = std::numeric_limits<Real>::infinity();
-    device().launch_blocks(
+    policy().device().launch_blocks(
         "ftran_ratio", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m) + 3.0 * double(m),
-         double((m * m + 7 * m + 2) * sizeof(Real)), sizeof(Real)},
+        policy().ftran_ratio_cost(),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          at.read_range(q * m, q * m + m);
-          const Real* aq = at.data() + q * m;
-          for (std::size_t i = lo; i < hi; ++i) {
-            bs.read_range(i * m, i * m + m);
-            const Real* row = bs.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
+          const auto aq = cols.column(static_cast<std::size_t>(desc_s[kDescQ]));
+          aq.annotate();
+          const auto alpha_of = [&](std::size_t i) {
+            const Real acc = aq.binv_row_dot(bs, i);
             as[i] = acc;
-            rs[i] = acc > pivot_tol ? be[i] / acc : kRInf;
-          }
-          const std::size_t best = vgpu::detail::block_argmin(rs, lo, hi);
-          if (blocks == 1) {
-            fused_detail::write_leaving<Real>(best, rs, as, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = rs[best];
-          }
+            return acc;
+          };
+          select.block(blk, lo, hi, alpha_of, be, rs, as, desc_s);
         });
-    if (blocks > 1) {
-      fused_detail::combine_leaving<Real>(device(), part_idx, part_val, rs,
-                                          as, desc_s);
-    }
+    select.finish(policy().device(), rs, as, desc_s);
   }
 
   /// Fused Devex weight maintenance: the pivot-row products, the masked
@@ -357,16 +398,14 @@ class DenseAt {
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
                     std::size_t leaving, Real alpha_p) const {
-    const std::size_t m = m_;
-    const std::size_t n = n_aug_;
-    auto at = at_.device_span();
+    const std::size_t n = policy().n_aug();
+    const auto cols = policy().columns();
     auto ps = prow.device_span();
     auto ms = mask.device_span();
     auto wsp = devex_w.device_span();
-    device().launch_blocks(
+    policy().device().launch_blocks(
         "devex_update_fused", n, vgpu::Device::kBlockSize,
-        {2.0 * double(n) * double(m) + 4.0 * double(n),
-         double((n * m + 4 * n + m) * sizeof(Real)), sizeof(Real)},
+        policy().sweep_cost(4.0 * double(n), 4 * n),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           const Real wq = wsp[q];
           for (std::size_t j = lo; j < hi; ++j) {
@@ -377,15 +416,122 @@ class DenseAt {
               continue;
             }
             if (ms[j] == Real{0}) continue;
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ps[i];
-            const Real t = acc / alpha_p;
+            const Real t = cols.dot(j, ps) / alpha_p;
             const Real cand = t * t * wq;
             if (cand > wsp[j]) wsp[j] = cand;
           }
         });
+  }
+
+ private:
+  [[nodiscard]] const Policy& policy() const noexcept {
+    return static_cast<const Policy&>(*this);
+  }
+
+  /// Shared sweep: out_j = [c_j -] a_j . y, optionally masked.
+  void column_products(std::string_view name,
+                       const vgpu::DeviceBuffer<Real>& y,
+                       const vgpu::DeviceBuffer<Real>* c,
+                       const vgpu::DeviceBuffer<Real>* mask,
+                       vgpu::DeviceBuffer<Real>& out) const {
+    const auto cols = policy().columns();
+    auto ys = y.device_span();
+    auto os = out.device_span();
+    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
+    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
+    const std::size_t n = policy().n_aug();
+    policy().device().launch_blocks(
+        name, n, vgpu::Device::kBlockSize,
+        policy().sweep_cost(0.0, 3 * n),
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) {
+            if (mask && ms[j] == Real{0}) {
+              os[j] = Real{0};
+              continue;
+            }
+            const Real acc = cols.dot(j, ys);
+            os[j] = c ? cs[j] - acc : acc;
+          }
+        });
+  }
+};
+
+/// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels.
+template <typename Real>
+class DenseAt : public AtKernels<Real, DenseAt<Real>> {
+ public:
+  /// Dense storage keeps the paper's m-proportional kernel names; the
+  /// sparse basis-kernel variants (sparse_ftran / sparse_btran / the eta
+  /// chains) only make sense when column extents are known.
+  static constexpr bool kSparseKernels = false;
+
+  DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
+      : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_at(aug)) {}
+
+  [[nodiscard]] std::size_t m() const noexcept { return m_; }
+  [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
+  [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
+
+  /// Column access for one launch: column j is row j of A^T, contiguous,
+  /// annotated in bulk and read through a raw pointer.
+  struct Columns {
+    vgpu::check::CheckedSpan<const Real> at;
+    std::size_t m;
+
+    /// The entering column a_q (all m entries).
+    struct Entering {
+      vgpu::check::CheckedSpan<const Real> at;
+      std::size_t q, m;
+
+      [[nodiscard]] std::size_t nnz() const noexcept { return m; }
+      /// Declare the block's a_q read (cached across the block).
+      void annotate() const { at.read_range(q * m, q * m + m); }
+      /// (B^-1 a_q)_i: row i of B^-1 against a_q, summed in row order.
+      template <typename BSpan>
+      [[nodiscard]] Real binv_row_dot(const BSpan& binv, std::size_t i) const {
+        binv.read_range(i * m, i * m + m);
+        const Real* row = binv.data() + i * m;
+        const Real* aq = at.data() + q * m;
+        Real acc{0};
+        for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
+        return acc;
+      }
+    };
+
+    /// a_j . y, summed in row order.
+    template <typename YSpan>
+    [[nodiscard]] Real dot(std::size_t j, const YSpan& y) const {
+      at.read_range(j * m, (j + 1) * m);
+      const Real* col = at.data() + j * m;
+      Real acc{0};
+      for (std::size_t i = 0; i < m; ++i) acc += col[i] * y[i];
+      return acc;
+    }
+
+    [[nodiscard]] Entering column(std::size_t q) const { return {at, q, m}; }
+  };
+
+  [[nodiscard]] Columns columns() const { return {at_.device_span(), m_}; }
+
+  /// a_j . y over every column (A^T plus y), plus the kernel's own `flops`
+  /// and `elems` Real-sized vector touches.
+  [[nodiscard]] vgpu::KernelCost sweep_cost(double flops,
+                                            std::size_t elems) const {
+    return {2.0 * double(n_aug_) * double(m_) + flops,
+            double((n_aug_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
+  }
+  /// B^-1 a_q (B^-1 plus a_q; every column holds m entries), plus extras.
+  [[nodiscard]] vgpu::KernelCost ftran_cost(std::size_t /*nnz_q*/,
+                                            double flops,
+                                            std::size_t elems) const {
+    return {2.0 * double(m_) * double(m_) + flops,
+            double((m_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
+  }
+  /// The fused FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements.
+  /// Unlike ftran_cost and the CSR twin, it counts no separate a_q read.
+  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost() const {
+    return {2.0 * double(m_) * double(m_) + 3.0 * double(m_),
+            double((m_ * m_ + 7 * m_ + 2) * sizeof(Real)), sizeof(Real)};
   }
 
  private:
@@ -398,44 +544,13 @@ class DenseAt {
     return out;
   }
 
-  /// Shared sweep: out_j = [c_j -] a_j . y, optionally masked.
-  void column_products(std::string_view name,
-                       const vgpu::DeviceBuffer<Real>& y,
-                       const vgpu::DeviceBuffer<Real>* c,
-                       const vgpu::DeviceBuffer<Real>* mask,
-                       vgpu::DeviceBuffer<Real>& out) const {
-    const std::size_t m = m_;
-    auto at = at_.device_span();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    device().launch_blocks(
-        name, n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * double(n_aug_) * double(m),
-         double((n_aug_ * m + 3 * n_aug_ + m) * sizeof(Real)), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (mask && ms[j] == Real{0}) {
-              os[j] = Real{0};
-              continue;
-            }
-            at.read_range(j * m, (j + 1) * m);
-            const Real* col = at.data() + j * m;
-            Real acc{0};
-            for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
-            os[j] = c ? cs[j] - acc : acc;
-          }
-        });
-  }
-
   std::size_t m_, n_aug_;
   vblas::DeviceMatrix<Real> at_;
 };
 
 /// CSR A^T policy: kernel cost scales with nnz instead of n_aug * m.
 template <typename Real>
-class SparseAt {
+class SparseAt : public AtKernels<Real, SparseAt<Real>> {
  public:
   /// CSR storage opts the product-form basis into the sparse kernel
   /// variants (sparse_ftran / sparse_btran / the eta chains).
@@ -454,272 +569,88 @@ class SparseAt {
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
+  [[nodiscard]] std::size_t max_col_nnz() const noexcept { return max_col_nnz_; }
 
-  void price(const vgpu::DeviceBuffer<Real>& pi,
-             const vgpu::DeviceBuffer<Real>& c,
-             const vgpu::DeviceBuffer<Real>& mask,
-             vgpu::DeviceBuffer<Real>& d) const {
-    column_products("price_reduced", pi, &c, &mask, d);
-  }
+  /// Column access for one launch: element-wise CSR reads.
+  struct Columns {
+    vgpu::check::CheckedSpan<const std::uint32_t> offs, cols;
+    vgpu::check::CheckedSpan<const Real> vals;
+    std::size_t m;
 
-  void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
-                         vgpu::DeviceBuffer<Real>& out) const {
-    column_products("pivot_row_product", y, nullptr, nullptr, out);
-  }
+    /// The entering column a_q: entries [k_lo, k_hi) of vals/cols.
+    struct Entering {
+      vgpu::check::CheckedSpan<const std::uint32_t> cols;
+      vgpu::check::CheckedSpan<const Real> vals;
+      std::uint32_t k_lo, k_hi;
+      std::size_t m;
 
-  /// alpha_i = sum_k a_q[k] * binv(i, col_k): sparse column against the
-  /// dense inverse, cost proportional to m * nnz(a_q). The product-form
-  /// basis launches this as "sparse_ftran" so the checker/analyzer/
-  /// profiler see the scheme's base solve as its own kernel.
-  void ftran_alpha(const vblas::DeviceMatrix<Real>& binv, std::size_t q,
-                   vgpu::DeviceBuffer<Real>& alpha,
-                   std::string_view name = "ftran") const {
-    const std::size_t m = m_;
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto bs = binv.device_span();
-    auto as = alpha.device_span();
-    // Column extent read host-side (a scalar lookup, like the pivot index).
-    const std::uint32_t k_lo = offs[q];
-    const std::uint32_t k_hi = offs[q + 1];
-    const std::size_t nnz_q = k_hi - k_lo;
-    device().launch_blocks(
-        name, m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(nnz_q),
-         double(m * nnz_q * sizeof(Real) +
-                nnz_q * (sizeof(Real) + sizeof(std::uint32_t)) +
-                m * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          // a_q's values/indices are read once and reused across the
-          // block (cached on a real GPU); annotate them in bulk.
-          vals.read_range(k_lo, k_hi);
-          cols.read_range(k_lo, k_hi);
-          const Real* vp = vals.data();
-          const std::uint32_t* cp = cols.data();
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real acc{0};
-            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-              acc += vp[k] * bs[i * m + cp[k]];
-            }
-            as[i] = acc;
-          }
-        });
-  }
+      [[nodiscard]] std::size_t nnz() const noexcept { return k_hi - k_lo; }
+      /// Declare the block's a_q read: the values and indices are read
+      /// once and reused across the block (cached on a real GPU).
+      void annotate() const {
+        vals.read_range(k_lo, k_hi);
+        cols.read_range(k_lo, k_hi);
+      }
+      /// (B^-1 a_q)_i = sum_k a_q[k] * binv(i, row_k): m * nnz(a_q) over
+      /// the grid.
+      template <typename BSpan>
+      [[nodiscard]] Real binv_row_dot(const BSpan& binv, std::size_t i) const {
+        const Real* vp = vals.data();
+        const std::uint32_t* cp = cols.data();
+        Real acc{0};
+        for (std::uint32_t k = k_lo; k < k_hi; ++k) {
+          acc += vp[k] * binv[i * m + cp[k]];
+        }
+        return acc;
+      }
+    };
 
-  /// Speculative "sparse_ftran" for the fused product-form path: the
-  /// entering index is read from the descriptor on device, and the launch
-  /// early-exits when pricing found no candidate. Cost is declared from
-  /// the widest column, as in ftran_ratio_select.
-  void ftran_alpha_desc(const vblas::DeviceMatrix<Real>& binv,
-                        const vgpu::DeviceBuffer<Real>& desc,
-                        vgpu::DeviceBuffer<Real>& alpha) const {
-    const std::size_t m = m_;
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto bs = binv.device_span();
-    auto as = alpha.device_span();
-    auto desc_s = desc.device_span();
-    const std::size_t nnz_max = max_col_nnz_;
-    device().launch_blocks(
-        "sparse_ftran", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(nnz_max),
-         double(m * nnz_max * sizeof(Real) +
-                nnz_max * (sizeof(Real) + sizeof(std::uint32_t)) +
-                (m + 1) * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          const std::uint32_t k_lo = offs[q];
-          const std::uint32_t k_hi = offs[q + 1];
-          vals.read_range(k_lo, k_hi);
-          cols.read_range(k_lo, k_hi);
-          const Real* vp = vals.data();
-          const std::uint32_t* cp = cols.data();
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real acc{0};
-            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-              acc += vp[k] * bs[i * m + cp[k]];
-            }
-            as[i] = acc;
-          }
-        });
-  }
-
-  // -------------------------------------------------------------------
-  // Fused iteration path (SolverOptions::fused_iteration); see DenseAt
-  // for the semantics — these are the CSR-cost twins.
-  // -------------------------------------------------------------------
-
-  void price_select(const vgpu::DeviceBuffer<Real>& pi,
-                    const vgpu::DeviceBuffer<Real>& c,
-                    const vgpu::DeviceBuffer<Real>& mask,
-                    vgpu::DeviceBuffer<Real>& d,
-                    vgpu::DeviceBuffer<Real>& score,
-                    const vgpu::DeviceBuffer<Real>& devex_w,
-                    vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
-                    Real tol) const {
-    const std::size_t n = n_aug_;
-    const std::size_t blocks =
-        (n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto ys = pi.device_span();
-    auto cs = c.device_span();
-    auto ms = mask.device_span();
-    auto ds = d.device_span();
-    auto ss = score.device_span();
-    auto wsp = devex_w.device_span();
-    auto desc_s = desc.device_span();
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        "price_select", n, vgpu::Device::kBlockSize,
-        {2.0 * nnz + 4.0 * double(n),
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(6 * n * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (ms[j] == Real{0}) {
-              ds[j] = Real{0};
-              continue;
-            }
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ys[cols[k]];
-            }
-            ds[j] = cs[j] - acc;
-          }
-          std::size_t best = vgpu::detail::kNoIndex;
-          Real val{0};
-          if (rule == EnteringRule::kBland) {
-            best = vgpu::detail::block_first_below(ds, lo, hi, -tol);
-          } else if (rule == EnteringRule::kDevex) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ss[j] = ds[j] < -tol ? -(ds[j] * ds[j]) / wsp[j] : Real{0};
-            }
-            best = vgpu::detail::block_argmin(ss, lo, hi);
-            val = ss[best];
-          } else {
-            best = vgpu::detail::block_argmin(ds, lo, hi);
-            val = ds[best];
-          }
-          if (blocks == 1) {
-            fused_detail::write_entering(rule, tol, best, val, ds, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = val;
-          }
-        });
-    if (blocks > 1) {
-      fused_detail::combine_entering(device(), rule, tol, part_idx, part_val,
-                                     ds, desc_s);
+    /// a_j . y, summed in CSR order.
+    template <typename YSpan>
+    [[nodiscard]] Real dot(std::size_t j, const YSpan& y) const {
+      Real acc{0};
+      for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
+        acc += vals[k] * y[cols[k]];
+      }
+      return acc;
     }
-  }
 
-  /// Declared cost uses the widest column (the entering index is device-
-  /// resident, so the exact nnz(a_q) is unknown host-side; over-declaring
-  /// is safe, the cost lint only flags observed > declared drift).
-  void ftran_ratio_select(const vblas::DeviceMatrix<Real>& binv,
-                          const vgpu::DeviceBuffer<Real>& beta,
-                          vgpu::DeviceBuffer<Real>& alpha,
-                          vgpu::DeviceBuffer<Real>& ratio,
-                          vgpu::DeviceBuffer<Real>& desc,
-                          Real pivot_tol) const {
-    const std::size_t m = m_;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto bs = binv.device_span();
-    auto be = beta.device_span();
-    auto as = alpha.device_span();
-    auto rs = ratio.device_span();
-    auto desc_s = desc.device_span();
-    const std::size_t nnz_max = max_col_nnz_;
-    constexpr Real kRInf = std::numeric_limits<Real>::infinity();
-    device().launch_blocks(
-        "ftran_ratio", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(nnz_max) + 3.0 * double(m),
-         double(m * nnz_max * sizeof(Real) +
-                nnz_max * (sizeof(Real) + sizeof(std::uint32_t)) +
-                (7 * m + 2) * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const std::size_t q = static_cast<std::size_t>(desc_s[kDescQ]);
-          const std::uint32_t k_lo = offs[q];
-          const std::uint32_t k_hi = offs[q + 1];
-          vals.read_range(k_lo, k_hi);
-          cols.read_range(k_lo, k_hi);
-          const Real* vp = vals.data();
-          const std::uint32_t* cp = cols.data();
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real acc{0};
-            for (std::uint32_t k = k_lo; k < k_hi; ++k) {
-              acc += vp[k] * bs[i * m + cp[k]];
-            }
-            as[i] = acc;
-            rs[i] = acc > pivot_tol ? be[i] / acc : kRInf;
-          }
-          const std::size_t best = vgpu::detail::block_argmin(rs, lo, hi);
-          if (blocks == 1) {
-            fused_detail::write_leaving<Real>(best, rs, as, desc_s);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = rs[best];
-          }
-        });
-    if (blocks > 1) {
-      fused_detail::combine_leaving<Real>(device(), part_idx, part_val, rs,
-                                          as, desc_s);
+    [[nodiscard]] Entering column(std::size_t q) const {
+      return {cols, vals, offs[q], offs[q + 1], m};
     }
+  };
+
+  [[nodiscard]] Columns columns() const {
+    return {at_.row_offsets().device_span(), at_.col_indices().device_span(),
+            at_.values().device_span(), m_};
   }
 
-  void devex_update(const vgpu::DeviceBuffer<Real>& prow,
-                    const vgpu::DeviceBuffer<Real>& mask,
-                    vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
-                    std::size_t leaving, Real alpha_p) const {
-    const std::size_t n = n_aug_;
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto ps = prow.device_span();
-    auto ms = mask.device_span();
-    auto wsp = devex_w.device_span();
+  /// a_j . y over every column (value + index + gathered y per nonzero),
+  /// plus the kernel's own `flops` and `elems` Real-sized vector touches.
+  [[nodiscard]] vgpu::KernelCost sweep_cost(double flops,
+                                            std::size_t elems) const {
     const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        "devex_update_fused", n, vgpu::Device::kBlockSize,
-        {2.0 * nnz + 4.0 * double(n),
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(4 * n * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real wq = wsp[q];
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (j == leaving) {
-              wsp[j] = std::max(wq / (alpha_p * alpha_p), Real{1});
-              continue;
-            }
-            if (ms[j] == Real{0}) continue;
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ps[cols[k]];
-            }
-            const Real t = acc / alpha_p;
-            const Real cand = t * t * wq;
-            if (cand > wsp[j]) wsp[j] = cand;
-          }
-        });
+    return {2.0 * nnz + flops,
+            nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
+                double(elems * sizeof(Real)),
+            sizeof(Real)};
+  }
+  /// B^-1 a_q for a column of nnz_q entries (m gathered rows of B^-1 per
+  /// entry, plus a_q itself), plus extras.
+  [[nodiscard]] vgpu::KernelCost ftran_cost(std::size_t nnz_q, double flops,
+                                            std::size_t elems) const {
+    return {2.0 * double(m_) * double(nnz_q) + flops,
+            double(m_ * nnz_q * sizeof(Real) +
+                   nnz_q * (sizeof(Real) + sizeof(std::uint32_t)) +
+                   elems * sizeof(Real)),
+            sizeof(Real)};
+  }
+  /// The fused FTRAN + ratio launch, declared from the widest column (the
+  /// entering index is device-resident, so the exact nnz(a_q) is unknown
+  /// host-side; over-declaring is safe, the cost lint only flags observed
+  /// > declared drift).
+  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost() const {
+    return ftran_cost(max_col_nnz_, 3.0 * double(m_), 7 * m_ + 2);
   }
 
  private:
@@ -733,40 +664,6 @@ class SparseAt {
     return sparse::CsrMatrix<Real>(at64.rows(), at64.cols(),
                                    at64.row_offsets(), at64.col_indices(),
                                    std::move(vals));
-  }
-
-  void column_products(std::string_view name,
-                       const vgpu::DeviceBuffer<Real>& y,
-                       const vgpu::DeviceBuffer<Real>* c,
-                       const vgpu::DeviceBuffer<Real>* mask,
-                       vgpu::DeviceBuffer<Real>& out) const {
-    auto offs = at_.row_offsets().device_span();
-    auto cols = at_.col_indices().device_span();
-    auto vals = at_.values().device_span();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    const double nnz = static_cast<double>(at_.nnz());
-    device().launch_blocks(
-        name, n_aug_, vgpu::Device::kBlockSize,
-        {2.0 * nnz,
-         nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-             double(3 * n_aug_ * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (mask && ms[j] == Real{0}) {
-              os[j] = Real{0};
-              continue;
-            }
-            Real acc{0};
-            for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-              acc += vals[k] * ys[cols[k]];
-            }
-            os[j] = c ? cs[j] - acc : acc;
-          }
-        });
   }
 
   std::size_t m_, n_aug_;

@@ -54,7 +54,6 @@ class BatchRevisedSimplex {
     dev_.set_capture(opt_.analyzer);
     dev_.set_checker(opt_.checker);
     dev_.set_metrics(opt_.metrics);
-    dev_.set_recorder(opt_.recorder);
     // Batch-level metrics: lock-step rounds and the shrinking active set.
     // The per-problem pivot streams are fused into wide kernels here, so
     // the batch engine reports round granularity, not per-problem health.

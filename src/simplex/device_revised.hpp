@@ -73,18 +73,16 @@ class DeviceRevisedSimplex {
     dev_.set_capture(opt_.analyzer);
     dev_.set_checker(opt_.checker);
     dev_.set_metrics(opt_.metrics);
-    dev_.set_recorder(opt_.recorder);
     // Solver-level metrics live for the whole solve (not per run_loop call)
     // so stall streaks and Bland activations span the phase boundary.
     metrics::SimplexOpMetrics op_metrics;
     op_metrics.attach(opt_.metrics);
     metrics::HealthMonitor health(opt_.metrics, opt_.health);
     const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
     if (tr.enabled()) tr.name_thread(engine_name());
     // Top-level span; its destructor runs after every nested span's, so
     // the trace unwinds in proper B/E order on any exit path.
-    trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
+    trace::ScopedSpan solve_span(tr, "solve", clock(), "solve");
     const AugmentedLp aug = augment(sf);
     Workspace ws(dev_, aug, opt_);
     record::Recorder* rec = opt_.recorder;
@@ -109,7 +107,7 @@ class DeviceRevisedSimplex {
 
     // ---- Phase 1: minimize the artificial sum, if any were needed. ----
     if (aug.num_artificial > 0) {
-      trace::ScopedSpan phase_span(tr, "phase1", clock, "phase");
+      trace::ScopedSpan phase_span(tr, "phase1", clock(), "phase");
       if (rec != nullptr) rec->begin_phase(1);
       ws.load_costs(aug.c_phase1);
       const LoopExit exit =
@@ -136,7 +134,7 @@ class DeviceRevisedSimplex {
     // ---- Phase 2: original costs, artificials permanently masked. ----
     LoopExit exit;
     {
-      trace::ScopedSpan phase_span(tr, "phase2", clock, "phase");
+      trace::ScopedSpan phase_span(tr, "phase2", clock(), "phase");
       if (rec != nullptr) rec->begin_phase(2);
       ws.load_costs(aug.c_phase2);
       exit = run_loop(ws, budget, result.stats, op_metrics, health, 2);
@@ -176,6 +174,11 @@ class DeviceRevisedSimplex {
   [[nodiscard]] static std::string engine_name() {
     return std::string("device-revised<") +
            (sizeof(Real) == 4 ? "float" : "double") + ">";
+  }
+
+  /// The simulated-clock reader trace spans take.
+  [[nodiscard]] auto clock() const {
+    return [this] { return dev_.sim_seconds(); };
   }
 
   enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
@@ -325,16 +328,14 @@ class DeviceRevisedSimplex {
   void btran_generic(Workspace& ws, const vgpu::DeviceBuffer<Real>& seed,
                      vgpu::DeviceBuffer<Real>& out) {
     if (sparse_pf(ws)) {
-      if (ws.etas.empty()) {
-        btran_sparse_base(ws, seed, out);
-        return;
-      }
-      eta_btran_chain(ws, &seed, 0);
-      btran_sparse_base(ws, ws.eta_work, out);
+      if (!ws.etas.empty()) eta_btran_chain(ws, &seed, 0);
+      const vgpu::DeviceBuffer<Real>& y =
+          ws.etas.empty() ? seed : ws.eta_work;
+      btran_base(ws, y, out, "sparse_btran", support_size(y));
       return;
     }
     if (ws.etas.empty()) {
-      btran_dense(ws, seed, out);
+      btran_base(ws, seed, out, "price_btran", ws.m);
       return;
     }
     auto ysp = ws.eta_work.device_span();
@@ -348,62 +349,47 @@ class DeviceRevisedSimplex {
     for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
       eta_btran_apply(ws, *it);
     }
-    btran_dense(ws, ws.eta_work, out);
+    btran_base(ws, ws.eta_work, out, "price_btran", ws.m);
   }
 
   void btran(Workspace& ws) { btran_generic(ws, ws.cb, ws.pi); }
 
-  /// out = (B0^-1)^T y: block-local accumulation over columns so rows of
-  /// B^-1 stream contiguously.
-  void btran_dense(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                   vgpu::DeviceBuffer<Real>& out) {
+  /// out = (B0^-1)^T y as one `name` launch declared from the `nnz_y`
+  /// nonzero rows of y it streams: all m for the dense "price_btran", the
+  /// seed's observed support for the product form's "sparse_btran". Each
+  /// lane sums its column over the nonzero rows of y (rows of B^-1 stream
+  /// contiguously) in a block-local accumulator and writes out once.
+  void btran_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
+                  vgpu::DeviceBuffer<Real>& out, std::string_view name,
+                  std::size_t nnz_y) {
     const std::size_t m = ws.m;
     auto binv = ws.binv.device_span();
     auto ysp = y.device_span();
-    auto pisp = out.device_span();
+    auto osp = out.device_span();
     dev_.launch_blocks(
-        "price_btran", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
+        name, m, vgpu::Device::kBlockSize,
+        {2.0 * double(nnz_y) * double(m), bytes(nnz_y * m + 2 * m),
+         sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) pisp[j] = Real{0};
+          std::array<Real, vgpu::Device::kBlockSize> acc{};
           for (std::size_t i = 0; i < m; ++i) {
             const Real yi = ysp[i];
             if (yi == Real{0}) continue;
             binv.read_range(i * m + lo, i * m + hi);
             const Real* row = binv.data() + i * m;
-            for (std::size_t j = lo; j < hi; ++j) pisp[j] += yi * row[j];
+            for (std::size_t j = lo; j < hi; ++j) acc[j - lo] += yi * row[j];
           }
+          for (std::size_t j = lo; j < hi; ++j) osp[j] = acc[j - lo];
         });
   }
 
-  /// Sparse-kernel BTRAN base: same arithmetic as btran_dense (the zero
-  /// rows of y are skipped either way), but launched as "sparse_btran"
-  /// with cost declared from the seed's observed support — nnz(y) rows of
-  /// B0^-1 stream instead of all m. The support count is host metadata,
-  /// like the CSR extents in SparseAt.
-  void btran_sparse_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                         vgpu::DeviceBuffer<Real>& out) {
-    const std::size_t m = ws.m;
+  /// Nonzero count of a device vector, read through host_view(): host
+  /// metadata, like the CSR extents in SparseAt.
+  [[nodiscard]] static std::size_t support_size(
+      const vgpu::DeviceBuffer<Real>& y) {
     const std::span<const Real> yh = y.host_view();
-    std::size_t nnz_y = 0;
-    for (std::size_t i = 0; i < m; ++i) nnz_y += yh[i] != Real{0} ? 1 : 0;
-    auto binv = ws.binv.device_span();
-    auto ysp = y.device_span();
-    auto pisp = out.device_span();
-    dev_.launch_blocks(
-        "sparse_btran", m, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz_y) * double(m),
-         bytes(nnz_y * m + 2 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) pisp[j] = Real{0};
-          for (std::size_t i = 0; i < m; ++i) {
-            const Real yi = ysp[i];
-            if (yi == Real{0}) continue;
-            binv.read_range(i * m + lo, i * m + hi);
-            const Real* row = binv.data() + i * m;
-            for (std::size_t j = lo; j < hi; ++j) pisp[j] += yi * row[j];
-          }
-        });
+    return static_cast<std::size_t>(
+        std::count_if(yh.begin(), yh.end(), [](Real v) { return v != Real{0}; }));
   }
 
   /// alpha = B^-1 a_q (FTRAN). Under product form: B0^-1 a_q via the
@@ -598,36 +584,21 @@ class DeviceRevisedSimplex {
   /// has finished alpha. Speculative like the rest of the fused FTRAN;
   /// writes desc[kDescP/kDescTheta/kDescAlphaP].
   void ratio_select(Workspace& ws) {
-    const std::size_t m = ws.m;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<std::size_t> part_idx(blocks, vgpu::detail::kNoIndex);
-    std::vector<Real> part_val(blocks, Real{0});
+    fused_detail::LeavingSelect<Real> select(
+        ws.m, static_cast<Real>(ws.options.pivot_tol));
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
     auto rsp = ws.ratio.device_span();
     auto dsp = ws.desc.device_span();
-    const Real tol = static_cast<Real>(ws.options.pivot_tol);
     dev_.launch_blocks(
-        "ratio_select", m, vgpu::Device::kBlockSize,
-        {double(m), bytes(4 * m + 6), sizeof(Real)},
+        "ratio_select", ws.m, vgpu::Device::kBlockSize,
+        {double(ws.m), bytes(4 * ws.m + 6), sizeof(Real)},
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           if (dsp[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          for (std::size_t i = lo; i < hi; ++i) {
-            rsp[i] = asp[i] > tol ? bsp[i] / asp[i] : kInf;
-          }
-          const std::size_t best = vgpu::detail::block_argmin(rsp, lo, hi);
-          if (blocks == 1) {
-            fused_detail::write_leaving<Real>(best, rsp, asp, dsp);
-          } else {
-            part_idx[blk] = best;
-            part_val[blk] = rsp[best];
-          }
+          const auto alpha_of = [&](std::size_t i) { return Real(asp[i]); };
+          select.block(blk, lo, hi, alpha_of, bsp, rsp, asp, dsp);
         });
-    if (blocks > 1) {
-      fused_detail::combine_leaving<Real>(dev_, part_idx, part_val, rsp, asp,
-                                          dsp);
-    }
+    select.finish(dev_, rsp, asp, dsp);
   }
 
   /// The pivot's scalar bookkeeping: c_B[p] takes the entering cost, the
@@ -650,7 +621,6 @@ class DeviceRevisedSimplex {
     auto bsp = ws.beta.device_span();
     auto csp = ws.cb.device_span();
     auto msp = ws.mask.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
     dev_.launch_blocks(
         pokes != nullptr ? "pivot_beta" : "update_beta", ws.m,
         vgpu::Device::kBlockSize,
@@ -658,8 +628,7 @@ class DeviceRevisedSimplex {
          sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
-            Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
-            if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
+            const Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
             // The ratio test guarantees v >= 0 in exact arithmetic; clamp
             // the rounding dust so the basis stays primal feasible.
             bsp[i] = v < Real{0} ? Real{0} : v;
@@ -693,7 +662,6 @@ class DeviceRevisedSimplex {
     auto binv = ws.binv.device_span();
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
     dev_.launch_blocks(
         "update_binv", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m), sizeof(Real)},
@@ -703,21 +671,13 @@ class DeviceRevisedSimplex {
             if (i == p) {
               binv.write_range(i * m, i * m + m);
               const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = prow[j] * inv;
-                if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-                row[j] = v;
-              }
+              for (std::size_t j = 0; j < m; ++j) row[j] = prow[j] * inv;
             } else {
               const Real f = asp[i] / alpha_p;
               if (f == Real{0}) continue;
               binv.read_range(i * m, i * m + m);
               binv.write_range(i * m, i * m + m);
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = row[j] - f * prow[j];
-                if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
-                row[j] = v;
-              }
+              for (std::size_t j = 0; j < m; ++j) row[j] = row[j] - f * prow[j];
             }
           }
         });
@@ -737,15 +697,13 @@ class DeviceRevisedSimplex {
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
     dev_.launch_blocks(
         "pivot_stage", m, vgpu::Device::kBlockSize,
         {2.0 * double(m), bytes(5 * m), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
             prow[i] = binv[p * m + i];
-            Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
-            if (round_tol > Real{0} && std::abs(v) < round_tol) v = Real{0};
+            const Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
             bsp[i] = v < Real{0} ? Real{0} : v;
           }
         });
@@ -758,8 +716,8 @@ class DeviceRevisedSimplex {
   /// Fused rank-1 update of B^-1 + the pivot's scalar bookkeeping. The
   /// reference path's three upload_value round trips (c_B[p], mask[q] off,
   /// mask[leaving] on) ride along as kernel arguments written by the pivot
-  /// lane — zero per-iteration H2D traffic. The default round_tol == 0
-  /// elimination loop is branch-free and cache-blocked so it vectorizes.
+  /// lane — zero per-iteration H2D traffic. The elimination loop is
+  /// branch-free and cache-blocked so it vectorizes.
   void pivot_apply(Workspace& ws, std::size_t q, std::size_t p, Real alpha_p,
                    Real cb_new, std::size_t leaving, bool unmask_leaving) {
     const std::size_t m = ws.m;
@@ -768,7 +726,6 @@ class DeviceRevisedSimplex {
     auto asp = ws.alpha.device_span();
     auto csp = ws.cb.device_span();
     auto msp = ws.mask.device_span();
-    const Real round_tol = static_cast<Real>(ws.options.round_tol);
     dev_.launch_blocks(
         "pivot_apply", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m + 4),
@@ -779,13 +736,7 @@ class DeviceRevisedSimplex {
             if (i == p) {
               binv.write_range(i * m, i * m + m);
               const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) {
-                Real v = prow[j] * inv;
-                if (round_tol > Real{0} && std::abs(v) < round_tol) {
-                  v = Real{0};
-                }
-                row[j] = v;
-              }
+              for (std::size_t j = 0; j < m; ++j) row[j] = prow[j] * inv;
               // One writer each: the pivot lane owns the scalar pokes.
               csp[p] = cb_new;
               msp[q] = Real{0};
@@ -795,18 +746,10 @@ class DeviceRevisedSimplex {
               if (f == Real{0}) continue;
               binv.read_range(i * m, i * m + m);
               binv.write_range(i * m, i * m + m);
-              if (round_tol > Real{0}) {
-                for (std::size_t j = 0; j < m; ++j) {
-                  Real v = row[j] - f * prow[j];
-                  if (std::abs(v) < round_tol) v = Real{0};
-                  row[j] = v;
-                }
-              } else {
-                for (std::size_t j0 = 0; j0 < m; j0 += kEliminationTile) {
-                  const std::size_t j1 = std::min(m, j0 + kEliminationTile);
-                  for (std::size_t j = j0; j < j1; ++j) {
-                    row[j] = row[j] - f * prow[j];
-                  }
+              for (std::size_t j0 = 0; j0 < m; j0 += kEliminationTile) {
+                const std::size_t j1 = std::min(m, j0 + kEliminationTile);
+                for (std::size_t j = j0; j < j1; ++j) {
+                  row[j] = row[j] - f * prow[j];
                 }
               }
             }
@@ -987,7 +930,8 @@ class DeviceRevisedSimplex {
     }
     if (sparse_pf(ws)) {
       eta_btran_chain(ws, nullptr, i);
-      btran_sparse_base(ws, ws.eta_work, ws.pivot_row);
+      btran_base(ws, ws.eta_work, ws.pivot_row, "sparse_btran",
+                 support_size(ws.eta_work));
       return;
     }
     // ws.ratio is free at every call site; use it as the unit seed.
@@ -1052,6 +996,122 @@ class DeviceRevisedSimplex {
            ws.eta_growth > basis::kEtaGrowthLimit;
   }
 
+  /// One primal loop's bookkeeping, shared by run_loop and run_loop_fused
+  /// so both emit the same observer events in the same order: the per-op
+  /// modeled-time laps on the simulated clock (`lap` advances at each op
+  /// boundary, so scalar readbacks between ops are charged to the op that
+  /// consumes them — the same tiling the trace's op spans produce) and the
+  /// objective tracker behind the hybrid rule's Bland switch.
+  struct Loop {
+    SolverStats& stats;
+    metrics::SimplexOpMetrics& om;
+    metrics::HealthMonitor& health;
+    std::uint8_t phase;
+    double z;  ///< objective, advanced by theta * d_q per pivot
+    double lap = 0.0;
+    std::size_t since_improve = 0;
+    bool bland_mode = false;  ///< hybrid rule: Bland during a stall streak
+    bool bland = false;       ///< this iteration prices with Bland
+  };
+
+  /// Start an iteration (inside its trace span): resolve the pricing rule
+  /// and restart the op lap clock.
+  void begin_iteration(const Workspace& ws, Loop& loop) {
+    if (ws.options.pricing == PricingRule::kHybrid) {
+      loop.bland_mode = loop.since_improve >= ws.options.degeneracy_window;
+    }
+    loop.bland = loop.bland_mode || ws.options.pricing == PricingRule::kBland;
+    if (loop.om.enabled()) loop.lap = dev_.sim_seconds();
+  }
+
+  /// Close the op that just ran on the metrics lap clock.
+  void lap(Loop& loop, metrics::SimplexOp op) {
+    if (!loop.om.enabled()) return;
+    const double now = dev_.sim_seconds();
+    loop.om.observe(op, now - loop.lap);
+    loop.lap = now;
+  }
+
+  /// A loop pivot's ratio-test outcome, logged with its decision.
+  struct Step {
+    Real d_q;
+    Real theta;
+  };
+
+  /// Log a pivot (column q enters at row p) to the attached recorder, if
+  /// any. A loop pivot passes its Step and counts the rows tied at theta
+  /// through host_view() — outside the machine model, so recording charges
+  /// no PCIe time and perturbs nothing. An artificial drive-out has no
+  /// ratio test: it logs one tie and no reduced cost or step.
+  void record_pivot(const Workspace& ws, std::uint8_t phase, bool bland,
+                    std::uint64_t iteration, std::size_t q, std::size_t p,
+                    Real alpha_p, std::optional<Step> step) const {
+    record::Recorder* rec = opt_.recorder;
+    if (rec == nullptr) return;
+    record::DecisionRecord r;
+    r.phase = phase;
+    r.bland = bland ? 1 : 0;
+    r.iteration = iteration;  // global ordinal, pre-increment
+    r.entering = static_cast<std::uint32_t>(q);
+    r.leaving_row = static_cast<std::uint32_t>(p);
+    r.leaving_col = ws.basic[p];
+    r.ratio_ties = 1;
+    r.pivot_value = static_cast<double>(alpha_p);
+    if (step.has_value()) {
+      const std::span<const Real> rv = ws.ratio.host_view();
+      r.ratio_ties = static_cast<std::uint32_t>(
+          std::count(rv.begin(), rv.end(), step->theta));
+      r.reduced_cost = static_cast<double>(step->d_q);
+      r.theta = static_cast<double>(step->theta);
+    }
+    rec->record_pivot(r);
+  }
+
+  /// Everything after a loop pivot, in the order both loops emit it: the
+  /// iteration counters and health pivot, the hybrid rule's progress test,
+  /// the objective counter and telemetry point, the refactor trigger, and
+  /// the strided health/telemetry samples.
+  void end_iteration(Workspace& ws, Loop& loop, std::size_t iter,
+                     Real alpha_p, Step step) {
+    ++loop.stats.iterations;
+    loop.om.count_iteration();
+    loop.health.record_pivot(static_cast<double>(alpha_p),
+                             static_cast<double>(step.theta), loop.bland,
+                             iter);
+
+    const double dz =
+        static_cast<double>(step.theta) * static_cast<double>(step.d_q);
+    const double new_z = loop.z + dz;
+    if (new_z < loop.z - 1e-12 * (1.0 + std::abs(loop.z))) {
+      loop.since_improve = 0;
+      loop.bland_mode = false;
+    } else {
+      ++loop.since_improve;
+    }
+    loop.z = new_z;
+    const trace::Track& tr = dev_.trace();
+    if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), loop.z);
+    telemetry::Telemetry* tel = ws.options.telemetry;
+    const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
+    if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), loop.z);
+
+    ++ws.pivots_since_refactor;
+    if (refactor_due(ws)) {
+      trace::ScopedSpan op(tr, "refactor", clock(), "op");
+      reinvert(ws);
+      lap(loop, metrics::SimplexOp::kRefactor);
+      if (record::Recorder* rec = opt_.recorder) {
+        rec->record_refactor(loop.stats.iterations);
+      }
+    }
+
+    const bool want_health = loop.health.want_residual_sample(iter);
+    if (want_health || want_tel) {
+      sample_health(ws, loop.health, want_health, want_tel ? tel : nullptr,
+                    iter);
+    }
+  }
+
   LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
                     metrics::SimplexOpMetrics& om,
                     metrics::HealthMonitor& health, std::uint8_t phase) {
@@ -1060,130 +1120,53 @@ class DeviceRevisedSimplex {
       return run_loop_fused(ws, budget, stats, om, health, phase);
     }
     const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
-    // Per-op modeled-time laps on the simulated clock: `lap` advances at
-    // each op boundary, so scalar readbacks between ops (alpha_p, d_q) are
-    // charged to the op that consumes them — the same tiling the trace's
-    // op spans produce.
-    const bool om_on = om.enabled();
-    double lap = om_on ? dev_.sim_seconds() : 0.0;
-    const auto lap_observe = [&](metrics::SimplexOp op) {
-      if (!om_on) return;
-      const double now = dev_.sim_seconds();
-      om.observe(op, now - lap);
-      lap = now;
-    };
-    double z = ws.current_objective();
-    std::size_t since_improve = 0;
-    bool bland_mode = false;
+    Loop loop{stats, om, health, phase, ws.current_objective()};
     for (std::size_t iter = 0; iter < budget; ++iter) {
-      // Hybrid pricing: Bland during degeneracy streaks.
-      if (ws.options.pricing == PricingRule::kHybrid) {
-        bland_mode = since_improve >= ws.options.degeneracy_window;
-      }
-
-      trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
+      trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
                                   {{"iter", static_cast<double>(iter)}});
-      if (om_on) lap = dev_.sim_seconds();
+      begin_iteration(ws, loop);
 
       std::optional<std::size_t> entering;
       Real d_q{};
       {
-        trace::ScopedSpan op(tr, "price", clock, "op");
+        trace::ScopedSpan op(tr, "price", clock(), "op");
         btran(ws);
         ws.at.price(ws.pi, ws.c, ws.mask, ws.d);
-        entering = select_entering(ws, bland_mode);
+        entering = select_entering(ws, loop.bland_mode);
         if (entering.has_value()) d_q = ws.d.download_value(*entering);
       }
-      lap_observe(metrics::SimplexOp::kPrice);
+      lap(loop, metrics::SimplexOp::kPrice);
       if (!entering.has_value()) return LoopExit::kOptimal;
       const std::size_t q = *entering;
 
       {
-        trace::ScopedSpan op(tr, "ftran", clock, "op");
+        trace::ScopedSpan op(tr, "ftran", clock(), "op");
         ftran(ws, q);
       }
-      lap_observe(metrics::SimplexOp::kFtran);
+      lap(loop, metrics::SimplexOp::kFtran);
       vgpu::ArgResult<Real> leave;
       {
-        trace::ScopedSpan op(tr, "ratio", clock, "op");
+        trace::ScopedSpan op(tr, "ratio", clock(), "op");
         ratio_test_kernel(ws);
         leave = vgpu::argmin(ws.ratio);
       }
-      lap_observe(metrics::SimplexOp::kRatio);
+      lap(loop, metrics::SimplexOp::kRatio);
       if (!leave.found() || leave.value == kInf) return LoopExit::kUnbounded;
       const std::size_t p = leave.index;
-      const Real theta = leave.value;
+      const Step step{d_q, leave.value};
       const Real alpha_p = ws.alpha.download_value(p);
-
-      if (record::Recorder* rec = opt_.recorder) {
-        // Ratio ties are counted through host_view() — outside the machine
-        // model, so recording charges no PCIe time and perturbs nothing.
-        const std::span<const Real> rv = ws.ratio.host_view();
-        std::uint32_t ties = 0;
-        for (std::size_t i = 0; i < ws.m; ++i) {
-          if (rv[i] == theta) ++ties;
-        }
-        record::DecisionRecord r;
-        r.phase = phase;
-        r.bland = (bland_mode || ws.options.pricing == PricingRule::kBland)
-                      ? 1
-                      : 0;
-        r.iteration = stats.iterations;  // global ordinal, pre-increment
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(p);
-        r.leaving_col = ws.basic[p];
-        r.ratio_ties = ties;
-        r.reduced_cost = static_cast<double>(d_q);
-        r.pivot_value = static_cast<double>(alpha_p);
-        r.theta = static_cast<double>(theta);
-        rec->record_pivot(r);
-      }
+      record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
+                   alpha_p, step);
 
       {
-        trace::ScopedSpan op(tr, "update", clock, "op");
+        trace::ScopedSpan op(tr, "update", clock(), "op");
         if (ws.options.pricing == PricingRule::kDevex) {
           devex_update(ws, q, p, alpha_p);
         }
-        pivot(ws, q, p, theta, alpha_p);
+        pivot(ws, q, p, step.theta, alpha_p);
       }
-      lap_observe(metrics::SimplexOp::kUpdate);
-      ++stats.iterations;
-      om.count_iteration();
-      health.record_pivot(
-          static_cast<double>(alpha_p), static_cast<double>(theta),
-          bland_mode || ws.options.pricing == PricingRule::kBland, iter);
-
-      const double dz = static_cast<double>(theta) * static_cast<double>(d_q);
-      const double new_z = z + dz;
-      if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-        since_improve = 0;
-        bland_mode = false;
-      } else {
-        ++since_improve;
-      }
-      z = new_z;
-      if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), z);
-      telemetry::Telemetry* tel = ws.options.telemetry;
-      const bool want_tel =
-          tel != nullptr && tel->want_iteration_sample(iter);
-      if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
-
-      ++ws.pivots_since_refactor;
-      if (refactor_due(ws)) {
-        trace::ScopedSpan op(tr, "refactor", clock, "op");
-        reinvert(ws);
-        lap_observe(metrics::SimplexOp::kRefactor);
-        if (record::Recorder* rec = opt_.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-
-      const bool want_health = health.want_residual_sample(iter);
-      if (want_health || want_tel) {
-        sample_health(ws, health, want_health, want_tel ? tel : nullptr,
-                      iter);
-      }
+      lap(loop, metrics::SimplexOp::kUpdate);
+      end_iteration(ws, loop, iter, alpha_p, step);
     }
     return LoopExit::kIterationLimit;
   }
@@ -1202,54 +1185,35 @@ class DeviceRevisedSimplex {
   /// selections share the primitives' block-scan semantics and the device-
   /// side acceptance tests mirror the host ones — so recordings diff clean
   /// against the reference path (tests/test_fusion.cpp). Observer side
-  /// effects (trace op spans, metrics laps, recorder fields, health
-  /// samples) are kept structurally identical.
+  /// effects go through the same Loop helpers as run_loop's.
   LoopExit run_loop_fused(Workspace& ws, std::size_t budget,
                           SolverStats& stats, metrics::SimplexOpMetrics& om,
                           metrics::HealthMonitor& health, std::uint8_t phase) {
     const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
-    const bool om_on = om.enabled();
-    double lap = om_on ? dev_.sim_seconds() : 0.0;
-    const auto lap_observe = [&](metrics::SimplexOp op) {
-      if (!om_on) return;
-      const double now = dev_.sim_seconds();
-      om.observe(op, now - lap);
-      lap = now;
-    };
-    double z = ws.current_objective();
-    std::size_t since_improve = 0;
-    bool bland_mode = false;
+    Loop loop{stats, om, health, phase, ws.current_objective()};
     const bool pf = sparse_pf(ws);
     std::array<Real, kDescSlots> desc_h{};
     for (std::size_t iter = 0; iter < budget; ++iter) {
-      if (ws.options.pricing == PricingRule::kHybrid) {
-        bland_mode = since_improve >= ws.options.degeneracy_window;
-      }
-
-      trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
+      trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
                                   {{"iter", static_cast<double>(iter)}});
-      if (om_on) lap = dev_.sim_seconds();
-
-      const bool bland_now =
-          bland_mode || ws.options.pricing == PricingRule::kBland;
+      begin_iteration(ws, loop);
       const EnteringRule rule =
-          bland_now ? EnteringRule::kBland
-                    : (ws.options.pricing == PricingRule::kDevex
-                           ? EnteringRule::kDevex
-                           : EnteringRule::kDantzig);
+          loop.bland ? EnteringRule::kBland
+                     : (ws.options.pricing == PricingRule::kDevex
+                            ? EnteringRule::kDevex
+                            : EnteringRule::kDantzig);
       {
-        trace::ScopedSpan op(tr, "price", clock, "op");
+        trace::ScopedSpan op(tr, "price", clock(), "op");
         btran(ws);
         ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
                            ws.devex_w, ws.desc, rule,
                            static_cast<Real>(ws.options.opt_tol));
       }
-      lap_observe(metrics::SimplexOp::kPrice);
+      lap(loop, metrics::SimplexOp::kPrice);
       {
         // Speculative: issued before the host knows whether pricing found
         // a candidate; the kernels early-exit on-device when it did not.
-        trace::ScopedSpan op(tr, "ftran", clock, "op");
+        trace::ScopedSpan op(tr, "ftran", clock(), "op");
         if (pf) {
           ftran_speculative(ws);
         } else {
@@ -1258,49 +1222,28 @@ class DeviceRevisedSimplex {
                                    static_cast<Real>(ws.options.pivot_tol));
         }
       }
-      lap_observe(metrics::SimplexOp::kFtran);
+      lap(loop, metrics::SimplexOp::kFtran);
       {
         // The iteration's only d2h: one packed descriptor.
-        trace::ScopedSpan op(tr, "ratio", clock, "op");
+        trace::ScopedSpan op(tr, "ratio", clock(), "op");
         if (pf) ratio_select(ws);
         ws.desc.download(std::span<Real>(desc_h.data(), desc_h.size()));
       }
-      lap_observe(metrics::SimplexOp::kRatio);
+      lap(loop, metrics::SimplexOp::kRatio);
       if (desc_h[kDescQ] < Real{0}) return LoopExit::kOptimal;
       // Zero-row edge: the ratio kernel is an empty grid (never launched),
       // so the leaving slots are meaningless — no row can leave.
       if (ws.m == 0) return LoopExit::kUnbounded;
       const std::size_t q = static_cast<std::size_t>(desc_h[kDescQ]);
-      const Real d_q = desc_h[kDescDq];
-      const Real theta = desc_h[kDescTheta];
-      if (theta == kInf) return LoopExit::kUnbounded;
+      const Step step{desc_h[kDescDq], desc_h[kDescTheta]};
+      if (step.theta == kInf) return LoopExit::kUnbounded;
       const std::size_t p = static_cast<std::size_t>(desc_h[kDescP]);
       const Real alpha_p = desc_h[kDescAlphaP];
-
-      if (record::Recorder* rec = opt_.recorder) {
-        // Ratio ties are counted through host_view() — outside the machine
-        // model, so recording charges no PCIe time and perturbs nothing.
-        const std::span<const Real> rv = ws.ratio.host_view();
-        std::uint32_t ties = 0;
-        for (std::size_t i = 0; i < ws.m; ++i) {
-          if (rv[i] == theta) ++ties;
-        }
-        record::DecisionRecord r;
-        r.phase = phase;
-        r.bland = bland_now ? 1 : 0;
-        r.iteration = stats.iterations;  // global ordinal, pre-increment
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(p);
-        r.leaving_col = ws.basic[p];
-        r.ratio_ties = ties;
-        r.reduced_cost = static_cast<double>(d_q);
-        r.pivot_value = static_cast<double>(alpha_p);
-        r.theta = static_cast<double>(theta);
-        rec->record_pivot(r);
-      }
+      record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
+                   alpha_p, step);
 
       {
-        trace::ScopedSpan op(tr, "update", clock, "op");
+        trace::ScopedSpan op(tr, "update", clock(), "op");
         const std::uint32_t leaving = ws.basic[p];
         const bool devex = ws.options.pricing == PricingRule::kDevex;
         const Pokes pokes{q, leaving, static_cast<Real>(ws.c_host[q]),
@@ -1312,10 +1255,10 @@ class DeviceRevisedSimplex {
             ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
                                alpha_p);
           }
-          update_beta(ws, p, theta, &pokes);
+          update_beta(ws, p, step.theta, &pokes);
           append_eta(ws, p, alpha_p);
         } else {
-          pivot_stage(ws, p, theta);
+          pivot_stage(ws, p, step.theta);
           if (devex) {
             ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
                                alpha_p);
@@ -1327,42 +1270,8 @@ class DeviceRevisedSimplex {
         ws.in_basis[leaving] = false;
         ws.in_basis[q] = true;
       }
-      lap_observe(metrics::SimplexOp::kUpdate);
-      ++stats.iterations;
-      om.count_iteration();
-      health.record_pivot(static_cast<double>(alpha_p),
-                          static_cast<double>(theta), bland_now, iter);
-
-      const double dz = static_cast<double>(theta) * static_cast<double>(d_q);
-      const double new_z = z + dz;
-      if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-        since_improve = 0;
-        bland_mode = false;
-      } else {
-        ++since_improve;
-      }
-      z = new_z;
-      if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), z);
-      telemetry::Telemetry* tel = ws.options.telemetry;
-      const bool want_tel =
-          tel != nullptr && tel->want_iteration_sample(iter);
-      if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), z);
-
-      ++ws.pivots_since_refactor;
-      if (refactor_due(ws)) {
-        trace::ScopedSpan op(tr, "refactor", clock, "op");
-        reinvert(ws);
-        lap_observe(metrics::SimplexOp::kRefactor);
-        if (record::Recorder* rec = opt_.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-
-      const bool want_health = health.want_residual_sample(iter);
-      if (want_health || want_tel) {
-        sample_health(ws, health, want_health, want_tel ? tel : nullptr,
-                      iter);
-      }
+      lap(loop, metrics::SimplexOp::kUpdate);
+      end_iteration(ws, loop, iter, alpha_p, step);
     }
     return LoopExit::kIterationLimit;
   }
@@ -1488,17 +1397,7 @@ class DeviceRevisedSimplex {
       if (std::abs(static_cast<double>(alpha_p)) <= ws.options.pivot_tol) {
         continue;
       }
-      if (record::Recorder* rec = opt_.recorder) {
-        record::DecisionRecord r;
-        r.phase = 1;
-        r.iteration = iteration;
-        r.entering = static_cast<std::uint32_t>(q);
-        r.leaving_row = static_cast<std::uint32_t>(i);
-        r.leaving_col = ws.basic[i];
-        r.ratio_ties = 1;
-        r.pivot_value = static_cast<double>(alpha_p);
-        rec->record_pivot(r);
-      }
+      record_pivot(ws, 1, false, iteration, q, i, alpha_p, std::nullopt);
       pivot(ws, q, i, Real{0}, alpha_p);
     }
   }

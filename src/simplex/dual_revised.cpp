@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "metrics/health.hpp"
 #include "profile/profile.hpp"
-#include "simplex/basis/basis_oracle.hpp"
-#include "simplex/basis/explicit_inverse.hpp"
-#include "simplex/basis/product_form.hpp"
 #include "simplex/cost_meter.hpp"
+#include "simplex/host_loop.hpp"
 #include "simplex/host_revised.hpp"
 #include "simplex/phase_setup.hpp"
 #include "support/timer.hpp"
@@ -24,97 +21,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Mutable dual-solve state. Same shape as the host engine's, with the
-/// dual extras: the pivot row `arow` (a_j^T rho over nonbasic j) and the
-/// dual-Devex-lite reference weights `w`.
-struct DualState {
+/// Dual-solve state: the host engine's, plus the pivot row `arow`
+/// (a_j^T rho over nonbasic j) and the dual-Devex-lite reference weights
+/// `w`. The working costs s.c may carry dual-feasibility shifts.
+struct DualState : host::State {
   DualState(const AugmentedLp& aug_in, const SolverOptions& opt_in,
             CostMeter& meter_in)
-      : aug(aug_in),
-        m(aug_in.m),
-        n_aug(aug_in.n_aug),
-        at(aug_in.dense_at()),
-        cols(at),
-        beta(aug_in.beta_init),
-        pi(m),
-        d(n_aug),
-        alpha(m),
-        arow(n_aug),
-        w(m, 1.0),
-        colbuf(m),
-        cb(m),
-        basic(aug_in.basic),
-        in_basis(n_aug, false),
-        opt(opt_in),
-        meter(meter_in) {
-    if (opt.basis == BasisScheme::kExplicitInverse) {
-      oracle = std::make_unique<basis::ExplicitInverseOracle>(
-          m, aug.binv_diag, cols, meter, opt);
-    } else {
-      oracle = std::make_unique<basis::ProductFormOracle>(m, basic, cols,
-                                                          meter, opt);
-    }
-    for (std::uint32_t col : basic) in_basis[col] = true;
-  }
+      : host::State(aug_in, opt_in, meter_in), arow(n_aug), w(m, 1.0) {}
 
-  [[nodiscard]] bool may_enter(std::size_t j) const {
-    return !in_basis[j] && !aug.is_artificial[j];
-  }
-
-  [[nodiscard]] double objective() const {
-    double z = 0.0;
-    for (std::size_t i = 0; i < m; ++i) z += c[basic[i]] * beta[i];
-    return z;
-  }
-
-  const AugmentedLp& aug;
-  std::size_t m, n_aug;
-  vblas::Matrix<double> at;  ///< A^T augmented (n_aug x m)
-  basis::DenseColumnSource cols;
-  std::unique_ptr<basis::BasisOracle> oracle;
-  std::vector<double> beta, pi, d, alpha, arow, w;
-  std::vector<double> colbuf, cb;
-  std::vector<std::uint32_t> basic;
-  std::vector<bool> in_basis;
-  std::vector<double> c;  ///< working costs (may carry dual-feasibility shifts)
-  const SolverOptions& opt;
-  CostMeter& meter;
+  std::vector<double> arow, w;
 };
-
-void btran(DualState& s) {
-  for (std::size_t i = 0; i < s.m; ++i) s.cb[i] = s.c[s.basic[i]];
-  s.oracle->btran(s.cb, s.pi);
-}
-
-void price(DualState& s) {
-  for (std::size_t j = 0; j < s.n_aug; ++j) {
-    if (!s.may_enter(j)) {
-      s.d[j] = 0.0;
-      continue;
-    }
-    const auto col = s.at.row(j);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < s.m; ++i) acc += col[i] * s.pi[i];
-    s.d[j] = s.c[j] - acc;
-  }
-  s.meter.charge("price_reduced", 2.0 * double(s.n_aug) * double(s.m),
-                 double((s.n_aug * s.m + 3 * s.n_aug) * sizeof(double)));
-}
-
-void ftran(DualState& s, std::size_t q) {
-  for (std::size_t k = 0; k < s.m; ++k) s.colbuf[k] = s.at(q, k);
-  s.oracle->ftran(s.colbuf, s.alpha);
-}
-
-/// Fold the eta file back into fresh factors when the oracle asks.
-void maybe_refactor(DualState& s, SolverStats& stats) {
-  if (!s.oracle->wants_refactor()) return;
-  if (s.oracle->refactorize(s.basic)) {
-    if (record::Recorder* rec = s.opt.recorder) {
-      rec->record_refactor(stats.iterations);
-    }
-  }
-}
 
 enum class DualExit {
   kPrimalFeasible,   ///< all beta >= -tol: the dual method's optimum
@@ -129,6 +45,7 @@ enum class DualExit {
 /// streaks; entering column by the dual ratio test min d_j / -alpha_rj
 /// over alpha_rj < -pivot_tol, ties to the lowest column index.
 DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
+                   metrics::SimplexOpMetrics& om,
                    metrics::HealthMonitor& health) {
   const trace::Track& tr = s.meter.trace();
   const auto clock = [&s] { return s.meter.sim_seconds(); };
@@ -195,7 +112,7 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
     if (q == s.n_aug) return DualExit::kPrimalInfeasible;
     const double theta_d = best_ratio;
     // ---- FTRAN the entering column ----
-    ftran(s, q);
+    host::ftran(s, q);
     const double alpha_r = s.alpha[r];
     if (std::abs(alpha_r) <= s.opt.pivot_tol) {
       return DualExit::kNumericalTrouble;  // rho/alpha disagree: bail out
@@ -241,7 +158,8 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
     s.in_basis[leaving] = false;
     s.in_basis[q] = true;
     ++stats.iterations;
-    maybe_refactor(s, stats);
+    host::maybe_refactor(s, stats);
+    om.count_iteration();
     health.record_pivot(alpha_r, theta_p, bland, iter);
     // Progress = dual-objective gain theta_d * |beta_r|; a degenerate
     // streak (theta_d == 0) trips the Bland fallback above.
@@ -259,107 +177,6 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
     }
   }
   return DualExit::kIterationLimit;
-}
-
-enum class PrimalExit { kOptimal, kUnbounded, kIterationLimit };
-
-/// Primal cleanup after the dual loop: once primal feasible, standard
-/// revised iterations (Dantzig with the hybrid Bland fallback) finish the
-/// solve under the true costs. This is also where a cold start on an
-/// already-primal-feasible crash basis does all its work.
-PrimalExit primal_loop(DualState& s, std::size_t budget, SolverStats& stats,
-                       metrics::HealthMonitor& health, std::uint8_t phase) {
-  const trace::Track& tr = s.meter.trace();
-  const auto clock = [&s] { return s.meter.sim_seconds(); };
-  double z = s.objective();
-  std::size_t since_improve = 0;
-  for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        s.opt.pricing == PricingRule::kBland ||
-        (s.opt.pricing != PricingRule::kBland &&
-         since_improve >= s.opt.degeneracy_window);
-    trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
-                                {{"iter", static_cast<double>(iter)}});
-    btran(s);
-    price(s);
-    std::size_t q = s.n_aug;
-    if (bland) {
-      for (std::size_t j = 0; j < s.n_aug; ++j) {
-        if (s.d[j] < -s.opt.opt_tol) {
-          q = j;
-          break;
-        }
-      }
-    } else {
-      double best_d = -s.opt.opt_tol;
-      for (std::size_t j = 0; j < s.n_aug; ++j) {
-        if (s.d[j] < best_d) {
-          best_d = s.d[j];
-          q = j;
-        }
-      }
-    }
-    if (q == s.n_aug) return PrimalExit::kOptimal;
-    const double d_q = s.d[q];
-    ftran(s, q);
-    std::size_t p = s.m;
-    double theta = kInf;
-    for (std::size_t i = 0; i < s.m; ++i) {
-      if (s.alpha[i] > s.opt.pivot_tol) {
-        const double ratio = s.beta[i] / s.alpha[i];
-        if (ratio < theta) {
-          theta = ratio;
-          p = i;
-        }
-      }
-    }
-    s.meter.charge("ratio", double(s.m), double(3 * s.m * sizeof(double)));
-    if (p == s.m) return PrimalExit::kUnbounded;
-    const double alpha_p = s.alpha[p];
-    if (record::Recorder* rec = s.opt.recorder) {
-      std::uint32_t ties = 0;
-      for (std::size_t i = 0; i < s.m; ++i) {
-        if (s.alpha[i] > s.opt.pivot_tol && s.beta[i] / s.alpha[i] == theta) {
-          ++ties;
-        }
-      }
-      record::DecisionRecord rec_r;
-      rec_r.phase = phase;
-      rec_r.bland = bland ? 1 : 0;
-      rec_r.iteration = stats.iterations;
-      rec_r.entering = static_cast<std::uint32_t>(q);
-      rec_r.leaving_row = static_cast<std::uint32_t>(p);
-      rec_r.leaving_col = s.basic[p];
-      rec_r.ratio_ties = ties;
-      rec_r.reduced_cost = d_q;
-      rec_r.pivot_value = alpha_p;
-      rec_r.theta = theta;
-      rec->record_pivot(rec_r);
-    }
-    for (std::size_t i = 0; i < s.m; ++i) {
-      s.beta[i] = std::max(0.0, s.beta[i] - theta * s.alpha[i]);
-    }
-    s.beta[p] = theta;
-    s.oracle->update(p, s.alpha);
-    s.meter.charge("update_beta", 2.0 * double(s.m),
-                   double(3 * s.m * sizeof(double)));
-    const std::uint32_t leaving = s.basic[p];
-    s.basic[p] = static_cast<std::uint32_t>(q);
-    s.in_basis[leaving] = false;
-    s.in_basis[q] = true;
-    ++stats.iterations;
-    maybe_refactor(s, stats);
-    health.record_pivot(alpha_p, theta, bland, iter);
-    const double new_z = z + theta * d_q;
-    if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
-    z = new_z;
-    if (tr.enabled()) tr.counter("objective", s.meter.sim_seconds(), z);
-  }
-  return PrimalExit::kIterationLimit;
 }
 
 /// Install a caller-provided basis with NO primal-feasibility gate — the
@@ -465,15 +282,15 @@ SolveResult DualRevisedSimplex::solve_standard(
 
   std::size_t budget = options_.max_iterations;
   state.c = aug.c_phase2;
-  btran(state);
-  price(state);
+  host::btran(state);
+  host::price(state);
   const bool shifted = shift_to_dual_feasible(state);
 
   DualExit dexit;
   {
     trace::ScopedSpan phase_span(tr, "dual", clock, "phase");
     if (rec != nullptr) rec->begin_phase(2);
-    dexit = dual_loop(state, budget, result.stats, health);
+    dexit = dual_loop(state, budget, result.stats, op_metrics, health);
   }
   if (dexit == DualExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
@@ -489,29 +306,24 @@ SolveResult DualRevisedSimplex::solve_standard(
     if (v < 0.0) v = 0.0;  // the dual loop left only sub-tolerance dust
   }
 
-  PrimalExit pexit;
+  // Primal cleanup: once primal feasible, the host engine's primal loop
+  // finishes the solve under the true costs. This is also where a cold
+  // start on an already-primal-feasible crash basis does all its work.
+  host::LoopExit pexit;
   {
     trace::ScopedSpan phase_span(tr, "primal_cleanup", clock, "phase");
     // Restore true costs (only needed when the dual start shifted them;
     // the pricing pass inside the loop recomputes every reduced cost).
     if (shifted) state.c = aug.c_phase2;
-    pexit = primal_loop(state, budget, result.stats, health, 2);
+    pexit = host::run_loop(state, budget, result.stats, op_metrics, health, 2);
   }
-  if (pexit == PrimalExit::kUnbounded) return finish(SolveStatus::kUnbounded);
-  if (pexit == PrimalExit::kIterationLimit) {
+  if (pexit == host::LoopExit::kUnbounded) {
+    return finish(SolveStatus::kUnbounded);
+  }
+  if (pexit == host::LoopExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
   }
-
-  std::vector<double> x_std(aug.n, 0.0);
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    if (state.basic[i] < aug.n) x_std[state.basic[i]] = state.beta[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
-  // state.pi holds the multipliers from the final pricing pass.
-  result.y = sf.recover_duals(state.pi);
+  host::recover_optimum(state, sf, result);
   return finish(SolveStatus::kOptimal);
 }
 

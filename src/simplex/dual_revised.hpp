@@ -17,8 +17,11 @@
 // HostRevisedSimplex — the dual method has no native story for a basis
 // it cannot price — and pure-'<=' instances run natively.
 //
-// The basis lives behind the same BasisOracle seam as the host engine:
-// SolverOptions::basis picks the explicit inverse or the product form.
+// The engine shares the host engine's state (simplex/host_loop.hpp): the
+// basis lives behind the same BasisOracle seam (SolverOptions::basis
+// picks the explicit inverse or the product form), and once the dual loop
+// reaches primal feasibility the primal cleanup phase is the host
+// engine's run_loop.
 #pragma once
 
 #include "lp/problem.hpp"

@@ -13,6 +13,7 @@
 #include "simplex/basis/explicit_inverse.hpp"
 #include "simplex/basis/product_form.hpp"
 #include "simplex/cost_meter.hpp"
+#include "simplex/host_loop.hpp"
 #include "simplex/phase_setup.hpp"
 #include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
@@ -22,74 +23,41 @@
 
 namespace gs::simplex {
 
-namespace {
+namespace host {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Mutable solver state for one solve (all host memory). The basis
-/// representation lives behind the BasisOracle seam: SolverOptions::basis
-/// selects the explicit dense inverse (the default, bit-identical to the
-/// pre-oracle engine) or the product-form/eta scheme.
-struct State {
-  State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
-        CostMeter& meter_in)
-      : aug(aug_in),
-        m(aug_in.m),
-        n_aug(aug_in.n_aug),
-        at(aug_in.dense_at()),
-        cols(at),
-        beta(aug_in.beta_init),
-        pi(m),
-        d(n_aug),
-        alpha(m),
-        colbuf(m),
-        cb(m),
-        basic(aug_in.basic),
-        in_basis(n_aug, false),
-        opt(opt_in),
-        meter(meter_in) {
-    if (opt.basis == BasisScheme::kExplicitInverse) {
-      oracle = std::make_unique<basis::ExplicitInverseOracle>(
-          m, aug.binv_diag, cols, meter, opt);
-    } else {
-      // Product form: sparse LU factors plus an eta file.
-      oracle = std::make_unique<basis::ProductFormOracle>(m, basic, cols,
-                                                          meter, opt);
-    }
-    for (std::uint32_t col : basic) in_basis[col] = true;
+State::State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
+             CostMeter& meter_in)
+    : aug(aug_in),
+      m(aug_in.m),
+      n_aug(aug_in.n_aug),
+      at(aug_in.dense_at()),
+      cols(at),
+      beta(aug_in.beta_init),
+      pi(m),
+      d(n_aug),
+      alpha(m),
+      colbuf(m),
+      cb(m),
+      basic(aug_in.basic),
+      in_basis(n_aug, false),
+      opt(opt_in),
+      meter(meter_in) {
+  if (opt.basis == BasisScheme::kExplicitInverse) {
+    oracle = std::make_unique<basis::ExplicitInverseOracle>(
+        m, aug.binv_diag, cols, meter, opt);
+  } else {
+    // Product form: sparse LU factors plus an eta file.
+    oracle = std::make_unique<basis::ProductFormOracle>(m, basic, cols,
+                                                        meter, opt);
   }
+  for (std::uint32_t col : basic) in_basis[col] = true;
+}
 
-  [[nodiscard]] bool may_enter(std::size_t j) const {
-    return !in_basis[j] && !aug.is_artificial[j];
-  }
-
-  [[nodiscard]] double objective() const {
-    double z = 0.0;
-    for (std::size_t i = 0; i < m; ++i) z += c[basic[i]] * beta[i];
-    return z;
-  }
-
-  const AugmentedLp& aug;
-  std::size_t m, n_aug;
-  vblas::Matrix<double> at;  ///< A^T augmented (n_aug x m)
-  basis::DenseColumnSource cols;
-  std::unique_ptr<basis::BasisOracle> oracle;
-  std::vector<double> beta, pi, d, alpha;
-  std::vector<double> colbuf, cb;  ///< oracle call scratch
-  std::vector<std::uint32_t> basic;
-  std::vector<bool> in_basis;
-  std::vector<double> c;  ///< current phase costs
-  const SolverOptions& opt;
-  CostMeter& meter;
-};
-
-/// pi = (B^-1)^T c_B via the oracle's BTRAN.
 void btran(State& s) {
   for (std::size_t i = 0; i < s.m; ++i) s.cb[i] = s.c[s.basic[i]];
   s.oracle->btran(s.cb, s.pi);
 }
 
-/// d_j = c_j - a_j . pi for admissible columns, 0 otherwise.
 void price(State& s) {
   for (std::size_t j = 0; j < s.n_aug; ++j) {
     if (!s.may_enter(j)) {
@@ -104,6 +72,30 @@ void price(State& s) {
   s.meter.charge("price_reduced", 2.0 * double(s.n_aug) * double(s.m),
                  double((s.n_aug * s.m + 3 * s.n_aug) * sizeof(double)));
 }
+
+void ftran(State& s, std::size_t q) {
+  for (std::size_t k = 0; k < s.m; ++k) s.colbuf[k] = s.at(q, k);
+  s.oracle->ftran(s.colbuf, s.alpha);
+}
+
+void maybe_refactor(State& s, const SolverStats& stats) {
+  if (!s.oracle->wants_refactor()) return;
+  trace::ScopedSpan op(s.meter.trace(), "refactor",
+                       [&s] { return s.meter.sim_seconds(); }, "op");
+  if (s.oracle->refactorize(s.basic)) {
+    if (record::Recorder* rec = s.opt.recorder) {
+      rec->record_refactor(stats.iterations);
+    }
+  }
+}
+
+}  // namespace host
+
+namespace {
+
+using host::State;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[nodiscard]] std::optional<std::size_t> select_entering(const State& s,
                                                          bool bland) {
@@ -124,11 +116,6 @@ void price(State& s) {
   }
   if (best == s.n_aug) return std::nullopt;
   return best;
-}
-
-void ftran(State& s, std::size_t q) {
-  for (std::size_t k = 0; k < s.m; ++k) s.colbuf[k] = s.at(q, k);
-  s.oracle->ftran(s.colbuf, s.alpha);
 }
 
 /// Returns (row p, theta) or nullopt when unbounded. Ties break to the
@@ -335,7 +322,48 @@ void sample_health(const State& s, metrics::HealthMonitor& health,
   return true;
 }
 
-enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
+/// Post-phase-1 cleanup: replace zero-level basic artificials where a
+/// non-artificial pivot exists; redundant rows keep theirs at level zero.
+/// `iteration` is the pivot ordinal stamped on recorded drive-out pivots.
+void drive_out_artificials(State& s, std::uint64_t iteration) {
+  for (std::size_t i = 0; i < s.m; ++i) {
+    if (!s.aug.is_artificial[s.basic[i]]) continue;
+    std::size_t q = s.n_aug;
+    std::vector<double> brow(s.m);
+    s.oracle->binv_row(i, brow);
+    for (std::size_t j = 0; j < s.aug.n; ++j) {
+      if (s.in_basis[j]) continue;
+      const auto col = s.at.row(j);
+      double acc = 0.0;
+      for (std::size_t r = 0; r < s.m; ++r) acc += col[r] * brow[r];
+      if (std::abs(acc) > 1e-7) {
+        q = j;
+        break;
+      }
+    }
+    s.meter.charge("driveout_row", 2.0 * double(s.aug.n) * double(s.m),
+                   double((s.aug.n * s.m) * sizeof(double)));
+    if (q == s.n_aug) continue;
+    ftran(s, q);
+    if (std::abs(s.alpha[i]) <= s.opt.pivot_tol) continue;
+    if (record::Recorder* rec = s.opt.recorder) {
+      record::DecisionRecord r;
+      r.phase = 1;
+      r.iteration = iteration;
+      r.entering = static_cast<std::uint32_t>(q);
+      r.leaving_row = static_cast<std::uint32_t>(i);
+      r.leaving_col = s.basic[i];
+      r.ratio_ties = 1;
+      r.pivot_value = s.alpha[i];
+      rec->record_pivot(r);
+    }
+    pivot(s, q, i, 0.0);
+  }
+}
+
+}  // namespace
+
+namespace host {
 
 LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
                   metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
@@ -407,18 +435,7 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
     }
     lap_observe(metrics::SimplexOp::kUpdate);
     ++stats.iterations;
-    // Product-form refactorization: fold the eta file back into a fresh
-    // sparse LU when the interval or growth trigger fires (the explicit
-    // oracle only fires on an opt-in refactor_period). A singular basis
-    // here keeps the eta file; the representation stays exact either way.
-    if (s.oracle->wants_refactor()) {
-      trace::ScopedSpan op(tr, "refactor", clock, "op");
-      if (s.oracle->refactorize(s.basic)) {
-        if (record::Recorder* rec = s.opt.recorder) {
-          rec->record_refactor(stats.iterations);
-        }
-      }
-    }
+    maybe_refactor(s, stats);
     om.count_iteration();
     health.record_pivot(alpha_p, theta, bland, iter);
     telemetry::Telemetry* tel = s.opt.telemetry;
@@ -440,46 +457,20 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
   return LoopExit::kIterationLimit;
 }
 
-/// Post-phase-1 cleanup: replace zero-level basic artificials where a
-/// non-artificial pivot exists; redundant rows keep theirs at level zero.
-/// `iteration` is the pivot ordinal stamped on recorded drive-out pivots.
-void drive_out_artificials(State& s, std::uint64_t iteration) {
+void recover_optimum(const State& s, const lp::StandardFormLp& sf,
+                     SolveResult& result) {
+  std::vector<double> x_std(s.aug.n, 0.0);
   for (std::size_t i = 0; i < s.m; ++i) {
-    if (!s.aug.is_artificial[s.basic[i]]) continue;
-    std::size_t q = s.n_aug;
-    std::vector<double> brow(s.m);
-    s.oracle->binv_row(i, brow);
-    for (std::size_t j = 0; j < s.aug.n; ++j) {
-      if (s.in_basis[j]) continue;
-      const auto col = s.at.row(j);
-      double acc = 0.0;
-      for (std::size_t r = 0; r < s.m; ++r) acc += col[r] * brow[r];
-      if (std::abs(acc) > 1e-7) {
-        q = j;
-        break;
-      }
-    }
-    s.meter.charge("driveout_row", 2.0 * double(s.aug.n) * double(s.m),
-                   double((s.aug.n * s.m) * sizeof(double)));
-    if (q == s.n_aug) continue;
-    ftran(s, q);
-    if (std::abs(s.alpha[i]) <= s.opt.pivot_tol) continue;
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord r;
-      r.phase = 1;
-      r.iteration = iteration;
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(i);
-      r.leaving_col = s.basic[i];
-      r.ratio_ties = 1;
-      r.pivot_value = s.alpha[i];
-      rec->record_pivot(r);
-    }
-    pivot(s, q, i, 0.0);
+    if (s.basic[i] < s.aug.n) x_std[s.basic[i]] = s.beta[i];
   }
+  result.x = sf.recover(x_std);
+  double z = 0.0;
+  for (std::size_t j = 0; j < s.aug.n; ++j) z += sf.c[j] * x_std[j];
+  result.objective = sf.original_objective(z);
+  result.y = sf.recover_duals(s.pi);
 }
 
-}  // namespace
+}  // namespace host
 
 SolveResult HostRevisedSimplex::solve(const lp::LpProblem& problem) const {
   const lp::StandardFormLp sf = lp::to_standard_form(problem);
@@ -503,7 +494,7 @@ SolveResult HostRevisedSimplex::solve_standard(
   if (tr.enabled()) tr.name_thread("host-revised");
   trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
   const AugmentedLp aug = augment(sf);
-  State state(aug, options_, meter);
+  host::State state(aug, options_, meter);
   record::Recorder* rec = options_.recorder;
   if (rec != nullptr) {
     rec->begin_solve("host-revised", 64, aug.m, aug.n_aug,
@@ -537,13 +528,13 @@ SolveResult HostRevisedSimplex::solve_standard(
     trace::ScopedSpan phase_span(tr, "phase1", clock, "phase");
     if (rec != nullptr) rec->begin_phase(1);
     state.c = aug.c_phase1;
-    const LoopExit exit =
-        run_loop(state, budget, result.stats, op_metrics, health, 1);
+    const host::LoopExit exit =
+        host::run_loop(state, budget, result.stats, op_metrics, health, 1);
     result.stats.phase1_iterations = result.stats.iterations;
-    if (exit == LoopExit::kIterationLimit) {
+    if (exit == host::LoopExit::kIterationLimit) {
       return finish(SolveStatus::kIterationLimit);
     }
-    if (exit == LoopExit::kUnbounded) {
+    if (exit == host::LoopExit::kUnbounded) {
       return finish(SolveStatus::kNumericalTrouble);
     }
     const double feas_tol =
@@ -555,28 +546,21 @@ SolveResult HostRevisedSimplex::solve_standard(
     budget -= std::min(budget, result.stats.iterations);
   }
 
-  LoopExit exit;
+  host::LoopExit exit;
   {
     trace::ScopedSpan phase_span(tr, "phase2", clock, "phase");
     if (rec != nullptr) rec->begin_phase(2);
     state.c = aug.c_phase2;
-    exit = run_loop(state, budget, result.stats, op_metrics, health, 2);
+    exit = host::run_loop(state, budget, result.stats, op_metrics, health, 2);
   }
-  if (exit == LoopExit::kUnbounded) return finish(SolveStatus::kUnbounded);
-  if (exit == LoopExit::kIterationLimit) {
+  if (exit == host::LoopExit::kUnbounded) {
+    return finish(SolveStatus::kUnbounded);
+  }
+  if (exit == host::LoopExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
   }
 
-  std::vector<double> x_std(aug.n, 0.0);
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    if (state.basic[i] < aug.n) x_std[state.basic[i]] = state.beta[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
-  // state.pi holds the optimal simplex multipliers from the final pricing.
-  result.y = sf.recover_duals(state.pi);
+  host::recover_optimum(state, sf, result);
   if (options_.ranging) result.ranging = compute_ranging(state, sf);
   return finish(SolveStatus::kOptimal);
 }

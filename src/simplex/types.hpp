@@ -84,9 +84,6 @@ struct SolverOptions {
   double opt_tol = 1e-7;
   /// Ratio-test pivot tolerance: rows with alpha_i <= pivot_tol are skipped.
   double pivot_tol = 1e-9;
-  /// If > 0, values with |v| < round_tol are flushed to zero in the basis
-  /// update (the numerical-stability countermeasure evaluated in Ext. B).
-  double round_tol = 0.0;
 
   PricingRule pricing = PricingRule::kHybrid;
   /// Hybrid rule: switch to Bland after this many iterations without strict

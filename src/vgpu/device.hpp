@@ -22,10 +22,6 @@
 #include "vgpu/machine_model.hpp"
 #include "vgpu/thread_pool.hpp"
 
-namespace gs::record {
-class Recorder;  // decision-log recorder (record/record.hpp); pointer only
-}
-
 namespace gs::vgpu {
 
 /// Work declaration for one kernel launch: totals across all threads.
@@ -183,21 +179,6 @@ class Device {
   /// The attached metrics registry, or nullptr.
   [[nodiscard]] metrics::MetricsRegistry* metrics() const noexcept {
     return metrics_;
-  }
-
-  /// Attach (or with nullptr detach) a decision-log recorder
-  /// (OBSERVABILITY.md, "Recorder"). The device itself never records —
-  /// decisions are an engine-level concept — but engines that multiplex
-  /// several solver objects over one device (device-revised, batch) read
-  /// it back from here, mirroring how the trace/checker/metrics attach
-  /// points flow. The recorder is borrowed, not owned.
-  void set_recorder(record::Recorder* recorder) noexcept {
-    recorder_ = recorder;
-  }
-
-  /// The attached recorder, or nullptr.
-  [[nodiscard]] record::Recorder* recorder() const noexcept {
-    return recorder_;
   }
 
   /// Simulated time elapsed on this device since the last reset.
@@ -395,7 +376,6 @@ class Device {
   check::Checker* check_ = nullptr;  ///< borrowed; see set_checker()
   check::AccessSink* capture_ = nullptr;  ///< borrowed; see set_capture()
   metrics::MetricsRegistry* metrics_ = nullptr;  ///< borrowed; see set_metrics()
-  record::Recorder* recorder_ = nullptr;  ///< borrowed; see set_recorder()
   AggregateMetricRefs agg_;
   std::map<std::string, KernelMetricRefs, std::less<>> kernel_metrics_;
 };

@@ -265,6 +265,10 @@ TEST(BasisOracles, ProductFormEmitsRefactorEvents) {
 
 // Dual-vs-primal agreement: the dual engine reaches the same optimum on
 // the workload families (dense, sparse, Klee-Minty) under both oracles.
+// These cold inputs are slack-startable, so the dual loop has nothing to
+// repair and the primal cleanup — the host engine's loop — does every
+// pivot: the decision logs match the host engine's pivot for pivot and
+// the objectives bit for bit.
 TEST(DualEngine, AgreesWithPrimalOnOptimalValue) {
   const std::vector<lp::LpProblem> problems = {
       lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 3}),
@@ -278,14 +282,27 @@ TEST(DualEngine, AgreesWithPrimalOnOptimalValue) {
     for (const simplex::BasisScheme scheme :
          {simplex::BasisScheme::kExplicitInverse,
           simplex::BasisScheme::kProductForm}) {
+      record::Recorder host_rec, dual_rec;
       simplex::SolverOptions opt;
       opt.basis = scheme;
+      opt.recorder = &host_rec;
+      const auto h =
+          simplex::solve(problems[k], simplex::Engine::kHostRevised, opt);
+      opt.recorder = &dual_rec;
       const auto r =
           simplex::solve(problems[k], simplex::Engine::kDualRevised, opt);
       ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal)
           << "case " << k << " scheme " << to_string(scheme);
       EXPECT_NEAR(r.objective, ref, 1e-7 * (1.0 + std::abs(ref)))
           << "case " << k << " scheme " << to_string(scheme);
+      ASSERT_TRUE(h.optimal());
+      EXPECT_EQ(r.objective, h.objective)
+          << "case " << k << " scheme " << to_string(scheme);
+      EXPECT_EQ(r.stats.iterations, h.stats.iterations);
+      const auto d = record::diff(host_rec.recording(), dual_rec.recording());
+      EXPECT_TRUE(d.comparable);
+      EXPECT_FALSE(d.diverged) << "case " << k << " scheme "
+                               << to_string(scheme) << ": " << d.describe();
     }
   }
 }

@@ -296,24 +296,31 @@ TEST(CheckedEngines, AllEnginesSolveCleanUnderCheck) {
   }
 }
 
+// Both A^T formats under both bases: the CSR engine's product form runs
+// the sparse basis kernels (sparse_btran / sparse_ftran / the eta chains),
+// whose declared costs the lint checks too.
 TEST(CheckedEngines, PricingAndBasisVariantsSolveCleanUnderCheck) {
   const lp::LpProblem problem = lp::random_dense_lp({.rows = 20, .cols = 20, .seed = 5});
   const double reference =
       simplex::solve(problem, simplex::Engine::kHostRevised).objective;
-  for (simplex::PricingRule pricing :
-       {simplex::PricingRule::kDantzig, simplex::PricingRule::kDevex}) {
-    for (simplex::BasisScheme basis :
-         {simplex::BasisScheme::kExplicitInverse,
-          simplex::BasisScheme::kProductForm}) {
-      Checker chk;
-      simplex::SolverOptions opt = checked_options(chk);
-      opt.pricing = pricing;
-      opt.basis = basis;
-      const auto result =
-          simplex::solve(problem, simplex::Engine::kDeviceRevised, opt);
-      EXPECT_EQ(result.status, simplex::SolveStatus::kOptimal);
-      EXPECT_NEAR(result.objective, reference, 1e-7);
-      EXPECT_TRUE(chk.clean()) << chk.report();
+  for (simplex::Engine engine :
+       {simplex::Engine::kDeviceRevised, simplex::Engine::kSparseRevised}) {
+    for (simplex::PricingRule pricing :
+         {simplex::PricingRule::kDantzig, simplex::PricingRule::kDevex}) {
+      for (simplex::BasisScheme basis :
+           {simplex::BasisScheme::kExplicitInverse,
+            simplex::BasisScheme::kProductForm}) {
+        Checker chk;
+        simplex::SolverOptions opt = checked_options(chk);
+        opt.pricing = pricing;
+        opt.basis = basis;
+        const auto result = simplex::solve(problem, engine, opt);
+        const std::string label = std::string(simplex::to_string(engine)) +
+                                  " " + std::string(to_string(basis));
+        EXPECT_EQ(result.status, simplex::SolveStatus::kOptimal) << label;
+        EXPECT_NEAR(result.objective, reference, 1e-7) << label;
+        EXPECT_TRUE(chk.clean()) << label << "\n" << chk.report();
+      }
     }
   }
 }

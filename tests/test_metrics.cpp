@@ -1,6 +1,6 @@
 // Metrics-layer tests: counter/gauge/histogram semantics, the JSON export
-// schema, solver instrumentation coverage (device + host + batch engines),
-// the HealthMonitor's warning machinery, and the off-by-default
+// schema, solver instrumentation coverage (device, host, dual and batch
+// engines), the HealthMonitor's warning machinery, and the off-by-default
 // bit-identity guarantee. These exercise exactly the API documented in
 // OBSERVABILITY.md ("Metrics") — if a documented name stops compiling, it
 // fails here first.
@@ -290,6 +290,25 @@ TEST(MetricsSolve, HostEngineChargesCpuStepMetrics) {
               result.stats.device_stats.kernel_seconds, 1e-12);
   EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(),
                    double(result.stats.iterations));
+}
+
+TEST(MetricsSolve, DualEngineRecordsIterationsAndOpSeconds) {
+  metrics::MetricsRegistry reg;
+  simplex::SolverOptions opt;
+  opt.metrics = &reg;
+  const auto result = simplex::DualRevisedSimplex(opt).solve(
+      lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 3}));
+  ASSERT_TRUE(result.optimal());
+  ASSERT_GT(result.stats.iterations, 0u);
+  EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(),
+                   double(result.stats.iterations));
+  const auto snap = reg.snapshot();
+  for (const char* op : {"price", "ftran", "ratio", "update"}) {
+    const auto it =
+        snap.histograms.find(std::string("simplex.op_seconds.") + op);
+    ASSERT_NE(it, snap.histograms.end()) << op;
+    EXPECT_GT(it->second.count, 0u) << op;
+  }
 }
 
 TEST(MetricsSolve, BatchEngineRecordsRoundsAndActiveGauge) {

@@ -8,6 +8,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "lp/generators.hpp"
 #include "record/record.hpp"
@@ -167,6 +169,56 @@ TEST(RecordEngines, HostTableauDeviceAllRecord) {
       record::diff(host_rec.recording(), dev_rec.recording());
   EXPECT_TRUE(dd.comparable);
   EXPECT_FALSE(dd.diverged) << dd.describe();
+
+  // The same holds across a corpus, so the host engine checks the device
+  // kernels independently of the fused-vs-reference comparison (both of
+  // which run the same kernel bodies): pricing rules, a two-phase
+  // instance, a pricing sweep over several blocks (n_aug = 512), and the
+  // CSR engine under both bases.
+  struct Case {
+    std::string label;
+    lp::LpProblem problem;
+    simplex::Engine engine = simplex::Engine::kDeviceRevised;
+    simplex::SolverOptions opt{};
+  };
+  std::vector<Case> corpus;
+  for (const std::uint64_t seed : {1u, 5u, 11u}) {
+    for (const simplex::PricingRule rule :
+         {simplex::PricingRule::kHybrid, simplex::PricingRule::kDantzig,
+          simplex::PricingRule::kBland}) {
+      Case c{"dense24 seed " + std::to_string(seed) + " " +
+                 std::string(to_string(rule)),
+             lp::random_dense_lp({.rows = 24, .cols = 24, .seed = seed})};
+      c.opt.pricing = rule;
+      corpus.push_back(std::move(c));
+    }
+  }
+  corpus.push_back({"transportation", lp::transportation(5, 6, 17)});
+  corpus.push_back(
+      {"dense256", lp::random_dense_lp({.rows = 256, .cols = 256, .seed = 3})});
+  for (const simplex::BasisScheme basis :
+       {simplex::BasisScheme::kExplicitInverse,
+        simplex::BasisScheme::kProductForm}) {
+    Case c{"sparse40x160 " + std::string(to_string(basis)),
+           lp::random_sparse_lp(
+               {.rows = 40, .cols = 160, .density = 0.08, .seed = 12}),
+           simplex::Engine::kSparseRevised};
+    c.opt.basis = basis;
+    corpus.push_back(std::move(c));
+  }
+  for (const Case& c : corpus) {
+    record::Recorder host_c, dev_c;
+    const auto h = solve_host_recorded(&host_c, c.problem, c.opt);
+    simplex::SolverOptions dopt_c = c.opt;
+    dopt_c.recorder = &dev_c;
+    const auto d = simplex::solve(c.problem, c.engine, dopt_c);
+    ASSERT_TRUE(h.optimal()) << c.label;
+    ASSERT_TRUE(d.optimal()) << c.label;
+    EXPECT_GE(count_pivots(host_c.recording()), 1u) << c.label;
+    const auto cd = record::diff(host_c.recording(), dev_c.recording());
+    EXPECT_TRUE(cd.comparable) << c.label;
+    EXPECT_FALSE(cd.diverged) << c.label << ": " << cd.describe();
+  }
 }
 
 TEST(RecordEngines, BatchEngineRecordsPerLane) {

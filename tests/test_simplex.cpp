@@ -370,16 +370,6 @@ TEST(BasisSchemes, ExplicitRefactorPeriodPreservesResult) {
   EXPECT_NEAR(r.objective, expect, 1e-9 * (1.0 + std::abs(expect)));
 }
 
-TEST(BasisSchemes, RoundTolerancePreservesResultOnBenignProblem) {
-  const auto problem = lp::random_dense_lp({.rows = 20, .cols = 20, .seed = 1});
-  const double expect = solve(problem, Engine::kDeviceRevised).objective;
-  SolverOptions opt;
-  opt.round_tol = 1e-9;
-  const SolveResult r = solve(problem, Engine::kDeviceRevised, opt);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, expect, 1e-6 * (1.0 + std::abs(expect)));
-}
-
 // -------------------------------------------------------------- precision
 
 TEST(Precision, FloatTracksDoubleWithinTolerance) {
