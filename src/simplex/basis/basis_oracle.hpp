@@ -30,6 +30,12 @@ namespace gs::simplex::basis {
 /// the represented inverse is drifting.
 inline constexpr double kEtaGrowthLimit = 1e8;
 
+/// Singularity cutoff shared by both host oracles: a factorization (the
+/// sparse LU's, or the explicit inverse's Gauss-Jordan elimination)
+/// rejects the basis when a pivot column's largest candidate magnitude is
+/// at most this, so a basis one oracle refuses the other refuses too.
+inline constexpr double kSingularTol = 1e-11;
+
 /// Read-only access to columns of the augmented constraint matrix A
 /// (the source from which basis columns are gathered for factorization).
 /// `gather` writes column `col` (length m) into `out`; the caller

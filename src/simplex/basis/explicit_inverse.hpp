@@ -175,7 +175,7 @@ class ExplicitInverseOracle final : public BasisOracle {
       for (std::size_t i = 0; i < m_; ++i) b_mat(i, j) = colbuf[i];
     }
     try {
-      out = vblas::ref::invert(std::move(b_mat));
+      out = vblas::ref::invert(std::move(b_mat), kSingularTol);
     } catch (const gs::Error&) {
       return false;
     }

@@ -29,8 +29,7 @@ namespace gs::simplex::basis {
 
 class SparseLu {
  public:
-  static constexpr double kPivotThreshold = 0.1;   ///< stability floor
-  static constexpr double kSingularTol = 1e-11;    ///< column-max cutoff
+  static constexpr double kPivotThreshold = 0.1;  ///< stability floor
 
   /// Factor B whose column at basis position j is column `basis[j]` of A.
   /// Returns false (leaving any prior factors untouched) when B is

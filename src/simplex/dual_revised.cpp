@@ -11,6 +11,7 @@
 #include "simplex/host_loop.hpp"
 #include "simplex/host_revised.hpp"
 #include "simplex/phase_setup.hpp"
+#include "support/rng.hpp"
 #include "support/timer.hpp"
 #include "trace/trace.hpp"
 #include "vblas/containers.hpp"
@@ -200,15 +201,25 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
   return true;
 }
 
-/// Shift working costs up so every reduced cost is nonnegative (the
-/// "big-M-free" dual start): d_j < -tol becomes d_j = 0 by raising c_j.
-/// The true costs are restored before the primal cleanup loop.
+/// Shift working costs up so every reduced cost is positive (the
+/// "big-M-free" dual start): d_j < -tol becomes d_j = delta_j =
+/// 10 tol (1 + |c_j|)(1 + u_j) by raising c_j, with u_j in [0, 1) from
+/// SplitMix64(j). Shifted to exactly 0, every shifted column would tie at
+/// ratio 0 in the dual ratio test and every dual pivot would be
+/// degenerate (theta_d = 0); distinct positive deltas break those ties,
+/// as in Huangfu & Hall's dual codes. u_j depends on j alone, so solves
+/// stay deterministic. The true costs are restored before the primal
+/// cleanup.
 bool shift_to_dual_feasible(DualState& s) {
   bool shifted = false;
   for (std::size_t j = 0; j < s.n_aug; ++j) {
     if (s.may_enter(j) && s.d[j] < -s.opt.opt_tol) {
-      s.c[j] -= s.d[j];
-      s.d[j] = 0.0;
+      const double u =
+          static_cast<double>(SplitMix64(j).next() >> 11) * 0x1.0p-53;
+      const double delta =
+          10.0 * s.opt.opt_tol * (1.0 + std::abs(s.c[j])) * (1.0 + u);
+      s.c[j] += delta - s.d[j];
+      s.d[j] = delta;
       shifted = true;
     }
   }

@@ -7,7 +7,10 @@
 // cached basis — in particular the optimum of a perturbed neighbour,
 // which stays dual feasible under rhs changes — and repair it in a
 // handful of pivots with no phase 1 at all. This is the engine
-// SolveService dispatches warm-startable re-solves to.
+// SolveService dispatches warm-startable re-solves to. A basis that is
+// not dual feasible (say, the optimum of an unrelated same-shape LP) is
+// made so by a small, deterministic cost perturbation that the primal
+// cleanup removes again.
 //
 // Pricing is dual-Devex-lite (reference weights beta_r^2 / w_r) with a
 // Bland fallback (lowest infeasible row) after a degeneracy streak, and

@@ -64,9 +64,11 @@ template <typename T>
 }
 
 /// Dense Gauss-Jordan inverse with partial pivoting. Throws gs::Error on a
-/// (numerically) singular matrix. Reference path for basis reinversion.
+/// singular matrix: when a pivot column's largest remaining magnitude is at
+/// most `pivot_floor` (by default, exactly zero). Reference path for basis
+/// reinversion.
 template <typename T>
-[[nodiscard]] Matrix<T> invert(Matrix<T> a) {
+[[nodiscard]] Matrix<T> invert(Matrix<T> a, T pivot_floor = T{0}) {
   GS_CHECK_MSG(a.rows() == a.cols(), "invert: matrix must be square");
   const std::size_t n = a.rows();
   Matrix<T> inv = Matrix<T>::identity(n);
@@ -75,7 +77,7 @@ template <typename T>
     for (std::size_t r = col + 1; r < n; ++r) {
       if (std::abs(a(r, col)) > std::abs(a(pivot, col))) pivot = r;
     }
-    GS_CHECK_MSG(std::abs(a(pivot, col)) > T{0},
+    GS_CHECK_MSG(std::abs(a(pivot, col)) > pivot_floor,
                  "invert: singular matrix");
     if (pivot != col) {
       for (std::size_t j = 0; j < n; ++j) {

@@ -307,6 +307,70 @@ TEST(DualEngine, AgreesWithPrimalOnOptimalValue) {
   }
 }
 
+// Warm starts from an unrelated same-shape basis (a stale warm-start
+// cache entry): the dual loop has real repairing to do, and it must reach
+// the host engine's verdict, not stall or stop at a wrong "optimum". The
+// corpus is the solve service's family warm starts, a pair that a zero
+// cost shift ended at an infeasible x, two donors whose bases are
+// numerically singular on the family instance (an oracle that accepts
+// one pivots on a garbage inverse), and a seeded dense/sparse sweep. A
+// budget of 20 m pivots makes a stall fail fast.
+TEST(DualEngine, WarmStartFromUnrelatedBasisAgreesWithHost) {
+  struct Pair {
+    lp::LpProblem donor, family;
+  };
+  const auto dense = [](std::size_t m, std::size_t n, std::uint64_t donor,
+                        std::uint64_t family) {
+    return Pair{lp::random_dense_lp({.rows = m, .cols = n, .seed = donor}),
+                lp::random_dense_lp({.rows = m, .cols = n, .seed = family})};
+  };
+  const auto sparse = [](std::size_t m, std::size_t n, std::uint64_t donor,
+                         std::uint64_t family) {
+    return Pair{lp::random_sparse_lp(
+                    {.rows = m, .cols = n, .density = 0.08, .seed = donor}),
+                lp::random_sparse_lp(
+                    {.rows = m, .cols = n, .density = 0.08, .seed = family})};
+  };
+  std::vector<Pair> pairs;
+  for (std::uint64_t w = 1; w <= 18; ++w) {
+    pairs.push_back(dense(48, 48 + w, 66017 + w - 1, 63453 + w - 1));
+  }
+  pairs.push_back(dense(48, 50, 0xFA12, 0xF00E));
+  pairs.push_back(sparse(32, 128, 32000269, 224000206));
+  pairs.push_back(sparse(48, 192, 48000183, 336000088));
+  for (const std::uint64_t m : {12u, 24u, 48u}) {
+    for (std::uint64_t s = 0; s < 20; ++s) {
+      pairs.push_back(dense(m, m + 1 + s % 9, 1000003 * m + 2 * s,
+                            7000001 * m + 2 * s + 1));
+      pairs.push_back(sparse(m, 4 * m, 1000003 * m + 2 * s + 17,
+                             7000001 * m + 2 * s + 18));
+    }
+  }
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto& [donor, family] = pairs[k];
+    const auto seed =
+        simplex::solve(donor, simplex::Engine::kHostRevised).basis;
+    const auto ref = simplex::solve(family, simplex::Engine::kHostRevised);
+    for (const simplex::BasisScheme scheme :
+         {simplex::BasisScheme::kExplicitInverse,
+          simplex::BasisScheme::kProductForm}) {
+      simplex::SolverOptions opt;
+      opt.basis = scheme;
+      opt.warm_basis = &seed;
+      opt.max_iterations = 20 * family.num_constraints();
+      const auto r = simplex::solve(family, simplex::Engine::kDualRevised, opt);
+      EXPECT_EQ(to_string(r.status), to_string(ref.status))
+          << "pair " << k << " scheme " << to_string(scheme);
+      if (r.status != ref.status || !r.optimal()) continue;
+      EXPECT_TRUE(family.is_feasible(r.x, 1e-6))
+          << "pair " << k << " scheme " << to_string(scheme);
+      EXPECT_NEAR(r.objective, ref.objective,
+                  1e-9 * (1.0 + std::abs(ref.objective)))
+          << "pair " << k << " scheme " << to_string(scheme);
+    }
+  }
+}
+
 // Device sparse kernel variants: the CSR engine's product-form path
 // (sparse_ftran / sparse_btran bases, eta file walked by one chain launch
 // per direction) reaches the host optimum in both precisions and its
