@@ -229,13 +229,17 @@ echo "==> basis-oracle + dual-engine gates"
 # Two-clock benchmark (perfbench/README.md, BENCHMARK.json): the runner's
 # self-checks (a wrong answer exits nonzero, a failed solve is counted,
 # the seed changes the inputs but no metric name, a bare checkout refuses
-# to run), then one pass of the launch-bound sparse_pf workload on its
-# shrunken shape, which must verify every answer.
-echo "==> perfbench self-checks + sparse_pf smoke"
+# to run), then one pass of every workload on its shrunken shape, which
+# must verify every answer: sparse_pf (launch-bound eta chains),
+# dense_paper (the fused explicit-inverse loop) and service_mix (every
+# service route, the batch engine's lock-step loop included).
+echo "==> perfbench self-checks + workload smokes"
 if command -v python3 > /dev/null 2>&1; then
   CARGO_TARGET_DIR=build/perfbench python3 perfbench/tests/test_perfbench.py
-  CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
-    --workload sparse_pf --small --seconds 0 > /dev/null
+  for workload in sparse_pf dense_paper service_mix; do
+    CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+      --workload "$workload" --small --seconds 0 > /dev/null
+  done
 else
   echo "==> python3 not installed; skipping perfbench checks"
 fi

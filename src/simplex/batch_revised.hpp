@@ -132,7 +132,7 @@ class BatchRevisedSimplex {
         binv(dev_, batch * m * m), beta(dev_, beta_h), c(dev_, c_h),
         cb(dev_, cb_h), mask(dev_, mask_h);
     vgpu::DeviceBuffer<Real> pi(dev_, batch * m), d(dev_, batch * n),
-        alpha(dev_, batch * m), prow(dev_, batch * m);
+        alpha(dev_, batch * m);
     // Per-problem selection outputs (scalar lanes). The q/p/theta triple
     // the host needs each round is additionally packed into one Real
     // buffer so the whole batch's decisions come back in a single d2h
@@ -164,7 +164,6 @@ class BatchRevisedSimplex {
     auto pi_s = pi.device_span();
     auto d_s = d.device_span();
     auto alpha_s = alpha.device_span();
-    auto prow_s = prow.device_span();
     auto seld_s = sel_d.device_span();
     auto selth_s = sel_theta.device_span();
     auto selap_s = sel_alpha_p.device_span();
@@ -205,22 +204,25 @@ class BatchRevisedSimplex {
           tr, "iteration", clock, "iteration",
           {{"iter", static_cast<double>(iter)},
            {"active", static_cast<double>(n_active)}});
-      // -- BTRAN: pi_k = (B_k^-1)^T cB_k, fused over K*m lanes. --
-      dev_.launch_blocks(
-          "batch_btran", batch * m, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(m) * double(m),
-           double(batch * (m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, j = g % m;
-              if (act_s[k] == Real{0}) continue;
-              Real acc{0};
-              for (std::size_t i = 0; i < m; ++i) {
-                acc += cb_s[k * m + i] * binv_s[k * m * m + i * m + j];
+      // -- BTRAN: pi_k = (B_k^-1)^T cB_k, fused over K*m lanes. Only the
+      // crash basis needs it: every later round's batch_pivot_apply leaves
+      // the next pi summed. --
+      if (iter == 0) {
+        dev_.launch_blocks(
+            "batch_btran", batch * m, vgpu::Device::kBlockSize,
+            {2.0 * double(batch) * double(m) * double(m),
+             double(batch * (m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
+            [&](std::size_t, std::size_t lo, std::size_t hi) {
+              for (std::size_t g = lo; g < hi; ++g) {
+                const std::size_t k = g / m, j = g % m;
+                Real acc{0};
+                for (std::size_t i = 0; i < m; ++i) {
+                  acc += cb_s[k * m + i] * binv_s[k * m * m + i * m + j];
+                }
+                pi_s[g] = acc;
               }
-              pi_s[g] = acc;
-            }
-          });
+            });
+      }
       // -- Pricing: d over K*n lanes. --
       dev_.launch_blocks(
           "batch_price", batch * n, vgpu::Device::kBlockSize,
@@ -356,66 +358,62 @@ class BatchRevisedSimplex {
         }
       }
 
-      // -- Update kernels for the problems that pivot this round. --
-      // Fused beta step + pivot-row snapshot (one batch*m-wide launch; the
-      // row copy reads the pre-update inverse, which this kernel does not
-      // touch).
-      dev_.launch_blocks(
-          "batch_pivot_stage", batch * m, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(m),
-           double(batch * 5 * m * sizeof(Real)), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, i = g % m;
-              if (act_s[k] == Real{0} || selq_s[k] == kNone ||
-                  selp_s[k] == kNone) {
-                continue;
-              }
-              prow_s[g] = binv_s[k * m * m + selp_s[k] * m + i];
-              const Real theta = selth_s[k];
-              Real v = (i == selp_s[k]) ? theta
-                                        : beta_s[g] - theta * alpha_s[g];
-              beta_s[g] = v < Real{0} ? Real{0} : v;
-            }
-          });
-      // Rank-1 inverse update + on-device basis bookkeeping: the pivot
-      // lane (i == p) swaps basic/mask/cb in device memory, replacing the
-      // reference path's three per-pivot upload_value round trips.
+      // -- The pivot, fused over K*m lanes: beta step, rank-1 inverse
+      // update, basis bookkeeping and the next round's BTRAN. Lane (k, j)
+      // owns column j of problem k's inverse. It snapshots its pivot-row
+      // element, steps beta_j, updates its column row by row and sums
+      // pi_j = sum_i c_B'[i] * B'^-1[i][j] in batch_btran's order. The
+      // pivot lane (j == p) swaps basic/mask/cb in device memory, replacing
+      // the reference path's three per-pivot upload_value round trips;
+      // every lane takes c_B'[p] from c, so none reads the poked cb. --
       dev_.launch_blocks(
           "batch_pivot_apply", batch * m, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(m) * double(m),
-           double(batch * (2 * m * m + 2 * m + 4) * sizeof(Real)),
+          {4.0 * double(batch) * double(m) * double(m) +
+               2.0 * double(batch) * double(m),
+           double(batch * (2 * m * m + 6 * m + 4) * sizeof(Real)),
            sizeof(Real)},
           [&](std::size_t, std::size_t lo, std::size_t hi) {
             for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, i = g % m;
+              const std::size_t k = g / m, j = g % m;
               if (act_s[k] == Real{0} || selq_s[k] == kNone ||
                   selp_s[k] == kNone) {
                 continue;
               }
               const std::size_t p = selp_s[k];
+              const std::size_t sq = selq_s[k];
               const Real ap = selap_s[k];
-              Real* row = binv_s.data() + k * m * m + i * m;
-              const Real* saved = prow_s.data() + k * m;
-              if (i == p) {
-                prow_s.read_range(k * m, (k + 1) * m);
-                binv_s.write_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-                const Real inv = Real{1} / ap;
-                for (std::size_t j = 0; j < m; ++j) row[j] = saved[j] * inv;
+              const Real theta = selth_s[k];
+              const Real v =
+                  (j == p) ? theta : beta_s[g] - theta * alpha_s[g];
+              beta_s[g] = v < Real{0} ? Real{0} : v;
+              const Real saved = binv_s[k * m * m + p * m + j];
+              const Real cb_p = c_s[k * n + sq];
+              const Real inv = Real{1} / ap;
+              Real acc{0};
+              for (std::size_t i = 0; i < m; ++i) {
+                const std::size_t e = k * m * m + i * m + j;
+                Real b;
+                if (i == p) {
+                  b = saved * inv;
+                  binv_s[e] = b;
+                } else {
+                  b = binv_s[e];
+                  const Real f = alpha_s[k * m + i] / ap;
+                  if (f != Real{0}) {
+                    b = b - f * saved;
+                    binv_s[e] = b;
+                  }
+                }
+                acc += (i == p ? cb_p : Real(cb_s[k * m + i])) * b;
+              }
+              pi_s[g] = acc;
+              if (j == p) {
                 // One writer per problem: lane p owns the basis swap.
-                const std::size_t sq = selq_s[k];
                 const std::uint32_t leaving = basic_s[k * m + p];
                 basic_s[k * m + p] = static_cast<std::uint32_t>(sq);
                 mask_s[k * n + sq] = Real{0};
                 mask_s[k * n + leaving] = Real{1};
-                cb_s[k * m + p] = c_s[k * n + sq];
-              } else {
-                const Real f = alpha_s[k * m + i] / ap;
-                if (f == Real{0}) continue;
-                prow_s.read_range(k * m, (k + 1) * m);
-                binv_s.read_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-                binv_s.write_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-                for (std::size_t j = 0; j < m; ++j) row[j] -= f * saved[j];
+                cb_s[k * m + p] = cb_p;
               }
             }
           });
@@ -425,16 +423,10 @@ class BatchRevisedSimplex {
       bool mask_dirty = false;
       for (std::size_t k = 0; k < batch; ++k) {
         if (!active[k]) continue;
-        if (q_h[k] == kNone) {
-          finish_problem(results[k], k, sfs[k], augs[k], basic_h, beta, m,
-                         SolveStatus::kOptimal, iters[k]);
-          active[k] = 0;
-          --n_active;
-          mask_dirty = true;
-          continue;
-        }
-        if (p_h[k] == kNone) {
-          results[k].status = SolveStatus::kUnbounded;
+        if (q_h[k] == kNone || p_h[k] == kNone) {
+          // An optimal lane's x and duals are filled after the last round.
+          results[k].status = q_h[k] == kNone ? SolveStatus::kOptimal
+                                              : SolveStatus::kUnbounded;
           results[k].stats.iterations = iters[k];
           active[k] = 0;
           --n_active;
@@ -456,6 +448,20 @@ class BatchRevisedSimplex {
       }
     }
 
+    // Finished lanes are never touched again on device, so ONE readback
+    // each of beta and pi fills every optimal lane (not one per lane).
+    bool any_optimal = false;
+    for (const SolveResult& r : results) any_optimal |= r.optimal();
+    if (any_optimal) {
+      const std::vector<Real> beta_fin = beta.to_host();
+      const std::vector<Real> pi_fin = pi.to_host();
+      for (std::size_t k = 0; k < batch; ++k) {
+        if (results[k].optimal()) {
+          finish_problem(results[k], k, sfs[k], augs[k], basic_h, beta_fin,
+                         pi_fin, m);
+        }
+      }
+    }
     // Problems still active hit the iteration limit.
     for (std::size_t k = 0; k < batch; ++k) {
       if (active[k]) {
@@ -477,28 +483,29 @@ class BatchRevisedSimplex {
   }
 
  private:
-  /// Extract one finished problem's solution from the flattened state.
-  void finish_problem(SolveResult& result, std::size_t k,
-                      const lp::StandardFormLp& sf, const AugmentedLp& aug,
-                      const std::vector<std::uint32_t>& basic_h,
-                      const vgpu::DeviceBuffer<Real>& beta, std::size_t m,
-                      SolveStatus status, std::size_t iterations) {
-    result.status = status;
-    result.stats.iterations = iterations;
+  /// Fill one optimal problem's basis, x, objective and duals from the
+  /// batch's final beta and pi.
+  static void finish_problem(SolveResult& result, std::size_t k,
+                             const lp::StandardFormLp& sf,
+                             const AugmentedLp& aug,
+                             const std::vector<std::uint32_t>& basic_h,
+                             const std::vector<Real>& beta,
+                             const std::vector<Real>& pi, std::size_t m) {
     result.basis.assign(basic_h.begin() + std::ptrdiff_t(k * m),
                         basic_h.begin() + std::ptrdiff_t((k + 1) * m));
-    std::vector<Real> beta_k(m);
-    beta.download(std::span<Real>(beta_k), k * m);
     std::vector<double> x_std(aug.n, 0.0);
     for (std::size_t i = 0; i < m; ++i) {
       if (basic_h[k * m + i] < aug.n) {
-        x_std[basic_h[k * m + i]] = static_cast<double>(beta_k[i]);
+        x_std[basic_h[k * m + i]] = static_cast<double>(beta[k * m + i]);
       }
     }
     result.x = sf.recover(x_std);
     double z = 0.0;
     for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
     result.objective = sf.original_objective(z);
+    result.y = sf.recover_duals(std::vector<double>(
+        pi.begin() + std::ptrdiff_t(k * m),
+        pi.begin() + std::ptrdiff_t((k + 1) * m)));
   }
 
   vgpu::Device& dev_;

@@ -254,6 +254,7 @@ class DeviceRevisedSimplex {
       std::vector<Real> cbr(m);
       for (std::size_t i = 0; i < m; ++i) cbr[i] = cr[basic[i]];
       cb.upload(cbr);
+      pi_current = false;
     }
 
     /// Pricing mask: 1 for columns allowed to enter (nonbasic and never an
@@ -310,6 +311,10 @@ class DeviceRevisedSimplex {
     std::vector<double> c_host;
     SolverOptions options;
     std::size_t pivots_since_refactor = 0;
+    /// pi = (B^-1)^T c_B for the current basis and costs. The fused
+    /// explicit-inverse pivot_apply keeps it current; anything else that
+    /// moves B^-1 or c_B clears it, and the fused loop re-runs BTRAN.
+    bool pi_current = false;
   };
 
   // ---------------------------------------------------------------------
@@ -352,7 +357,10 @@ class DeviceRevisedSimplex {
     btran_base(ws, ws.eta_work, out, "price_btran", ws.m);
   }
 
-  void btran(Workspace& ws) { btran_generic(ws, ws.cb, ws.pi); }
+  void btran(Workspace& ws) {
+    btran_generic(ws, ws.cb, ws.pi);
+    ws.pi_current = true;
+  }
 
   /// out = (B0^-1)^T y as one `name` launch declared from the `nnz_y`
   /// nonzero rows of y it streams: all m for the dense "price_btran", the
@@ -684,77 +692,76 @@ class DeviceRevisedSimplex {
   }
 
   // -------------------------------------------------------------------
-  // Fused iteration kernels (SolverOptions::fused_iteration). Same
-  // arithmetic as the reference kernels above, collapsed so one iteration
-  // costs 5 launches (6 with Devex) and ONE scalar-sized PCIe readback.
+  // Fused pivot kernel (SolverOptions::fused_iteration, explicit
+  // inverse). Same arithmetic as the reference kernels above, collapsed
+  // so an iteration costs 3 launches (4 with Devex) and ONE scalar-sized
+  // PCIe readback.
   // -------------------------------------------------------------------
 
-  /// Fused save_pivot_row + update_beta: one m-wide launch snapshots the
-  /// pre-update pivot row of B^-1 and steps beta past the pivot.
-  void pivot_stage(Workspace& ws, std::size_t p, Real theta) {
+  /// The whole explicit-inverse pivot in ONE m-lane launch: the beta step,
+  /// the rank-1 Gauss-Jordan update of B^-1, the pivot's scalar pokes and
+  /// the next iteration's BTRAN pi = (B'^-1)^T c_B'. Lane j owns column j
+  /// of B^-1. It snapshots B^-1[p][j] into pivot_row (the Devex update
+  /// reads the pre-update row afterwards) and steps beta_j. Then it walks
+  /// the rows in order: row p becomes prow / alpha_p, any other row loses
+  /// (alpha_i / alpha_p) * prow, and pi_j sums c_B'[i] * B'^-1[i][j] over
+  /// the rows with c_B'[i] != 0. That is btran_base's skip rule and
+  /// summation order, so pi is bit-identical to a separate price_btran.
+  /// c_B'[p] arrives as a kernel argument, so no lane reads the c_B[p]
+  /// the pivot lane writes; that lane also writes the mask pokes, which
+  /// replace the reference path's three upload_value round trips.
+  void pivot_apply(Workspace& ws, std::size_t p, Real theta, Real alpha_p,
+                   const Pokes& pokes) {
     const std::size_t m = ws.m;
     auto binv = ws.binv.device_span();
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
-    dev_.launch_blocks(
-        "pivot_stage", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m), bytes(5 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            prow[i] = binv[p * m + i];
-            const Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
-            bsp[i] = v < Real{0} ? Real{0} : v;
-          }
-        });
-  }
-
-  /// Tile width for the fused elimination inner loop: prow tiles stay hot
-  /// in L1 across consecutive rows of the update.
-  static constexpr std::size_t kEliminationTile = 64;
-
-  /// Fused rank-1 update of B^-1 + the pivot's scalar bookkeeping. The
-  /// reference path's three upload_value round trips (c_B[p], mask[q] off,
-  /// mask[leaving] on) ride along as kernel arguments written by the pivot
-  /// lane — zero per-iteration H2D traffic. The elimination loop is
-  /// branch-free and cache-blocked so it vectorizes.
-  void pivot_apply(Workspace& ws, std::size_t q, std::size_t p, Real alpha_p,
-                   Real cb_new, std::size_t leaving, bool unmask_leaving) {
-    const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
-    auto prow = ws.pivot_row.device_span();
-    auto asp = ws.alpha.device_span();
     auto csp = ws.cb.device_span();
     auto msp = ws.mask.device_span();
+    auto pisp = ws.pi.device_span();
     dev_.launch_blocks(
         "pivot_apply", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m + 4),
-         sizeof(Real)},
+        {4.0 * double(m) * double(m) + 2.0 * double(m),
+         bytes(2 * m * m + 6 * m + 4), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real* row = binv.data() + i * m;
-            if (i == p) {
-              binv.write_range(i * m, i * m + m);
-              const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) row[j] = prow[j] * inv;
+          const std::size_t w = hi - lo;
+          std::array<Real, vgpu::Device::kBlockSize> saved{}, acc{};
+          binv.read_range(p * m + lo, p * m + hi);
+          for (std::size_t j = lo; j < hi; ++j) {
+            saved[j - lo] = binv.data()[p * m + j];
+            prow[j] = saved[j - lo];
+            const Real v = (j == p) ? theta : bsp[j] - theta * asp[j];
+            bsp[j] = v < Real{0} ? Real{0} : v;
+            if (j == p) {
               // One writer each: the pivot lane owns the scalar pokes.
-              csp[p] = cb_new;
-              msp[q] = Real{0};
-              if (unmask_leaving) msp[leaving] = Real{1};
-            } else {
-              const Real f = asp[i] / alpha_p;
-              if (f == Real{0}) continue;
-              binv.read_range(i * m, i * m + m);
-              binv.write_range(i * m, i * m + m);
-              for (std::size_t j0 = 0; j0 < m; j0 += kEliminationTile) {
-                const std::size_t j1 = std::min(m, j0 + kEliminationTile);
-                for (std::size_t j = j0; j < j1; ++j) {
-                  row[j] = row[j] - f * prow[j];
-                }
-              }
+              csp[p] = pokes.cb_new;
+              msp[pokes.q] = Real{0};
+              if (pokes.unmask_leaving) msp[pokes.leaving] = Real{1};
             }
           }
+          const Real inv = Real{1} / alpha_p;
+          for (std::size_t i = 0; i < m; ++i) {
+            Real* row = binv.data() + i * m + lo;
+            const Real cbi = i == p ? pokes.cb_new : Real(csp[i]);
+            if (i == p) {
+              binv.write_range(i * m + lo, i * m + hi);
+              for (std::size_t j = 0; j < w; ++j) row[j] = saved[j] * inv;
+            } else if (const Real f = asp[i] / alpha_p; f != Real{0}) {
+              binv.read_range(i * m + lo, i * m + hi);
+              binv.write_range(i * m + lo, i * m + hi);
+              for (std::size_t j = 0; j < w; ++j) {
+                row[j] = row[j] - f * saved[j];
+              }
+            } else if (cbi != Real{0}) {
+              binv.read_range(i * m + lo, i * m + hi);  // summed, unchanged
+            }
+            if (cbi == Real{0}) continue;
+            for (std::size_t j = 0; j < w; ++j) acc[j] += cbi * row[j];
+          }
+          for (std::size_t j = lo; j < hi; ++j) pisp[j] = acc[j - lo];
         });
+    ws.pi_current = true;
   }
 
   /// Product-form: append the eta for this pivot instead of updating B^-1.
@@ -762,6 +769,7 @@ class DeviceRevisedSimplex {
   /// the measure ProductFormOracle::update folds — is read from alpha
   /// through host_view(), outside the machine model (no PCIe charge).
   void append_eta(Workspace& ws, std::size_t p, Real alpha_p) {
+    ws.pi_current = false;
     const std::span<const Real> ah = ws.alpha.host_view();
     const double inv_p = std::abs(1.0 / static_cast<double>(alpha_p));
     ws.eta_growth = std::max(ws.eta_growth, inv_p);
@@ -867,6 +875,7 @@ class DeviceRevisedSimplex {
     ws.etas.clear();
     ws.eta_growth = 0.0;
     ws.pivots_since_refactor = 0;
+    ws.pi_current = false;
     // beta = B^-1 b (clamped: the basis is primal feasible by invariant).
     auto bsp = ws.b_dev.device_span();
     auto betasp = ws.beta.device_span();
@@ -1173,9 +1182,10 @@ class DeviceRevisedSimplex {
 
   /// The fused twin of run_loop, for the explicit inverse and the sparse
   /// product form. Per iteration:
-  ///   explicit inverse:  price_btran -> price_select -> ftran_ratio
-  ///     -> [descriptor d2h] -> pivot_stage -> [devex_update_fused]
-  ///     -> pivot_apply;
+  ///   explicit inverse:  [price_btran] -> price_select -> ftran_ratio
+  ///     -> [descriptor d2h] -> pivot_apply -> [devex_update_fused];
+  ///     pivot_apply also sums the next iteration's pi, so price_btran
+  ///     runs only at loop entry and after a refactor;
   ///   sparse product form:  [eta_btran_chain] -> sparse_btran
   ///     -> price_select -> sparse_ftran -> [eta_ftran_chain]
   ///     -> ratio_select -> [descriptor d2h] -> [devex row + update]
@@ -1204,7 +1214,7 @@ class DeviceRevisedSimplex {
                             : EnteringRule::kDantzig);
       {
         trace::ScopedSpan op(tr, "price", clock(), "op");
-        btran(ws);
+        if (!ws.pi_current) btran(ws);
         ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
                            ws.devex_w, ws.desc, rule,
                            static_cast<Real>(ws.options.opt_tol));
@@ -1258,13 +1268,15 @@ class DeviceRevisedSimplex {
           update_beta(ws, p, step.theta, &pokes);
           append_eta(ws, p, alpha_p);
         } else {
-          pivot_stage(ws, p, step.theta);
+          pivot_apply(ws, p, step.theta, alpha_p, pokes);
+          // pivot_row still holds the pre-update row p. The poked mask
+          // skips column q (there t = alpha_p / alpha_p = 1, so its weight
+          // never rose anyway); q's weight is not read again until q
+          // leaves the basis and the leaving branch resets it.
           if (devex) {
             ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
                                alpha_p);
           }
-          pivot_apply(ws, q, p, alpha_p, pokes.cb_new, leaving,
-                      pokes.unmask_leaving);
         }
         ws.basic[p] = static_cast<std::uint32_t>(q);
         ws.in_basis[leaving] = false;
@@ -1365,6 +1377,7 @@ class DeviceRevisedSimplex {
     ws.basic[p] = static_cast<std::uint32_t>(q);
     ws.in_basis[leaving] = false;
     ws.in_basis[q] = true;
+    ws.pi_current = false;
     // Scalar traffic: c_B[p], mask[q] off, mask[leaving] on (unless it is an
     // artificial, which never re-enters).
     ws.cb.upload_value(p, static_cast<Real>(ws.c_host[q]));

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "lp/generators.hpp"
+#include "record/record.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
 
@@ -27,21 +28,58 @@ namespace {
 class BatchSizes
     : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
 
+/// The pivot records of one batch lane, in order.
+[[nodiscard]] std::vector<record::DecisionRecord> lane_pivots(
+    const record::Recording& rec, std::uint32_t lane) {
+  std::vector<record::DecisionRecord> out;
+  for (const auto& r : rec.records) {
+    if (r.kind == record::RecordKind::kPivot && r.lane == lane) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
 TEST_P(BatchSizes, AgreesWithIndividualSolves) {
+  // Each lane runs the single-LP engine's pivots under the batch engine's
+  // only rule, Dantzig, with the same arithmetic: decisions and values
+  // match bit for bit, duals included.
   const auto [count, size] = GetParam();
   const auto problems = make_batch(count, size, 100);
   vgpu::Device dev(vgpu::gtx280_model());
-  BatchRevisedSimplex<double> batch_solver(dev);
+  record::Recorder batch_rec;
+  SolverOptions batch_opt;
+  batch_opt.recorder = &batch_rec;
+  BatchRevisedSimplex<double> batch_solver(dev, batch_opt);
   const auto batch_results = batch_solver.solve(problems);
   ASSERT_EQ(batch_results.size(), count);
   for (std::size_t k = 0; k < count; ++k) {
-    const auto single = solve(problems[k], Engine::kDeviceRevised);
-    ASSERT_EQ(batch_results[k].status, SolveStatus::kOptimal) << k;
-    ASSERT_EQ(single.status, SolveStatus::kOptimal) << k;
-    EXPECT_NEAR(batch_results[k].objective, single.objective,
-                1e-7 * (1.0 + std::abs(single.objective)))
-        << k;
-    EXPECT_TRUE(problems[k].is_feasible(batch_results[k].x, 1e-5)) << k;
+    SCOPED_TRACE(testing::Message() << "lane " << k);
+    record::Recorder single_rec;
+    SolverOptions opt;
+    opt.pricing = PricingRule::kDantzig;
+    opt.recorder = &single_rec;
+    const auto single = solve(problems[k], Engine::kDeviceRevised, opt);
+    ASSERT_EQ(batch_results[k].status, SolveStatus::kOptimal);
+    ASSERT_EQ(single.status, SolveStatus::kOptimal);
+    const auto lane = lane_pivots(batch_rec.recording(),
+                                  static_cast<std::uint32_t>(k));
+    const auto ref = lane_pivots(single_rec.recording(), 0);
+    ASSERT_EQ(lane.size(), ref.size());
+    for (std::size_t t = 0; t < ref.size(); ++t) {
+      SCOPED_TRACE(testing::Message() << "pivot " << t);
+      EXPECT_EQ(lane[t].entering, ref[t].entering);
+      EXPECT_EQ(lane[t].leaving_row, ref[t].leaving_row);
+      EXPECT_EQ(lane[t].reduced_cost, ref[t].reduced_cost);
+      EXPECT_EQ(lane[t].theta, ref[t].theta);
+      EXPECT_EQ(lane[t].pivot_value, ref[t].pivot_value);
+    }
+    EXPECT_EQ(batch_results[k].stats.iterations, single.stats.iterations);
+    EXPECT_EQ(batch_results[k].objective, single.objective);
+    EXPECT_EQ(batch_results[k].x, single.x);
+    EXPECT_EQ(batch_results[k].y, single.y);
+    EXPECT_EQ(batch_results[k].basis, single.basis);
+    EXPECT_TRUE(problems[k].is_feasible(batch_results[k].x, 1e-5));
   }
 }
 

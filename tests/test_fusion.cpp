@@ -76,11 +76,17 @@ void expect_identical_decisions(const lp::LpProblem& problem,
   EXPECT_EQ(d.common, count_kind(ref.recording, record::RecordKind::kPivot));
   EXPECT_EQ(count_kind(fused.recording, record::RecordKind::kRefactor),
             count_kind(ref.recording, record::RecordKind::kRefactor));
+  // Same values, not just the same pivots: any rounding drift in the
+  // fused kernels (the folded BTRAN included) shows up in d_q or theta.
+  EXPECT_EQ(d.max_reduced_cost_delta, 0.0) << d.describe();
+  EXPECT_EQ(d.max_theta_delta, 0.0) << d.describe();
   EXPECT_EQ(fused.result.status, ref.result.status);
   EXPECT_EQ(fused.result.stats.iterations, ref.result.stats.iterations);
   if (fused.result.optimal()) {
     // Same pivot path in the same precision: bit-identical optimum.
     EXPECT_EQ(fused.result.objective, ref.result.objective);
+    EXPECT_EQ(fused.result.x, ref.result.x);
+    EXPECT_EQ(fused.result.y, ref.result.y);
   }
 }
 
@@ -242,10 +248,12 @@ TEST(Fusion, SparseProductFormBudgetIndependentOfEtaFile) {
 }
 
 TEST(Fusion, LaunchAndTransferBudgetHeld) {
-  // ISSUE budget: a seeded m = 96 solve must average <= 6 kernel launches
-  // per iteration (5 without Devex) and exactly one d2h per iteration
-  // plus a small solve-constant (descriptor fetch; objective/extraction
-  // reads at the phase boundaries).
+  // A seeded m = 96 solve launches 3 kernels per iteration (price_select,
+  // ftran_ratio, pivot_apply — the pivot folds in the next BTRAN, so
+  // price_btran runs once per loop entry) plus a small solve-constant,
+  // and exactly one d2h per iteration plus a small solve-constant
+  // (descriptor fetch; objective/extraction reads at the phase
+  // boundaries).
   const auto problem = lp::random_dense_lp({.rows = 96, .cols = 96, .seed = 3});
   vgpu::Device dev(vgpu::gtx280_model());
   DeviceRevisedSimplex<double> solver(dev);
@@ -254,7 +262,7 @@ TEST(Fusion, LaunchAndTransferBudgetHeld) {
   ASSERT_GT(r.stats.iterations, 0u);
   const auto& ds = r.stats.device_stats;
   EXPECT_LE(static_cast<double>(ds.kernel_launches),
-            6.0 * static_cast<double>(r.stats.iterations));
+            3.0 * static_cast<double>(r.stats.iterations) + 8.0);
   EXPECT_LE(ds.d2h_count, r.stats.iterations + 8);
   // Device-resident pivot state: the iteration loop uploads NOTHING (all
   // H2D happens during workspace setup, before the first launch).
