@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
                     capture.launches_captured()});
   }
 
-  // Same engine under the product-form basis: the eta-file kernel
-  // variants (sparse_ftran / sparse_btran / eta_ftran_chain /
-  // eta_btran_chain / ratio_select / pivot_beta / make_eta) must be as
-  // hazard-, uninit- and cost-clean as the explicit-inverse stream
-  // (DESIGN.md "Basis oracles").
+  // Same engine under the product-form basis: the sparse-LU and eta-file
+  // kernel variants (sparse_refactor / eta_ftran_chain / eta_btran_chain
+  // / ratio_select / pivot_beta / make_eta) must be as hazard-, uninit-
+  // and cost-clean as the explicit-inverse stream (DESIGN.md "Basis
+  // oracles").
   {
     vgpu::analyze::CaptureLog capture;
     simplex::SolverOptions opt;

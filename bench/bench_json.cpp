@@ -274,8 +274,11 @@ int main(int argc, char** argv) {
   // eta_count / refactor_count are BUDGET_KEYS in compare_bench.py (5%
   // band): the eta-file growth and the refactorization trigger are
   // algorithmic contracts at fixed seeds, not noise. ftran_ms is gated
-  // as a runtime. Runs in --tiny too: one small host solve, and the
-  // counts are size-dependent, not subset-able.
+  // as a runtime. The nested "device" object solves the same instance
+  // with the CSR device engine's product form: its sim_ms is gated as a
+  // runtime and its kernel_launches as a budget, so the device product
+  // form cannot get slower or launch more unnoticed. Runs in --tiny too:
+  // two small solves, and the counts are size-dependent, not subset-able.
   {
     const auto basis_problem = lp::random_sparse_lp({.rows = kBasisSize,
                                                      .cols = 4 * kBasisSize,
@@ -302,7 +305,20 @@ int main(int argc, char** argv) {
     append_kv(out, 4, "m", double(kBasisSize), true);
     append_kv(out, 4, "eta_count", launches("eta_append"), true);
     append_kv(out, 4, "refactor_count", launches("sparse_refactor"), true);
-    append_kv(out, 4, "ftran_ms", step_ms("sparse_ftran"), false);
+    append_kv(out, 4, "ftran_ms", step_ms("sparse_ftran"), true);
+    const auto dev = simplex::solve(basis_problem,
+                                    simplex::Engine::kSparseRevised, opt,
+                                    vgpu::gtx280_model());
+    if (!dev.optimal()) {
+      std::cerr << "basis-section device solve failed at m=" << kBasisSize
+                << "\n";
+      return 1;
+    }
+    out += "    \"device\": {\n";
+    append_kv(out, 6, "sim_ms", dev.stats.sim_seconds * 1e3, true);
+    append_kv(out, 6, "kernel_launches",
+              double(dev.stats.device_stats.kernel_launches), false);
+    out += "    }\n";
     out += "  },\n";
   }
 

@@ -262,11 +262,9 @@ class AtKernels {
     column_products("pivot_row_product", y, nullptr, nullptr, out);
   }
 
-  /// alpha = B^-1 a_q. `name` lets basis schemes label their FTRAN variant
-  /// in the stream ("sparse_ftran" for the product form's base solve).
+  /// alpha = B^-1 a_q against the dense inverse.
   void ftran_alpha(const vblas::DeviceMatrix<Real>& binv, std::size_t q,
-                   vgpu::DeviceBuffer<Real>& alpha,
-                   std::string_view name = "ftran") const {
+                   vgpu::DeviceBuffer<Real>& alpha) const {
     const std::size_t m = policy().m();
     const auto cols = policy().columns();
     // The column extent is read host-side (a scalar lookup, like the
@@ -275,32 +273,9 @@ class AtKernels {
     auto bs = binv.device_span();
     auto as = alpha.device_span();
     policy().device().launch_blocks(
-        name, m, vgpu::Device::kBlockSize,
+        "ftran", m, vgpu::Device::kBlockSize,
         policy().ftran_cost(aq.nnz(), 0.0, m),
         [&](std::size_t, std::size_t lo, std::size_t hi) {
-          aq.annotate();
-          for (std::size_t i = lo; i < hi; ++i) as[i] = aq.binv_row_dot(bs, i);
-        });
-  }
-
-  /// Speculative "sparse_ftran" for the fused product-form path: the
-  /// entering index is read from the descriptor on device, and the launch
-  /// early-exits when pricing found no candidate. Cost is declared from
-  /// the widest column, as in ftran_ratio_select.
-  void ftran_alpha_desc(const vblas::DeviceMatrix<Real>& binv,
-                        const vgpu::DeviceBuffer<Real>& desc,
-                        vgpu::DeviceBuffer<Real>& alpha) const {
-    const std::size_t m = policy().m();
-    const auto cols = policy().columns();
-    auto bs = binv.device_span();
-    auto as = alpha.device_span();
-    auto desc_s = desc.device_span();
-    policy().device().launch_blocks(
-        "sparse_ftran", m, vgpu::Device::kBlockSize,
-        policy().ftran_cost(policy().max_col_nnz(), 0.0, m + 1),
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const auto aq = cols.column(static_cast<std::size_t>(desc_s[kDescQ]));
           aq.annotate();
           for (std::size_t i = lo; i < hi; ++i) as[i] = aq.binv_row_dot(bs, i);
         });
@@ -461,8 +436,8 @@ template <typename Real>
 class DenseAt : public AtKernels<Real, DenseAt<Real>> {
  public:
   /// Dense storage keeps the paper's m-proportional kernel names; the
-  /// sparse basis-kernel variants (sparse_ftran / sparse_btran / the eta
-  /// chains) only make sense when column extents are known.
+  /// sparse product form (the host oracle's LU walked with the eta file by
+  /// the chain kernels) only makes sense when column extents are known.
   static constexpr bool kSparseKernels = false;
 
   DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
@@ -553,7 +528,8 @@ template <typename Real>
 class SparseAt : public AtKernels<Real, SparseAt<Real>> {
  public:
   /// CSR storage opts the product-form basis into the sparse kernel
-  /// variants (sparse_ftran / sparse_btran / the eta chains).
+  /// variants (the host oracle's LU and the eta file walked by the chain
+  /// kernels).
   static constexpr bool kSparseKernels = true;
 
   SparseAt(vgpu::Device& dev, const AugmentedLp& aug)

@@ -16,10 +16,13 @@
 //     eta-file conditioning guard from the GPU-simplex literature).
 // The engine emits the recorder's refactor event when either fires.
 //
-// CostMeter step names match the vgpu base-solve kernels (`sparse_ftran`,
-// `sparse_btran`); the host charges its eta applications as `eta_apply`
-// where the device walks the file in one `eta_ftran_chain` /
-// `eta_btran_chain` launch per direction.
+// The device engines' CSR product form shares this representation: it
+// factors the same basis with the same SparseLu, loads the factors as
+// position etas (SparseLu::position_etas) with one `sparse_refactor`
+// launch, and walks them with the eta file in this class's arithmetic in
+// one `eta_ftran_chain` / `eta_btran_chain` launch per direction. The
+// host charges its base solves as `sparse_ftran` / `sparse_btran` and its
+// eta applications as `eta_apply`.
 #pragma once
 
 #include <cmath>

@@ -155,6 +155,51 @@ class SparseLu {
     }
   }
 
+  /// The factors as position etas, indexed by basis position: the layout
+  /// the device product form walks. Eta e maps x_p to t = x_p / pval and
+  /// x_i -= v * t over its entries (i, v) (FTRAN), or y_p to
+  /// (y_p - sum v * y_i) / pval in entry order (BTRAN).
+  struct PositionEtas {
+    std::vector<std::uint32_t> sigma;  ///< original row -> basis position
+    std::vector<std::uint32_t> p;      ///< pivot position of each eta
+    std::vector<double> pval;          ///< pivot value of each eta
+    /// Eta e owns entries [offsets[e], offsets[e + 1]) of idx / val.
+    std::vector<std::size_t> offsets{0};
+    std::vector<std::uint32_t> idx;  ///< entry positions
+    std::vector<double> val;         ///< entry values
+  };
+
+  /// Every L column with entries in step order (p = cperm[t], pval = 1),
+  /// then every U column that is not the identity in descending step
+  /// order (p = cperm[j], pval = udiag[j]); sigma[rperm[t]] = cperm[t].
+  /// FTRAN of x[sigma[r]] = a[r] through the etas in order repeats ftran()
+  /// operation for operation; BTRAN through them in reverse, then the
+  /// gather out[r] = y[sigma[r]], repeats btran().
+  [[nodiscard]] PositionEtas position_etas() const {
+    PositionEtas out;
+    out.sigma.resize(m_);
+    for (std::size_t t = 0; t < m_; ++t) out.sigma[rperm_[t]] = cperm_[t];
+    const auto push = [&](std::uint32_t p, double pval,
+                          const std::vector<Entry>& entries, bool by_step) {
+      out.p.push_back(p);
+      out.pval.push_back(pval);
+      for (const Entry& e : entries) {
+        out.idx.push_back(by_step ? cperm_[e.row] : out.sigma[e.row]);
+        out.val.push_back(e.val);
+      }
+      out.offsets.push_back(out.idx.size());
+    };
+    for (std::size_t t = 0; t < m_; ++t) {
+      if (!lcols_[t].empty()) push(cperm_[t], 1.0, lcols_[t], false);
+    }
+    for (std::size_t j = m_; j-- > 0;) {
+      if (!ucols_[j].empty() || udiag_[j] != 1.0) {
+        push(cperm_[j], udiag_[j], ucols_[j], true);
+      }
+    }
+    return out;
+  }
+
   [[nodiscard]] std::size_t dim() const noexcept { return m_; }
   [[nodiscard]] std::size_t nnz() const noexcept { return nnz_; }
 

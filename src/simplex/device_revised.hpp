@@ -8,6 +8,8 @@
 //   * B^-1          dense m x m, updated in place by a rank-1 Gauss-Jordan
 //                   elimination step each iteration (explicit-inverse
 //                   scheme; a product-form eta file is the Ext. B ablation)
+//                   -- except on the CSR product form, which holds B0 as
+//                   the host oracle's sparse LU factors plus its eta file
 //   * beta = B^-1 b, pi, d, alpha, ratio vectors, pricing mask, c, c_B
 //
 // Per-iteration PCIe traffic is scalar-sized. The fused path (the default
@@ -26,8 +28,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "lp/problem.hpp"
@@ -35,6 +40,7 @@
 #include "profile/profile.hpp"
 #include "simplex/at_policy.hpp"
 #include "simplex/basis/basis_oracle.hpp"
+#include "simplex/basis/sparse_lu.hpp"
 #include "simplex/phase_setup.hpp"
 #include "simplex/types.hpp"
 #include "support/timer.hpp"
@@ -85,6 +91,11 @@ class DeviceRevisedSimplex {
     trace::ScopedSpan solve_span(tr, "solve", clock(), "solve");
     const AugmentedLp aug = augment(sf);
     Workspace ws(dev_, aug, opt_);
+    if (sparse_pf(opt_)) {
+      // The crash basis is diagonal, so this factorization always succeeds.
+      const bool ok = load_factors(ws);
+      GS_CHECK_MSG(ok, "product-form: singular crash basis");
+    }
     record::Recorder* rec = opt_.recorder;
     if (rec != nullptr) {
       rec->begin_solve(engine_name(), sizeof(Real) * 8, aug.m, aug.n_aug,
@@ -191,9 +202,13 @@ class DeviceRevisedSimplex {
           m(aug_in.m),
           n_aug(aug_in.n_aug),
           at(dev, aug_in),
-          binv(dev, m, m),
+          binv(sparse_pf(opt) ? std::nullopt
+                              : std::optional<vblas::DeviceMatrix<Real>>(
+                                    std::in_place, dev, m, m)),
           beta(dev, m),
-          b_dev(dev, m),
+          b_dev(sparse_pf(opt) ? std::nullopt
+                               : std::optional<vgpu::DeviceBuffer<Real>>(
+                                     std::in_place, dev, m)),
           pi(dev, m),
           cb(dev, m),
           c(dev, n_aug),
@@ -212,31 +227,38 @@ class DeviceRevisedSimplex {
       // Initial B^-1 and beta from the crash basis. The inverse starts
       // diagonal, so only the m diagonal entries cross PCIe; a device
       // kernel expands them into the dense m x m matrix (the full-matrix
-      // upload was ~a third of all H2D bytes at bench scale).
+      // upload was ~a third of all H2D bytes at bench scale). The sparse
+      // product form factors the crash basis instead (load_factors).
       std::vector<Real> diag0(m), beta0(m), b0(m);
       for (std::size_t i = 0; i < m; ++i) {
         diag0[i] = static_cast<Real>(aug.binv_diag[i]);
         beta0[i] = static_cast<Real>(aug.beta_init[i]);
         b0[i] = static_cast<Real>(aug.b[i]);
       }
-      vgpu::DeviceBuffer<Real> diag_dev(dev,
-                                        std::span<const Real>(diag0));
-      auto dsp = diag_dev.device_span();
-      auto bi = binv.device_span();
-      dev.launch_blocks(
-          "binv_init", m, vgpu::Device::kBlockSize,
-          {0.0, static_cast<double>((m * m + 2 * m) * sizeof(Real)),
-           sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              bi.write_range(i * m, i * m + m);
-              Real* row = bi.data() + i * m;
-              for (std::size_t j = 0; j < m; ++j) row[j] = Real{0};
-              row[i] = dsp[i];
-            }
-          });
+      if (binv.has_value()) {
+        vgpu::DeviceBuffer<Real> diag_dev(dev,
+                                          std::span<const Real>(diag0));
+        auto dsp = diag_dev.device_span();
+        auto bi = binv->device_span();
+        dev.launch_blocks(
+            "binv_init", m, vgpu::Device::kBlockSize,
+            {0.0, static_cast<double>((m * m + 2 * m) * sizeof(Real)),
+             sizeof(Real)},
+            [&](std::size_t, std::size_t lo, std::size_t hi) {
+              for (std::size_t i = lo; i < hi; ++i) {
+                bi.write_range(i * m, i * m + m);
+                Real* row = bi.data() + i * m;
+                for (std::size_t j = 0; j < m; ++j) row[j] = Real{0};
+                row[i] = dsp[i];
+              }
+            });
+      }
       beta.upload(beta0);
-      b_dev.upload(b0);
+      if (b_dev.has_value()) b_dev->upload(b0);
+      if (sparse_pf(opt)) {
+        csr.emplace(aug.csr_at());
+        sigma.emplace(dev, m);
+      }
       in_basis.assign(n_aug, false);
       for (std::uint32_t col : basic) in_basis[col] = true;
       refresh_mask();
@@ -282,9 +304,13 @@ class DeviceRevisedSimplex {
     std::size_t m, n_aug;
 
     At<Real> at;
-    vblas::DeviceMatrix<Real> binv;
-    vgpu::DeviceBuffer<Real> beta, b_dev, pi, cb, c, d, mask, alpha, ratio,
-        pivot_row, scalar_tmp, eta_work;
+    /// Dense B^-1 and the b it refreshes beta from: every scheme but the
+    /// sparse product form, which holds B0 as `lu` below instead.
+    std::optional<vblas::DeviceMatrix<Real>> binv;
+    vgpu::DeviceBuffer<Real> beta;
+    std::optional<vgpu::DeviceBuffer<Real>> b_dev;
+    vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row,
+        scalar_tmp, eta_work;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
     /// Fused-path pivot descriptor (kDescSlots Reals): the iteration's
@@ -294,17 +320,30 @@ class DeviceRevisedSimplex {
     /// Product-form eta file: one entry per pivot since the last
     /// reinversion. The dense-eta scheme (DenseAt, Ext. B) keeps the full
     /// m-vector in `values`; the sparse-kernel scheme (SparseAt + product
-    /// form) stores only the eta's support as (idx, val) pairs so the
-    /// chain kernels cost nnz instead of m per eta.
+    /// form) keeps the host oracle's format: the support {i != p :
+    /// alpha_i != 0} as host metadata, its raw alpha_i on device as
+    /// (idx, val) pairs (absent for an empty support), and pval = alpha_p.
     struct Eta {
       std::size_t p;
+      Real pval;
       std::optional<vgpu::DeviceBuffer<Real>> values;
+      std::vector<std::uint32_t> support;
       std::optional<vgpu::DeviceBuffer<std::uint32_t>> idx;
       std::optional<vgpu::DeviceBuffer<Real>> val;
     };
     std::vector<Eta> etas;
     /// Largest eta multiplier since the last reinversion (growth trigger).
     double eta_growth = 0.0;
+
+    /// Sparse product form's B0: the host ProductFormOracle's SparseLu of
+    /// the basis, factored over `csr` (the augmented A^T), as position
+    /// etas (SparseLu::position_etas). sigma and the entries live on the
+    /// device; p, pval and the per-eta offsets are host metadata, like
+    /// the update etas' p and alpha_p.
+    std::optional<sparse::CsrMatrix<double>> csr;
+    basis::SparseLu::PositionEtas lu;
+    std::optional<vgpu::DeviceBuffer<std::uint32_t>> sigma, lu_idx;
+    std::optional<vgpu::DeviceBuffer<Real>> lu_val;
 
     std::vector<std::uint32_t> basic;
     std::vector<bool> in_basis;
@@ -321,26 +360,23 @@ class DeviceRevisedSimplex {
   // Kernels (each one launch on the device, costed like its CUDA original)
   // ---------------------------------------------------------------------
 
-  /// Sparse-kernel product form: the CSR policy's eta file, walked by the
-  /// single-block chain kernels.
-  [[nodiscard]] static bool sparse_pf(const Workspace& ws) noexcept {
-    return At<Real>::kSparseKernels &&
-           ws.options.basis == BasisScheme::kProductForm;
+  /// Sparse-kernel product form: the CSR policy holds B0 as the host
+  /// oracle's sparse LU and walks it with the eta file in the single-block
+  /// chain kernels.
+  [[nodiscard]] static bool sparse_pf(const SolverOptions& opt) noexcept {
+    return At<Real>::kSparseKernels && opt.basis == BasisScheme::kProductForm;
   }
 
   /// out = (B^-1)^T seed under the active basis scheme.
   /// With etas: y = seed, eta transposes newest-first, then (B0^-1)^T y.
   void btran_generic(Workspace& ws, const vgpu::DeviceBuffer<Real>& seed,
                      vgpu::DeviceBuffer<Real>& out) {
-    if (sparse_pf(ws)) {
-      if (!ws.etas.empty()) eta_btran_chain(ws, &seed, 0);
-      const vgpu::DeviceBuffer<Real>& y =
-          ws.etas.empty() ? seed : ws.eta_work;
-      btran_base(ws, y, out, "sparse_btran", support_size(y));
+    if (sparse_pf(ws.options)) {
+      eta_btran_chain(ws, &seed, 0, out);
       return;
     }
     if (ws.etas.empty()) {
-      btran_base(ws, seed, out, "price_btran", ws.m);
+      btran_base(ws, seed, out);
       return;
     }
     auto ysp = ws.eta_work.device_span();
@@ -354,7 +390,7 @@ class DeviceRevisedSimplex {
     for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
       eta_btran_apply(ws, *it);
     }
-    btran_base(ws, ws.eta_work, out, "price_btran", ws.m);
+    btran_base(ws, ws.eta_work, out);
   }
 
   void btran(Workspace& ws) {
@@ -362,22 +398,19 @@ class DeviceRevisedSimplex {
     ws.pi_current = true;
   }
 
-  /// out = (B0^-1)^T y as one `name` launch declared from the `nnz_y`
-  /// nonzero rows of y it streams: all m for the dense "price_btran", the
-  /// seed's observed support for the product form's "sparse_btran". Each
-  /// lane sums its column over the nonzero rows of y (rows of B^-1 stream
-  /// contiguously) in a block-local accumulator and writes out once.
+  /// out = (B0^-1)^T y as one "price_btran" launch over the dense inverse.
+  /// Each lane sums its column over the nonzero rows of y (rows of B^-1
+  /// stream contiguously) in a block-local accumulator and writes out
+  /// once; the launch is declared from all m rows.
   void btran_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                  vgpu::DeviceBuffer<Real>& out, std::string_view name,
-                  std::size_t nnz_y) {
+                  vgpu::DeviceBuffer<Real>& out) {
     const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
+    auto binv = ws.binv->device_span();
     auto ysp = y.device_span();
     auto osp = out.device_span();
     dev_.launch_blocks(
-        name, m, vgpu::Device::kBlockSize,
-        {2.0 * double(nnz_y) * double(m), bytes(nnz_y * m + 2 * m),
-         sizeof(Real)},
+        "price_btran", m, vgpu::Device::kBlockSize,
+        {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           std::array<Real, vgpu::Device::kBlockSize> acc{};
           for (std::size_t i = 0; i < m; ++i) {
@@ -391,35 +424,15 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Nonzero count of a device vector, read through host_view(): host
-  /// metadata, like the CSR extents in SparseAt.
-  [[nodiscard]] static std::size_t support_size(
-      const vgpu::DeviceBuffer<Real>& y) {
-    const std::span<const Real> yh = y.host_view();
-    return static_cast<std::size_t>(
-        std::count_if(yh.begin(), yh.end(), [](Real v) { return v != Real{0}; }));
-  }
-
-  /// alpha = B^-1 a_q (FTRAN). Under product form: B0^-1 a_q via the
-  /// dense inverse, then the eta file oldest-first.
+  /// alpha = B^-1 a_q (FTRAN). Under the dense-eta product form: B0^-1 a_q
+  /// via the dense inverse, then the eta file oldest-first.
   void ftran(Workspace& ws, std::size_t q) {
-    if (sparse_pf(ws)) {
-      ws.at.ftran_alpha(ws.binv, q, ws.alpha, "sparse_ftran");
-      if (!ws.etas.empty()) eta_ftran_chain(ws, false);
+    if (sparse_pf(ws.options)) {
+      eta_ftran_chain(ws, q);
       return;
     }
-    ws.at.ftran_alpha(ws.binv, q, ws.alpha);
+    ws.at.ftran_alpha(*ws.binv, q, ws.alpha);
     for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
-  }
-
-  /// Speculative FTRAN of the fused sparse product-form path: the base
-  /// solve reads the entering column from the descriptor on device, and
-  /// both launches early-exit when pricing found no candidate.
-  void ftran_speculative(Workspace& ws) {
-    if constexpr (At<Real>::kSparseKernels) {
-      ws.at.ftran_alpha_desc(ws.binv, ws.desc, ws.alpha);
-      if (!ws.etas.empty()) eta_ftran_chain(ws, true);
-    }
   }
 
   // -------------------------------------------------------------------
@@ -480,94 +493,196 @@ class DeviceRevisedSimplex {
   }
 
   // -------------------------------------------------------------------
-  // Sparse eta file (SparseAt + product form): ONE launch per direction
-  // walks the whole file. The chain runs as a single block — each eta
-  // reads what the previous one wrote, so it cannot spread across the
-  // grid — and every eta is charged as a dependent step
-  // (KernelCost::dependent_steps) on top of one block's occupancy. Per
-  // eta, the arithmetic and summation order are those of a one-launch-
-  // per-eta grid (FTRAN: snapshot x_p, then scatter over the support;
-  // BTRAN: kBlockSize-wide partial dots folded in block order), so
-  // recordings made with per-eta launches replay pivot for pivot. The
-  // per-eta buffers' addresses are host metadata handed to the launch,
-  // like the CSR extents in SparseAt.
+  // Sparse product form (SparseAt + product form): ONE single-block launch
+  // per direction walks B0's factor etas (load_factors) and the update
+  // etas in the host oracle's arithmetic, so device and host product
+  // forms are bit-identical in double. A chain is charged one block's
+  // occupancy on the roofline plus one dependent step
+  // (KernelCost::dependent_steps) per level of its walk (chain_shape).
   // -------------------------------------------------------------------
 
-  /// alpha := E_k ... E_1 alpha, oldest eta first. `speculative` launches
-  /// (fused path) read the entering index from the descriptor and do
-  /// nothing when pricing found no candidate.
-  void eta_ftran_chain(Workspace& ws, bool speculative) {
-    double flops = 0.0;
-    double traffic = speculative ? bytes(1) : 0.0;
-    for (const auto& eta : ws.etas) {
-      const auto nnz = static_cast<double>(eta.val->size());
-      flops += 2.0 * nnz;
-      // idx + val + x[i] read, x[i] written, plus the x[p] snapshot.
-      traffic += nnz * double(3 * sizeof(Real) + sizeof(std::uint32_t)) +
-                 bytes(2);
+  /// Visit every eta in walk order: FTRAN takes the factor etas, then the
+  /// update etas oldest first; BTRAN (`transposed`) the exact reverse.
+  template <typename Factor, typename Update>
+  static void walk_etas(const Workspace& ws, bool transposed, Factor&& factor,
+                        Update&& update) {
+    const std::size_t nf = ws.lu.p.size();
+    const std::size_t total = nf + ws.etas.size();
+    for (std::size_t k = 0; k < total; ++k) {
+      const std::size_t e = transposed ? total - 1 - k : k;
+      if (e < nf) {
+        factor(e);
+      } else {
+        update(ws.etas[e - nf]);
+      }
     }
-    auto xsp = ws.alpha.device_span();
-    auto dsp = ws.desc.device_span();
-    dev_.launch_blocks(
-        "eta_ftran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
-        {flops, traffic, sizeof(Real), ws.etas.size()},
-        [&](std::size_t, std::size_t, std::size_t) {
-          if (speculative && dsp[kDescQ] < Real{0}) return;
-          for (const auto& eta : ws.etas) {
-            auto isp = eta.idx->device_span();
-            auto vsp = eta.val->device_span();
-            const std::size_t p = eta.p;
-            const std::size_t nnz = eta.val->size();
-            const Real xp = xsp[p];
-            for (std::size_t k = 0; k < nnz; ++k) {
-              const std::size_t i = isp[k];
-              xsp[i] = (i == p) ? vsp[k] * xp : xsp[i] + vsp[k] * xp;
-            }
+  }
+
+  /// Size of one chain walk, from host metadata (the eta supports).
+  struct ChainShape {
+    std::size_t etas = 0;
+    std::size_t entries = 0;
+    std::size_t levels = 0;
+  };
+
+  /// An eta opens a new level only if it reads an element written at the
+  /// current level (read after write). Within a level every eta reads
+  /// first, then each element takes its writes in walk order, which is
+  /// exactly the sequential walk's result; so the kernel body stays the
+  /// sequential loop and only its declared steps follow the levels. An
+  /// FTRAN eta reads x_p and writes x_p and its entries; a BTRAN eta reads
+  /// y_p and its entries and writes y_p.
+  [[nodiscard]] static ChainShape chain_shape(const Workspace& ws,
+                                              bool transposed) {
+    ChainShape shape;
+    std::vector<std::size_t> written(ws.m, 0);  // level of the last write
+    const auto eta = [&](std::size_t p,
+                         std::span<const std::uint32_t> entries) {
+      const std::size_t level = shape.levels;
+      bool raw = level == 0 || written[p] == level;
+      if (transposed) {
+        for (const std::uint32_t i : entries) raw = raw || written[i] == level;
+      }
+      if (raw) ++shape.levels;
+      written[p] = shape.levels;
+      if (!transposed) {
+        for (const std::uint32_t i : entries) written[i] = shape.levels;
+      }
+      ++shape.etas;
+      shape.entries += entries.size();
+    };
+    const basis::SparseLu::PositionEtas& lu = ws.lu;
+    walk_etas(
+        ws, transposed,
+        [&](std::size_t e) {
+          eta(lu.p[e], std::span<const std::uint32_t>(lu.idx).subspan(
+                           lu.offsets[e], lu.offsets[e + 1] - lu.offsets[e]));
+        },
+        [&](const typename Workspace::Eta& u) { eta(u.p, u.support); });
+    return shape;
+  }
+
+  /// The walk inside a kernel body: `apply(p, pval, idx, val, lo, hi)`
+  /// runs one eta over entries [lo, hi) of its device spans (the packed
+  /// factor buffers, or an update eta's own).
+  template <typename Apply>
+  static void walk_device(const Workspace& ws, bool transposed,
+                          Apply&& apply) {
+    const basis::SparseLu::PositionEtas& lu = ws.lu;
+    const auto fidx = ws.lu_idx->device_span();
+    const auto fval = ws.lu_val->device_span();
+    walk_etas(
+        ws, transposed,
+        [&](std::size_t e) {
+          apply(lu.p[e], static_cast<Real>(lu.pval[e]), fidx, fval,
+                lu.offsets[e], lu.offsets[e + 1]);
+        },
+        [&](const typename Workspace::Eta& u) {
+          if (u.support.empty()) {
+            apply(u.p, u.pval, vgpu::check::CheckedSpan<const std::uint32_t>{},
+                  vgpu::check::CheckedSpan<const Real>{}, 0, 0);
+          } else {
+            apply(u.p, u.pval, u.idx->device_span(), u.val->device_span(), 0,
+                  u.support.size());
           }
         });
   }
 
-  /// ws.eta_work := E_1^T ... E_k^T y, newest eta first, where y is a copy
-  /// of `seed` or, when `seed` is null, the unit vector e_{unit_row}.
-  void eta_btran_chain(Workspace& ws, const vgpu::DeviceBuffer<Real>* seed,
-                       std::size_t unit_row) {
-    const std::size_t m = ws.m;
-    double flops = 0.0;
-    double traffic = seed != nullptr ? bytes(2 * m) : bytes(m);
-    for (const auto& eta : ws.etas) {
-      const auto nnz = static_cast<double>(eta.val->size());
-      flops += 2.0 * nnz;
-      // idx + val + y[idx] read, y[p] written.
-      traffic += nnz * double(2 * sizeof(Real) + sizeof(std::uint32_t)) +
-                 bytes(1);
+  /// alpha = B^-1 a_q in ONE launch: zero alpha, scatter a_q through
+  /// sigma, walk the factor etas, then the update etas oldest first. Per
+  /// eta, t = x_p / pval; if t != 0, x_i -= v_i * t over the entries;
+  /// then x_p = t (ProductFormOracle::apply_etas and SparseLu::ftran). With
+  /// no `q` (the fused path's speculative form) the launch reads q from
+  /// the descriptor, declares the widest column, and does nothing when
+  /// pricing found no candidate.
+  void eta_ftran_chain(Workspace& ws, std::optional<std::size_t> q) {
+    if constexpr (At<Real>::kSparseKernels) {
+      const std::size_t m = ws.m;
+      const auto cols = ws.at.columns();
+      const std::size_t nnz_q =
+          q.has_value() ? cols.column(*q).nnz() : ws.at.max_col_nnz();
+      const ChainShape shape = chain_shape(ws, false);
+      constexpr double kIdx = sizeof(std::uint32_t);
+      // Zeroing, the scatter (a_q value + row, sigma, x written), then per
+      // entry idx + val + x read + x written and per eta x_p read + write.
+      const double traffic =
+          bytes(m + (q.has_value() ? 0 : 1)) +
+          double(nnz_q) * (2.0 * kIdx + 2.0 * sizeof(Real)) +
+          double(shape.entries) * (kIdx + 3.0 * sizeof(Real)) +
+          bytes(2 * shape.etas);
+      auto xsp = ws.alpha.device_span();
+      const auto dsp = std::as_const(ws.desc).device_span();
+      const auto ssp = std::as_const(*ws.sigma).device_span();
+      dev_.launch_blocks(
+          "eta_ftran_chain", vgpu::Device::kBlockSize,
+          vgpu::Device::kBlockSize,
+          {2.0 * double(shape.entries) + double(shape.etas), traffic,
+           sizeof(Real), 1 + shape.levels},
+          [&](std::size_t, std::size_t, std::size_t) {
+            if (!q.has_value() && dsp[kDescQ] < Real{0}) return;
+            const auto aq = cols.column(
+                q.has_value() ? *q : static_cast<std::size_t>(dsp[kDescQ]));
+            aq.annotate();
+            for (std::size_t i = 0; i < m; ++i) xsp[i] = Real{0};
+            for (std::uint32_t k = aq.k_lo; k < aq.k_hi; ++k) {
+              xsp[ssp[aq.cols.data()[k]]] = aq.vals.data()[k];
+            }
+            walk_device(ws, false,
+                        [&](std::size_t p, Real pval, const auto& isp,
+                            const auto& vsp, std::size_t lo, std::size_t hi) {
+                          const Real t = xsp[p] / pval;
+                          if (t != Real{0}) {
+                            for (std::size_t k = lo; k < hi; ++k) {
+                              xsp[isp[k]] -= vsp[k] * t;
+                            }
+                          }
+                          xsp[p] = t;
+                        });
+          });
     }
+  }
+
+  /// out = (B^-1)^T y in ONE launch, where y is a copy of `seed` or, when
+  /// `seed` is null, the unit vector e_{unit_row}: walk the update etas
+  /// transposed newest first, then the factor etas transposed in reverse,
+  /// then gather out[r] = y[sigma[r]]. Per eta, acc = y_p; acc -= v_k *
+  /// y_{i_k} in entry order; then y_p = acc / pval
+  /// (ProductFormOracle::apply_etas_transposed and SparseLu::btran).
+  void eta_btran_chain(Workspace& ws, const vgpu::DeviceBuffer<Real>* seed,
+                       std::size_t unit_row, vgpu::DeviceBuffer<Real>& out) {
+    const std::size_t m = ws.m;
+    const ChainShape shape = chain_shape(ws, true);
+    constexpr double kIdx = sizeof(std::uint32_t);
+    // The seed, per entry idx + val + y read, per eta y_p read + write,
+    // and the gather (sigma + y read, out written).
+    const double traffic =
+        bytes(seed != nullptr ? 2 * m : m) +
+        double(shape.entries) * (kIdx + 2.0 * sizeof(Real)) +
+        bytes(2 * shape.etas) + double(m) * (kIdx + 2.0 * sizeof(Real));
     auto ysp = ws.eta_work.device_span();
-    auto ssp = seed != nullptr ? seed->device_span()
-                               : vgpu::check::CheckedSpan<const Real>{};
+    auto osp = out.device_span();
+    const auto ssp = std::as_const(*ws.sigma).device_span();
+    const auto csp = seed != nullptr ? seed->device_span()
+                                     : vgpu::check::CheckedSpan<const Real>{};
     dev_.launch_blocks(
         "eta_btran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
-        {flops, traffic, sizeof(Real), ws.etas.size()},
+        {2.0 * double(shape.entries) + double(shape.etas), traffic,
+         sizeof(Real), 2 + shape.levels},
         [&](std::size_t, std::size_t, std::size_t) {
           for (std::size_t i = 0; i < m; ++i) {
-            ysp[i] = seed != nullptr ? Real(ssp[i])
+            ysp[i] = seed != nullptr ? Real(csp[i])
                                      : (i == unit_row ? Real{1} : Real{0});
           }
-          for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
-            auto isp = it->idx->device_span();
-            auto vsp = it->val->device_span();
-            const std::size_t nnz = it->val->size();
-            Real acc{0};
-            for (std::size_t k0 = 0; k0 < nnz; k0 += vgpu::Device::kBlockSize) {
-              const std::size_t k1 =
-                  std::min(nnz, k0 + vgpu::Device::kBlockSize);
-              Real part{0};
-              for (std::size_t k = k0; k < k1; ++k) {
-                part += vsp[k] * ysp[isp[k]];
-              }
-              acc += part;
-            }
-            ysp[it->p] = acc;
-          }
+          walk_device(ws, true,
+                      [&](std::size_t p, Real pval, const auto& isp,
+                          const auto& vsp, std::size_t lo, std::size_t hi) {
+                        Real acc = ysp[p];
+                        for (std::size_t k = lo; k < hi; ++k) {
+                          acc -= vsp[k] * ysp[isp[k]];
+                        }
+                        ysp[p] = acc / pval;
+                      });
+          for (std::size_t r = 0; r < m; ++r) osp[r] = ysp[ssp[r]];
         });
   }
 
@@ -652,7 +767,7 @@ class DeviceRevisedSimplex {
   /// Copy row p of B^-1 into ws.pivot_row.
   void save_pivot_row(Workspace& ws, std::size_t p) {
     const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
+    auto binv = ws.binv->device_span();
     auto prow = ws.pivot_row.device_span();
     dev_.launch_blocks(
         "save_pivot_row", m, vgpu::Device::kBlockSize,
@@ -667,7 +782,7 @@ class DeviceRevisedSimplex {
   /// Requires save_pivot_row(p) to have run.
   void update_binv(Workspace& ws, std::size_t p, Real alpha_p) {
     const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
+    auto binv = ws.binv->device_span();
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
     dev_.launch_blocks(
@@ -713,7 +828,7 @@ class DeviceRevisedSimplex {
   void pivot_apply(Workspace& ws, std::size_t p, Real theta, Real alpha_p,
                    const Pokes& pokes) {
     const std::size_t m = ws.m;
-    auto binv = ws.binv.device_span();
+    auto binv = ws.binv->device_span();
     auto prow = ws.pivot_row.device_span();
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
@@ -778,7 +893,7 @@ class DeviceRevisedSimplex {
       ws.eta_growth = std::max(
           ws.eta_growth, std::abs(static_cast<double>(ah[i]) * inv_p));
     }
-    if (sparse_pf(ws)) {
+    if (sparse_pf(ws.options)) {
       append_eta_sparse(ws, p, alpha_p);
       return;
     }
@@ -794,40 +909,39 @@ class DeviceRevisedSimplex {
             esp[i] = (i == p) ? inv : -asp[i] * inv;
           }
         });
-    ws.etas.push_back({p, std::move(eta), std::nullopt, std::nullopt});
+    ws.etas.push_back(
+        {p, alpha_p, std::move(eta), {}, std::nullopt, std::nullopt});
   }
 
-  /// Sparse-kernel eta append: the support is alpha's nonzero pattern.
-  /// The index list is host metadata (the CUDA original would run a
-  /// stream compaction; like the CSR extents in SparseAt it is read
-  /// outside the machine model), while the eta values themselves are
-  /// computed on device from alpha so the arithmetic stays in-model.
+  /// Sparse-kernel eta append in the host oracle's format: the support
+  /// {i != p : alpha_i != 0} is host metadata (the CUDA original would run
+  /// a stream compaction; like the CSR extents in SparseAt it is read
+  /// outside the machine model) and crosses PCIe once, and `make_eta`
+  /// gathers the raw alpha_i on device. pval = alpha_p. A pivot-only alpha
+  /// uploads and launches nothing.
   void append_eta_sparse(Workspace& ws, std::size_t p, Real alpha_p) {
+    typename Workspace::Eta eta{p, alpha_p, std::nullopt, {}, std::nullopt,
+                                std::nullopt};
     const std::span<const Real> ah = ws.alpha.host_view();
-    std::vector<std::uint32_t> support;
     for (std::uint32_t i = 0; i < ws.m; ++i) {
-      if (ah[i] != Real{0} || i == p) support.push_back(i);
+      if (i != p && ah[i] != Real{0}) eta.support.push_back(i);
     }
-    const std::size_t nnz = support.size();
-    vgpu::DeviceBuffer<std::uint32_t> idx(
-        dev_, std::span<const std::uint32_t>(support));
-    vgpu::DeviceBuffer<Real> val(dev_, nnz);
-    auto asp = ws.alpha.device_span();
-    auto isp = idx.device_span();
-    auto vsp = val.device_span();
-    dev_.launch_blocks(
-        "make_eta", nnz, vgpu::Device::kBlockSize,
-        {double(nnz),
-         double(nnz * (2 * sizeof(Real) + sizeof(std::uint32_t))),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real inv = Real{1} / alpha_p;
-          for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t i = isp[k];
-            vsp[k] = (i == p) ? inv : -asp[i] * inv;
-          }
-        });
-    ws.etas.push_back({p, std::nullopt, std::move(idx), std::move(val)});
+    const std::size_t nnz = eta.support.size();
+    if (nnz > 0) {
+      eta.idx.emplace(dev_, std::span<const std::uint32_t>(eta.support));
+      eta.val.emplace(dev_, nnz);
+      const auto asp = std::as_const(ws.alpha).device_span();
+      const auto isp = std::as_const(*eta.idx).device_span();
+      auto vsp = eta.val->device_span();
+      dev_.launch_blocks(
+          "make_eta", nnz, vgpu::Device::kBlockSize,
+          {0.0, double(nnz * (2 * sizeof(Real) + sizeof(std::uint32_t))),
+           sizeof(Real)},
+          [&](std::size_t, std::size_t lo, std::size_t hi) {
+            for (std::size_t k = lo; k < hi; ++k) vsp[k] = asp[isp[k]];
+          });
+    }
+    ws.etas.push_back(std::move(eta));
   }
 
   /// Assemble the current basis matrix from the augmented problem's rows.
@@ -860,7 +974,7 @@ class DeviceRevisedSimplex {
   void reinvert(Workspace& ws) {
     const std::size_t m = ws.m;
     const vblas::Matrix<double> inv = vblas::ref::invert(assemble_basis(ws));
-    auto binv = ws.binv.device_span();
+    auto binv = ws.binv->device_span();
     dev_.launch_blocks(
         "reinvert", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m) * double(m), bytes(3 * m * m),
@@ -877,7 +991,7 @@ class DeviceRevisedSimplex {
     ws.pivots_since_refactor = 0;
     ws.pi_current = false;
     // beta = B^-1 b (clamped: the basis is primal feasible by invariant).
-    auto bsp = ws.b_dev.device_span();
+    auto bsp = ws.b_dev->device_span();
     auto betasp = ws.beta.device_span();
     dev_.launch_blocks(
         "refresh_beta", m, vgpu::Device::kBlockSize,
@@ -891,6 +1005,43 @@ class DeviceRevisedSimplex {
             betasp[i] = acc < Real{0} ? Real{0} : acc;
           }
         });
+  }
+
+  /// Sparse product form's (re)factorization: factor the basis with the
+  /// host oracle's SparseLu over the same columns, then load its position
+  /// etas with ONE single-block `sparse_refactor` launch, declared like
+  /// ProductFormOracle::install's charge (4 nnz + 2m flops, 2 nnz + 2m
+  /// elements) plus one dependent step per basis column. beta is not
+  /// refreshed, as on the host. A singular basis keeps the current factors
+  /// and eta file and returns false (host::maybe_refactor).
+  [[nodiscard]] bool load_factors(Workspace& ws) {
+    basis::SparseLu lu;
+    if (!lu.factorize(basis::CsrColumnSource(*ws.csr), ws.basic)) {
+      return false;
+    }
+    ws.lu = lu.position_etas();
+    const std::size_t m = ws.m;
+    const std::size_t entries = ws.lu.idx.size();
+    ws.lu_idx.emplace(dev_, entries);
+    ws.lu_val.emplace(dev_, entries);
+    auto ssp = ws.sigma->device_span();
+    auto isp = ws.lu_idx->device_span();
+    auto vsp = ws.lu_val->device_span();
+    dev_.launch_blocks(
+        "sparse_refactor", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
+        {4.0 * double(lu.nnz()) + 2.0 * double(m), bytes(2 * lu.nnz() + 2 * m),
+         sizeof(Real), m},
+        [&](std::size_t, std::size_t, std::size_t) {
+          for (std::size_t r = 0; r < m; ++r) ssp[r] = ws.lu.sigma[r];
+          for (std::size_t k = 0; k < entries; ++k) {
+            isp[k] = ws.lu.idx[k];
+            vsp[k] = static_cast<Real>(ws.lu.val[k]);
+          }
+        });
+    ws.etas.clear();
+    ws.eta_growth = 0.0;
+    ws.pi_current = false;
+    return true;
   }
 
   // ---------------------------------------------------------------------
@@ -937,10 +1088,8 @@ class DeviceRevisedSimplex {
       save_pivot_row(ws, i);
       return;
     }
-    if (sparse_pf(ws)) {
-      eta_btran_chain(ws, nullptr, i);
-      btran_base(ws, ws.eta_work, ws.pivot_row, "sparse_btran",
-                 support_size(ws.eta_work));
+    if (sparse_pf(ws.options)) {
+      eta_btran_chain(ws, nullptr, i, ws.pivot_row);
       return;
     }
     // ws.ratio is free at every call site; use it as the unit seed.
@@ -992,7 +1141,8 @@ class DeviceRevisedSimplex {
   /// inverse refactors on the opt-in refactor_period to shed rounding
   /// error; the eta file is folded back every reinversion_period pivots
   /// (0 means every m) or as soon as an eta multiplier exceeds the growth
-  /// limit.
+  /// limit. The sparse product form counts its etas, drive-out pivots
+  /// included, as ProductFormOracle::wants_refactor does.
   [[nodiscard]] static bool refactor_due(const Workspace& ws) noexcept {
     if (ws.options.basis == BasisScheme::kExplicitInverse) {
       const std::size_t period = ws.options.refactor_period;
@@ -1001,7 +1151,9 @@ class DeviceRevisedSimplex {
     const std::size_t period = ws.options.reinversion_period > 0
                                    ? ws.options.reinversion_period
                                    : ws.m;
-    return (period > 0 && ws.pivots_since_refactor >= period) ||
+    const std::size_t pivots =
+        sparse_pf(ws.options) ? ws.etas.size() : ws.pivots_since_refactor;
+    return (period > 0 && pivots >= period) ||
            ws.eta_growth > basis::kEtaGrowthLimit;
   }
 
@@ -1107,9 +1259,14 @@ class DeviceRevisedSimplex {
     ++ws.pivots_since_refactor;
     if (refactor_due(ws)) {
       trace::ScopedSpan op(tr, "refactor", clock(), "op");
-      reinvert(ws);
+      bool refactored = true;
+      if (sparse_pf(ws.options)) {
+        refactored = load_factors(ws);
+      } else {
+        reinvert(ws);
+      }
       lap(loop, metrics::SimplexOp::kRefactor);
-      if (record::Recorder* rec = opt_.recorder) {
+      if (record::Recorder* rec = opt_.recorder; rec != nullptr && refactored) {
         rec->record_refactor(loop.stats.iterations);
       }
     }
@@ -1125,7 +1282,8 @@ class DeviceRevisedSimplex {
                     metrics::SimplexOpMetrics& om,
                     metrics::HealthMonitor& health, std::uint8_t phase) {
     if (ws.options.fused_iteration &&
-        (ws.options.basis == BasisScheme::kExplicitInverse || sparse_pf(ws))) {
+        (ws.options.basis == BasisScheme::kExplicitInverse ||
+         sparse_pf(ws.options))) {
       return run_loop_fused(ws, budget, stats, om, health, phase);
     }
     const trace::Track& tr = dev_.trace();
@@ -1186,10 +1344,11 @@ class DeviceRevisedSimplex {
   ///     -> [descriptor d2h] -> pivot_apply -> [devex_update_fused];
   ///     pivot_apply also sums the next iteration's pi, so price_btran
   ///     runs only at loop entry and after a refactor;
-  ///   sparse product form:  [eta_btran_chain] -> sparse_btran
-  ///     -> price_select -> sparse_ftran -> [eta_ftran_chain]
-  ///     -> ratio_select -> [descriptor d2h] -> [devex row + update]
-  ///     -> pivot_beta -> make_eta (+ the eta-support h2d).
+  ///   sparse product form:  eta_btran_chain -> price_select
+  ///     -> eta_ftran_chain -> ratio_select -> [descriptor d2h]
+  ///     -> [devex row + update] -> pivot_beta -> [make_eta (+ the
+  ///     eta-support h2d), skipped for a pivot-only alpha]; the chains
+  ///     are the only basis launches.
   /// Selections spanning more than one block add a small combine launch.
   /// The pivot sequence is bit-identical to run_loop's — the fused
   /// selections share the primitives' block-scan semantics and the device-
@@ -1201,7 +1360,7 @@ class DeviceRevisedSimplex {
                           metrics::HealthMonitor& health, std::uint8_t phase) {
     const trace::Track& tr = dev_.trace();
     Loop loop{stats, om, health, phase, ws.current_objective()};
-    const bool pf = sparse_pf(ws);
+    const bool pf = sparse_pf(ws.options);
     std::array<Real, kDescSlots> desc_h{};
     for (std::size_t iter = 0; iter < budget; ++iter) {
       trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
@@ -1225,9 +1384,9 @@ class DeviceRevisedSimplex {
         // a candidate; the kernels early-exit on-device when it did not.
         trace::ScopedSpan op(tr, "ftran", clock(), "op");
         if (pf) {
-          ftran_speculative(ws);
+          eta_ftran_chain(ws, std::nullopt);
         } else {
-          ws.at.ftran_ratio_select(ws.binv, ws.beta, ws.alpha, ws.ratio,
+          ws.at.ftran_ratio_select(*ws.binv, ws.beta, ws.alpha, ws.ratio,
                                    ws.desc,
                                    static_cast<Real>(ws.options.pivot_tol));
         }
@@ -1314,7 +1473,7 @@ class DeviceRevisedSimplex {
       return;
     }
     const std::size_t m = ws.m;
-    const std::span<const Real> binv = ws.binv.buffer().host_view();
+    const std::span<const Real> binv = ws.binv->buffer().host_view();
     std::vector<std::int64_t> pos_of_col(ws.n_aug, -1);
     for (std::size_t k = 0; k < m; ++k) {
       pos_of_col[ws.basic[k]] = static_cast<std::int64_t>(k);
@@ -1432,7 +1591,9 @@ class DeviceRevisedSimplex {
   SolverOptions opt_;
 };
 
-/// The Ext. C sparse instantiation: CSR constraint matrix, dense B^-1.
+/// The Ext. C sparse instantiation: CSR constraint matrix; dense B^-1
+/// under the explicit inverse, the host oracle's sparse LU plus an eta
+/// file under the product form.
 template <typename Real>
 using SparseRevisedSimplex = DeviceRevisedSimplex<Real, SparseAt>;
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "lp/generators.hpp"
@@ -18,6 +19,7 @@
 #include "simplex/solver.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
+#include "vgpu/analyze/analyze.hpp"
 
 namespace gs {
 namespace {
@@ -176,6 +178,55 @@ TEST(SparseLuRoundTrip, FtranBtranInvertTheFactoredBasis) {
       double acc = 0.0;
       for (std::size_t i = 0; i < m; ++i) acc += colbuf[i] * y[i];
       EXPECT_NEAR(acc, x[j], 1e-9 * (1.0 + std::abs(x[j]))) << j;
+    }
+  }
+}
+
+// Property: the position-eta export repeats the LU's own solves bit for
+// bit — FTRAN of x[sigma[r]] = a[r] through the etas in order, and BTRAN
+// through them in reverse followed by the gather out[r] = y[sigma[r]] —
+// on dense and on mostly-zero right-hand sides.
+TEST(SparseLuRoundTrip, PositionEtasRepeatTheSolvesExactly) {
+  for (const std::uint64_t seed : {3u, 19u}) {
+    const std::size_t m = 64;
+    const auto at = random_basis_at(m, 8, seed);
+    simplex::basis::SparseLu lu;
+    ASSERT_TRUE(lu.factorize(CsrColumnSource(at), identity_basis(m)));
+    const auto f = lu.position_etas();
+    ASSERT_EQ(f.sigma.size(), m);
+    ASSERT_EQ(f.offsets.size(), f.p.size() + 1);
+    auto x = random_vec(m, seed + 7);
+    for (const bool sparse_rhs : {false, true}) {
+      if (sparse_rhs) {
+        for (std::size_t i = 0; i < m; ++i) x[i] = i % 9 == 4 ? x[i] : 0.0;
+      }
+      std::vector<double> want = x;
+      lu.ftran(want);
+      std::vector<double> got(m);
+      for (std::size_t r = 0; r < m; ++r) got[f.sigma[r]] = x[r];
+      for (std::size_t e = 0; e < f.p.size(); ++e) {
+        const double t = got[f.p[e]] / f.pval[e];
+        if (t != 0.0) {
+          for (std::size_t k = f.offsets[e]; k < f.offsets[e + 1]; ++k) {
+            got[f.idx[k]] -= f.val[k] * t;
+          }
+        }
+        got[f.p[e]] = t;
+      }
+      EXPECT_EQ(got, want);
+
+      want = x;
+      lu.btran(want);
+      std::vector<double> y = x;
+      for (std::size_t e = f.p.size(); e-- > 0;) {
+        double acc = y[f.p[e]];
+        for (std::size_t k = f.offsets[e]; k < f.offsets[e + 1]; ++k) {
+          acc -= f.val[k] * y[f.idx[k]];
+        }
+        y[f.p[e]] = acc / f.pval[e];
+      }
+      for (std::size_t r = 0; r < m; ++r) got[r] = y[f.sigma[r]];
+      EXPECT_EQ(got, want);
     }
   }
 }
@@ -371,10 +422,11 @@ TEST(DualEngine, WarmStartFromUnrelatedBasisAgreesWithHost) {
   }
 }
 
-// Device sparse kernel variants: the CSR engine's product-form path
-// (sparse_ftran / sparse_btran bases, eta file walked by one chain launch
-// per direction) reaches the host optimum in both precisions and its
-// kernel stream carries the variant names.
+// Device sparse kernel variants: the CSR engine's product-form path (the
+// host oracle's sparse LU loaded by `sparse_refactor` and walked with the
+// eta file by one chain launch per direction) reaches the host optimum in
+// both precisions, its kernel stream carries the variant names, and no
+// dense-inverse base solve, reinversion or beta refresh comes back.
 TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
   const auto problem = lp::random_sparse_lp(
       {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
@@ -389,17 +441,18 @@ TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
     ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal);
     EXPECT_NEAR(r.objective, ref, 1e-7 * (1.0 + std::abs(ref)));
     const auto& pk = r.stats.device_stats.per_kernel;
-    EXPECT_TRUE(pk.contains("sparse_ftran"));
-    EXPECT_TRUE(pk.contains("sparse_btran"));
+    EXPECT_TRUE(pk.contains("sparse_refactor"));
     EXPECT_TRUE(pk.contains("eta_ftran_chain"));
     EXPECT_TRUE(pk.contains("eta_btran_chain"));
-    // Neither the per-eta kernels nor the dense-path eta kernels appear
-    // on the sparse variant.
-    EXPECT_FALSE(pk.contains("eta_apply"));
-    EXPECT_FALSE(pk.contains("eta_snapshot"));
-    EXPECT_FALSE(pk.contains("eta_btran_write"));
-    EXPECT_FALSE(pk.contains("eta_ftran"));
-    EXPECT_FALSE(pk.contains("eta_btran_dot"));
+    // The chains are the only basis launches: no dense-inverse base
+    // solves, reinversion or beta refresh, and neither the per-eta
+    // kernels nor the dense-path eta kernels appear on the sparse variant.
+    for (const char* gone :
+         {"sparse_ftran", "sparse_btran", "reinvert", "refresh_beta",
+          "binv_init", "eta_apply", "eta_snapshot", "eta_btran_write",
+          "eta_ftran", "eta_btran_dot"}) {
+      EXPECT_FALSE(pk.contains(gone)) << gone;
+    }
   }
   {
     vgpu::Device dev(vgpu::gtx280_model());
@@ -408,6 +461,116 @@ TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
     ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal);
     EXPECT_NEAR(r.objective, ref, 1e-3 * (1.0 + std::abs(ref)));
   }
+}
+
+std::size_t count_refactors(const record::Recorder& rec) {
+  std::size_t n = 0;
+  for (const auto& e : rec.recording().records) {
+    n += e.kind == record::RecordKind::kRefactor ? 1 : 0;
+  }
+  return n;
+}
+
+/// All right-hand sides zero on equality rows: phase 1 ends with an
+/// artificial basic at level zero, and the drive-out pivots it out. That
+/// pivot appends an eta, which the refactor interval must count.
+lp::LpProblem degenerate_drive_out() {
+  lp::LpProblem p(lp::Objective::kMinimize, "degenerate_drive_out");
+  std::vector<std::uint32_t> x;
+  for (const double cost : {0.0, 2.0, 1.0, -1.0, 2.0, 2.0, 3.0, 1.0}) {
+    x.push_back(p.add_variable("x" + std::to_string(x.size()), cost));
+  }
+  const auto row = [&](std::vector<lp::Term> terms) {
+    p.add_constraint("r" + std::to_string(p.num_constraints()),
+                     std::move(terms), lp::RowSense::kEq, 0.0);
+  };
+  row({{x[3], 3.0}, {x[5], 2.0}, {x[6], 2.0}, {x[7], 1.0}});
+  row({{x[0], 1.0}, {x[1], 1.0}, {x[2], 3.0}, {x[5], 1.0}, {x[6], 2.0}});
+  row({{x[2], 2.0}, {x[4], 3.0}, {x[7], 3.0}});
+  row({{x[0], 2.0}, {x[1], -1.0}, {x[2], 1.0}, {x[3], -1.0}, {x[5], 1.0},
+       {x[6], 3.0}});
+  return p;
+}
+
+// The device product form holds B0 as the host oracle's own SparseLu and
+// walks it with the eta file in the host oracle's arithmetic, so in double
+// it is bit-identical to the host engine's product form: same status,
+// pivots, refactor events, values and basis (DESIGN.md "Basis oracles").
+// The corpus is Tab. 2's plus the sparse product-form test instances and
+// a drive-out, under both refactor intervals and the host engine's three
+// pricing rules. Beale under Dantzig cycles to the iteration limit in
+// both.
+TEST(DeviceSparseBasis, BitIdenticalToHostProductForm) {
+  const std::vector<lp::LpProblem> corpus = {
+      lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 4}),
+      lp::random_dense_lp({.rows = 32, .cols = 128, .seed = 5}),
+      lp::random_sparse_lp(
+          {.rows = 64, .cols = 256, .density = 0.05, .seed = 6}),
+      lp::klee_minty(8),
+      lp::beale_cycling(),
+      lp::transportation(6, 8, 7),
+      lp::infeasible_example(),
+      lp::unbounded_example(),
+      lp::random_sparse_lp(
+          {.rows = 40, .cols = 160, .density = 0.08, .seed = 12}),
+      lp::random_sparse_lp(
+          {.rows = 96, .cols = 384, .density = 0.03, .seed = 5}),
+      lp::transportation(5, 6, 17),
+      degenerate_drive_out(),
+  };
+  for (std::size_t k = 0; k < corpus.size(); ++k) {
+    for (const std::size_t period : {std::size_t{0}, std::size_t{8}}) {
+      for (const simplex::PricingRule rule :
+           {simplex::PricingRule::kHybrid, simplex::PricingRule::kDantzig,
+            simplex::PricingRule::kBland}) {
+        SCOPED_TRACE(testing::Message() << "case " << k << " period "
+                                        << period << " rule "
+                                        << to_string(rule));
+        simplex::SolverOptions opt;
+        opt.basis = simplex::BasisScheme::kProductForm;
+        opt.reinversion_period = period;
+        opt.pricing = rule;
+        record::Recorder host_rec, dev_rec;
+        opt.recorder = &host_rec;
+        const auto h =
+            simplex::solve(corpus[k], simplex::Engine::kHostRevised, opt);
+        opt.recorder = &dev_rec;
+        const auto d =
+            simplex::solve(corpus[k], simplex::Engine::kSparseRevised, opt);
+        ASSERT_EQ(to_string(d.status), to_string(h.status));
+        EXPECT_EQ(d.stats.iterations, h.stats.iterations);
+        EXPECT_EQ(count_refactors(dev_rec), count_refactors(host_rec));
+        EXPECT_EQ(d.objective, h.objective);
+        EXPECT_EQ(d.x, h.x);
+        EXPECT_EQ(d.y, h.y);
+        EXPECT_EQ(d.basis, h.basis);
+        const auto diff =
+            record::diff(host_rec.recording(), dev_rec.recording());
+        ASSERT_TRUE(diff.comparable) << diff.describe();
+        EXPECT_FALSE(diff.diverged) << diff.describe();
+        EXPECT_EQ(diff.max_reduced_cost_delta, 0.0) << diff.describe();
+        EXPECT_EQ(diff.max_theta_delta, 0.0) << diff.describe();
+      }
+    }
+  }
+}
+
+// The sparse product form keeps no dense inverse in device memory: on a
+// sparse_pf-shaped LP (256 x 1024, density 0.005) the peak of live device
+// bytes stays below the m^2 doubles a dense B0^-1 alone would take.
+TEST(DeviceSparseBasis, ProductFormHoldsNoDenseInverse) {
+  constexpr std::size_t m = 256;
+  const auto problem = lp::random_sparse_lp(
+      {.rows = m, .cols = 4 * m, .density = 0.005, .seed = 7});
+  vgpu::analyze::CaptureLog capture;
+  simplex::SolverOptions opt;
+  opt.basis = simplex::BasisScheme::kProductForm;
+  opt.analyzer = &capture;
+  const auto r =
+      simplex::solve(problem, simplex::Engine::kSparseRevised, opt);
+  ASSERT_TRUE(r.optimal());
+  const auto report = vgpu::analyze::analyze(capture);
+  EXPECT_LT(report.peak_live_bytes, m * m * sizeof(double));
 }
 
 // The sparse eta chains only touch each eta's support: the modeled byte

@@ -297,8 +297,9 @@ TEST(CheckedEngines, AllEnginesSolveCleanUnderCheck) {
 }
 
 // Both A^T formats under both bases: the CSR engine's product form runs
-// the sparse basis kernels (sparse_btran / sparse_ftran / the eta chains),
-// whose declared costs the lint checks too.
+// the sparse basis kernels (sparse_refactor and the two eta chains that
+// walk the LU factors with the eta file), whose declared costs the lint
+// checks too.
 TEST(CheckedEngines, PricingAndBasisVariantsSolveCleanUnderCheck) {
   const lp::LpProblem problem = lp::random_dense_lp({.rows = 20, .cols = 20, .seed = 5});
   const double reference =
