@@ -6,6 +6,11 @@
 // error growing with problem size but staying small (the iteration path is
 // usually identical on well-conditioned instances).
 //
+// The float→double columns are the service's device route on the same
+// instance: the float run finished in double by the host dual engine from
+// its final basis (DESIGN.md, "Float iterations, double answer"). The raw
+// float columns stay unrefined: they are the paper's precision study.
+//
 // `--diff` additionally records both runs' pivot decisions and aligns them
 // (OBSERVABILITY.md, "Recorder"), turning "objectives differ by X" into
 // "runs diverge at iteration N on pivot (r,c)" per size.
@@ -23,7 +28,8 @@ int main(int argc, char** argv) {
       "growing with size");
 
   Table table({"m=n", "double [ms]", "float [ms]", "float/double time",
-               "iters (d)", "iters (f)", "rel obj error"});
+               "iters (d)", "iters (f)", "rel obj error", "float→double [ms]",
+               "float→double rel obj error"});
   for (const std::size_t size : bench::dense_sizes(argc, argv)) {
     const auto problem =
         lp::random_dense_lp({.rows = size, .cols = size, .seed = 2});
@@ -38,12 +44,15 @@ int main(int argc, char** argv) {
     const auto rd = bench::solve_device(problem, vgpu::gtx280_model(), opt_d);
     const auto rf =
         bench::solve_device_float(problem, vgpu::gtx280_model(), opt_f);
-    if (!rd.optimal() || !rf.optimal()) {
+    const auto rfd = simplex::solve_float_then_double(problem);
+    if (!rd.optimal() || !rf.optimal() || !rfd.optimal()) {
       std::cerr << "non-optimal solve at m=" << size << "\n";
       return 1;
     }
-    const double rel_err = std::abs(rf.objective - rd.objective) /
-                           (1.0 + std::abs(rd.objective));
+    const auto rel_err = [&rd](const simplex::SolveResult& r) {
+      return std::abs(r.objective - rd.objective) /
+             (1.0 + std::abs(rd.objective));
+    };
     table.new_row()
         .add(size)
         .add(rd.stats.sim_seconds * 1e3)
@@ -51,7 +60,9 @@ int main(int argc, char** argv) {
         .add(rf.stats.sim_seconds / rd.stats.sim_seconds)
         .add(rd.stats.iterations)
         .add(rf.stats.iterations)
-        .add(rel_err);
+        .add(rel_err(rf))
+        .add(rfd.stats.sim_seconds * 1e3)
+        .add(rel_err(rfd));
     if (diff_on) {
       std::cout << "[diff] m=n=" << size << ": "
                 << record::diff(rec_d.recording(), rec_f.recording())

@@ -8,7 +8,9 @@
 // start primal feasible, so the dual loop never pivots there; the two
 // dense cases add a "dual-revised (warm)" row that starts from the
 // optimal basis of another same-shape instance, which the dual loop must
-// repair. Exits nonzero on any mismatch.
+// repair. The "float→double" row is the service's device route: float
+// device iterations finished in double by the host dual engine, held to
+// the double engines' 1e-6. Exits nonzero on any mismatch.
 #include <cmath>
 #include <optional>
 
@@ -78,6 +80,7 @@ int main(int, char**) {
       add(std::string(to_string(e)), simplex::solve(c.problem, e),
           e == Engine::kDeviceRevisedFloat ? 2e-3 : 1e-6);
     }
+    add("float→double", simplex::solve_float_then_double(c.problem), 1e-6);
     if (c.warm_donor) {
       const auto basis =
           simplex::solve(*c.warm_donor, Engine::kHostRevised).basis;

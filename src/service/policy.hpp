@@ -10,10 +10,11 @@
 namespace gs::service {
 
 struct DispatchPolicy {
-  /// GPU/CPU crossover: a single request with m >= crossover_m runs on the
-  /// device engine, a smaller one on the host engine (below the crossover
+  /// GPU/CPU crossover: a single request with m >= crossover_m takes the
+  /// device route, a smaller one the host engine (below the crossover
   /// the launch-latency floor makes the GPU slower — EXPERIMENTS.md
-  /// Fig. 2 measures the crossover at m=512 on the calibrated models).
+  /// Fig. 2 measures the double engine's crossover at m=512 on the
+  /// calibrated models).
   std::size_t crossover_m = 512;
 
   /// Preferred lanes per batch-engine round. K=64 is where the committed

@@ -54,7 +54,8 @@ struct Job {
   /// thread replays the events onto the shared timelines in scheduling
   /// order — deterministic for any worker count.
   std::unique_ptr<trace::ChromeTraceSink> collect;
-  std::uint32_t host_tid = trace::kEngineTid;  ///< modelled host lane track
+  /// Modelled host lane track (a device job's: its continuation track).
+  std::uint32_t host_tid = trace::kEngineTid;
 };
 
 }  // namespace
@@ -276,21 +277,27 @@ void SolveService::drain() {
         const Pending& p = work[job.items.front()];
         simplex::SolverOptions opt = p.request.options;
         if (job.collect) opt.trace_sink = job.collect.get();
-        simplex::Engine engine = simplex::Engine::kHostRevised;
         if (job.route == Route::kDevice) {
-          engine = simplex::Engine::kDeviceRevised;
+          // Float iterations on the device, finished in double by the host
+          // dual engine from the float basis; the whole job is charged to
+          // the device timeline.
+          job.results.push_back(simplex::solve_float_then_double(
+              p.request.problem, opt, device_model_, host_model_));
+        } else {
+          simplex::Engine engine = simplex::Engine::kHostRevised;
+          if (job.route == Route::kWarmBasis) {
+            // Perturbed repeats go to the dual engine: a neighbour's
+            // optimal basis stays dual feasible under rhs drift, so the
+            // re-solve repairs primal feasibility in a few dual pivots
+            // instead of re-running phase 1 (the dual engine itself falls
+            // back to the primal host engine when the cached basis is
+            // rejected).
+            opt.warm_basis = &job.warm_basis;
+            engine = simplex::Engine::kDualRevised;
+          }
+          job.results.push_back(simplex::solve(p.request.problem, engine, opt,
+                                               device_model_, host_model_));
         }
-        if (job.route == Route::kWarmBasis) {
-          // Perturbed repeats go to the dual engine: a neighbour's optimal
-          // basis stays dual feasible under rhs drift, so the re-solve
-          // repairs primal feasibility in a few dual pivots instead of
-          // re-running phase 1 (the dual engine itself falls back to the
-          // primal host engine when the cached basis is rejected).
-          opt.warm_basis = &job.warm_basis;
-          engine = simplex::Engine::kDualRevised;
-        }
-        job.results.push_back(simplex::solve(p.request.problem, engine, opt,
-                                             device_model_, host_model_));
       }
       job.sim_seconds = job.results.front().stats.sim_seconds;
     } catch (const gs::Error&) {
@@ -324,9 +331,14 @@ void SolveService::drain() {
   double device_clock = 0.0;
   std::vector<double> host_lanes(std::max<std::size_t>(1, policy_.workers),
                                  0.0);
+  // A device-route job's host continuation replays onto its own CPU
+  // track, one past the host lanes: device jobs never overlap in time.
+  const auto continuation_tid =
+      trace::kEngineTid + static_cast<std::uint32_t>(host_lanes.size());
   for (Job& job : jobs) {
     if (job.on_device) {
       job.start_seconds = device_clock;
+      job.host_tid = continuation_tid;
       device_clock += job.sim_seconds;
     } else {
       const auto lane =
@@ -366,6 +378,8 @@ void SolveService::drain() {
         lane_track.name_process("cpu: " + host_model_.name);
         lane_track.name_thread("service host lane " + std::to_string(k));
       }
+      trace::Track(obs, trace::kHostPid, continuation_tid)
+          .name_thread("service device-route continuation");
       trace::Track svc_track(obs, trace::kServicePid, 0);
       svc_track.name_process("service: requests");
     }

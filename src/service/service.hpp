@@ -6,7 +6,9 @@
 //                 batch-engine rounds (up to DispatchPolicy::batch_target
 //                 lanes; partial rounds are flushed, never starved),
 //     dispatcher  routes the rest by the measured GPU/CPU crossover
-//                 (m < crossover_m => host engine, else device engine),
+//                 (m < crossover_m => host engine, else the device route:
+//                 float device iterations finished in double by the host
+//                 dual engine, simplex::solve_float_then_double),
 //     warm cache  serves exact repeats (same decision digest) from the
 //                 memoized optimal result and seeds perturbed repeats
 //                 (same shape, different digest) with the prior optimal
@@ -23,10 +25,11 @@
 // depends only on the admitted request sequence, so results are
 // bit-identical for any worker count (tests/test_service.cpp).
 //
-// Modelled latency: batch rounds and device singles are serialized on one
-// modelled device timeline (one GPU, jobs in scheduling order); host
-// singles run on max(1, workers) modelled host lanes (least-loaded-lane
-// assignment in scheduling order). A request's latency_seconds is its
+// Modelled latency: batch rounds and device singles (their host
+// continuation included) are serialized on one modelled device timeline
+// (one GPU, jobs in scheduling order); host singles run on
+// max(1, workers) modelled host lanes (least-loaded-lane assignment in
+// scheduling order). A request's latency_seconds is its
 // queue wait plus its job's modelled engine time — the numbers behind the
 // service bench's p50/p99 (bench/svc_traffic.cpp).
 //

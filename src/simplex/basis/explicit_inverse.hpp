@@ -86,7 +86,10 @@ class ExplicitInverseOracle final : public BasisOracle {
                                 std::vector<double>& beta_out) override {
     vblas::Matrix<double> binv;
     if (!invert_basis(basis, binv)) {
-      return false;  // singular basis: stale snapshot of a different family
+      // Singular basis (a stale snapshot of a different family): the
+      // elimination stopped at a data-dependent column, so the full
+      // inversion's formula would overcharge it. It stays uncharged.
+      return false;
     }
     std::vector<double> beta(m_, 0.0);
     for (std::size_t i = 0; i < m_; ++i) {
@@ -94,6 +97,9 @@ class ExplicitInverseOracle final : public BasisOracle {
       for (std::size_t j = 0; j < m_; ++j) acc += binv(i, j) * b[j];
       beta[i] = acc;
     }
+    // One dense m x m inversion + the B^-1 b product, on the host
+    // roofline: both ran, whether or not the basis is accepted below.
+    charge_reinvert();
     for (const double v : beta) {
       if (v < -1e-9) return false;  // primal infeasible here: cold solve
     }
@@ -102,8 +108,6 @@ class ExplicitInverseOracle final : public BasisOracle {
     }
     binv_ = std::move(binv);
     beta_out = std::move(beta);
-    // One dense m x m inversion + the B^-1 b product, on the host roofline.
-    charge_reinvert();
     return true;
   }
 

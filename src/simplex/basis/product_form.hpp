@@ -97,9 +97,15 @@ class ProductFormOracle final : public BasisOracle {
                                 std::span<const double> b,
                                 std::vector<double>& beta_out) override {
     SparseLu lu;
+    // A singular basis aborts the factorization at a data-dependent
+    // column, which the refactor formula would overcharge: uncharged.
     if (!lu.factorize(*cols_, basis)) return false;
     std::vector<double> beta(b.begin(), b.end());
     lu.ftran(beta);
+    // The factorization and the beta FTRAN ran whether or not the basis
+    // is accepted below.
+    charge_factorize(lu);
+    charge_lu_solve("sparse_ftran", lu.nnz());
     for (const double v : beta) {
       if (v < -1e-9) return false;  // primal infeasible here: cold solve
     }
@@ -115,6 +121,7 @@ class ProductFormOracle final : public BasisOracle {
       std::span<const std::uint32_t> basis) override {
     SparseLu lu;
     if (!lu.factorize(*cols_, basis)) return false;
+    charge_factorize(lu);
     install(std::move(lu));
     ++refactors_;
     return true;
@@ -177,11 +184,20 @@ class ProductFormOracle final : public BasisOracle {
     etas_.clear();
     eta_nnz_ = 0;
     growth_ = 0.0;
-    // One sparse refactorization: ~2 flops per LU nonzero per eliminated
-    // column plus the gather sweep, far below the dense 2m^3.
-    const auto nnz = double(lu_.nnz());
+  }
+
+  /// One sparse refactorization: ~2 flops per LU nonzero per eliminated
+  /// column plus the gather sweep, far below the dense 2m^3.
+  void charge_factorize(const SparseLu& lu) {
+    const auto nnz = double(lu.nnz());
     meter_->charge("sparse_refactor", 4.0 * nnz + 2.0 * double(m_),
-                   double((2 * lu_.nnz() + 2 * m_) * sizeof(double)));
+                   double((2 * lu.nnz() + 2 * m_) * sizeof(double)));
+  }
+
+  /// One solve through LU factors holding `lu_nnz` nonzeros.
+  void charge_lu_solve(const char* step, std::size_t lu_nnz) {
+    meter_->charge(step, 2.0 * double(lu_nnz) + double(m_),
+                   double((2 * lu_nnz + 2 * m_) * sizeof(double)));
   }
 
   /// x := E_k ... E_1 x (FTRAN order).
@@ -205,9 +221,7 @@ class ProductFormOracle final : public BasisOracle {
   }
 
   void charge_solve(const char* step) {
-    const auto lu_nnz = double(lu_.nnz());
-    meter_->charge(step, 2.0 * lu_nnz + double(m_),
-                   double((2 * lu_.nnz() + 2 * m_) * sizeof(double)));
+    charge_lu_solve(step, lu_.nnz());
     if (!etas_.empty()) {
       const auto nnz = double(eta_nnz_);
       meter_->charge("eta_apply", 2.0 * nnz,

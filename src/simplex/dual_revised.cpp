@@ -286,8 +286,11 @@ SolveResult DualRevisedSimplex::solve_standard(
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
     if (!result.stats.warm_started && aug.num_artificial > 0) {
       // Rejected warm basis on an artificial-needing instance: the cold
-      // path is the primal engine's.
-      return HostRevisedSimplex(options_, model_).solve_standard(sf);
+      // path is the primal engine's, which must not try the same basis
+      // again.
+      SolverOptions cold = options_;
+      cold.warm_basis = nullptr;
+      return HostRevisedSimplex(cold, model_).solve_standard(sf);
     }
   }
 

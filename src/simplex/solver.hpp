@@ -1,13 +1,18 @@
 // Convenience umbrella header + engine-selection front end.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
+#include "profile/profile.hpp"
 #include "simplex/device_revised.hpp"
 #include "simplex/dual_revised.hpp"
 #include "simplex/host_revised.hpp"
 #include "simplex/tableau.hpp"
 #include "simplex/types.hpp"
+#include "telemetry/telemetry.hpp"
+#include "trace/trace.hpp"
 #include "vgpu/machine_model.hpp"
 
 namespace gs::simplex {
@@ -62,6 +67,91 @@ enum class Engine {
       return DualRevisedSimplex(options, host_model).solve(problem);
   }
   GS_FAIL("unknown engine");
+}
+
+namespace detail {
+
+/// The options of a solve stage that starts `offset` modeled seconds after
+/// the first stage, on the `pid` timeline of `model`: its trace events
+/// (through the profiler, if one is attached) and its telemetry points
+/// land after the earlier stages, on their clock. The recorder stays with
+/// the first stage, because Recorder::begin_solve clears its log.
+class LaterStage {
+ public:
+  LaterStage(const SolverOptions& first, double offset, std::uint32_t pid,
+             const vgpu::MachineModel& model)
+      : shifted_(profile::chain(first.profiler, first.trace_sink, pid, model),
+                 offset),
+        telemetry_(first.telemetry),
+        saved_offset_(telemetry_ ? telemetry_->time_offset() : 0.0) {
+    options = first;
+    if (first.profiler != nullptr || first.trace_sink != nullptr) {
+      options.trace_sink = &shifted_;
+    }
+    options.profiler = nullptr;
+    options.recorder = nullptr;
+    if (telemetry_) telemetry_->set_time_offset(saved_offset_ + offset);
+  }
+  ~LaterStage() {
+    if (telemetry_) telemetry_->set_time_offset(saved_offset_);
+  }
+  LaterStage(const LaterStage&) = delete;
+  LaterStage& operator=(const LaterStage&) = delete;
+
+  SolverOptions options;
+
+ private:
+  trace::ShiftedSink shifted_;
+  telemetry::Telemetry* telemetry_;
+  double saved_offset_;
+};
+
+}  // namespace detail
+
+/// The service's device route (DESIGN.md, "Float iterations, double
+/// answer"). `DeviceRevisedSimplex<float>` runs both phases on a fresh
+/// device. If it ends optimal with no artificial column basic, the host
+/// dual engine over the product form warm-starts from its final basis,
+/// re-prices and repairs in double, and its x, y, objective and basis are
+/// the answer. Any other float outcome is re-solved cold by
+/// `DeviceRevisedSimplex<double>`, so no float verdict is returned
+/// unchecked. Iterations and modeled and wall seconds sum over the stages;
+/// `phase1_iterations`, `device_stats` and `warm_started` are the float
+/// stage's. Observers see both stages on one clock (detail::LaterStage).
+[[nodiscard]] inline SolveResult solve_float_then_double(
+    const lp::LpProblem& problem, const SolverOptions& options = {},
+    const vgpu::MachineModel& device_model = vgpu::gtx280_model(),
+    const vgpu::MachineModel& host_model = vgpu::cpu2009_model()) {
+  const lp::StandardFormLp sf = lp::to_standard_form(problem);
+  SolveResult first;
+  {
+    vgpu::Device dev(device_model);
+    first = DeviceRevisedSimplex<float>(dev, options).solve_standard(sf);
+  }
+  // Artificial columns are the augmented columns past the standard form's.
+  const bool continue_in_double =
+      first.optimal() &&
+      std::all_of(first.basis.begin(), first.basis.end(),
+                  [n = sf.c.size()](std::uint32_t col) { return col < n; });
+  SolveResult out;
+  if (continue_in_double) {
+    detail::LaterStage later(options, first.stats.sim_seconds,
+                             trace::kHostPid, host_model);
+    later.options.warm_basis = &first.basis;
+    later.options.basis = BasisScheme::kProductForm;
+    out = DualRevisedSimplex(later.options, host_model).solve_standard(sf);
+  } else {
+    detail::LaterStage later(options, first.stats.sim_seconds,
+                             trace::kDevicePid, device_model);
+    vgpu::Device dev(device_model);
+    out = DeviceRevisedSimplex<double>(dev, later.options).solve_standard(sf);
+  }
+  SolverStats stats = std::move(first.stats);
+  stats.iterations += out.stats.iterations;
+  stats.sim_seconds += out.stats.sim_seconds;
+  stats.wall_seconds += out.stats.wall_seconds;
+  out.stats = std::move(stats);
+  return out;
 }
 
 }  // namespace gs::simplex

@@ -9,6 +9,18 @@
 
 namespace gs {
 
+namespace {
+
+/// Terminal columns a UTF-8 cell takes: one per code point.
+std::size_t display_width(const std::string& s) {
+  return static_cast<std::size_t>(
+      std::count_if(s.begin(), s.end(), [](char ch) {
+        return (static_cast<unsigned char>(ch) & 0xC0) != 0x80;
+      }));
+}
+
+}  // namespace
+
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   GS_CHECK_MSG(!headers_.empty(), "table needs at least one column");
 }
@@ -40,16 +52,18 @@ const std::string& Table::cell(std::size_t row, std::size_t col) const {
 
 void Table::print(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());
-  for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();
+  for (std::size_t c = 0; c < headers_.size(); ++c) {
+    widths[c] = display_width(headers_[c]);
+  }
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < row.size(); ++c) {
-      widths[c] = std::max(widths[c], row[c].size());
+      widths[c] = std::max(widths[c], display_width(row[c]));
     }
   }
   auto emit_row = [&](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < headers_.size(); ++c) {
       const std::string& cell = c < row.size() ? row[c] : std::string{};
-      os << "  " << cell << std::string(widths[c] - cell.size(), ' ');
+      os << "  " << cell << std::string(widths[c] - display_width(cell), ' ');
     }
     os << '\n';
   };

@@ -14,7 +14,7 @@ void Telemetry::record(std::string_view series, double t, double v) {
     it = series_.emplace(std::string(series), Series(cfg_.series_capacity))
              .first;
   }
-  it->second.record(t, v);
+  it->second.record(t + time_offset_, v);
 }
 
 void Telemetry::event(std::string_view name, double t, std::string detail) {
@@ -22,7 +22,8 @@ void Telemetry::event(std::string_view name, double t, std::string detail) {
     ++events_dropped_;
     return;
   }
-  events_.push_back({t, std::string(name), std::move(detail)});
+  events_.push_back(
+      {t + time_offset_, std::string(name), std::move(detail)});
 }
 
 void Telemetry::sample_registry(double t,

@@ -110,6 +110,12 @@ class Telemetry {
   /// counted, not stored).
   void event(std::string_view name, double t, std::string detail = {});
 
+  /// Added to every timestamp record() and event() take (0 by default). A
+  /// solve that runs in stages raises it by the modeled time of the stages
+  /// already finished, so all its points share the first stage's clock.
+  void set_time_offset(double seconds) noexcept { time_offset_ = seconds; }
+  [[nodiscard]] double time_offset() const noexcept { return time_offset_; }
+
   /// Engines gate per-iteration sampling on this (stride check only).
   [[nodiscard]] bool want_iteration_sample(std::size_t iter) const noexcept {
     return iter % cfg_.iteration_stride == 0;
@@ -158,6 +164,7 @@ class Telemetry {
 
  private:
   TelemetryConfig cfg_;
+  double time_offset_ = 0.0;
   std::map<std::string, Series, std::less<>> series_;
   std::vector<TimedEvent> events_;
   std::uint64_t events_dropped_ = 0;

@@ -69,6 +69,24 @@ class TraceSink {
   virtual void emit(TraceEvent event) = 0;
 };
 
+/// Forwards every event to `downstream` with its timestamp moved `offset`
+/// seconds later. A solve that runs in stages emits each later stage
+/// through one, so all its events share the first stage's clock.
+class ShiftedSink final : public TraceSink {
+ public:
+  ShiftedSink(TraceSink* downstream, double offset) noexcept
+      : downstream_(downstream), offset_(offset) {}
+
+  void emit(TraceEvent event) override {
+    event.ts += offset_;
+    downstream_->emit(std::move(event));
+  }
+
+ private:
+  TraceSink* downstream_;
+  double offset_;
+};
+
 // Well-known track ids used by the shipped engines (see OBSERVABILITY.md).
 // pid = one virtual processor (a vgpu Device or the host CPU model);
 // tid = one engine/stream timeline within it.

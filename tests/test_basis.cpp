@@ -422,6 +422,63 @@ TEST(DualEngine, WarmStartFromUnrelatedBasisAgreesWithHost) {
   }
 }
 
+// A warm start that is rejected for primal infeasibility still ran its
+// factorization and its beta = B^-1 b solve: the host engine must charge
+// them on top of the cold solve it falls back to (a singular basis aborts
+// part way and stays uncharged). Every other step matches the cold solve
+// launch for launch and second for second.
+TEST(BasisOracles, RejectedWarmStartChargesWhatRan) {
+  const lp::LpProblem donor =
+      lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 104});
+  const lp::LpProblem family =
+      lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 4});
+  const auto seed = simplex::solve(donor, simplex::Engine::kHostRevised).basis;
+  struct Scheme {
+    simplex::BasisScheme scheme;
+    std::vector<std::string> extra;  ///< steps the rejected attempt ran
+  };
+  for (const Scheme& sc :
+       {Scheme{simplex::BasisScheme::kExplicitInverse, {"warm_init"}},
+        Scheme{simplex::BasisScheme::kProductForm,
+               {"sparse_refactor", "sparse_ftran"}}}) {
+    simplex::SolverOptions opt;
+    opt.basis = sc.scheme;
+    const auto cold =
+        simplex::solve(family, simplex::Engine::kHostRevised, opt);
+    opt.warm_basis = &seed;
+    const auto warm =
+        simplex::solve(family, simplex::Engine::kHostRevised, opt);
+    const std::string what(to_string(sc.scheme));
+    ASSERT_FALSE(warm.stats.warm_started) << what;
+    EXPECT_EQ(warm.objective, cold.objective) << what;
+    const auto& w = warm.stats.device_stats.per_kernel;
+    const auto& c = cold.stats.device_stats.per_kernel;
+    double extra_seconds = 0.0;
+    for (const auto& [step, rec] : w) {
+      const bool extra = std::find(sc.extra.begin(), sc.extra.end(), step) !=
+                         sc.extra.end();
+      const auto it = c.find(step);
+      const std::size_t cold_launches = it == c.end() ? 0 : it->second.launches;
+      EXPECT_EQ(rec.launches, cold_launches + (extra ? 1 : 0))
+          << what << " " << step;
+      if (extra) {
+        extra_seconds +=
+            rec.sim_seconds - (it == c.end() ? 0.0 : it->second.sim_seconds);
+      } else if (it != c.end()) {
+        EXPECT_EQ(rec.sim_seconds, it->second.sim_seconds)
+            << what << " " << step;
+      }
+    }
+    for (const auto& [step, rec] : c) {
+      EXPECT_TRUE(w.contains(step)) << what << " " << step;
+    }
+    EXPECT_GT(extra_seconds, 0.0) << what;
+    EXPECT_NEAR(warm.stats.sim_seconds, cold.stats.sim_seconds + extra_seconds,
+                1e-12 * cold.stats.sim_seconds)
+        << what;
+  }
+}
+
 // Device sparse kernel variants: the CSR engine's product-form path (the
 // host oracle's sparse LU loaded by `sparse_refactor` and walked with the
 // eta file by one chain launch per direction) reaches the host optimum in

@@ -1,10 +1,12 @@
 // Solve-service tests: admission control, same-shape batch packing,
-// crossover-aware dispatch, warm-start cache semantics (exact hits are
+// crossover-aware dispatch (the device route's double answer and its
+// observers), warm-start cache semantics (exact hits are
 // bit-identical, perturbed repeats reuse the basis), determinism under
 // multi-worker scheduling and the metrics-off inertness guarantee. These
 // exercise exactly the behavior documented in SERVICE.md.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -13,9 +15,12 @@
 
 #include "lp/generators.hpp"
 #include "metrics/metrics.hpp"
+#include "profile/profile.hpp"
 #include "record/record.hpp"
 #include "service/service.hpp"
 #include "simplex/solver.hpp"
+#include "telemetry/telemetry.hpp"
+#include "trace/chrome_sink.hpp"
 
 namespace {
 
@@ -179,6 +184,86 @@ TEST(ServiceDispatch, CrossoverRoutesSmallToHostLargeToDevice) {
   EXPECT_GT(r.engine_seconds, 0.0);
   EXPECT_DOUBLE_EQ(r.latency_seconds, r.queue_seconds + r.engine_seconds);
   EXPECT_FALSE(r.deadline_missed);
+
+  // The device route runs float device iterations finished in double by
+  // the host dual engine: the double answer, in less modelled time than
+  // the double device engine takes.
+  const simplex::SolveResult host =
+      simplex::solve(dense(80, 1), simplex::Engine::kHostRevised);
+  EXPECT_NEAR(r.solve.objective, host.objective,
+              1e-9 * (1.0 + std::abs(host.objective)));
+  EXPECT_LT(r.engine_seconds,
+            simplex::solve(dense(80, 1), simplex::Engine::kDeviceRevised)
+                .stats.sim_seconds);
+}
+
+// A device-route request carrying every observer perfbench attaches still
+// routes by the crossover. The observers change no result bit and no
+// latency, and the request's device slices (float stage) and host slices
+// (double continuation) tile its engine time on one clock.
+TEST(ServiceDispatch, ObservedDeviceRequestIsInertAndTilesEngineTime) {
+  service::DispatchPolicy policy;
+  policy.crossover_m = 64;
+  policy.warm_cache_capacity = 0;
+  service::SolveService plain_svc(policy), observed_svc(policy);
+  const auto plain_id = plain_svc.submit(request_for(dense(80, 1))).id;
+  trace::ChromeTraceSink sink;
+  metrics::MetricsRegistry reg;
+  record::Recorder rec;
+  profile::Profiler profiler;
+  telemetry::Telemetry tel;
+  service::SolveRequest req = request_for(dense(80, 1));
+  req.options.trace_sink = &sink;
+  req.options.metrics = &reg;
+  req.options.recorder = &rec;
+  req.options.profiler = &profiler;
+  req.options.telemetry = &tel;
+  const auto observed_id = observed_svc.submit(std::move(req)).id;
+  plain_svc.drain();
+  observed_svc.drain();
+
+  const service::ServiceResult& a = plain_svc.result(plain_id);
+  const service::ServiceResult& b = observed_svc.result(observed_id);
+  ASSERT_EQ(b.route, service::Route::kDevice);
+  ASSERT_TRUE(b.solve.optimal());
+  EXPECT_EQ(a.solve.objective, b.solve.objective);
+  EXPECT_EQ(a.solve.x, b.solve.x);
+  EXPECT_EQ(a.solve.y, b.solve.y);
+  EXPECT_EQ(a.solve.basis, b.solve.basis);
+  EXPECT_EQ(a.solve.stats.iterations, b.solve.stats.iterations);
+  EXPECT_EQ(a.engine_seconds, b.engine_seconds);
+  EXPECT_EQ(a.latency_seconds, b.latency_seconds);
+
+  // Kernel and transfer slices, device then host, tile [0, engine time].
+  std::vector<const trace::TraceEvent*> slices;
+  bool saw_host = false;
+  for (const trace::TraceEvent& e : sink.events()) {
+    if (e.phase != trace::EventPhase::kComplete) continue;
+    if (e.category != "kernel" && e.category != "transfer") continue;
+    saw_host = saw_host || e.pid == trace::kHostPid;
+    EXPECT_TRUE(e.pid == trace::kHostPid || !saw_host)
+        << "a device slice after the host continuation began";
+    slices.push_back(&e);
+  }
+  ASSERT_FALSE(slices.empty());
+  EXPECT_TRUE(saw_host);
+  double end = 0.0;
+  for (const trace::TraceEvent* e : slices) {
+    EXPECT_NEAR(e->ts, end, 1e-9) << e->name;
+    end = e->ts + e->dur;
+  }
+  EXPECT_NEAR(end, b.engine_seconds, 1e-9);
+  // The profiler saw both machines; the recorder holds the float stage.
+  const profile::ProfileReport rep = profiler.report();
+  EXPECT_GT(rep.kernel_seconds_by_pid.count(trace::kDevicePid), 0u);
+  EXPECT_GT(rep.kernel_seconds_by_pid.count(trace::kHostPid), 0u);
+  EXPECT_EQ(rec.recording().header.engine, "device-revised<float>");
+  EXPECT_EQ(tel.time_offset(), 0.0);
+  for (const auto& [name, series] : tel.series()) {
+    for (const telemetry::SeriesPoint& pt : series.points()) {
+      EXPECT_LE(pt.t, b.engine_seconds) << name;
+    }
+  }
 }
 
 TEST(ServiceDispatch, TightDeadlineIsReportedMissed) {
