@@ -4,9 +4,10 @@
 // (redundant) transfer bytes at most 1% of captured PCIe traffic.
 //
 // One CaptureLog per run, attached via SolverOptions::analyzer:
-//   * device-revised double, fused and unfused iteration paths
-//   * device-revised float, fused and unfused
-//   * sparse-revised (CSR) double
+//   * device-revised double and float, explicit inverse
+//   * device-revised double, product form (the dense layout's sparse LU
+//     and eta chains)
+//   * sparse-revised (CSR) double, explicit inverse and product form
 //   * batch-revised (K simultaneous lanes)
 //   * a service-style batch round, constructed exactly as
 //     service.cpp::run_job builds one (fresh Device + BatchRevisedSimplex
@@ -76,14 +77,14 @@ int main(int argc, char** argv) {
 
   std::vector<RunOutcome> runs;
 
-  // Device-revised double/float, fused and unfused iteration paths. The
-  // unfused path issues more launches and more scalar traffic, so it is
-  // the likelier place for a dead store or redundant upload to hide.
-  const auto run_device = [&](const std::string& name, bool fused,
-                              bool use_float) {
+  // Device-revised on the dense layout: double and float under the
+  // explicit inverse, and double under the product form, whose sparse LU
+  // and eta chains run on the dense A^T as on the CSR one.
+  const auto run_device = [&](const std::string& name,
+                              simplex::BasisScheme basis, bool use_float) {
     vgpu::analyze::CaptureLog capture;
     simplex::SolverOptions opt;
-    opt.fused_iteration = fused;
+    opt.basis = basis;
     opt.analyzer = &capture;
     if (use_float) {
       (void)bench::solve_device_float(dense, model, opt);
@@ -93,10 +94,12 @@ int main(int argc, char** argv) {
     runs.push_back({name, vgpu::analyze::analyze(capture),
                     capture.launches_captured()});
   };
-  run_device("device-revised<double> fused", true, false);
-  run_device("device-revised<double> unfused", false, false);
-  run_device("device-revised<float> fused", true, true);
-  run_device("device-revised<float> unfused", false, true);
+  run_device("device-revised<double>",
+             simplex::BasisScheme::kExplicitInverse, false);
+  run_device("device-revised<float>", simplex::BasisScheme::kExplicitInverse,
+             true);
+  run_device("device-revised<double> product-form",
+             simplex::BasisScheme::kProductForm, false);
 
   // Sparse CSR engine (Ext. C) through the public solve() dispatch.
   {

@@ -1,10 +1,11 @@
 // Tab. 1 — per-iteration operation breakdown on one large instance.
 //
 // Runs a capped number of iterations at m = n = 1536 and reports where the
-// modeled device time goes. Expected shape: the three O(m^2)/O(m*n)
-// kernels (pricing sweep, FTRAN, B^-1 update) carry >80% of the time;
-// per-iteration PCIe traffic is scalar-sized (latency-bound, visible but
-// small); selection kernels are overhead-dominated.
+// modeled device time goes. Expected shape: the three wide kernels of the
+// device loop -- price_select (pricing sweep + selection), ftran_ratio
+// (FTRAN + ratio test) and pivot_apply (the B^-1 update plus the next
+// BTRAN) -- carry >80% of the time; per-iteration PCIe traffic is one
+// scalar-sized descriptor (latency-bound, visible but small).
 //
 // Flags:
 //   --quick       smaller instance (m = n = 256) for smoke runs
@@ -44,8 +45,8 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Tab.1: per-kernel time breakdown (m=n=" + std::to_string(size) +
           ", first " + std::to_string(iteration_cap) + " iterations)",
-      "price_reduced + ftran + update_binv dominate (>80%); transfers are "
-      "latency-bound scalars");
+      "price_select + ftran_ratio + pivot_apply dominate (>80%); "
+      "transfers are latency-bound scalars");
 
   const auto problem =
       lp::random_dense_lp({.rows = size, .cols = size, .seed = 3});

@@ -135,8 +135,8 @@ else
 fi
 
 # Static launch-graph analysis gate (CHECKING.md "Static analysis"): every
-# engine's captured kernel stream — device double/float, fused and
-# unfused, sparse, batch, and a service-style batch round — must carry
+# engine's captured kernel stream — device double/float, the dense
+# product form, sparse, batch, and a service-style batch round — must carry
 # zero dataflow hazards, zero uninitialized device reads, zero
 # cost-declaration findings, and waste at most 1% of its PCIe traffic on
 # redundant transfers. Exits 1 with the offending report otherwise.
@@ -231,7 +231,7 @@ echo "==> basis-oracle + dual-engine gates"
 # the seed changes the inputs but no metric name, a bare checkout refuses
 # to run), then one pass of every workload on its shrunken shape, which
 # must verify every answer: sparse_pf (launch-bound eta chains),
-# dense_paper (the fused explicit-inverse loop) and service_mix (every
+# dense_paper (the explicit-inverse device loop) and service_mix (every
 # service route, the batch engine's lock-step loop included).
 echo "==> perfbench self-checks + workload smokes"
 if command -v python3 > /dev/null 2>&1; then

@@ -5,21 +5,19 @@
 //   * DenseAt  — dense n_aug x m row-major (the paper's layout), and
 //   * SparseAt — CSR (the follow-on sparse variant, Ext. C).
 // A policy supplies only what the storage changes: column access — the
-// product a_j . y, and the entering column a_q against one row of B^-1,
-// each with the format's own read_range annotations and summation order —
-// plus the cost terms its launches declare. AtKernels writes every kernel
-// once on top of that: the reduced-cost sweep, FTRAN's B^-1 a_q, the
-// pivot-row product used by Devex pricing and artificial drive-out, and,
-// for the fused iteration path (SolverOptions::fused_iteration), the
-// collapsed pricing+selection, FTRAN+ratio+selection and Devex launches
-// that write the on-device PivotDescriptor instead of round-tripping
-// scalars over PCIe.
+// product a_j . y, the entering column a_q against one row of B^-1, and
+// a_q scattered into a product-form FTRAN, each with the format's own
+// read_range annotations and summation order — plus the cost terms its
+// launches declare. AtKernels writes every kernel once on top of that:
+// the pricing+selection, FTRAN+ratio+selection and Devex launches of the
+// device loop, which write the on-device PivotDescriptor instead of
+// round-tripping scalars over PCIe, and the FTRAN and pivot-row product
+// the artificial drive-out uses.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,7 +31,7 @@
 namespace gs::simplex {
 
 // ---------------------------------------------------------------------
-// Fused-iteration pivot descriptor (SolverOptions::fused_iteration).
+// Pivot descriptor.
 //
 // All per-iteration decisions accumulate in a 5-slot device buffer and
 // cross PCIe as ONE packed d2h per iteration. Indices are encoded as Real
@@ -46,11 +44,11 @@ inline constexpr std::size_t kDescTheta = 3;   ///< ratio-test step length
 inline constexpr std::size_t kDescAlphaP = 4;  ///< pivot element alpha_p
 inline constexpr std::size_t kDescSlots = 5;
 // (Ratio ties are observational — the recorder counts them through
-// host_view() outside the machine model, same as the reference path, so
-// they never ride in the descriptor or cost a device-side rescan.)
+// host_view() outside the machine model, so they never ride in the
+// descriptor or cost a device-side rescan.)
 
-/// Entering-variable rule for one fused pricing launch (the hybrid rule
-/// resolves to Dantzig or Bland per iteration on the host).
+/// Entering-variable rule for one pricing launch (the hybrid rule resolves
+/// to Dantzig or Bland per iteration on the host).
 enum class EnteringRule { kDantzig, kBland, kDevex };
 
 namespace fused_detail {
@@ -82,14 +80,13 @@ struct BlockPartials {
   std::vector<Real> val;
 };
 
-/// Entering-column selection of one fused pricing launch. Each block scans
-/// its columns with the rule's block primitive. A one-block grid writes
-/// the descriptor inline; a wider one keeps BlockPartials that finish()
+/// Entering-column selection of one pricing launch. Each block scans its
+/// columns with the rule's block primitive. A one-block grid writes the
+/// descriptor inline; a wider one keeps BlockPartials that finish()
 /// reduces in a small combine launch (argmin, or the first hit for
 /// Bland), so the winner is bit-identical to vgpu::argmin /
-/// find_first_below over the full buffer. The acceptance test is the reference path's host-side
-/// one, and d_q is reported from the reduced-cost span, exactly like the
-/// reference path's `d.download_value(q)`.
+/// find_first_below over the full buffer. d_q is reported from the
+/// reduced-cost span.
 template <typename Real>
 class EnteringSelect {
  public:
@@ -178,7 +175,7 @@ class EnteringSelect {
   BlockPartials<Real> parts_;
 };
 
-/// Leaving-row selection of one fused ratio launch: the ratio test, the
+/// Leaving-row selection of one ratio launch: the ratio test, the
 /// block argmin, and the descriptor write (inline for a one-block grid,
 /// else the "ftran_ratio_final" combine of the BlockPartials).
 template <typename Real>
@@ -243,23 +240,25 @@ class LeavingSelect {
 
 /// Every A^T-dependent kernel, written once over a storage policy
 /// (DenseAt / SparseAt derive from this). The policy provides m(),
-/// n_aug(), device(), columns() — the per-launch column access — and the
-/// declared cost terms sweep_cost, ftran_cost and ftran_ratio_cost.
+/// n_aug(), max_col_nnz(), device(), columns() — the per-launch column
+/// access — and the declared cost terms sweep_cost, ftran_cost and
+/// ftran_ratio_cost.
 template <typename Real, typename Policy>
 class AtKernels {
  public:
-  /// d_j = mask_j ? c_j - a_j . pi : 0  for every column j.
-  void price(const vgpu::DeviceBuffer<Real>& pi,
-             const vgpu::DeviceBuffer<Real>& c,
-             const vgpu::DeviceBuffer<Real>& mask,
-             vgpu::DeviceBuffer<Real>& d) const {
-    column_products("price_reduced", pi, &c, &mask, d);
-  }
-
-  /// out_j = a_j . y for every column j (Devex pivot row / drive-out row).
+  /// out_j = a_j . y for every column j (the drive-out's pivot row).
   void pivot_row_product(const vgpu::DeviceBuffer<Real>& y,
                          vgpu::DeviceBuffer<Real>& out) const {
-    column_products("pivot_row_product", y, nullptr, nullptr, out);
+    const auto cols = policy().columns();
+    auto ys = y.device_span();
+    auto os = out.device_span();
+    const std::size_t n = policy().n_aug();
+    policy().device().launch_blocks(
+        "pivot_row_product", n, vgpu::Device::kBlockSize,
+        policy().sweep_cost(0.0, 3 * n),
+        [&](std::size_t, std::size_t lo, std::size_t hi) {
+          for (std::size_t j = lo; j < hi; ++j) os[j] = cols.dot(j, ys);
+        });
   }
 
   /// alpha = B^-1 a_q against the dense inverse.
@@ -281,15 +280,11 @@ class AtKernels {
         });
   }
 
-  // -------------------------------------------------------------------
-  // Fused iteration path (SolverOptions::fused_iteration)
-  // -------------------------------------------------------------------
-
-  /// Fused pricing: reduced costs, rule-specific selection scan and the
-  /// entering decision in ONE launch (price_reduced + devex_score +
-  /// argmin/find_first_below of the reference path). Writes desc[kDescQ]
-  /// and desc[kDescDq]; the block-scan semantics match the primitives',
-  /// so the chosen column is bit-identical to the unfused chain.
+  /// Pricing: reduced costs d_j = mask_j ? c_j - a_j . pi : 0, the
+  /// rule-specific selection scan and the entering decision in ONE launch.
+  /// Writes desc[kDescQ] and desc[kDescDq]; the block-scan semantics match
+  /// the primitives', so the chosen column is the one vgpu::argmin /
+  /// find_first_below would pick.
   void price_select(const vgpu::DeviceBuffer<Real>& pi,
                     const vgpu::DeviceBuffer<Real>& c,
                     const vgpu::DeviceBuffer<Real>& mask,
@@ -312,7 +307,7 @@ class AtKernels {
         "price_select", n, vgpu::Device::kBlockSize,
         policy().sweep_cost(4.0 * double(n), 6 * n),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          // Reduced costs, exactly as price() computes them.
+          // Reduced costs.
           for (std::size_t j = lo; j < hi; ++j) {
             if (ms[j] == Real{0}) {
               ds[j] = Real{0};
@@ -326,7 +321,7 @@ class AtKernels {
     select.finish(policy().device(), ds, desc_s);
   }
 
-  /// Fused FTRAN + ratio test + leaving selection in ONE launch. The
+  /// FTRAN + ratio test + leaving selection in ONE launch. The
   /// entering column index is read from the descriptor ON DEVICE — the
   /// launch is speculative (issued before the host has seen whether
   /// pricing found a candidate) and early-exits when desc[kDescQ] < 0.
@@ -363,12 +358,11 @@ class AtKernels {
     select.finish(policy().device(), rs, as, desc_s);
   }
 
-  /// Fused Devex weight maintenance: the pivot-row products, the masked
-  /// weight update, and the leaving variable's re-entry weight in ONE
-  /// launch. The reference weight w_q is read on-device (the reference
-  /// path's download_value round trip rides along as a span read); the
-  /// candidate test `cand > w_q` is false at j == q, so w_q is never
-  /// written while lanes read it.
+  /// Devex weight maintenance: the pivot-row products against the
+  /// pre-update row p of B^-1, the masked weight update, and the leaving
+  /// variable's re-entry weight in ONE launch. The reference weight w_q is
+  /// read on-device; the candidate test `cand > w_q` is false at j == q,
+  /// so w_q is never written while lanes read it.
   void devex_update(const vgpu::DeviceBuffer<Real>& prow,
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
@@ -402,50 +396,20 @@ class AtKernels {
   [[nodiscard]] const Policy& policy() const noexcept {
     return static_cast<const Policy&>(*this);
   }
-
-  /// Shared sweep: out_j = [c_j -] a_j . y, optionally masked.
-  void column_products(std::string_view name,
-                       const vgpu::DeviceBuffer<Real>& y,
-                       const vgpu::DeviceBuffer<Real>* c,
-                       const vgpu::DeviceBuffer<Real>* mask,
-                       vgpu::DeviceBuffer<Real>& out) const {
-    const auto cols = policy().columns();
-    auto ys = y.device_span();
-    auto os = out.device_span();
-    auto cs = c ? c->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    auto ms = mask ? mask->device_span() : vgpu::check::CheckedSpan<const Real>{};
-    const std::size_t n = policy().n_aug();
-    policy().device().launch_blocks(
-        name, n, vgpu::Device::kBlockSize,
-        policy().sweep_cost(0.0, 3 * n),
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (mask && ms[j] == Real{0}) {
-              os[j] = Real{0};
-              continue;
-            }
-            const Real acc = cols.dot(j, ys);
-            os[j] = c ? cs[j] - acc : acc;
-          }
-        });
-  }
 };
 
 /// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels.
 template <typename Real>
 class DenseAt : public AtKernels<Real, DenseAt<Real>> {
  public:
-  /// Dense storage keeps the paper's m-proportional kernel names; the
-  /// sparse product form (the host oracle's LU walked with the eta file by
-  /// the chain kernels) only makes sense when column extents are known.
-  static constexpr bool kSparseKernels = false;
-
   DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
       : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_at(aug)) {}
 
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
+  /// Every column holds m entries.
+  [[nodiscard]] std::size_t max_col_nnz() const noexcept { return m_; }
 
   /// Column access for one launch: column j is row j of A^T, contiguous,
   /// annotated in bulk and read through a raw pointer.
@@ -461,6 +425,18 @@ class DenseAt : public AtKernels<Real, DenseAt<Real>> {
       [[nodiscard]] std::size_t nnz() const noexcept { return m; }
       /// Declare the block's a_q read (cached across the block).
       void annotate() const { at.read_range(q * m, q * m + m); }
+      /// Bytes scatter() moves for `nnz` rows: per row sigma[i], a_q[i]
+      /// and the x element written (the row is the loop index).
+      [[nodiscard]] static constexpr double scatter_bytes(std::size_t nnz) {
+        return double(nnz) *
+               (double(sizeof(std::uint32_t)) + 2.0 * sizeof(Real));
+      }
+      /// x[sigma[i]] = a_q[i] for every row i (after annotate()).
+      template <typename XSpan, typename SSpan>
+      void scatter(const XSpan& x, const SSpan& sigma) const {
+        const Real* aq = at.data() + q * m;
+        for (std::size_t i = 0; i < m; ++i) x[sigma[i]] = aq[i];
+      }
       /// (B^-1 a_q)_i: row i of B^-1 against a_q, summed in row order.
       template <typename BSpan>
       [[nodiscard]] Real binv_row_dot(const BSpan& binv, std::size_t i) const {
@@ -502,7 +478,7 @@ class DenseAt : public AtKernels<Real, DenseAt<Real>> {
     return {2.0 * double(m_) * double(m_) + flops,
             double((m_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
   }
-  /// The fused FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements.
+  /// The FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements.
   /// Unlike ftran_cost and the CSR twin, it counts no separate a_q read.
   [[nodiscard]] vgpu::KernelCost ftran_ratio_cost() const {
     return {2.0 * double(m_) * double(m_) + 3.0 * double(m_),
@@ -527,14 +503,9 @@ class DenseAt : public AtKernels<Real, DenseAt<Real>> {
 template <typename Real>
 class SparseAt : public AtKernels<Real, SparseAt<Real>> {
  public:
-  /// CSR storage opts the product-form basis into the sparse kernel
-  /// variants (the host oracle's LU and the eta file walked by the chain
-  /// kernels).
-  static constexpr bool kSparseKernels = true;
-
   SparseAt(vgpu::Device& dev, const AugmentedLp& aug)
       : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_csr(aug)) {
-    // Widest column, for declaring fused-kernel costs when the entering
+    // Widest column, for declaring kernel costs when the entering
     // column index lives on the device (host metadata, like nnz()).
     const std::span<const std::uint32_t> offs = at_.row_offsets().host_view();
     for (std::size_t j = 0; j < n_aug_; ++j) {
@@ -566,6 +537,20 @@ class SparseAt : public AtKernels<Real, SparseAt<Real>> {
       void annotate() const {
         vals.read_range(k_lo, k_hi);
         cols.read_range(k_lo, k_hi);
+      }
+      /// Bytes scatter() moves for `nnz` entries: per entry its row
+      /// index, sigma[row], the value and the x element written.
+      [[nodiscard]] static constexpr double scatter_bytes(std::size_t nnz) {
+        return double(nnz) *
+               (2.0 * double(sizeof(std::uint32_t)) + 2.0 * sizeof(Real));
+      }
+      /// x[sigma[row_k]] = a_q[k] over the column's entries (after
+      /// annotate()).
+      template <typename XSpan, typename SSpan>
+      void scatter(const XSpan& x, const SSpan& sigma) const {
+        for (std::uint32_t k = k_lo; k < k_hi; ++k) {
+          x[sigma[cols.data()[k]]] = vals.data()[k];
+        }
       }
       /// (B^-1 a_q)_i = sum_k a_q[k] * binv(i, row_k): m * nnz(a_q) over
       /// the grid.
@@ -621,7 +606,7 @@ class SparseAt : public AtKernels<Real, SparseAt<Real>> {
                    elems * sizeof(Real)),
             sizeof(Real)};
   }
-  /// The fused FTRAN + ratio launch, declared from the widest column (the
+  /// The FTRAN + ratio launch, declared from the widest column (the
   /// entering index is device-resident, so the exact nnz(a_q) is unknown
   /// host-side; over-declaring is safe, the cost lint only flags observed
   /// > declared drift).

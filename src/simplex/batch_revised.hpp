@@ -363,9 +363,9 @@ class BatchRevisedSimplex {
       // owns column j of problem k's inverse. It snapshots its pivot-row
       // element, steps beta_j, updates its column row by row and sums
       // pi_j = sum_i c_B'[i] * B'^-1[i][j] in batch_btran's order. The
-      // pivot lane (j == p) swaps basic/mask/cb in device memory, replacing
-      // the reference path's three per-pivot upload_value round trips;
-      // every lane takes c_B'[p] from c, so none reads the poked cb. --
+      // pivot lane (j == p) swaps basic/mask/cb in device memory, so no
+      // per-pivot upload_value round trip is needed; every lane takes
+      // c_B'[p] from c, so none reads the poked cb. --
       dev_.launch_blocks(
           "batch_pivot_apply", batch * m, vgpu::Device::kBlockSize,
           {4.0 * double(batch) * double(m) * double(m) +

@@ -7,18 +7,15 @@
 //                   reads are contiguous)
 //   * B^-1          dense m x m, updated in place by a rank-1 Gauss-Jordan
 //                   elimination step each iteration (explicit-inverse
-//                   scheme; a product-form eta file is the Ext. B ablation)
-//                   -- except on the CSR product form, which holds B0 as
-//                   the host oracle's sparse LU factors plus its eta file
+//                   scheme) -- or, under the product form (the Ext. B
+//                   ablation), B0 as the host oracle's sparse LU factors
+//                   plus its eta file, on either A^T layout
 //   * beta = B^-1 b, pi, d, alpha, ratio vectors, pricing mask, c, c_B
 //
-// Per-iteration PCIe traffic is scalar-sized. The fused path (the default
-// for the explicit inverse and the sparse product form) reads back one
-// packed pivot descriptor; the sparse product form also uploads the new
-// eta's support indices. The reference path round-trips the chosen
-// indices, theta and the entering reduced cost one scalar at a time. That
-// transfer latency is charged through the device's machine model and is a
-// first-order term below the paper's crossover size.
+// Per-iteration PCIe traffic is scalar-sized: one packed pivot descriptor
+// read back, plus, under the product form, the new eta's support indices
+// uploaded. That transfer latency is charged through the device's machine
+// model and is a first-order term below the paper's crossover size.
 //
 // Template parameters: Real in {float, double} drives the Fig. 3 precision
 // study; At in {DenseAt, SparseAt} selects the constraint-matrix storage
@@ -91,7 +88,7 @@ class DeviceRevisedSimplex {
     trace::ScopedSpan solve_span(tr, "solve", clock(), "solve");
     const AugmentedLp aug = augment(sf);
     Workspace ws(dev_, aug, opt_);
-    if (sparse_pf(opt_)) {
+    if (ws.product_form) {
       // The crash basis is diagonal, so this factorization always succeeds.
       const bool ok = load_factors(ws);
       GS_CHECK_MSG(ok, "product-form: singular crash basis");
@@ -201,14 +198,15 @@ class DeviceRevisedSimplex {
         : aug(aug_in),
           m(aug_in.m),
           n_aug(aug_in.n_aug),
+          product_form(opt.basis == BasisScheme::kProductForm),
           at(dev, aug_in),
-          binv(sparse_pf(opt) ? std::nullopt
-                              : std::optional<vblas::DeviceMatrix<Real>>(
-                                    std::in_place, dev, m, m)),
+          binv(product_form ? std::nullopt
+                            : std::optional<vblas::DeviceMatrix<Real>>(
+                                  std::in_place, dev, m, m)),
           beta(dev, m),
-          b_dev(sparse_pf(opt) ? std::nullopt
-                               : std::optional<vgpu::DeviceBuffer<Real>>(
-                                     std::in_place, dev, m)),
+          b_dev(product_form ? std::nullopt
+                             : std::optional<vgpu::DeviceBuffer<Real>>(
+                                   std::in_place, dev, m)),
           pi(dev, m),
           cb(dev, m),
           c(dev, n_aug),
@@ -217,8 +215,6 @@ class DeviceRevisedSimplex {
           alpha(dev, m),
           ratio(dev, m),
           pivot_row(dev, m),
-          scalar_tmp(dev, 1),
-          eta_work(dev, m),
           devex_w(dev, n_aug),
           col_work(dev, n_aug),
           desc(dev, kDescSlots),
@@ -227,8 +223,8 @@ class DeviceRevisedSimplex {
       // Initial B^-1 and beta from the crash basis. The inverse starts
       // diagonal, so only the m diagonal entries cross PCIe; a device
       // kernel expands them into the dense m x m matrix (the full-matrix
-      // upload was ~a third of all H2D bytes at bench scale). The sparse
-      // product form factors the crash basis instead (load_factors).
+      // upload was ~a third of all H2D bytes at bench scale). The product
+      // form factors the crash basis instead (load_factors).
       std::vector<Real> diag0(m), beta0(m), b0(m);
       for (std::size_t i = 0; i < m; ++i) {
         diag0[i] = static_cast<Real>(aug.binv_diag[i]);
@@ -255,9 +251,10 @@ class DeviceRevisedSimplex {
       }
       beta.upload(beta0);
       if (b_dev.has_value()) b_dev->upload(b0);
-      if (sparse_pf(opt)) {
+      if (product_form) {
         csr.emplace(aug.csr_at());
         sigma.emplace(dev, m);
+        eta_work.emplace(dev, m);
       }
       in_basis.assign(n_aug, false);
       for (std::uint32_t col : basic) in_basis[col] = true;
@@ -302,31 +299,30 @@ class DeviceRevisedSimplex {
 
     const AugmentedLp& aug;
     std::size_t m, n_aug;
+    /// The basis scheme: B0's sparse LU plus an eta file, or the dense
+    /// explicit inverse.
+    bool product_form;
 
     At<Real> at;
-    /// Dense B^-1 and the b it refreshes beta from: every scheme but the
-    /// sparse product form, which holds B0 as `lu` below instead.
+    /// Dense B^-1 and the b it refreshes beta from: the explicit inverse
+    /// only; the product form holds B0 as `lu` below instead.
     std::optional<vblas::DeviceMatrix<Real>> binv;
     vgpu::DeviceBuffer<Real> beta;
     std::optional<vgpu::DeviceBuffer<Real>> b_dev;
-    vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row,
-        scalar_tmp, eta_work;
+    vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
-    /// Fused-path pivot descriptor (kDescSlots Reals): the iteration's
+    /// Pivot descriptor (kDescSlots Reals): the iteration's
     /// entering/leaving decisions, filled on device, fetched with one d2h.
     vgpu::DeviceBuffer<Real> desc;
 
-    /// Product-form eta file: one entry per pivot since the last
-    /// reinversion. The dense-eta scheme (DenseAt, Ext. B) keeps the full
-    /// m-vector in `values`; the sparse-kernel scheme (SparseAt + product
-    /// form) keeps the host oracle's format: the support {i != p :
+    /// Product-form eta file, one entry per pivot since the last
+    /// refactorization, in the host oracle's format: the support {i != p :
     /// alpha_i != 0} as host metadata, its raw alpha_i on device as
     /// (idx, val) pairs (absent for an empty support), and pval = alpha_p.
     struct Eta {
       std::size_t p;
       Real pval;
-      std::optional<vgpu::DeviceBuffer<Real>> values;
       std::vector<std::uint32_t> support;
       std::optional<vgpu::DeviceBuffer<std::uint32_t>> idx;
       std::optional<vgpu::DeviceBuffer<Real>> val;
@@ -335,24 +331,24 @@ class DeviceRevisedSimplex {
     /// Largest eta multiplier since the last reinversion (growth trigger).
     double eta_growth = 0.0;
 
-    /// Sparse product form's B0: the host ProductFormOracle's SparseLu of
-    /// the basis, factored over `csr` (the augmented A^T), as position
-    /// etas (SparseLu::position_etas). sigma and the entries live on the
+    /// Product form's B0: the host ProductFormOracle's SparseLu of the
+    /// basis, factored over `csr` (the augmented A^T), as position etas
+    /// (SparseLu::position_etas). sigma and the entries live on the
     /// device; p, pval and the per-eta offsets are host metadata, like
-    /// the update etas' p and alpha_p.
+    /// the update etas' p and alpha_p. eta_work is the BTRAN chain's y.
     std::optional<sparse::CsrMatrix<double>> csr;
     basis::SparseLu::PositionEtas lu;
     std::optional<vgpu::DeviceBuffer<std::uint32_t>> sigma, lu_idx;
-    std::optional<vgpu::DeviceBuffer<Real>> lu_val;
+    std::optional<vgpu::DeviceBuffer<Real>> lu_val, eta_work;
 
     std::vector<std::uint32_t> basic;
     std::vector<bool> in_basis;
     std::vector<double> c_host;
     SolverOptions options;
     std::size_t pivots_since_refactor = 0;
-    /// pi = (B^-1)^T c_B for the current basis and costs. The fused
+    /// pi = (B^-1)^T c_B for the current basis and costs. The
     /// explicit-inverse pivot_apply keeps it current; anything else that
-    /// moves B^-1 or c_B clears it, and the fused loop re-runs BTRAN.
+    /// moves B^-1 or c_B clears it, and the loop re-runs BTRAN.
     bool pi_current = false;
   };
 
@@ -360,54 +356,26 @@ class DeviceRevisedSimplex {
   // Kernels (each one launch on the device, costed like its CUDA original)
   // ---------------------------------------------------------------------
 
-  /// Sparse-kernel product form: the CSR policy holds B0 as the host
-  /// oracle's sparse LU and walks it with the eta file in the single-block
-  /// chain kernels.
-  [[nodiscard]] static bool sparse_pf(const SolverOptions& opt) noexcept {
-    return At<Real>::kSparseKernels && opt.basis == BasisScheme::kProductForm;
-  }
-
-  /// out = (B^-1)^T seed under the active basis scheme.
-  /// With etas: y = seed, eta transposes newest-first, then (B0^-1)^T y.
-  void btran_generic(Workspace& ws, const vgpu::DeviceBuffer<Real>& seed,
-                     vgpu::DeviceBuffer<Real>& out) {
-    if (sparse_pf(ws.options)) {
-      eta_btran_chain(ws, &seed, 0, out);
-      return;
-    }
-    if (ws.etas.empty()) {
-      btran_base(ws, seed, out);
-      return;
-    }
-    auto ysp = ws.eta_work.device_span();
-    auto ssp = seed.device_span();
-    dev_.launch_blocks(
-        "price_btran_seed", ws.m, vgpu::Device::kBlockSize,
-        {0.0, bytes(2 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) ysp[i] = ssp[i];
-        });
-    for (auto it = ws.etas.rbegin(); it != ws.etas.rend(); ++it) {
-      eta_btran_apply(ws, *it);
-    }
-    btran_base(ws, ws.eta_work, out);
-  }
-
+  /// pi = (B^-1)^T c_B: one price_btran over the explicit inverse, or the
+  /// BTRAN chain under the product form.
   void btran(Workspace& ws) {
-    btran_generic(ws, ws.cb, ws.pi);
+    if (ws.product_form) {
+      eta_btran_chain(ws, &ws.cb, 0, ws.pi);
+    } else {
+      price_btran(ws);
+    }
     ws.pi_current = true;
   }
 
-  /// out = (B0^-1)^T y as one "price_btran" launch over the dense inverse.
-  /// Each lane sums its column over the nonzero rows of y (rows of B^-1
+  /// pi = (B^-1)^T c_B as one "price_btran" launch over the dense inverse.
+  /// Each lane sums its column over the nonzero rows of c_B (rows of B^-1
   /// stream contiguously) in a block-local accumulator and writes out
   /// once; the launch is declared from all m rows.
-  void btran_base(Workspace& ws, const vgpu::DeviceBuffer<Real>& y,
-                  vgpu::DeviceBuffer<Real>& out) {
+  void price_btran(Workspace& ws) {
     const std::size_t m = ws.m;
     auto binv = ws.binv->device_span();
-    auto ysp = y.device_span();
-    auto osp = out.device_span();
+    auto ysp = ws.cb.device_span();
+    auto osp = ws.pi.device_span();
     dev_.launch_blocks(
         "price_btran", m, vgpu::Device::kBlockSize,
         {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
@@ -424,79 +392,21 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// alpha = B^-1 a_q (FTRAN). Under the dense-eta product form: B0^-1 a_q
-  /// via the dense inverse, then the eta file oldest-first.
+  /// alpha = B^-1 a_q (FTRAN) for a known column q, as the artificial
+  /// drive-out needs it; the loop's FTRAN is speculative (run_loop).
   void ftran(Workspace& ws, std::size_t q) {
-    if (sparse_pf(ws.options)) {
+    if (ws.product_form) {
       eta_ftran_chain(ws, q);
-      return;
+    } else {
+      ws.at.ftran_alpha(*ws.binv, q, ws.alpha);
     }
-    ws.at.ftran_alpha(*ws.binv, q, ws.alpha);
-    for (const auto& eta : ws.etas) eta_ftran_apply(ws, eta);
   }
 
   // -------------------------------------------------------------------
-  // Dense eta file (DenseAt + product form, the Ext. B ablation). One
-  // launch pair per eta and direction, as a 2009 implementation would
-  // issue it: this is the many-small-dependent-kernels cost Ext. B
-  // measures, so it stays per-eta on purpose.
-  // -------------------------------------------------------------------
-
-  /// Product-form FTRAN step: x = M x with M the eta matrix. x[p] is
-  /// snapshotted by a tiny kernel first so all lanes read the pre-update
-  /// value (as the CUDA original would).
-  void eta_ftran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    auto xsp = ws.alpha.device_span();
-    auto esp = eta.values->device_span();
-    auto tmp = ws.scalar_tmp.device_span();
-    const std::size_t p = eta.p;
-    dev_.launch_blocks("eta_snapshot", 1, 1, {0.0, bytes(2), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         tmp[0] = xsp[p];
-                       });
-    dev_.launch_blocks(
-        "eta_ftran", ws.m, vgpu::Device::kBlockSize,
-        {2.0 * double(ws.m), bytes(3 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real xp = tmp[0];
-          for (std::size_t i = lo; i < hi; ++i) {
-            xsp[i] = (i == p) ? esp[i] * xp : xsp[i] + esp[i] * xp;
-          }
-        });
-  }
-
-  /// Product-form BTRAN step on ws.eta_work: y_p = eta . y.
-  void eta_btran_apply(Workspace& ws, const typename Workspace::Eta& eta) {
-    auto ysp = ws.eta_work.device_span();
-    auto esp = eta.values->device_span();
-    const std::size_t m = ws.m;
-    const std::size_t blocks =
-        (m + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
-    std::vector<Real> partial(blocks, Real{0});
-    dev_.launch_blocks(
-        "eta_btran_dot", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m), bytes(2 * m), sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          Real acc{0};
-          for (std::size_t i = lo; i < hi; ++i) acc += esp[i] * ysp[i];
-          partial[blk] = acc;
-        });
-    const std::size_t p = eta.p;
-    dev_.launch_blocks("eta_btran_write", 1, 1,
-                       {double(blocks), bytes(blocks + 1), sizeof(Real)},
-                       [&](std::size_t, std::size_t, std::size_t) {
-                         Real acc{0};
-                         for (std::size_t b = 0; b < blocks; ++b)
-                           acc += partial[b];
-                         ysp[p] = acc;
-                       });
-  }
-
-  // -------------------------------------------------------------------
-  // Sparse product form (SparseAt + product form): ONE single-block launch
-  // per direction walks B0's factor etas (load_factors) and the update
-  // etas in the host oracle's arithmetic, so device and host product
-  // forms are bit-identical in double. A chain is charged one block's
+  // Product form (either A^T layout): ONE single-block launch per
+  // direction walks B0's factor etas (load_factors) and the update etas in
+  // the host oracle's arithmetic, so device and host product forms are
+  // bit-identical in double. A chain is charged one block's
   // occupancy on the roofline plus one dependent step
   // (KernelCost::dependent_steps) per level of its walk (chain_shape).
   // -------------------------------------------------------------------
@@ -592,54 +502,49 @@ class DeviceRevisedSimplex {
   /// sigma, walk the factor etas, then the update etas oldest first. Per
   /// eta, t = x_p / pval; if t != 0, x_i -= v_i * t over the entries;
   /// then x_p = t (ProductFormOracle::apply_etas and SparseLu::ftran). With
-  /// no `q` (the fused path's speculative form) the launch reads q from
-  /// the descriptor, declares the widest column, and does nothing when
+  /// no `q` (the loop's speculative form) the launch reads q from the
+  /// descriptor, declares the widest column, and does nothing when
   /// pricing found no candidate.
   void eta_ftran_chain(Workspace& ws, std::optional<std::size_t> q) {
-    if constexpr (At<Real>::kSparseKernels) {
-      const std::size_t m = ws.m;
-      const auto cols = ws.at.columns();
-      const std::size_t nnz_q =
-          q.has_value() ? cols.column(*q).nnz() : ws.at.max_col_nnz();
-      const ChainShape shape = chain_shape(ws, false);
-      constexpr double kIdx = sizeof(std::uint32_t);
-      // Zeroing, the scatter (a_q value + row, sigma, x written), then per
-      // entry idx + val + x read + x written and per eta x_p read + write.
-      const double traffic =
-          bytes(m + (q.has_value() ? 0 : 1)) +
-          double(nnz_q) * (2.0 * kIdx + 2.0 * sizeof(Real)) +
-          double(shape.entries) * (kIdx + 3.0 * sizeof(Real)) +
-          bytes(2 * shape.etas);
-      auto xsp = ws.alpha.device_span();
-      const auto dsp = std::as_const(ws.desc).device_span();
-      const auto ssp = std::as_const(*ws.sigma).device_span();
-      dev_.launch_blocks(
-          "eta_ftran_chain", vgpu::Device::kBlockSize,
-          vgpu::Device::kBlockSize,
-          {2.0 * double(shape.entries) + double(shape.etas), traffic,
-           sizeof(Real), 1 + shape.levels},
-          [&](std::size_t, std::size_t, std::size_t) {
-            if (!q.has_value() && dsp[kDescQ] < Real{0}) return;
-            const auto aq = cols.column(
-                q.has_value() ? *q : static_cast<std::size_t>(dsp[kDescQ]));
-            aq.annotate();
-            for (std::size_t i = 0; i < m; ++i) xsp[i] = Real{0};
-            for (std::uint32_t k = aq.k_lo; k < aq.k_hi; ++k) {
-              xsp[ssp[aq.cols.data()[k]]] = aq.vals.data()[k];
-            }
-            walk_device(ws, false,
-                        [&](std::size_t p, Real pval, const auto& isp,
-                            const auto& vsp, std::size_t lo, std::size_t hi) {
-                          const Real t = xsp[p] / pval;
-                          if (t != Real{0}) {
-                            for (std::size_t k = lo; k < hi; ++k) {
-                              xsp[isp[k]] -= vsp[k] * t;
-                            }
+    const std::size_t m = ws.m;
+    const auto cols = ws.at.columns();
+    const std::size_t nnz_q =
+        q.has_value() ? cols.column(*q).nnz() : ws.at.max_col_nnz();
+    const ChainShape shape = chain_shape(ws, false);
+    constexpr double kIdx = sizeof(std::uint32_t);
+    // Zeroing, the layout's scatter, then per entry idx + val + x read +
+    // x written and per eta x_p read + write.
+    const double traffic =
+        bytes(m + (q.has_value() ? 0 : 1)) +
+        decltype(cols.column(0))::scatter_bytes(nnz_q) +
+        double(shape.entries) * (kIdx + 3.0 * sizeof(Real)) +
+        bytes(2 * shape.etas);
+    auto xsp = ws.alpha.device_span();
+    const auto dsp = std::as_const(ws.desc).device_span();
+    const auto ssp = std::as_const(*ws.sigma).device_span();
+    dev_.launch_blocks(
+        "eta_ftran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
+        {2.0 * double(shape.entries) + double(shape.etas), traffic,
+         sizeof(Real), 1 + shape.levels},
+        [&](std::size_t, std::size_t, std::size_t) {
+          if (!q.has_value() && dsp[kDescQ] < Real{0}) return;
+          const auto aq = cols.column(
+              q.has_value() ? *q : static_cast<std::size_t>(dsp[kDescQ]));
+          aq.annotate();
+          for (std::size_t i = 0; i < m; ++i) xsp[i] = Real{0};
+          aq.scatter(xsp, ssp);
+          walk_device(ws, false,
+                      [&](std::size_t p, Real pval, const auto& isp,
+                          const auto& vsp, std::size_t lo, std::size_t hi) {
+                        const Real t = xsp[p] / pval;
+                        if (t != Real{0}) {
+                          for (std::size_t k = lo; k < hi; ++k) {
+                            xsp[isp[k]] -= vsp[k] * t;
                           }
-                          xsp[p] = t;
-                        });
-          });
-    }
+                        }
+                        xsp[p] = t;
+                      });
+        });
   }
 
   /// out = (B^-1)^T y in ONE launch, where y is a copy of `seed` or, when
@@ -659,7 +564,7 @@ class DeviceRevisedSimplex {
         bytes(seed != nullptr ? 2 * m : m) +
         double(shape.entries) * (kIdx + 2.0 * sizeof(Real)) +
         bytes(2 * shape.etas) + double(m) * (kIdx + 2.0 * sizeof(Real));
-    auto ysp = ws.eta_work.device_span();
+    auto ysp = ws.eta_work->device_span();
     auto osp = out.device_span();
     const auto ssp = std::as_const(*ws.sigma).device_span();
     const auto csp = seed != nullptr ? seed->device_span()
@@ -686,26 +591,10 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// ratio_i = beta_i / alpha_i where alpha_i > pivot_tol, else +inf.
-  void ratio_test_kernel(Workspace& ws) {
-    auto asp = ws.alpha.device_span();
-    auto bsp = ws.beta.device_span();
-    auto rsp = ws.ratio.device_span();
-    const Real tol = static_cast<Real>(ws.options.pivot_tol);
-    dev_.launch_blocks(
-        "ratio", ws.m, vgpu::Device::kBlockSize,
-        {double(ws.m), bytes(3 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            rsp[i] = asp[i] > tol ? bsp[i] / asp[i] : kInf;
-          }
-        });
-  }
-
-  /// Fused ratio test + leaving selection for the sparse product form:
-  /// the ratio half of ftran_ratio_select, launched once the eta chain
-  /// has finished alpha. Speculative like the rest of the fused FTRAN;
-  /// writes desc[kDescP/kDescTheta/kDescAlphaP].
+  /// Ratio test + leaving selection for the product form: the ratio half
+  /// of ftran_ratio_select, launched once the eta chain has finished
+  /// alpha. Speculative like the chain; writes
+  /// desc[kDescP/kDescTheta/kDescAlphaP].
   void ratio_select(Workspace& ws) {
     fused_detail::LeavingSelect<Real> select(
         ws.m, static_cast<Real>(ws.options.pivot_tol));
@@ -734,31 +623,28 @@ class DeviceRevisedSimplex {
     bool unmask_leaving;
   };
 
-  /// beta update after the pivot: beta_p = theta, beta_i -= theta*alpha_i.
-  /// With `pokes` (fused product form) the pivot lane also writes the
-  /// bookkeeping on device, as pivot_apply does for the explicit inverse,
-  /// replacing the reference path's three upload_value round trips.
-  void update_beta(Workspace& ws, std::size_t p, Real theta,
-                   const Pokes* pokes = nullptr) {
+  /// The product form's pivot: beta_p = theta, beta_i -= theta * alpha_i,
+  /// and the pivot lane writes the bookkeeping on device, as pivot_apply
+  /// does for the explicit inverse.
+  void pivot_beta(Workspace& ws, std::size_t p, Real theta,
+                  const Pokes& pokes) {
     auto asp = ws.alpha.device_span();
     auto bsp = ws.beta.device_span();
     auto csp = ws.cb.device_span();
     auto msp = ws.mask.device_span();
     dev_.launch_blocks(
-        pokes != nullptr ? "pivot_beta" : "update_beta", ws.m,
-        vgpu::Device::kBlockSize,
-        {2.0 * double(ws.m), bytes(3 * ws.m + (pokes != nullptr ? 3 : 0)),
-         sizeof(Real)},
+        "pivot_beta", ws.m, vgpu::Device::kBlockSize,
+        {2.0 * double(ws.m), bytes(3 * ws.m + 3), sizeof(Real)},
         [&](std::size_t, std::size_t lo, std::size_t hi) {
           for (std::size_t i = lo; i < hi; ++i) {
             const Real v = (i == p) ? theta : bsp[i] - theta * asp[i];
             // The ratio test guarantees v >= 0 in exact arithmetic; clamp
             // the rounding dust so the basis stays primal feasible.
             bsp[i] = v < Real{0} ? Real{0} : v;
-            if (i == p && pokes != nullptr) {
-              csp[p] = pokes->cb_new;
-              msp[pokes->q] = Real{0};
-              if (pokes->unmask_leaving) msp[pokes->leaving] = Real{1};
+            if (i == p) {
+              csp[p] = pokes.cb_new;
+              msp[pokes.q] = Real{0};
+              if (pokes.unmask_leaving) msp[pokes.leaving] = Real{1};
             }
           }
         });
@@ -777,54 +663,18 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Rank-1 Gauss-Jordan update of the explicit inverse:
-  ///   row_p /= alpha_p;  row_i -= (alpha_i / alpha_p) * old row_p.
-  /// Requires save_pivot_row(p) to have run.
-  void update_binv(Workspace& ws, std::size_t p, Real alpha_p) {
-    const std::size_t m = ws.m;
-    auto binv = ws.binv->device_span();
-    auto prow = ws.pivot_row.device_span();
-    auto asp = ws.alpha.device_span();
-    dev_.launch_blocks(
-        "update_binv", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(2 * m * m + 2 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            Real* row = binv.data() + i * m;
-            if (i == p) {
-              binv.write_range(i * m, i * m + m);
-              const Real inv = Real{1} / alpha_p;
-              for (std::size_t j = 0; j < m; ++j) row[j] = prow[j] * inv;
-            } else {
-              const Real f = asp[i] / alpha_p;
-              if (f == Real{0}) continue;
-              binv.read_range(i * m, i * m + m);
-              binv.write_range(i * m, i * m + m);
-              for (std::size_t j = 0; j < m; ++j) row[j] = row[j] - f * prow[j];
-            }
-          }
-        });
-  }
-
-  // -------------------------------------------------------------------
-  // Fused pivot kernel (SolverOptions::fused_iteration, explicit
-  // inverse). Same arithmetic as the reference kernels above, collapsed
-  // so an iteration costs 3 launches (4 with Devex) and ONE scalar-sized
-  // PCIe readback.
-  // -------------------------------------------------------------------
-
-  /// The whole explicit-inverse pivot in ONE m-lane launch: the beta step,
+  /// The whole explicit-inverse pivot in ONE m-lane launch (so an
+  /// iteration costs 3 launches, 4 with Devex): the beta step,
   /// the rank-1 Gauss-Jordan update of B^-1, the pivot's scalar pokes and
   /// the next iteration's BTRAN pi = (B'^-1)^T c_B'. Lane j owns column j
   /// of B^-1. It snapshots B^-1[p][j] into pivot_row (the Devex update
   /// reads the pre-update row afterwards) and steps beta_j. Then it walks
   /// the rows in order: row p becomes prow / alpha_p, any other row loses
   /// (alpha_i / alpha_p) * prow, and pi_j sums c_B'[i] * B'^-1[i][j] over
-  /// the rows with c_B'[i] != 0. That is btran_base's skip rule and
+  /// the rows with c_B'[i] != 0. That is price_btran's skip rule and
   /// summation order, so pi is bit-identical to a separate price_btran.
   /// c_B'[p] arrives as a kernel argument, so no lane reads the c_B[p]
-  /// the pivot lane writes; that lane also writes the mask pokes, which
-  /// replace the reference path's three upload_value round trips.
+  /// the pivot lane writes; that lane also writes the mask pokes.
   void pivot_apply(Workspace& ws, std::size_t p, Real theta, Real alpha_p,
                    const Pokes& pokes) {
     const std::size_t m = ws.m;
@@ -879,52 +729,26 @@ class DeviceRevisedSimplex {
     ws.pi_current = true;
   }
 
-  /// Product-form: append the eta for this pivot instead of updating B^-1.
-  /// The growth trigger's multiplier max(|1/alpha_p|, |alpha_i/alpha_p|) —
-  /// the measure ProductFormOracle::update folds — is read from alpha
-  /// through host_view(), outside the machine model (no PCIe charge).
+  /// Product form: append the eta for this pivot instead of updating B^-1,
+  /// in the host oracle's format. The support {i != p : alpha_i != 0} is
+  /// host metadata (the CUDA original would run a stream compaction; like
+  /// the CSR extents in SparseAt it is read outside the machine model) and
+  /// crosses PCIe once, and `make_eta` gathers the raw alpha_i on device.
+  /// pval = alpha_p. A pivot-only alpha uploads and launches nothing. The
+  /// growth trigger's multiplier max(|1/alpha_p|, |alpha_i/alpha_p|) — the
+  /// measure ProductFormOracle::update folds — is read from alpha through
+  /// host_view() as well.
   void append_eta(Workspace& ws, std::size_t p, Real alpha_p) {
     ws.pi_current = false;
     const std::span<const Real> ah = ws.alpha.host_view();
     const double inv_p = std::abs(1.0 / static_cast<double>(alpha_p));
     ws.eta_growth = std::max(ws.eta_growth, inv_p);
-    for (std::size_t i = 0; i < ws.m; ++i) {
+    typename Workspace::Eta eta{p, alpha_p, {}, std::nullopt, std::nullopt};
+    for (std::uint32_t i = 0; i < ws.m; ++i) {
       if (i == p) continue;
       ws.eta_growth = std::max(
           ws.eta_growth, std::abs(static_cast<double>(ah[i]) * inv_p));
-    }
-    if (sparse_pf(ws.options)) {
-      append_eta_sparse(ws, p, alpha_p);
-      return;
-    }
-    vgpu::DeviceBuffer<Real> eta(dev_, ws.m);
-    auto asp = ws.alpha.device_span();
-    auto esp = eta.device_span();
-    dev_.launch_blocks(
-        "make_eta", ws.m, vgpu::Device::kBlockSize,
-        {double(ws.m), bytes(2 * ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          const Real inv = Real{1} / alpha_p;
-          for (std::size_t i = lo; i < hi; ++i) {
-            esp[i] = (i == p) ? inv : -asp[i] * inv;
-          }
-        });
-    ws.etas.push_back(
-        {p, alpha_p, std::move(eta), {}, std::nullopt, std::nullopt});
-  }
-
-  /// Sparse-kernel eta append in the host oracle's format: the support
-  /// {i != p : alpha_i != 0} is host metadata (the CUDA original would run
-  /// a stream compaction; like the CSR extents in SparseAt it is read
-  /// outside the machine model) and crosses PCIe once, and `make_eta`
-  /// gathers the raw alpha_i on device. pval = alpha_p. A pivot-only alpha
-  /// uploads and launches nothing.
-  void append_eta_sparse(Workspace& ws, std::size_t p, Real alpha_p) {
-    typename Workspace::Eta eta{p, alpha_p, std::nullopt, {}, std::nullopt,
-                                std::nullopt};
-    const std::span<const Real> ah = ws.alpha.host_view();
-    for (std::uint32_t i = 0; i < ws.m; ++i) {
-      if (i != p && ah[i] != Real{0}) eta.support.push_back(i);
+      if (ah[i] != Real{0}) eta.support.push_back(i);
     }
     const std::size_t nnz = eta.support.size();
     if (nnz > 0) {
@@ -969,8 +793,8 @@ class DeviceRevisedSimplex {
   }
 
   /// Rebuild B^-1 from the current basis columns (host Gauss-Jordan in
-  /// double for exactness; charged as a device O(m^3) elimination). Resets
-  /// the eta file and refreshes beta = B^-1 b.
+  /// double for exactness; charged as a device O(m^3) elimination) and
+  /// refresh beta = B^-1 b: the explicit inverse's refactor_period.
   void reinvert(Workspace& ws) {
     const std::size_t m = ws.m;
     const vblas::Matrix<double> inv = vblas::ref::invert(assemble_basis(ws));
@@ -986,8 +810,6 @@ class DeviceRevisedSimplex {
             }
           }
         });
-    ws.etas.clear();
-    ws.eta_growth = 0.0;
     ws.pivots_since_refactor = 0;
     ws.pi_current = false;
     // beta = B^-1 b (clamped: the basis is primal feasible by invariant).
@@ -1007,7 +829,7 @@ class DeviceRevisedSimplex {
         });
   }
 
-  /// Sparse product form's (re)factorization: factor the basis with the
+  /// Product form's (re)factorization: factor the basis with the
   /// host oracle's SparseLu over the same columns, then load its position
   /// etas with ONE single-block `sparse_refactor` launch, declared like
   /// ProductFormOracle::install's charge (4 nnz + 2m flops, 2 nnz + 2m
@@ -1045,92 +867,51 @@ class DeviceRevisedSimplex {
   }
 
   // ---------------------------------------------------------------------
-  // Pricing
+  // Pivot
   // ---------------------------------------------------------------------
 
-  /// Pick the entering column (or nullopt at optimality). `use_bland`
-  /// overrides the configured rule during degeneracy streaks.
-  [[nodiscard]] std::optional<std::size_t> select_entering(Workspace& ws,
-                                                           bool use_bland) {
-    const Real tol = static_cast<Real>(ws.options.opt_tol);
-    if (use_bland || ws.options.pricing == PricingRule::kBland) {
-      const auto hit = vgpu::find_first_below(ws.d, -tol);
-      if (!hit.found()) return std::nullopt;
-      return hit.index;
-    }
-    if (ws.options.pricing == PricingRule::kDevex) {
-      auto dsp = ws.d.device_span();
-      auto wsp = ws.devex_w.device_span();
-      auto ssp = ws.col_work.device_span();
-      dev_.launch_blocks(
-          "devex_score", ws.n_aug, vgpu::Device::kBlockSize,
-          {3.0 * double(ws.n_aug), bytes(3 * ws.n_aug), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t j = lo; j < hi; ++j) {
-              ssp[j] = dsp[j] < -tol ? -(dsp[j] * dsp[j]) / wsp[j] : Real{0};
-            }
-          });
-      const auto best = vgpu::argmin(ws.col_work);
-      if (!best.found() || best.value >= Real{0}) return std::nullopt;
-      return best.index;
-    }
-    // Dantzig: most negative reduced cost.
-    const auto best = vgpu::argmin(ws.d);
-    if (!best.found() || best.value >= -tol) return std::nullopt;
-    return best.index;
-  }
-
-  /// pivot_row <- row `i` of B^-1 under the active basis scheme: a cheap
-  /// row copy for the explicit inverse, a unit-vector BTRAN otherwise
-  /// (the sparse eta chain writes its own unit seed).
+  /// pivot_row <- row `i` of B^-1: a row copy for the explicit inverse, a
+  /// unit-vector BTRAN chain (which writes its own seed) for the product
+  /// form.
   void compute_binv_row(Workspace& ws, std::size_t i) {
-    if (ws.options.basis == BasisScheme::kExplicitInverse) {
-      save_pivot_row(ws, i);
-      return;
-    }
-    if (sparse_pf(ws.options)) {
+    if (ws.product_form) {
       eta_btran_chain(ws, nullptr, i, ws.pivot_row);
-      return;
+    } else {
+      save_pivot_row(ws, i);
     }
-    // ws.ratio is free at every call site; use it as the unit seed.
-    auto seed = ws.ratio.device_span();
-    dev_.launch_blocks(
-        "unit_seed", ws.m, vgpu::Device::kBlockSize,
-        {0.0, bytes(ws.m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t k = lo; k < hi; ++k) {
-            seed[k] = k == i ? Real{1} : Real{0};
-          }
-        });
-    btran_generic(ws, ws.ratio, ws.pivot_row);
   }
 
-  /// Devex weight maintenance (uses the pre-update B^-1 row p).
-  void devex_update(Workspace& ws, std::size_t q, std::size_t p,
-                    Real alpha_p) {
-    // alpha-tilde_j = (B^-1 A)_pj for all columns: one pricing-shaped pass
-    // against the pivot row of the current inverse.
-    compute_binv_row(ws, p);
-    ws.at.pivot_row_product(ws.pivot_row, ws.col_work);
-    const Real wq = ws.devex_w.download_value(q);
-    auto wsp = ws.devex_w.device_span();
-    auto msp = ws.mask.device_span();
-    auto rsp = ws.col_work.device_span();
-    dev_.launch_blocks(
-        "devex_update", ws.n_aug, vgpu::Device::kBlockSize,
-        {4.0 * double(ws.n_aug), bytes(3 * ws.n_aug), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t j = lo; j < hi; ++j) {
-            if (msp[j] == Real{0}) continue;
-            const Real t = rsp[j] / alpha_p;
-            const Real cand = t * t * wq;
-            if (cand > wsp[j]) wsp[j] = cand;
-          }
-        });
-    // The leaving variable re-enters the nonbasic pool with the reference
-    // weight of the pivot.
-    const Real w_leave = std::max(wq / (alpha_p * alpha_p), Real{1});
-    ws.devex_w.upload_value(ws.basic[p], w_leave);
+  /// Apply one basis exchange, column q entering at row p, for the loop
+  /// and the artificial drive-out alike. The explicit inverse runs
+  /// pivot_apply, which leaves the pre-update row p in pivot_row for the
+  /// Devex update after it. The product form solves for that row first,
+  /// then steps beta and appends the eta. Column q's Devex weight never
+  /// rises in either order (t = alpha_p / alpha_p = 1 gives cand = w_q;
+  /// after pivot_apply the poked mask skips q outright), and it is not
+  /// read again until q leaves the basis and the leaving branch resets it.
+  void apply_pivot(Workspace& ws, std::size_t q, std::size_t p, Real theta,
+                   Real alpha_p, bool devex) {
+    const std::uint32_t leaving = ws.basic[p];
+    const Pokes pokes{q, leaving, static_cast<Real>(ws.c_host[q]),
+                      !ws.aug.is_artificial[leaving]};
+    if (ws.product_form) {
+      if (devex) {
+        compute_binv_row(ws, p);
+        ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
+                           alpha_p);
+      }
+      pivot_beta(ws, p, theta, pokes);
+      append_eta(ws, p, alpha_p);
+    } else {
+      pivot_apply(ws, p, theta, alpha_p, pokes);
+      if (devex) {
+        ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
+                           alpha_p);
+      }
+    }
+    ws.basic[p] = static_cast<std::uint32_t>(q);
+    ws.in_basis[leaving] = false;
+    ws.in_basis[q] = true;
   }
 
   // ---------------------------------------------------------------------
@@ -1139,30 +920,27 @@ class DeviceRevisedSimplex {
 
   /// Refactorization policy, mirrored from the host oracles. The explicit
   /// inverse refactors on the opt-in refactor_period to shed rounding
-  /// error; the eta file is folded back every reinversion_period pivots
-  /// (0 means every m) or as soon as an eta multiplier exceeds the growth
-  /// limit. The sparse product form counts its etas, drive-out pivots
-  /// included, as ProductFormOracle::wants_refactor does.
+  /// error. The product form folds its eta file back every
+  /// reinversion_period etas (0 means every m), drive-out pivots included,
+  /// or as soon as an eta multiplier exceeds the growth limit, as
+  /// ProductFormOracle::wants_refactor does.
   [[nodiscard]] static bool refactor_due(const Workspace& ws) noexcept {
-    if (ws.options.basis == BasisScheme::kExplicitInverse) {
+    if (!ws.product_form) {
       const std::size_t period = ws.options.refactor_period;
       return period > 0 && ws.pivots_since_refactor >= period;
     }
     const std::size_t period = ws.options.reinversion_period > 0
                                    ? ws.options.reinversion_period
                                    : ws.m;
-    const std::size_t pivots =
-        sparse_pf(ws.options) ? ws.etas.size() : ws.pivots_since_refactor;
-    return (period > 0 && pivots >= period) ||
+    return (period > 0 && ws.etas.size() >= period) ||
            ws.eta_growth > basis::kEtaGrowthLimit;
   }
 
-  /// One primal loop's bookkeeping, shared by run_loop and run_loop_fused
-  /// so both emit the same observer events in the same order: the per-op
-  /// modeled-time laps on the simulated clock (`lap` advances at each op
-  /// boundary, so scalar readbacks between ops are charged to the op that
-  /// consumes them — the same tiling the trace's op spans produce) and the
-  /// objective tracker behind the hybrid rule's Bland switch.
+  /// One primal loop's bookkeeping: the per-op modeled-time laps on the
+  /// simulated clock (`lap` advances at each op boundary, so scalar
+  /// readbacks between ops are charged to the op that consumes them — the
+  /// same tiling the trace's op spans produce) and the objective tracker
+  /// behind the hybrid rule's Bland switch.
   struct Loop {
     SolverStats& stats;
     metrics::SimplexOpMetrics& om;
@@ -1228,10 +1006,10 @@ class DeviceRevisedSimplex {
     rec->record_pivot(r);
   }
 
-  /// Everything after a loop pivot, in the order both loops emit it: the
-  /// iteration counters and health pivot, the hybrid rule's progress test,
-  /// the objective counter and telemetry point, the refactor trigger, and
-  /// the strided health/telemetry samples.
+  /// Everything after a loop pivot, in order: the iteration counters and
+  /// health pivot, the hybrid rule's progress test, the objective counter
+  /// and telemetry point, the refactor trigger, and the strided
+  /// health/telemetry samples.
   void end_iteration(Workspace& ws, Loop& loop, std::size_t iter,
                      Real alpha_p, Step step) {
     ++loop.stats.iterations;
@@ -1260,7 +1038,7 @@ class DeviceRevisedSimplex {
     if (refactor_due(ws)) {
       trace::ScopedSpan op(tr, "refactor", clock(), "op");
       bool refactored = true;
-      if (sparse_pf(ws.options)) {
+      if (ws.product_form) {
         refactored = load_factors(ws);
       } else {
         reinvert(ws);
@@ -1278,89 +1056,24 @@ class DeviceRevisedSimplex {
     }
   }
 
-  LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
-                    metrics::SimplexOpMetrics& om,
-                    metrics::HealthMonitor& health, std::uint8_t phase) {
-    if (ws.options.fused_iteration &&
-        (ws.options.basis == BasisScheme::kExplicitInverse ||
-         sparse_pf(ws.options))) {
-      return run_loop_fused(ws, budget, stats, om, health, phase);
-    }
-    const trace::Track& tr = dev_.trace();
-    Loop loop{stats, om, health, phase, ws.current_objective()};
-    for (std::size_t iter = 0; iter < budget; ++iter) {
-      trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
-                                  {{"iter", static_cast<double>(iter)}});
-      begin_iteration(ws, loop);
-
-      std::optional<std::size_t> entering;
-      Real d_q{};
-      {
-        trace::ScopedSpan op(tr, "price", clock(), "op");
-        btran(ws);
-        ws.at.price(ws.pi, ws.c, ws.mask, ws.d);
-        entering = select_entering(ws, loop.bland_mode);
-        if (entering.has_value()) d_q = ws.d.download_value(*entering);
-      }
-      lap(loop, metrics::SimplexOp::kPrice);
-      if (!entering.has_value()) return LoopExit::kOptimal;
-      const std::size_t q = *entering;
-
-      {
-        trace::ScopedSpan op(tr, "ftran", clock(), "op");
-        ftran(ws, q);
-      }
-      lap(loop, metrics::SimplexOp::kFtran);
-      vgpu::ArgResult<Real> leave;
-      {
-        trace::ScopedSpan op(tr, "ratio", clock(), "op");
-        ratio_test_kernel(ws);
-        leave = vgpu::argmin(ws.ratio);
-      }
-      lap(loop, metrics::SimplexOp::kRatio);
-      if (!leave.found() || leave.value == kInf) return LoopExit::kUnbounded;
-      const std::size_t p = leave.index;
-      const Step step{d_q, leave.value};
-      const Real alpha_p = ws.alpha.download_value(p);
-      record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
-                   alpha_p, step);
-
-      {
-        trace::ScopedSpan op(tr, "update", clock(), "op");
-        if (ws.options.pricing == PricingRule::kDevex) {
-          devex_update(ws, q, p, alpha_p);
-        }
-        pivot(ws, q, p, step.theta, alpha_p);
-      }
-      lap(loop, metrics::SimplexOp::kUpdate);
-      end_iteration(ws, loop, iter, alpha_p, step);
-    }
-    return LoopExit::kIterationLimit;
-  }
-
-  /// The fused twin of run_loop, for the explicit inverse and the sparse
-  /// product form. Per iteration:
+  /// The primal loop. Per iteration:
   ///   explicit inverse:  [price_btran] -> price_select -> ftran_ratio
   ///     -> [descriptor d2h] -> pivot_apply -> [devex_update_fused];
   ///     pivot_apply also sums the next iteration's pi, so price_btran
   ///     runs only at loop entry and after a refactor;
-  ///   sparse product form:  eta_btran_chain -> price_select
-  ///     -> eta_ftran_chain -> ratio_select -> [descriptor d2h]
-  ///     -> [devex row + update] -> pivot_beta -> [make_eta (+ the
-  ///     eta-support h2d), skipped for a pivot-only alpha]; the chains
-  ///     are the only basis launches.
+  ///   product form:  eta_btran_chain -> price_select -> eta_ftran_chain
+  ///     -> ratio_select -> [descriptor d2h] -> [devex row + update]
+  ///     -> pivot_beta -> [make_eta (+ the eta-support h2d), skipped for a
+  ///     pivot-only alpha]; the chains are the only basis launches.
   /// Selections spanning more than one block add a small combine launch.
-  /// The pivot sequence is bit-identical to run_loop's — the fused
-  /// selections share the primitives' block-scan semantics and the device-
-  /// side acceptance tests mirror the host ones — so recordings diff clean
-  /// against the reference path (tests/test_fusion.cpp). Observer side
-  /// effects go through the same Loop helpers as run_loop's.
-  LoopExit run_loop_fused(Workspace& ws, std::size_t budget,
-                          SolverStats& stats, metrics::SimplexOpMetrics& om,
-                          metrics::HealthMonitor& health, std::uint8_t phase) {
+  /// The selections share the primitives' block-scan semantics, so the
+  /// pivot sequence is the one vgpu::argmin / find_first_below would pick;
+  /// tests/golden/ pins it bit for bit.
+  LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
+                    metrics::SimplexOpMetrics& om,
+                    metrics::HealthMonitor& health, std::uint8_t phase) {
     const trace::Track& tr = dev_.trace();
     Loop loop{stats, om, health, phase, ws.current_objective()};
-    const bool pf = sparse_pf(ws.options);
     std::array<Real, kDescSlots> desc_h{};
     for (std::size_t iter = 0; iter < budget; ++iter) {
       trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
@@ -1383,7 +1096,7 @@ class DeviceRevisedSimplex {
         // Speculative: issued before the host knows whether pricing found
         // a candidate; the kernels early-exit on-device when it did not.
         trace::ScopedSpan op(tr, "ftran", clock(), "op");
-        if (pf) {
+        if (ws.product_form) {
           eta_ftran_chain(ws, std::nullopt);
         } else {
           ws.at.ftran_ratio_select(*ws.binv, ws.beta, ws.alpha, ws.ratio,
@@ -1395,7 +1108,7 @@ class DeviceRevisedSimplex {
       {
         // The iteration's only d2h: one packed descriptor.
         trace::ScopedSpan op(tr, "ratio", clock(), "op");
-        if (pf) ratio_select(ws);
+        if (ws.product_form) ratio_select(ws);
         ws.desc.download(std::span<Real>(desc_h.data(), desc_h.size()));
       }
       lap(loop, metrics::SimplexOp::kRatio);
@@ -1410,36 +1123,10 @@ class DeviceRevisedSimplex {
       const Real alpha_p = desc_h[kDescAlphaP];
       record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
                    alpha_p, step);
-
       {
         trace::ScopedSpan op(tr, "update", clock(), "op");
-        const std::uint32_t leaving = ws.basic[p];
-        const bool devex = ws.options.pricing == PricingRule::kDevex;
-        const Pokes pokes{q, leaving, static_cast<Real>(ws.c_host[q]),
-                          !ws.aug.is_artificial[leaving]};
-        if (pf) {
-          if (devex) {
-            // Row p of the pre-pivot B^-1 is a unit BTRAN here.
-            compute_binv_row(ws, p);
-            ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
-                               alpha_p);
-          }
-          update_beta(ws, p, step.theta, &pokes);
-          append_eta(ws, p, alpha_p);
-        } else {
-          pivot_apply(ws, p, step.theta, alpha_p, pokes);
-          // pivot_row still holds the pre-update row p. The poked mask
-          // skips column q (there t = alpha_p / alpha_p = 1, so its weight
-          // never rose anyway); q's weight is not read again until q
-          // leaves the basis and the leaving branch resets it.
-          if (devex) {
-            ws.at.devex_update(ws.pivot_row, ws.mask, ws.devex_w, q, leaving,
-                               alpha_p);
-          }
-        }
-        ws.basic[p] = static_cast<std::uint32_t>(q);
-        ws.in_basis[leaving] = false;
-        ws.in_basis[q] = true;
+        apply_pivot(ws, q, p, step.theta, alpha_p,
+                    ws.options.pricing == PricingRule::kDevex);
       }
       lap(loop, metrics::SimplexOp::kUpdate);
       end_iteration(ws, loop, iter, alpha_p, step);
@@ -1522,34 +1209,11 @@ class DeviceRevisedSimplex {
     }
   }
 
-  /// Apply one basis exchange: entering column q replaces row p's variable.
-  void pivot(Workspace& ws, std::size_t q, std::size_t p, Real theta,
-             Real alpha_p) {
-    update_beta(ws, p, theta);
-    if (ws.options.basis == BasisScheme::kExplicitInverse) {
-      save_pivot_row(ws, p);
-      update_binv(ws, p, alpha_p);
-    } else {
-      append_eta(ws, p, alpha_p);
-    }
-    const std::uint32_t leaving = ws.basic[p];
-    ws.basic[p] = static_cast<std::uint32_t>(q);
-    ws.in_basis[leaving] = false;
-    ws.in_basis[q] = true;
-    ws.pi_current = false;
-    // Scalar traffic: c_B[p], mask[q] off, mask[leaving] on (unless it is an
-    // artificial, which never re-enters).
-    ws.cb.upload_value(p, static_cast<Real>(ws.c_host[q]));
-    ws.mask.upload_value(q, Real{0});
-    if (!ws.aug.is_artificial[leaving]) {
-      ws.mask.upload_value(leaving, Real{1});
-    }
-  }
-
   /// After a degenerate phase 1, artificials can linger in the basis at
   /// level zero. Replace each with any non-artificial column that has a
-  /// nonzero pivot in its row; rows with no such column are redundant and
-  /// keep their (permanently zero) artificial.
+  /// nonzero pivot in its row, through the loop's apply_pivot (theta = 0,
+  /// no Devex update); rows with no such column are redundant and keep
+  /// their (permanently zero) artificial.
   void drive_out_artificials(Workspace& ws, std::uint64_t iteration) {
     for (std::size_t i = 0; i < ws.m; ++i) {
       if (!ws.aug.is_artificial[ws.basic[i]]) continue;
@@ -1570,7 +1234,7 @@ class DeviceRevisedSimplex {
         continue;
       }
       record_pivot(ws, 1, false, iteration, q, i, alpha_p, std::nullopt);
-      pivot(ws, q, i, Real{0}, alpha_p);
+      apply_pivot(ws, q, i, Real{0}, alpha_p, false);
     }
   }
 
@@ -1593,7 +1257,7 @@ class DeviceRevisedSimplex {
 
 /// The Ext. C sparse instantiation: CSR constraint matrix; dense B^-1
 /// under the explicit inverse, the host oracle's sparse LU plus an eta
-/// file under the product form.
+/// file under the product form (as on the dense layout).
 template <typename Real>
 using SparseRevisedSimplex = DeviceRevisedSimplex<Real, SparseAt>;
 

@@ -64,7 +64,7 @@ enum class PricingRule {
 /// Basis-inverse representation (Ext. B ablation).
 enum class BasisScheme {
   kExplicitInverse,  ///< dense B^-1, rank-1 Gauss-Jordan update (the paper's)
-  kProductForm,      ///< eta file + periodic reinversion
+  kProductForm,      ///< sparse LU of B0 + eta file, periodic refactorization
 };
 
 [[nodiscard]] constexpr std::string_view to_string(BasisScheme b) noexcept {
@@ -93,23 +93,8 @@ struct SolverOptions {
   /// Compute post-optimal sensitivity ranges (HostRevisedSimplex only).
   bool ranging = false;
 
-  /// Fused per-iteration kernels (device engines): the pricing chain and
-  /// the ratio-test chain each collapse into a single launch, the pivot's
-  /// bookkeeping moves on device, and the per-iteration scalar ping-pong
-  /// is replaced by one packed PivotDescriptor readback. Applies to the
-  /// explicit inverse (where the rank-1 B⁻¹ update is fused too) and to
-  /// the sparse product form (CSR engine; its eta file is walked by one
-  /// chain launch per direction either way). The pivot sequence is
-  /// bit-identical to the unfused reference path (the fused reductions
-  /// share the primitives' block-scan semantics); only launch/transfer
-  /// counts and modeled time change. Set false to run the pre-fusion
-  /// reference path (tests/test_fusion.cpp diffs the two). The dense-eta
-  /// product form (Ext. B) ignores it and always runs the reference
-  /// kernels.
-  bool fused_iteration = true;
-
   BasisScheme basis = BasisScheme::kExplicitInverse;
-  /// Product-form basis: reinvert after this many etas (0 = at m etas).
+  /// Product-form basis: refactor after this many etas (0 = at m etas).
   std::size_t reinversion_period = 0;
   /// Explicit inverse: recompute B^-1 from scratch every this many
   /// iterations to shed accumulated rounding error (0 = never).

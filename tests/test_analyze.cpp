@@ -320,16 +320,18 @@ TEST(Analyzer, JsonReportIsWellFormed) {
 
 TEST(Analyzer, EngineStreamsAreGateClean) {
   const vgpu::MachineModel model = vgpu::gtx280_model();
-  for (const bool fused : {true, false}) {
+  for (const simplex::BasisScheme basis :
+       {simplex::BasisScheme::kExplicitInverse,
+        simplex::BasisScheme::kProductForm}) {
     CaptureLog cap;
     simplex::SolverOptions opt;
-    opt.fused_iteration = fused;
+    opt.basis = basis;
     opt.analyzer = &cap;
     vgpu::Device dev(model);
     simplex::DeviceRevisedSimplex<double> solver(dev, opt);
     ASSERT_TRUE(solver.solve(dense(32, 1)).optimal());
     const Report rep = vgpu::analyze::analyze(cap);
-    EXPECT_TRUE(rep.gate_clean()) << (fused ? "fused" : "unfused") << "\n"
+    EXPECT_TRUE(rep.gate_clean()) << to_string(basis) << "\n"
                                   << rep.summary();
     EXPECT_GT(rep.kernel_nodes, 0u);
     EXPECT_GT(rep.peak_live_bytes, 0u);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "drive_out_lp.hpp"
 #include "lp/generators.hpp"
 #include "record/record.hpp"
 #include "simplex/basis/explicit_inverse.hpp"
@@ -479,45 +480,43 @@ TEST(BasisOracles, RejectedWarmStartChargesWhatRan) {
   }
 }
 
-// Device sparse kernel variants: the CSR engine's product-form path (the
-// host oracle's sparse LU loaded by `sparse_refactor` and walked with the
-// eta file by one chain launch per direction) reaches the host optimum in
-// both precisions, its kernel stream carries the variant names, and no
-// dense-inverse base solve, reinversion or beta refresh comes back.
+// The device product form on either A^T layout (the host oracle's sparse
+// LU loaded by `sparse_refactor` and walked with the eta file by one
+// chain launch per direction) reaches the host optimum in both
+// precisions, its kernel stream carries the chain names, no
+// explicit-inverse kernel runs, and no base solve against B0
+// (sparse_ftran / sparse_btran) or per-eta kernel (eta_apply) comes back.
+template <typename Real, template <typename> class At>
+void expect_product_form_chains(const lp::LpProblem& problem, double ref,
+                                double tol) {
+  simplex::SolverOptions opt;
+  opt.basis = simplex::BasisScheme::kProductForm;
+  vgpu::Device dev(vgpu::gtx280_model());
+  simplex::DeviceRevisedSimplex<Real, At> solver(dev, opt);
+  const auto r = solver.solve(problem);
+  ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, ref, tol * (1.0 + std::abs(ref)));
+  const auto& pk = r.stats.device_stats.per_kernel;
+  EXPECT_TRUE(pk.contains("sparse_refactor"));
+  EXPECT_TRUE(pk.contains("eta_ftran_chain"));
+  EXPECT_TRUE(pk.contains("eta_btran_chain"));
+  for (const char* gone :
+       {"price_btran", "ftran", "ftran_ratio", "pivot_apply", "reinvert",
+        "refresh_beta", "binv_init", "sparse_ftran", "sparse_btran",
+        "eta_apply"}) {
+    EXPECT_FALSE(pk.contains(gone)) << gone;
+  }
+}
+
 TEST(DeviceSparseBasis, ProductFormSparseKernelsSolveAndAreNamed) {
   const auto problem = lp::random_sparse_lp(
       {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
   const double ref =
       simplex::solve(problem, simplex::Engine::kHostRevised).objective;
-  simplex::SolverOptions opt;
-  opt.basis = simplex::BasisScheme::kProductForm;
-  {
-    vgpu::Device dev(vgpu::gtx280_model());
-    simplex::SparseRevisedSimplex<double> solver(dev, opt);
-    const auto r = solver.solve(problem);
-    ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal);
-    EXPECT_NEAR(r.objective, ref, 1e-7 * (1.0 + std::abs(ref)));
-    const auto& pk = r.stats.device_stats.per_kernel;
-    EXPECT_TRUE(pk.contains("sparse_refactor"));
-    EXPECT_TRUE(pk.contains("eta_ftran_chain"));
-    EXPECT_TRUE(pk.contains("eta_btran_chain"));
-    // The chains are the only basis launches: no dense-inverse base
-    // solves, reinversion or beta refresh, and neither the per-eta
-    // kernels nor the dense-path eta kernels appear on the sparse variant.
-    for (const char* gone :
-         {"sparse_ftran", "sparse_btran", "reinvert", "refresh_beta",
-          "binv_init", "eta_apply", "eta_snapshot", "eta_btran_write",
-          "eta_ftran", "eta_btran_dot"}) {
-      EXPECT_FALSE(pk.contains(gone)) << gone;
-    }
-  }
-  {
-    vgpu::Device dev(vgpu::gtx280_model());
-    simplex::DeviceRevisedSimplex<float, simplex::SparseAt> solver(dev, opt);
-    const auto r = solver.solve(problem);
-    ASSERT_EQ(r.status, simplex::SolveStatus::kOptimal);
-    EXPECT_NEAR(r.objective, ref, 1e-3 * (1.0 + std::abs(ref)));
-  }
+  expect_product_form_chains<double, simplex::SparseAt>(problem, ref, 1e-7);
+  expect_product_form_chains<float, simplex::SparseAt>(problem, ref, 1e-3);
+  expect_product_form_chains<double, simplex::DenseAt>(problem, ref, 1e-7);
+  expect_product_form_chains<float, simplex::DenseAt>(problem, ref, 1e-3);
 }
 
 std::size_t count_refactors(const record::Recorder& rec) {
@@ -528,35 +527,16 @@ std::size_t count_refactors(const record::Recorder& rec) {
   return n;
 }
 
-/// All right-hand sides zero on equality rows: phase 1 ends with an
-/// artificial basic at level zero, and the drive-out pivots it out. That
-/// pivot appends an eta, which the refactor interval must count.
-lp::LpProblem degenerate_drive_out() {
-  lp::LpProblem p(lp::Objective::kMinimize, "degenerate_drive_out");
-  std::vector<std::uint32_t> x;
-  for (const double cost : {0.0, 2.0, 1.0, -1.0, 2.0, 2.0, 3.0, 1.0}) {
-    x.push_back(p.add_variable("x" + std::to_string(x.size()), cost));
-  }
-  const auto row = [&](std::vector<lp::Term> terms) {
-    p.add_constraint("r" + std::to_string(p.num_constraints()),
-                     std::move(terms), lp::RowSense::kEq, 0.0);
-  };
-  row({{x[3], 3.0}, {x[5], 2.0}, {x[6], 2.0}, {x[7], 1.0}});
-  row({{x[0], 1.0}, {x[1], 1.0}, {x[2], 3.0}, {x[5], 1.0}, {x[6], 2.0}});
-  row({{x[2], 2.0}, {x[4], 3.0}, {x[7], 3.0}});
-  row({{x[0], 2.0}, {x[1], -1.0}, {x[2], 1.0}, {x[3], -1.0}, {x[5], 1.0},
-       {x[6], 3.0}});
-  return p;
-}
+using test_lps::degenerate_drive_out;
 
 // The device product form holds B0 as the host oracle's own SparseLu and
 // walks it with the eta file in the host oracle's arithmetic, so in double
-// it is bit-identical to the host engine's product form: same status,
-// pivots, refactor events, values and basis (DESIGN.md "Basis oracles").
-// The corpus is Tab. 2's plus the sparse product-form test instances and
-// a drive-out, under both refactor intervals and the host engine's three
-// pricing rules. Beale under Dantzig cycles to the iteration limit in
-// both.
+// it is bit-identical to the host engine's product form on either A^T
+// layout: same status, pivots, refactor events, values and basis
+// (DESIGN.md "Basis oracles"). The corpus is Tab. 2's plus the sparse
+// product-form test instances and a drive-out, under both refactor
+// intervals and the host engine's three pricing rules. Beale under
+// Dantzig cycles to the iteration limit in both.
 TEST(DeviceSparseBasis, BitIdenticalToHostProductForm) {
   const std::vector<lp::LpProblem> corpus = {
       lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 4}),
@@ -580,33 +560,36 @@ TEST(DeviceSparseBasis, BitIdenticalToHostProductForm) {
       for (const simplex::PricingRule rule :
            {simplex::PricingRule::kHybrid, simplex::PricingRule::kDantzig,
             simplex::PricingRule::kBland}) {
-        SCOPED_TRACE(testing::Message() << "case " << k << " period "
-                                        << period << " rule "
-                                        << to_string(rule));
         simplex::SolverOptions opt;
         opt.basis = simplex::BasisScheme::kProductForm;
         opt.reinversion_period = period;
         opt.pricing = rule;
-        record::Recorder host_rec, dev_rec;
+        record::Recorder host_rec;
         opt.recorder = &host_rec;
         const auto h =
             simplex::solve(corpus[k], simplex::Engine::kHostRevised, opt);
-        opt.recorder = &dev_rec;
-        const auto d =
-            simplex::solve(corpus[k], simplex::Engine::kSparseRevised, opt);
-        ASSERT_EQ(to_string(d.status), to_string(h.status));
-        EXPECT_EQ(d.stats.iterations, h.stats.iterations);
-        EXPECT_EQ(count_refactors(dev_rec), count_refactors(host_rec));
-        EXPECT_EQ(d.objective, h.objective);
-        EXPECT_EQ(d.x, h.x);
-        EXPECT_EQ(d.y, h.y);
-        EXPECT_EQ(d.basis, h.basis);
-        const auto diff =
-            record::diff(host_rec.recording(), dev_rec.recording());
-        ASSERT_TRUE(diff.comparable) << diff.describe();
-        EXPECT_FALSE(diff.diverged) << diff.describe();
-        EXPECT_EQ(diff.max_reduced_cost_delta, 0.0) << diff.describe();
-        EXPECT_EQ(diff.max_theta_delta, 0.0) << diff.describe();
+        for (const simplex::Engine engine : {simplex::Engine::kSparseRevised,
+                                             simplex::Engine::kDeviceRevised}) {
+          SCOPED_TRACE(testing::Message()
+                       << "case " << k << " period " << period << " rule "
+                       << to_string(rule) << " " << to_string(engine));
+          record::Recorder dev_rec;
+          opt.recorder = &dev_rec;
+          const auto d = simplex::solve(corpus[k], engine, opt);
+          ASSERT_EQ(to_string(d.status), to_string(h.status));
+          EXPECT_EQ(d.stats.iterations, h.stats.iterations);
+          EXPECT_EQ(count_refactors(dev_rec), count_refactors(host_rec));
+          EXPECT_EQ(d.objective, h.objective);
+          EXPECT_EQ(d.x, h.x);
+          EXPECT_EQ(d.y, h.y);
+          EXPECT_EQ(d.basis, h.basis);
+          const auto diff =
+              record::diff(host_rec.recording(), dev_rec.recording());
+          ASSERT_TRUE(diff.comparable) << diff.describe();
+          EXPECT_FALSE(diff.diverged) << diff.describe();
+          EXPECT_EQ(diff.max_reduced_cost_delta, 0.0) << diff.describe();
+          EXPECT_EQ(diff.max_theta_delta, 0.0) << diff.describe();
+        }
       }
     }
   }
@@ -630,41 +613,6 @@ TEST(DeviceSparseBasis, ProductFormHoldsNoDenseInverse) {
   EXPECT_LT(report.peak_live_bytes, m * m * sizeof(double));
 }
 
-// The sparse eta chains only touch each eta's support: the modeled byte
-// traffic of the sparse product-form path must come in under the
-// dense-eta device path on the same instance (both sides counting their
-// BTRAN seed copies).
-TEST(DeviceSparseBasis, SparseEtaKernelsCostLessThanDenseEtas) {
-  const auto problem = lp::random_sparse_lp(
-      {.rows = 48, .cols = 192, .density = 0.05, .seed = 21});
-  simplex::SolverOptions opt;
-  opt.basis = simplex::BasisScheme::kProductForm;
-  vgpu::Device dev_sparse(vgpu::gtx280_model());
-  simplex::SparseRevisedSimplex<double> sparse_solver(dev_sparse, opt);
-  const auto rs = sparse_solver.solve(problem);
-  ASSERT_EQ(rs.status, simplex::SolveStatus::kOptimal);
-  const auto& pk = rs.stats.device_stats.per_kernel;
-  ASSERT_TRUE(pk.contains("eta_ftran_chain"));
-  ASSERT_TRUE(pk.contains("eta_btran_chain"));
-  // Dense-path eta applies on the same problem via the dense At engine.
-  vgpu::Device dev_dense(vgpu::gtx280_model());
-  simplex::DeviceRevisedSimplex<double> dense_solver(dev_dense, opt);
-  const auto rd = dense_solver.solve(problem);
-  ASSERT_EQ(rd.status, simplex::SolveStatus::kOptimal);
-  const auto& pkd = rd.stats.device_stats.per_kernel;
-  ASSERT_TRUE(pkd.contains("eta_ftran"));
-  const double dense_eta_bytes =
-      pkd.at("eta_ftran").bytes + pkd.at("eta_btran_dot").bytes +
-      pkd.at("price_btran_seed").bytes;
-  const double sparse_eta_bytes =
-      pk.at("eta_ftran_chain").bytes + pk.at("eta_btran_chain").bytes;
-  EXPECT_LT(sparse_eta_bytes, dense_eta_bytes);
-  // One launch per direction per iteration instead of two per eta.
-  EXPECT_LT(pk.at("eta_ftran_chain").launches +
-                pk.at("eta_btran_chain").launches,
-            pkd.at("eta_ftran").launches + pkd.at("eta_btran_dot").launches);
-}
-
 // Growth trigger (DESIGN.md "Refactorization policy"): the first pivot of
 //   max x1  s.t.  3e-9 x1 <= 0,  x1 <= 1
 // is alpha_p = 3e-9, so the eta multiplier 1/alpha_p ~ 3.3e8 exceeds the
@@ -679,26 +627,23 @@ TEST(BasisOracles, GrowthTriggerRefactorsOnHostAndDevice) {
   for (const simplex::Engine engine :
        {simplex::Engine::kHostRevised, simplex::Engine::kDeviceRevised,
         simplex::Engine::kSparseRevised}) {
-    for (const bool fused : {true, false}) {
-      record::Recorder rec;
-      simplex::SolverOptions opt;
-      opt.basis = simplex::BasisScheme::kProductForm;
-      opt.fused_iteration = fused;
-      opt.recorder = &rec;
-      const auto r = simplex::solve(p, engine, opt);
-      ASSERT_TRUE(r.optimal()) << to_string(engine);
-      EXPECT_NEAR(r.objective, 0.0, 1e-12) << to_string(engine);
-      const auto& records = rec.recording().records;
-      const auto first = std::find_if(
-          records.begin(), records.end(), [](const auto& d) {
-            return d.kind == record::RecordKind::kPivot;
-          });
-      ASSERT_NE(first, records.end()) << to_string(engine);
-      EXPECT_LT(std::abs(first->pivot_value), 1e-8);
-      ASSERT_NE(first + 1, records.end()) << to_string(engine);
-      EXPECT_EQ((first + 1)->kind, record::RecordKind::kRefactor)
-          << to_string(engine) << (fused ? " fused" : " reference");
-    }
+    record::Recorder rec;
+    simplex::SolverOptions opt;
+    opt.basis = simplex::BasisScheme::kProductForm;
+    opt.recorder = &rec;
+    const auto r = simplex::solve(p, engine, opt);
+    ASSERT_TRUE(r.optimal()) << to_string(engine);
+    EXPECT_NEAR(r.objective, 0.0, 1e-12) << to_string(engine);
+    const auto& records = rec.recording().records;
+    const auto first = std::find_if(
+        records.begin(), records.end(), [](const auto& d) {
+          return d.kind == record::RecordKind::kPivot;
+        });
+    ASSERT_NE(first, records.end()) << to_string(engine);
+    EXPECT_LT(std::abs(first->pivot_value), 1e-8);
+    ASSERT_NE(first + 1, records.end()) << to_string(engine);
+    EXPECT_EQ((first + 1)->kind, record::RecordKind::kRefactor)
+        << to_string(engine);
   }
 }
 

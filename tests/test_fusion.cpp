@@ -1,18 +1,19 @@
-// Fused-vs-reference equivalence for the device engine
-// (SolverOptions::fused_iteration, see DESIGN/OBSERVABILITY docs).
-//
-// The fused path collapses the pricing chain, the FTRAN/ratio chain and
-// the rank-1 B^-1 update into single launches and replaces the scalar
-// PCIe ping-pong with one packed descriptor readback; on the sparse
-// product form it also moves the pivot bookkeeping on device. None of that
-// may change the algorithm: these tests record both paths with the
-// decision recorder and require the pivot streams to align with ZERO
-// divergence — pivot for pivot, in both precisions, under every pricing
-// rule — and the launch/transfer budget the fusion exists to buy.
+// Guards on the device engine's iteration loop (DESIGN.md, "Basis
+// oracles"). The loop collapses pricing, FTRAN + ratio and the basis
+// update into a few launches and replaces the scalar PCIe ping-pong with
+// one packed descriptor readback. Golden recordings (tests/golden/, the
+// recorder's gs-record-v1 format) pin its decision stream bit for bit —
+// in both precisions, under every pricing rule, on both A^T layouts and
+// both basis schemes — and the budget tests hold the launches and
+// transfers the collapse exists to buy.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "drive_out_lp.hpp"
 #include "lp/generators.hpp"
 #include "lp/problem.hpp"
 #include "record/record.hpp"
@@ -22,24 +23,6 @@
 namespace gs::simplex {
 namespace {
 
-struct Run {
-  SolveResult result;
-  record::Recording recording;
-};
-
-template <typename Real, template <typename> class At = DenseAt>
-Run run_recorded(const lp::LpProblem& problem, bool fused, SolverOptions opt) {
-  vgpu::Device dev(vgpu::gtx280_model());
-  record::Recorder rec;
-  opt.fused_iteration = fused;
-  opt.recorder = &rec;
-  DeviceRevisedSimplex<Real, At> solver(dev, opt);
-  Run out;
-  out.result = solver.solve(problem);
-  out.recording = rec.recording();
-  return out;
-}
-
 SolverOptions rule_options(PricingRule rule,
                            std::size_t max_iterations = 50000) {
   SolverOptions opt;
@@ -48,8 +31,8 @@ SolverOptions rule_options(PricingRule rule,
   return opt;
 }
 
-/// Sparse product form: the CSR engine walking its eta file with the
-/// chain kernels, every `period` pivots reinverted (0 = every m).
+/// Product form: the eta file walked by the chain kernels, refactored
+/// every `period` etas (0 = every m).
 SolverOptions product_form(PricingRule rule, std::size_t period = 0,
                            std::size_t max_iterations = 50000) {
   SolverOptions opt = rule_options(rule, max_iterations);
@@ -58,164 +41,131 @@ SolverOptions product_form(PricingRule rule, std::size_t period = 0,
   return opt;
 }
 
-std::size_t count_kind(const record::Recording& rec, record::RecordKind k) {
-  std::size_t n = 0;
-  for (const auto& r : rec.records) n += r.kind == k ? 1 : 0;
-  return n;
-}
+/// One golden solve: a named instance, engine and options, run with the
+/// given recorder attached.
+struct Golden {
+  std::string name;
+  std::function<SolveResult(record::Recorder&)> run;
+};
 
 template <typename Real, template <typename> class At = DenseAt>
-void expect_identical_decisions(const lp::LpProblem& problem,
-                                const SolverOptions& opt) {
-  const Run fused = run_recorded<Real, At>(problem, true, opt);
-  const Run ref = run_recorded<Real, At>(problem, false, opt);
-  const record::DiffResult d = record::diff(fused.recording, ref.recording);
-  ASSERT_TRUE(d.comparable) << d.describe();
-  EXPECT_FALSE(d.diverged) << d.describe();
-  EXPECT_EQ(fused.recording.records.size(), ref.recording.records.size());
-  EXPECT_EQ(d.common, count_kind(ref.recording, record::RecordKind::kPivot));
-  EXPECT_EQ(count_kind(fused.recording, record::RecordKind::kRefactor),
-            count_kind(ref.recording, record::RecordKind::kRefactor));
-  // Same values, not just the same pivots: any rounding drift in the
-  // fused kernels (the folded BTRAN included) shows up in d_q or theta.
-  EXPECT_EQ(d.max_reduced_cost_delta, 0.0) << d.describe();
-  EXPECT_EQ(d.max_theta_delta, 0.0) << d.describe();
-  EXPECT_EQ(fused.result.status, ref.result.status);
-  EXPECT_EQ(fused.result.stats.iterations, ref.result.stats.iterations);
-  if (fused.result.optimal()) {
-    // Same pivot path in the same precision: bit-identical optimum.
-    EXPECT_EQ(fused.result.objective, ref.result.objective);
-    EXPECT_EQ(fused.result.x, ref.result.x);
-    EXPECT_EQ(fused.result.y, ref.result.y);
-  }
+Golden golden(std::string name, lp::LpProblem problem, SolverOptions opt) {
+  return {std::move(name), [problem = std::move(problem),
+                            opt](record::Recorder& rec) {
+            vgpu::Device dev(vgpu::gtx280_model());
+            SolverOptions o = opt;
+            o.recorder = &rec;
+            DeviceRevisedSimplex<Real, At> solver(dev, o);
+            return solver.solve(problem);
+          }};
 }
 
-template <typename Real, template <typename> class At = DenseAt>
-void expect_identical_decisions(const lp::LpProblem& problem,
-                                PricingRule rule,
-                                std::size_t max_iterations = 50000) {
-  expect_identical_decisions<Real, At>(problem,
-                                       rule_options(rule, max_iterations));
-}
-
-constexpr PricingRule kAllRules[] = {PricingRule::kHybrid,
-                                     PricingRule::kDantzig,
-                                     PricingRule::kBland, PricingRule::kDevex};
-
-TEST(Fusion, PivotStreamsIdenticalAcrossRulesDouble) {
-  for (const std::uint64_t seed : {1ull, 5ull, 11ull}) {
-    const auto problem =
-        lp::random_dense_lp({.rows = 24, .cols = 24, .seed = seed});
-    for (const PricingRule rule : kAllRules) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " rule "
-                                      << to_string(rule));
-      expect_identical_decisions<double>(problem, rule);
-    }
-  }
-}
-
-TEST(Fusion, PivotStreamsIdenticalAcrossRulesFloat) {
-  for (const std::uint64_t seed : {1ull, 5ull, 11ull}) {
-    const auto problem =
-        lp::random_dense_lp({.rows = 24, .cols = 24, .seed = seed});
-    for (const PricingRule rule : kAllRules) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " rule "
-                                      << to_string(rule));
-      expect_identical_decisions<float>(problem, rule);
-    }
-  }
-}
-
-TEST(Fusion, PivotStreamsIdenticalWithPhaseOne) {
-  // Equality rows force artificials: covers phase 1, the drive-out path
-  // (which stays on the reference kernels) and the phase transition.
-  const auto problem = lp::transportation(5, 6, 17);
-  expect_identical_decisions<double>(problem, PricingRule::kHybrid);
-  expect_identical_decisions<float>(problem, PricingRule::kHybrid);
-}
-
-TEST(Fusion, PivotStreamsIdenticalOnMultiBlockSweep) {
-  // n_aug = 300 + 150 > one 256-lane block: exercises the fused pricing's
-  // cross-block combine launch against the primitives' two-pass argmin.
-  const auto problem =
-      lp::random_dense_lp({.rows = 150, .cols = 300, .seed = 3});
-  expect_identical_decisions<double>(problem, PricingRule::kDantzig, 12);
-  expect_identical_decisions<double>(problem, PricingRule::kBland, 12);
-}
-
-TEST(Fusion, PivotStreamsIdenticalSparsePolicy) {
-  const auto problem =
-      lp::random_sparse_lp({.rows = 32, .cols = 64, .density = 0.2,
-                            .seed = 7});
-  expect_identical_decisions<double, SparseAt>(problem, PricingRule::kHybrid);
-  expect_identical_decisions<float, SparseAt>(problem, PricingRule::kDevex);
-}
-
-TEST(Fusion, RefactorPeriodKeptIdentical) {
-  // Periodic reinversion interleaves with fused iterations; the refactor
-  // events must land on the same iterations in both paths.
-  const auto problem =
-      lp::random_dense_lp({.rows = 32, .cols = 32, .seed = 9});
-  vgpu::Device dev_a(vgpu::gtx280_model()), dev_b(vgpu::gtx280_model());
-  record::Recorder rec_a, rec_b;
-  SolverOptions opt;
-  opt.refactor_period = 4;
-  opt.recorder = &rec_a;
-  DeviceRevisedSimplex<double> fused(dev_a, opt);
-  const SolveResult ra = fused.solve(problem);
-  opt.fused_iteration = false;
-  opt.recorder = &rec_b;
-  DeviceRevisedSimplex<double> reference(dev_b, opt);
-  const SolveResult rb = reference.solve(problem);
-  ASSERT_EQ(ra.status, SolveStatus::kOptimal);
-  ASSERT_EQ(rb.status, SolveStatus::kOptimal);
-  const record::DiffResult d = record::diff(rec_a.recording(),
-                                            rec_b.recording());
-  ASSERT_TRUE(d.comparable) << d.describe();
-  EXPECT_FALSE(d.diverged) << d.describe();
-}
-
-TEST(Fusion, SparseProductFormStreamsIdenticalAcrossRules) {
-  const auto problem = lp::random_sparse_lp(
-      {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
-  for (const PricingRule rule : kAllRules) {
-    SCOPED_TRACE(testing::Message() << "rule " << to_string(rule));
-    expect_identical_decisions<double, SparseAt>(problem, product_form(rule));
-    expect_identical_decisions<float, SparseAt>(problem, product_form(rule));
-  }
-}
-
-TEST(Fusion, SparseProductFormStreamsIdenticalWithPhaseOneAndShortPeriod) {
-  // Phase 1, the artificial drive-out (which shares the chain kernels) and
-  // the phase transition, with the eta file folded back every 4 pivots.
+/// The device decision streams no host-vs-device identity test covers:
+/// float under every pricing rule (the hybrid on Beale's cycling LP, where
+/// its stall switch to Bland fires), Devex in both precisions, the CSR
+/// explicit inverse in float, phase 1 with the artificial drive-out (and
+/// under Devex, whose weights the drive-out pivots leave alone), the
+/// periodic reinversion, multi-block selections on both layouts, and the
+/// product form at reinversion periods 0 and 4.
+std::vector<Golden> golden_corpus() {
+  const auto dense64 = lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 5});
   const auto transport = lp::transportation(5, 6, 17);
-  for (const std::size_t period : {std::size_t{0}, std::size_t{4}}) {
-    SCOPED_TRACE(testing::Message() << "period " << period);
-    expect_identical_decisions<double, SparseAt>(
-        transport, product_form(PricingRule::kHybrid, period));
-    expect_identical_decisions<float, SparseAt>(
-        transport, product_form(PricingRule::kDevex, period));
-  }
-  const auto problem = lp::random_sparse_lp(
+  const auto drive_out = test_lps::degenerate_drive_out();
+  const auto devex_drive_out = test_lps::devex_drive_out();
+  const auto sparse32 = lp::random_sparse_lp(
+      {.rows = 32, .cols = 64, .density = 0.2, .seed = 7});
+  const auto sparse40 = lp::random_sparse_lp(
+      {.rows = 40, .cols = 160, .density = 0.08, .seed = 12});
+  const auto sparse32x128 = lp::random_sparse_lp(
       {.rows = 32, .cols = 128, .density = 0.08, .seed = 4});
-  const auto fused = run_recorded<double, SparseAt>(
-      problem, true, product_form(PricingRule::kDantzig, 4));
-  EXPECT_GE(count_kind(fused.recording, record::RecordKind::kRefactor), 2u);
-  expect_identical_decisions<double, SparseAt>(
-      problem, product_form(PricingRule::kDantzig, 4));
-  expect_identical_decisions<float, SparseAt>(
-      problem, product_form(PricingRule::kBland, 4));
+  const auto dense150 =
+      lp::random_dense_lp({.rows = 150, .cols = 300, .seed = 3});
+  const auto sparse300 = lp::random_sparse_lp(
+      {.rows = 300, .cols = 300, .density = 0.02, .seed = 6});
+  SolverOptions period4 = rule_options(PricingRule::kHybrid);
+  period4.refactor_period = 4;
+  return {
+      golden<float>("beale_f32_hybrid", lp::beale_cycling(),
+                    rule_options(PricingRule::kHybrid)),
+      golden<float>("dense_f32_dantzig", dense64,
+                    rule_options(PricingRule::kDantzig)),
+      golden<float>("dense_f32_bland", dense64,
+                    rule_options(PricingRule::kBland)),
+      golden<float>("dense_f32_devex", dense64,
+                    rule_options(PricingRule::kDevex)),
+      golden<double>("dense_f64_devex", dense64,
+                     rule_options(PricingRule::kDevex)),
+      golden<double>("dense_f64_devex_24x24",
+                     lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 11}),
+                     rule_options(PricingRule::kDevex)),
+      golden<float, SparseAt>("csr_f32_devex", sparse32,
+                              rule_options(PricingRule::kDevex)),
+      golden<double>("transport_f64", transport,
+                     rule_options(PricingRule::kHybrid)),
+      golden<float>("transport_f32", transport,
+                    rule_options(PricingRule::kHybrid)),
+      golden<double>("drive_out_f64", drive_out,
+                     rule_options(PricingRule::kHybrid)),
+      golden<float>("drive_out_f32", drive_out,
+                    rule_options(PricingRule::kHybrid)),
+      golden<double, SparseAt>("drive_out_csr_f64", drive_out,
+                               rule_options(PricingRule::kHybrid)),
+      golden<float, SparseAt>("drive_out_csr_pf_f32", drive_out,
+                              product_form(PricingRule::kDevex, 4)),
+      golden<double>("drive_out_devex_f64", devex_drive_out,
+                     rule_options(PricingRule::kDevex)),
+      golden<double, SparseAt>("drive_out_devex_csr_pf_f64", devex_drive_out,
+                               product_form(PricingRule::kDevex)),
+      golden<double>("refactor4_f64",
+                     lp::random_dense_lp({.rows = 32, .cols = 32, .seed = 9}),
+                     period4),
+      golden<double>("multiblock_dense_dantzig", dense150,
+                     rule_options(PricingRule::kDantzig, 12)),
+      golden<double>("multiblock_dense_bland", dense150,
+                     rule_options(PricingRule::kBland, 12)),
+      golden<double, SparseAt>("multiblock_csr_pf_dantzig", sparse300,
+                               product_form(PricingRule::kDantzig, 0, 40)),
+      golden<double, SparseAt>("multiblock_csr_pf_bland", sparse300,
+                               product_form(PricingRule::kBland, 0, 40)),
+      golden<double, SparseAt>("csr_pf_f64_devex", sparse40,
+                               product_form(PricingRule::kDevex)),
+      golden<float, SparseAt>("csr_pf_f32_hybrid", sparse40,
+                              product_form(PricingRule::kHybrid)),
+      golden<float, SparseAt>("transport_csr_pf_f32_p0", transport,
+                              product_form(PricingRule::kDevex, 0)),
+      golden<float, SparseAt>("transport_csr_pf_f32_p4", transport,
+                              product_form(PricingRule::kDevex, 4)),
+      golden<float, SparseAt>("csr_pf_f32_bland_p4", sparse32x128,
+                              product_form(PricingRule::kBland, 4)),
+  };
 }
 
-TEST(Fusion, SparseProductFormStreamsIdenticalOnMultiBlockSweeps) {
-  // m = 300 rows and n_aug = 600 columns: both fused selections (pricing
-  // and ratio) span several blocks and take their combine launches.
-  const auto problem = lp::random_sparse_lp(
-      {.rows = 300, .cols = 300, .density = 0.02, .seed = 6});
-  expect_identical_decisions<double, SparseAt>(
-      problem, product_form(PricingRule::kDantzig, 0, 40));
-  expect_identical_decisions<double, SparseAt>(
-      problem, product_form(PricingRule::kBland, 0, 40));
+// Every golden recording under tests/golden/ replays bit for bit: the
+// first decision whose entering column, leaving row, d_q, alpha_p, theta
+// or tie count differs in any bit fails, as does a missing or extra
+// decision and a different final basis. Set GS_GOLDEN_REWRITE=1 to
+// re-record the files after a deliberate change of the decision stream.
+TEST(Fusion, GoldenRecordingsReplayBitForBit) {
+  const bool rewrite = std::getenv("GS_GOLDEN_REWRITE") != nullptr;
+  for (const Golden& g : golden_corpus()) {
+    SCOPED_TRACE(g.name);
+    const std::string path =
+        std::string(GS_GOLDEN_DIR) + "/" + g.name + ".gsrec";
+    if (rewrite) {
+      record::Recorder rec;
+      (void)g.run(rec);
+      rec.recording().write_file(path);
+      continue;
+    }
+    const record::Recording ref = record::Recording::read_file(path);
+    ASSERT_GT(ref.records.size(), 0u);
+    record::Recorder rec = record::Recorder::replaying(ref);
+    const SolveResult r = g.run(rec);
+    EXPECT_FALSE(rec.mismatched()) << rec.mismatch().describe();
+    EXPECT_EQ(rec.verified(), ref.records.size());
+    EXPECT_EQ(to_string(r.status), ref.header.status);
+    EXPECT_EQ(r.basis, ref.basis);
+  }
 }
 
 TEST(Fusion, SparseProductFormBudgetIndependentOfEtaFile) {

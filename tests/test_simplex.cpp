@@ -401,8 +401,8 @@ TEST(Stats, DeviceEngineReportsKernelBreakdown) {
   EXPECT_GT(ds.kernel_launches, 0u);
   EXPECT_GT(ds.h2d_bytes, 0u);   // initial uploads
   EXPECT_GT(ds.d2h_count, 0u);   // per-iteration descriptor readbacks
-  // Default path is the fused iteration: the pricing chain, the FTRAN +
-  // ratio chain and the pivot each appear as ONE kernel.
+  // The pricing chain, the FTRAN + ratio chain and the pivot each appear
+  // as ONE kernel.
   for (const char* kernel :
        {"binv_init", "price_btran", "price_select", "ftran_ratio",
         "pivot_apply"}) {
@@ -418,24 +418,6 @@ TEST(Stats, DeviceEngineReportsKernelBreakdown) {
   EXPECT_GT(r.stats.sim_seconds, 0.0);
   EXPECT_GT(r.stats.wall_seconds, 0.0);
   EXPECT_NEAR(r.stats.sim_seconds, ds.sim_seconds(), 1e-12);
-}
-
-TEST(Stats, ReferencePathReportsUnfusedKernelBreakdown) {
-  const auto problem = lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 1});
-  vgpu::Device dev(vgpu::gtx280_model());
-  SolverOptions opt;
-  opt.fused_iteration = false;
-  DeviceRevisedSimplex<double> solver(dev, opt);
-  const SolveResult r = solver.solve(problem);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  const auto& ds = r.stats.device_stats;
-  for (const char* kernel :
-       {"price_btran", "price_reduced", "ftran", "ratio", "update_beta",
-        "update_binv"}) {
-    EXPECT_TRUE(ds.per_kernel.contains(kernel)) << kernel;
-  }
-  EXPECT_FALSE(ds.per_kernel.contains("price_select"));
-  EXPECT_FALSE(ds.per_kernel.contains("ftran_ratio"));
 }
 
 TEST(Stats, HostEngineMetersItsSteps) {
