@@ -112,10 +112,10 @@ int main(int argc, char** argv) {
   }
 
   // Same engine under the product-form basis: the sparse-LU and eta-file
-  // kernel variants (sparse_refactor / eta_ftran_chain / eta_btran_chain
-  // / ratio_select / pivot_beta / make_eta) must be as hazard-, uninit-
-  // and cost-clean as the explicit-inverse stream (DESIGN.md "Basis
-  // oracles").
+  // kernel variants (sparse_refactor / eta_ftran_chain with its ratio
+  // test / eta_btran_chain / pivot_beta / make_eta) must be as hazard-,
+  // uninit- and cost-clean as the explicit-inverse stream (DESIGN.md
+  // "Basis oracles").
   {
     vgpu::analyze::CaptureLog capture;
     simplex::SolverOptions opt;

@@ -2,10 +2,12 @@
 //
 // Runs a capped number of iterations at m = n = 1536 and reports where the
 // modeled device time goes. Expected shape: the three wide kernels of the
-// device loop -- price_select (pricing sweep + selection), ftran_ratio
-// (FTRAN + ratio test) and pivot_apply (the B^-1 update plus the next
-// BTRAN) -- carry >80% of the time; per-iteration PCIe traffic is one
-// scalar-sized descriptor (latency-bound, visible but small).
+// device loop -- price_select (pricing sweep + each block's entering
+// candidate), ftran_ratio (entering combine + FTRAN + ratio test + each
+// block's leaving candidate) and pivot_apply (the B^-1 update plus the
+// next BTRAN) -- carry >80% of the time, with no selection or combine
+// launch beside them; per-iteration PCIe traffic is one scalar-sized
+// descriptor (latency-bound, visible but small).
 //
 // Flags:
 //   --quick       smaller instance (m = n = 256) for smoke runs

@@ -2,7 +2,7 @@
 # ci.sh — full local CI sweep (README.md "Continuous integration").
 #
 # Builds and tests three configurations:
-#   build/       Release            (the tier-1 configuration)
+#   build/       Release + -Werror  (the tier-1 configuration)
 #   build-asan/  Debug + ASan/UBSan (-DGS_SANITIZE=address,undefined)
 #   build-tsan/  Debug + TSan       (-DGS_SANITIZE=thread)
 #
@@ -28,7 +28,9 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}")
 }
 
-run_config build        -DCMAKE_BUILD_TYPE=Release
+# The Release build compiles warnings-clean under -Wall -Wextra and keeps
+# it that way: any new warning fails CI.
+run_config build        -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
 
 # Bench regression gate (OBSERVABILITY.md "Metrics"): regenerate the
 # machine-readable bench artifact from the Release build and diff it

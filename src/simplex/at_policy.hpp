@@ -9,15 +9,18 @@
 // a_q scattered into a product-form FTRAN, each with the format's own
 // read_range annotations and summation order — plus the cost terms its
 // launches declare. AtKernels writes every kernel once on top of that:
-// the pricing+selection, FTRAN+ratio+selection and Devex launches of the
-// device loop, which write the on-device PivotDescriptor instead of
-// round-tripping scalars over PCIe, and the FTRAN and pivot-row product
-// the artificial drive-out uses.
+// the pricing, FTRAN + ratio and Devex launches of the device loop, and
+// the FTRAN and pivot-row product the artificial drive-out uses. The
+// loop's pivot selections run inside the launches that compute their
+// inputs and meet in the on-device pivot descriptor, so no selection or
+// combine step is a launch of its own and no scalar round-trips over
+// PCIe.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -33,78 +36,83 @@ namespace gs::simplex {
 // ---------------------------------------------------------------------
 // Pivot descriptor.
 //
-// All per-iteration decisions accumulate in a 5-slot device buffer and
-// cross PCIe as ONE packed d2h per iteration. Indices are encoded as Real
-// (exact up to 2^24 even in float); kDescNone (-1) marks "no candidate".
+// One device buffer holds every per-iteration decision, and its prefix
+// crosses PCIe as ONE packed d2h per iteration: the entering column and
+// d_q, then one leaving triple (p, theta, alpha_p) per ratio block, which
+// the host reduces (reduce_leaving). Behind the prefix (desc_partials),
+// price_select leaves one (index, value) winner per pricing block for the
+// launch that consumes the entering column to combine. Indices are
+// encoded as Real (exact up to 2^24 even in float); -1 marks "no
+// candidate".
 // ---------------------------------------------------------------------
 inline constexpr std::size_t kDescQ = 0;       ///< entering column, or -1
 inline constexpr std::size_t kDescDq = 1;      ///< reduced cost d_q
-inline constexpr std::size_t kDescP = 2;       ///< leaving row, or -1
-inline constexpr std::size_t kDescTheta = 3;   ///< ratio-test step length
-inline constexpr std::size_t kDescAlphaP = 4;  ///< pivot element alpha_p
-inline constexpr std::size_t kDescSlots = 5;
+inline constexpr std::size_t kDescP = 2;       ///< first leaving triple
+inline constexpr std::size_t kDescTriple = 3;  ///< slots per leaving triple
 // (Ratio ties are observational — the recorder counts them through
 // host_view() outside the machine model, so they never ride in the
 // descriptor or cost a device-side rescan.)
+
+/// Blocks of a selection launch over `lanes` lanes.
+[[nodiscard]] constexpr std::size_t select_blocks(std::size_t lanes) noexcept {
+  return (lanes + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize;
+}
+
+/// Descriptor slots the host reads: q, d_q and `triples` leaving triples.
+[[nodiscard]] constexpr std::size_t desc_prefix(std::size_t triples) noexcept {
+  return kDescP + kDescTriple * triples;
+}
+
+/// Offset of the pricing blocks' winners: behind room for one leaving
+/// triple per ratio block of an m-row problem (at least one, the product
+/// form's).
+[[nodiscard]] constexpr std::size_t desc_partials(std::size_t m) noexcept {
+  return desc_prefix(std::max<std::size_t>(select_blocks(m), 1));
+}
+
+/// The whole descriptor of an m-row, n_aug-column problem.
+[[nodiscard]] constexpr std::size_t desc_slots(std::size_t m,
+                                               std::size_t n_aug) noexcept {
+  return desc_partials(m) + 2 * select_blocks(n_aug);
+}
 
 /// Entering-variable rule for one pricing launch (the hybrid rule resolves
 /// to Dantzig or Bland per iteration on the host).
 enum class EnteringRule { kDantzig, kBland, kDevex };
 
-namespace fused_detail {
-
-/// Per-block winners of one selection launch over n lanes, kept host-side
-/// like the primitives' reductions (invisible to the machine model).
+/// One iteration's entering-column selection, split across two launches.
+/// Each price_select block scans its columns with the rule's block
+/// primitive and writes its winner to the descriptor's partials (block);
+/// the launch that consumes the column combines them in block order with
+/// strict < (the first hit for Bland) and applies the rule's optimality
+/// test (resolve). The column is the one vgpu::argmin / find_first_below
+/// would pick over the whole buffer.
 template <typename Real>
-struct BlockPartials {
-  explicit BlockPartials(std::size_t n)
-      : idx((n + vgpu::Device::kBlockSize - 1) / vgpu::Device::kBlockSize,
-            vgpu::detail::kNoIndex),
-        val(idx.size(), Real{0}) {}
+struct EnteringSelect {
+  EnteringRule rule;
+  Real tol;            ///< optimality tolerance: d_j < -tol may enter
+  std::size_t parts;   ///< descriptor offset of the block winners
+  std::size_t blocks;  ///< pricing blocks
 
-  /// The winner with the primitives' combine semantics: block order,
-  /// strict <.
-  [[nodiscard]] std::pair<std::size_t, Real> argmin() const {
-    std::size_t best = idx[0];
-    Real v = val[0];
-    for (std::size_t b = 1; b < idx.size(); ++b) {
-      if (val[b] < v) {
-        best = idx[b];
-        v = val[b];
-      }
-    }
-    return {best, v};
-  }
+  EnteringSelect(EnteringRule r, Real t, std::size_t m, std::size_t n_aug)
+      : rule(r),
+        tol(t),
+        parts(desc_partials(m)),
+        blocks(select_blocks(n_aug)) {}
 
-  std::vector<std::size_t> idx;
-  std::vector<Real> val;
-};
-
-/// Entering-column selection of one pricing launch. Each block scans its
-/// columns with the rule's block primitive. A one-block grid writes the
-/// descriptor inline; a wider one keeps BlockPartials that finish()
-/// reduces in a small combine launch (argmin, or the first hit for
-/// Bland), so the winner is bit-identical to vgpu::argmin /
-/// find_first_below over the full buffer. d_q is reported from the
-/// reduced-cost span.
-template <typename Real>
-class EnteringSelect {
- public:
-  EnteringSelect(std::size_t n, EnteringRule rule, Real tol)
-      : rule_(rule), tol_(tol), parts_(n) {}
-
-  /// Select among columns [lo, hi) of block `blk`. Devex first writes its
+  /// Block `blk`'s winner among columns [lo, hi). Devex first writes its
   /// scores -d_j^2 / w_j into `score`.
   template <typename DSpan, typename SSpan, typename WSpan, typename DescSpan>
   void block(std::size_t blk, std::size_t lo, std::size_t hi, const DSpan& d,
-             const SSpan& score, const WSpan& devex_w, const DescSpan& desc) {
+             const SSpan& score, const WSpan& devex_w,
+             const DescSpan& desc) const {
     std::size_t best = vgpu::detail::kNoIndex;
     Real val{0};
-    if (rule_ == EnteringRule::kBland) {
-      best = vgpu::detail::block_first_below(d, lo, hi, -tol_);
-    } else if (rule_ == EnteringRule::kDevex) {
+    if (rule == EnteringRule::kBland) {
+      best = vgpu::detail::block_first_below(d, lo, hi, -tol);
+    } else if (rule == EnteringRule::kDevex) {
       for (std::size_t j = lo; j < hi; ++j) {
-        score[j] = d[j] < -tol_ ? -(d[j] * d[j]) / devex_w[j] : Real{0};
+        score[j] = d[j] < -tol ? -(d[j] * d[j]) / devex_w[j] : Real{0};
       }
       best = vgpu::detail::block_argmin(score, lo, hi);
       val = score[best];
@@ -112,131 +120,91 @@ class EnteringSelect {
       best = vgpu::detail::block_argmin(d, lo, hi);
       val = d[best];
     }
-    if (parts_.idx.size() == 1) {
-      write(best, val, d, desc);
-    } else {
-      parts_.idx[blk] = best;
-      parts_.val[blk] = val;
-    }
+    desc[parts + 2 * blk] =
+        best == vgpu::detail::kNoIndex ? Real{-1} : static_cast<Real>(best);
+    desc[parts + 2 * blk + 1] = val;
   }
 
-  /// The "price_select_final" combine, launched only for multi-block grids.
+  /// The entering column, or kNoIndex when none may enter: the first
+  /// block's hit under Bland; else the block winners' argmin (block order,
+  /// strict <), if its value passes the rule's test (a negative Devex
+  /// score, or d_q < -tol).
+  template <typename DescSpan>
+  [[nodiscard]] std::size_t resolve(const DescSpan& desc) const {
+    if (rule == EnteringRule::kBland) {
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const Real idx = desc[parts + 2 * b];
+        if (idx >= Real{0}) return static_cast<std::size_t>(idx);
+      }
+      return vgpu::detail::kNoIndex;
+    }
+    std::size_t best = vgpu::detail::kNoIndex;
+    Real val{0};
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const Real v = desc[parts + 2 * b + 1];
+      if (b == 0 || v < val) {
+        best = static_cast<std::size_t>(desc[parts + 2 * b]);
+        val = v;
+      }
+    }
+    const bool none =
+        rule == EnteringRule::kDevex ? val >= Real{0} : val >= -tol;
+    return none ? vgpu::detail::kNoIndex : best;
+  }
+
+  /// Publish the resolved column and its d_q (-1 and 0 when none).
   template <typename DSpan, typename DescSpan>
-  void finish(vgpu::Device& dev, const DSpan& d, const DescSpan& desc) {
-    const std::size_t blocks = parts_.idx.size();
-    if (blocks <= 1) return;
-    dev.launch_blocks(
-        "price_select_final", 1, 1,
-        {static_cast<double>(blocks),
-         static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
-                             2 * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t, std::size_t) {
-          if (rule_ == EnteringRule::kBland) {
-            const auto hit = std::find_if(
-                parts_.idx.begin(), parts_.idx.end(),
-                [](std::size_t i) { return i != vgpu::detail::kNoIndex; });
-            write(hit == parts_.idx.end() ? vgpu::detail::kNoIndex : *hit,
-                  Real{0}, d, desc);
-          } else {
-            const auto [best, val] = parts_.argmin();
-            write(best, val, d, desc);
-          }
-        });
+  static void publish(std::size_t q, const DSpan& d, const DescSpan& desc) {
+    const bool none = q == vgpu::detail::kNoIndex;
+    desc[kDescQ] = none ? Real{-1} : static_cast<Real>(q);
+    desc[kDescDq] = none ? Real{0} : Real(d[q]);
   }
-
- private:
-  template <typename DSpan, typename DescSpan>
-  void write(std::size_t best, Real val, const DSpan& d,
-             const DescSpan& desc) const {
-    bool none = false;
-    switch (rule_) {
-      case EnteringRule::kBland:
-        none = best == vgpu::detail::kNoIndex;
-        break;
-      case EnteringRule::kDevex:
-        none = val >= Real{0};  // best devex score
-        break;
-      case EnteringRule::kDantzig:
-        none = val >= -tol_;  // most negative reduced cost
-        break;
-    }
-    if (none) {
-      desc[kDescQ] = Real{-1};
-      desc[kDescDq] = Real{0};
-    } else {
-      desc[kDescQ] = static_cast<Real>(best);
-      desc[kDescDq] = d[best];
-    }
-  }
-
-  EnteringRule rule_;
-  Real tol_;
-  BlockPartials<Real> parts_;
 };
 
-/// Leaving-row selection of one ratio launch: the ratio test, the
-/// block argmin, and the descriptor write (inline for a one-block grid,
-/// else the "ftran_ratio_final" combine of the BlockPartials).
+/// Ratio test and leaving pick over rows [lo, hi): ratio_i = beta_i /
+/// alpha_i where alpha_i = alpha_of(i) exceeds the pivot tolerance, +inf
+/// otherwise; the first smallest ratio's (row, ratio, alpha) goes to the
+/// triple at desc[slot]. An empty range (a zero-row LP) writes nothing.
+template <typename Real, typename AlphaOf, typename BSpan, typename RSpan,
+          typename ASpan, typename DescSpan>
+void leaving_block(Real pivot_tol, std::size_t lo, std::size_t hi,
+                   AlphaOf&& alpha_of, const BSpan& beta, const RSpan& ratio,
+                   const ASpan& alpha, const DescSpan& desc,
+                   std::size_t slot) {
+  if (lo == hi) return;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const Real a = alpha_of(i);
+    ratio[i] = a > pivot_tol ? beta[i] / a
+                             : std::numeric_limits<Real>::infinity();
+  }
+  const std::size_t best = vgpu::detail::block_argmin(ratio, lo, hi);
+  desc[slot] = static_cast<Real>(best);
+  desc[slot + 1] = ratio[best];
+  desc[slot + 2] = alpha[best];
+}
+
+/// One leaving decision: the row, the step length and the pivot element.
 template <typename Real>
-class LeavingSelect {
- public:
-  LeavingSelect(std::size_t m, Real pivot_tol) : tol_(pivot_tol), parts_(m) {}
-
-  /// Rows [lo, hi) of block `blk`: ratio_i = beta_i / alpha_i where
-  /// alpha_i = alpha_of(i) exceeds the pivot tolerance, +inf otherwise;
-  /// then the block's selection.
-  template <typename AlphaOf, typename BSpan, typename RSpan, typename ASpan,
-            typename DescSpan>
-  void block(std::size_t blk, std::size_t lo, std::size_t hi,
-             AlphaOf&& alpha_of, const BSpan& beta, const RSpan& ratio,
-             const ASpan& alpha, const DescSpan& desc) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const Real a = alpha_of(i);
-      ratio[i] = a > tol_ ? beta[i] / a : kInf;
-    }
-    const std::size_t best = vgpu::detail::block_argmin(ratio, lo, hi);
-    if (parts_.idx.size() == 1) {
-      write(best, ratio, alpha, desc);
-    } else {
-      parts_.idx[blk] = best;
-      parts_.val[blk] = ratio[best];
-    }
-  }
-
-  template <typename RSpan, typename ASpan, typename DescSpan>
-  void finish(vgpu::Device& dev, const RSpan& ratio, const ASpan& alpha,
-              const DescSpan& desc) {
-    const std::size_t blocks = parts_.idx.size();
-    if (blocks <= 1) return;
-    dev.launch_blocks(
-        "ftran_ratio_final", 1, 1,
-        {static_cast<double>(blocks),
-         static_cast<double>(blocks * (sizeof(Real) + sizeof(std::size_t)) +
-                             5 * sizeof(Real)),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t, std::size_t) {
-          if (desc[kDescQ] < Real{0}) return;  // speculative: nothing entered
-          write(parts_.argmin().first, ratio, alpha, desc);
-        });
-  }
-
- private:
-  static constexpr Real kInf = std::numeric_limits<Real>::infinity();
-
-  template <typename RSpan, typename ASpan, typename DescSpan>
-  static void write(std::size_t best, const RSpan& ratio, const ASpan& alpha,
-                    const DescSpan& desc) {
-    desc[kDescP] = static_cast<Real>(best);
-    desc[kDescTheta] = ratio[best];
-    desc[kDescAlphaP] = alpha[best];
-  }
-
-  Real tol_;
-  BlockPartials<Real> parts_;
+struct Leaving {
+  std::size_t p;
+  Real theta;
+  Real alpha_p;
 };
 
-}  // namespace fused_detail
+/// The host's reduction of the descriptor's `triples` leaving triples:
+/// the first strictly smallest theta in block order, as the primitives'
+/// block combine picks it.
+template <typename Real>
+[[nodiscard]] Leaving<Real> reduce_leaving(std::span<const Real> desc,
+                                           std::size_t triples) {
+  std::size_t best = kDescP;
+  for (std::size_t t = 1; t < triples; ++t) {
+    const std::size_t slot = kDescP + kDescTriple * t;
+    if (desc[slot + 1] < desc[best + 1]) best = slot;
+  }
+  return {static_cast<std::size_t>(desc[best]), desc[best + 1],
+          desc[best + 2]};
+}
 
 /// Every A^T-dependent kernel, written once over a storage policy
 /// (DenseAt / SparseAt derive from this). The policy provides m(),
@@ -280,21 +248,19 @@ class AtKernels {
         });
   }
 
-  /// Pricing: reduced costs d_j = mask_j ? c_j - a_j . pi : 0, the
-  /// rule-specific selection scan and the entering decision in ONE launch.
-  /// Writes desc[kDescQ] and desc[kDescDq]; the block-scan semantics match
-  /// the primitives', so the chosen column is the one vgpu::argmin /
-  /// find_first_below would pick.
-  void price_select(const vgpu::DeviceBuffer<Real>& pi,
+  /// Pricing: reduced costs d_j = mask_j ? c_j - a_j . pi : 0 and each
+  /// block's entering candidate in ONE launch; the block winners land in
+  /// the descriptor's partials for the next launch to combine
+  /// (EnteringSelect).
+  void price_select(const EnteringSelect<Real>& select,
+                    const vgpu::DeviceBuffer<Real>& pi,
                     const vgpu::DeviceBuffer<Real>& c,
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& d,
                     vgpu::DeviceBuffer<Real>& score,
                     const vgpu::DeviceBuffer<Real>& devex_w,
-                    vgpu::DeviceBuffer<Real>& desc, EnteringRule rule,
-                    Real tol) const {
+                    vgpu::DeviceBuffer<Real>& desc) const {
     const std::size_t n = policy().n_aug();
-    fused_detail::EnteringSelect<Real> select(n, rule, tol);
     const auto cols = policy().columns();
     auto ys = pi.device_span();
     auto cs = c.device_span();
@@ -305,7 +271,7 @@ class AtKernels {
     auto desc_s = desc.device_span();
     policy().device().launch_blocks(
         "price_select", n, vgpu::Device::kBlockSize,
-        policy().sweep_cost(4.0 * double(n), 6 * n),
+        policy().sweep_cost(4.0 * double(n), 6 * n + 2 * select.blocks),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
           // Reduced costs.
           for (std::size_t j = lo; j < hi; ++j) {
@@ -318,51 +284,64 @@ class AtKernels {
           }
           select.block(blk, lo, hi, ds, ss, wsp, desc_s);
         });
-    select.finish(policy().device(), ds, desc_s);
   }
 
-  /// FTRAN + ratio test + leaving selection in ONE launch. The
-  /// entering column index is read from the descriptor ON DEVICE — the
-  /// launch is speculative (issued before the host has seen whether
-  /// pricing found a candidate) and early-exits when desc[kDescQ] < 0.
-  /// Writes desc[kDescP/kDescTheta/kDescAlphaP]; alpha and ratio are
-  /// still materialized for the basis update and observers.
-  void ftran_ratio_select(const vblas::DeviceMatrix<Real>& binv,
+  /// FTRAN + ratio test + leaving selection in ONE launch, issued before
+  /// the host has seen pricing's outcome. Every block combines the pricing
+  /// blocks' winners into the entering column; block 0 publishes it
+  /// (desc[kDescQ], desc[kDescDq]), and when none may enter every block
+  /// exits. Each block then computes its rows of alpha = B^-1 a_q and
+  /// ratio and writes its leaving triple, for the host to reduce
+  /// (reduce_leaving). A zero-row LP still launches one lane, so the
+  /// entering column is published.
+  void ftran_ratio_select(const EnteringSelect<Real>& select,
+                          const vgpu::DeviceBuffer<Real>& d,
+                          const vblas::DeviceMatrix<Real>& binv,
                           const vgpu::DeviceBuffer<Real>& beta,
                           vgpu::DeviceBuffer<Real>& alpha,
                           vgpu::DeviceBuffer<Real>& ratio,
                           vgpu::DeviceBuffer<Real>& desc,
                           Real pivot_tol) const {
     const std::size_t m = policy().m();
-    fused_detail::LeavingSelect<Real> select(m, pivot_tol);
     const auto cols = policy().columns();
+    auto ds = d.device_span();
     auto bs = binv.device_span();
     auto be = beta.device_span();
     auto as = alpha.device_span();
     auto rs = ratio.device_span();
     auto desc_s = desc.device_span();
+    // Per block: the pricing winners read and the leaving triple written;
+    // block 0 also reads d_q and writes q and d_q.
+    const std::size_t select_elems =
+        select_blocks(m) * (2 * select.blocks + kDescTriple) + 3;
     policy().device().launch_blocks(
-        "ftran_ratio", m, vgpu::Device::kBlockSize,
-        policy().ftran_ratio_cost(),
+        "ftran_ratio", std::max<std::size_t>(m, 1), vgpu::Device::kBlockSize,
+        policy().ftran_ratio_cost(select_elems),
         [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          if (desc_s[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const auto aq = cols.column(static_cast<std::size_t>(desc_s[kDescQ]));
+          const std::size_t q = select.resolve(desc_s);
+          if (blk == 0) select.publish(q, ds, desc_s);
+          if (q == vgpu::detail::kNoIndex) return;  // optimal
+          const auto aq = cols.column(q);
           aq.annotate();
           const auto alpha_of = [&](std::size_t i) {
             const Real acc = aq.binv_row_dot(bs, i);
             as[i] = acc;
             return acc;
           };
-          select.block(blk, lo, hi, alpha_of, be, rs, as, desc_s);
+          leaving_block(pivot_tol, lo, std::min(hi, m), alpha_of, be, rs, as,
+                        desc_s, kDescP + kDescTriple * blk);
         });
-    select.finish(policy().device(), rs, as, desc_s);
   }
 
   /// Devex weight maintenance: the pivot-row products against the
   /// pre-update row p of B^-1, the masked weight update, and the leaving
-  /// variable's re-entry weight in ONE launch. The reference weight w_q is
-  /// read on-device; the candidate test `cand > w_q` is false at j == q,
-  /// so w_q is never written while lanes read it.
+  /// variable's re-entry weight in ONE launch. Every block reads the
+  /// reference weight w_q, so lane q skips its own update: under the
+  /// product form q is still unmasked here, and its t = (a_q . row p) /
+  /// alpha_p is 1 only in exact arithmetic, so rounding could raise w_q
+  /// while other blocks read it. Column q is basic after the pivot, so its
+  /// weight is not read again until it leaves and the leaving branch
+  /// resets it.
   void devex_update(const vgpu::DeviceBuffer<Real>& prow,
                     const vgpu::DeviceBuffer<Real>& mask,
                     vgpu::DeviceBuffer<Real>& devex_w, std::size_t q,
@@ -384,7 +363,7 @@ class AtKernels {
               wsp[j] = std::max(wq / (alpha_p * alpha_p), Real{1});
               continue;
             }
-            if (ms[j] == Real{0}) continue;
+            if (j == q || ms[j] == Real{0}) continue;
             const Real t = cols.dot(j, ps) / alpha_p;
             const Real cand = t * t * wq;
             if (cand > wsp[j]) wsp[j] = cand;
@@ -478,11 +457,14 @@ class DenseAt : public AtKernels<Real, DenseAt<Real>> {
     return {2.0 * double(m_) * double(m_) + flops,
             double((m_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
   }
-  /// The FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements.
-  /// Unlike ftran_cost and the CSR twin, it counts no separate a_q read.
-  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost() const {
+  /// The FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements and the
+  /// selection's `select_elems`. Unlike ftran_cost and the CSR twin, it
+  /// counts no separate a_q read.
+  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost(
+      std::size_t select_elems) const {
     return {2.0 * double(m_) * double(m_) + 3.0 * double(m_),
-            double((m_ * m_ + 7 * m_ + 2) * sizeof(Real)), sizeof(Real)};
+            double((m_ * m_ + 7 * m_ + 2 + select_elems) * sizeof(Real)),
+            sizeof(Real)};
   }
 
  private:
@@ -606,12 +588,15 @@ class SparseAt : public AtKernels<Real, SparseAt<Real>> {
                    elems * sizeof(Real)),
             sizeof(Real)};
   }
-  /// The FTRAN + ratio launch, declared from the widest column (the
-  /// entering index is device-resident, so the exact nnz(a_q) is unknown
-  /// host-side; over-declaring is safe, the cost lint only flags observed
-  /// > declared drift).
-  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost() const {
-    return ftran_cost(max_col_nnz_, 3.0 * double(m_), 7 * m_ + 2);
+  /// The FTRAN + ratio launch with the selection's `select_elems`,
+  /// declared from the widest column (the entering index is
+  /// device-resident, so the exact nnz(a_q) is unknown host-side;
+  /// over-declaring is safe, the cost lint only flags observed > declared
+  /// drift).
+  [[nodiscard]] vgpu::KernelCost ftran_ratio_cost(
+      std::size_t select_elems) const {
+    return ftran_cost(max_col_nnz_, 3.0 * double(m_),
+                      7 * m_ + 2 + select_elems);
   }
 
  private:

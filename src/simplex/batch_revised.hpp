@@ -1,5 +1,12 @@
 // Batched revised simplex: K same-shape LPs advance in lock step with every
 // per-iteration operation fused into one wide kernel (K*m or K*n threads).
+// A round is three launches and one d2h: batch_price (one block of n
+// lanes per problem: reduced costs and the problem's entering pick),
+// batch_ftran (one block of m lanes per problem: FTRAN, ratio test and
+// leaving pick), the packed decisions' readback, and batch_pivot_apply
+// (the pivot and the next round's BTRAN). Each problem picks its pivot
+// inside its own block, as batched GPU simplex solvers do, so no
+// selection runs as a narrow launch of its own.
 //
 // Motivation (the paper's own small-problem weakness): below the crossover
 // size a single LP cannot occupy the device — launch latency and idle SMs
@@ -16,6 +23,7 @@
 // (and are still paid for) until the whole batch terminates.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <span>
 #include <vector>
@@ -133,10 +141,11 @@ class BatchRevisedSimplex {
         cb(dev_, cb_h), mask(dev_, mask_h);
     vgpu::DeviceBuffer<Real> pi(dev_, batch * m), d(dev_, batch * n),
         alpha(dev_, batch * m);
-    // Per-problem selection outputs (scalar lanes). The q/p/theta triple
-    // the host needs each round is additionally packed into one Real
-    // buffer so the whole batch's decisions come back in a single d2h
-    // (indices encoded as Real, -1 = none; exact up to 2^24 in float).
+    // Per-problem selection outputs, written by the problem's block. The
+    // q/p/theta triple the host needs each round is additionally packed
+    // into one Real buffer so the whole batch's decisions come back in a
+    // single d2h (indices encoded as Real, -1 = none; exact up to 2^24 in
+    // float).
     vgpu::DeviceBuffer<Real> sel_d(dev_, batch), sel_theta(dev_, batch),
         sel_alpha_p(dev_, batch), sel_pack(dev_, 3 * batch);
     vgpu::DeviceBuffer<std::uint32_t> sel_q(dev_, batch), sel_p(dev_, batch);
@@ -172,6 +181,10 @@ class BatchRevisedSimplex {
     auto pack_s = sel_pack.device_span();
     auto basic_s = basic_dev.device_span();
     auto diag_s = diag.device_span();
+    // One block per problem in the pricing and FTRAN launches (a
+    // zero-row or zero-column shape still gets one lane per problem).
+    const std::size_t lanes_n = std::max<std::size_t>(n, 1);
+    const std::size_t lanes_m = std::max<std::size_t>(m, 1);
 
     // Expand the uploaded diagonals into the dense inverses on device.
     dev_.launch_blocks(
@@ -223,92 +236,84 @@ class BatchRevisedSimplex {
               }
             });
       }
-      // -- Pricing: d over K*n lanes. --
+      // -- Pricing and the entering pick: block k prices problem k's n
+      // columns, then scans them (strict <, starting from -opt_tol, first
+      // index wins). The vgpu has no block-size cap; a CUDA port would
+      // stride each problem's lanes within a block of at most 1024
+      // threads, here and in batch_ftran. --
       dev_.launch_blocks(
-          "batch_price", batch * n, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(n) * double(m),
-           double(batch * (n * m + 3 * n) * sizeof(Real)), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / n, j = g % n;
-              if (act_s[k] == Real{0} || mask_s[g] == Real{0}) {
-                d_s[g] = Real{0};
+          "batch_price", batch * lanes_n, lanes_n,
+          {2.0 * double(batch) * double(n) * double(m) + double(batch * n),
+           double(batch * (n * m + 3 * n + 2) * sizeof(Real)), sizeof(Real)},
+          [&](std::size_t k, std::size_t, std::size_t) {
+            Real* dk = d_s.data() + k * n;
+            d_s.write_range(k * n, (k + 1) * n);
+            if (act_s[k] == Real{0}) {
+              for (std::size_t j = 0; j < n; ++j) dk[j] = Real{0};
+              return;
+            }
+            for (std::size_t j = 0; j < n; ++j) {
+              if (mask_s[k * n + j] == Real{0}) {
+                dk[j] = Real{0};
                 continue;
               }
               at_s.read_range(k * n * m + j * m, k * n * m + (j + 1) * m);
               const Real* col = at_s.data() + k * n * m + j * m;
               Real acc{0};
               for (std::size_t i = 0; i < m; ++i) acc += col[i] * pi_s[k * m + i];
-              d_s[g] = c_s[g] - acc;
+              dk[j] = c_s[k * n + j] - acc;
             }
-          });
-      // -- Entering selection: one lane per problem (segmented argmin). --
-      dev_.launch_blocks(
-          "batch_select_entering", batch, vgpu::Device::kBlockSize,
-          {double(batch) * double(n), double(batch * n * sizeof(Real)),
-           sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t k = lo; k < hi; ++k) {
-              if (act_s[k] == Real{0}) continue;
-              std::uint32_t best = kNone;
-              Real best_d = -opt_tol;
-              for (std::size_t j = 0; j < n; ++j) {
-                if (d_s[k * n + j] < best_d) {
-                  best_d = d_s[k * n + j];
-                  best = static_cast<std::uint32_t>(j);
-                }
+            std::uint32_t best = kNone;
+            Real best_d = -opt_tol;
+            for (std::size_t j = 0; j < n; ++j) {
+              if (dk[j] < best_d) {
+                best_d = dk[j];
+                best = static_cast<std::uint32_t>(j);
               }
-              selq_s[k] = best;
-              seld_s[k] = best_d;
             }
+            selq_s[k] = best;
+            seld_s[k] = best_d;
           });
-      // -- FTRAN + ratio test + leaving selection, fused per problem. --
+      // -- FTRAN, ratio test and the leaving pick: block k computes
+      // problem k's m rows of alpha, then scans them (alpha > pivot_tol,
+      // strict <, starting from +inf, first index wins) and packs its
+      // q/p/theta triple. --
       dev_.launch_blocks(
-          "batch_ftran", batch * m, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(m) * double(m),
-           double(batch * (m * m + 2 * m) * sizeof(Real)), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t g = lo; g < hi; ++g) {
-              const std::size_t k = g / m, i = g % m;
-              if (act_s[k] == Real{0} || selq_s[k] == kNone) continue;
-              const std::size_t sq = selq_s[k];
-              at_s.read_range(k * n * m + sq * m, k * n * m + (sq + 1) * m);
+          "batch_ftran", batch * lanes_m, lanes_m,
+          {2.0 * double(batch) * double(m) * double(m) +
+               2.0 * double(batch) * double(m),
+           double(batch * (m * m + 4 * m + 7) * sizeof(Real)), sizeof(Real)},
+          [&](std::size_t k, std::size_t, std::size_t) {
+            if (act_s[k] == Real{0}) return;
+            const std::uint32_t sq = selq_s[k];
+            pack_s[3 * k] = sq == kNone ? Real{-1} : static_cast<Real>(sq);
+            if (sq == kNone) return;
+            at_s.read_range(k * n * m + sq * m, k * n * m + (sq + 1) * m);
+            const Real* aq = at_s.data() + k * n * m + sq * m;
+            for (std::size_t i = 0; i < m; ++i) {
               binv_s.read_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-              const Real* aq = at_s.data() + k * n * m + sq * m;
               const Real* row = binv_s.data() + k * m * m + i * m;
               Real acc{0};
               for (std::size_t t = 0; t < m; ++t) acc += row[t] * aq[t];
-              alpha_s[g] = acc;
+              alpha_s[k * m + i] = acc;
             }
-          });
-      dev_.launch_blocks(
-          "batch_ratio_select", batch, vgpu::Device::kBlockSize,
-          {2.0 * double(batch) * double(m),
-           double(batch * 2 * m * sizeof(Real)), sizeof(Real)},
-          [&](std::size_t, std::size_t lo, std::size_t hi) {
-            for (std::size_t k = lo; k < hi; ++k) {
-              if (act_s[k] == Real{0}) continue;
-              const std::uint32_t sq = selq_s[k];
-              pack_s[3 * k] = sq == kNone ? Real{-1} : static_cast<Real>(sq);
-              if (sq == kNone) continue;
-              std::uint32_t p = kNone;
-              Real theta = kInf;
-              for (std::size_t i = 0; i < m; ++i) {
-                const Real a = alpha_s[k * m + i];
-                if (a > pivot_tol) {
-                  const Real r = beta_s[k * m + i] / a;
-                  if (r < theta) {
-                    theta = r;
-                    p = static_cast<std::uint32_t>(i);
-                  }
+            std::uint32_t p = kNone;
+            Real theta = kInf;
+            for (std::size_t i = 0; i < m; ++i) {
+              const Real a = alpha_s[k * m + i];
+              if (a > pivot_tol) {
+                const Real r = beta_s[k * m + i] / a;
+                if (r < theta) {
+                  theta = r;
+                  p = static_cast<std::uint32_t>(i);
                 }
               }
-              selp_s[k] = p;
-              selth_s[k] = theta;
-              selap_s[k] = p == kNone ? Real{0} : alpha_s[k * m + p];
-              pack_s[3 * k + 1] = p == kNone ? Real{-1} : static_cast<Real>(p);
-              pack_s[3 * k + 2] = theta;
             }
+            selp_s[k] = p;
+            selth_s[k] = theta;
+            selap_s[k] = p == kNone ? Real{0} : alpha_s[k * m + p];
+            pack_s[3 * k + 1] = p == kNone ? Real{-1} : static_cast<Real>(p);
+            pack_s[3 * k + 2] = theta;
           });
       // -- ONE readback for the whole batch: the packed q/p/theta triples
       // (was three separate copies; latency is the term that matters). --

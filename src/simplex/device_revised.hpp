@@ -217,7 +217,7 @@ class DeviceRevisedSimplex {
           pivot_row(dev, m),
           devex_w(dev, n_aug),
           col_work(dev, n_aug),
-          desc(dev, kDescSlots),
+          desc(dev, desc_slots(m, n_aug)),
           basic(aug_in.basic),
           options(opt) {
       // Initial B^-1 and beta from the crash basis. The inverse starts
@@ -312,8 +312,9 @@ class DeviceRevisedSimplex {
     vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
-    /// Pivot descriptor (kDescSlots Reals): the iteration's
-    /// entering/leaving decisions, filled on device, fetched with one d2h.
+    /// Pivot descriptor (desc_slots Reals): the iteration's
+    /// entering/leaving decisions, filled on device, its prefix fetched
+    /// with one d2h.
     vgpu::DeviceBuffer<Real> desc;
 
     /// Product-form eta file, one entry per pivot since the last
@@ -396,7 +397,7 @@ class DeviceRevisedSimplex {
   /// drive-out needs it; the loop's FTRAN is speculative (run_loop).
   void ftran(Workspace& ws, std::size_t q) {
     if (ws.product_form) {
-      eta_ftran_chain(ws, q);
+      eta_ftran_chain(ws, nullptr, q);
     } else {
       ws.at.ftran_alpha(*ws.binv, q, ws.alpha);
     }
@@ -501,35 +502,51 @@ class DeviceRevisedSimplex {
   /// alpha = B^-1 a_q in ONE launch: zero alpha, scatter a_q through
   /// sigma, walk the factor etas, then the update etas oldest first. Per
   /// eta, t = x_p / pval; if t != 0, x_i -= v_i * t over the entries;
-  /// then x_p = t (ProductFormOracle::apply_etas and SparseLu::ftran). With
-  /// no `q` (the loop's speculative form) the launch reads q from the
-  /// descriptor, declares the widest column, and does nothing when
-  /// pricing found no candidate.
-  void eta_ftran_chain(Workspace& ws, std::optional<std::size_t> q) {
+  /// then x_p = t (ProductFormOracle::apply_etas and SparseLu::ftran).
+  /// Without `select` it solves for the known column q (the drive-out).
+  /// With it (the loop's speculative form) the launch first combines the
+  /// pricing blocks' winners into the entering column, publishes it and
+  /// exits when none may enter, declares the widest column, and after the
+  /// walk runs the ratio test over all m rows into the descriptor's first
+  /// leaving triple — one more dependent step behind the walk's barrier.
+  void eta_ftran_chain(Workspace& ws, const EnteringSelect<Real>* select,
+                       std::size_t q = 0) {
     const std::size_t m = ws.m;
     const auto cols = ws.at.columns();
     const std::size_t nnz_q =
-        q.has_value() ? cols.column(*q).nnz() : ws.at.max_col_nnz();
+        select == nullptr ? cols.column(q).nnz() : ws.at.max_col_nnz();
     const ChainShape shape = chain_shape(ws, false);
     constexpr double kIdx = sizeof(std::uint32_t);
     // Zeroing, the layout's scatter, then per entry idx + val + x read +
-    // x written and per eta x_p read + write.
+    // x written and per eta x_p read + write; the loop's form adds the
+    // pricing winners, d_q, q and d_q written, and the ratio test (alpha
+    // and beta read, ratio and the triple written).
     const double traffic =
-        bytes(m + (q.has_value() ? 0 : 1)) +
-        decltype(cols.column(0))::scatter_bytes(nnz_q) +
+        bytes(m) + decltype(cols.column(0))::scatter_bytes(nnz_q) +
         double(shape.entries) * (kIdx + 3.0 * sizeof(Real)) +
-        bytes(2 * shape.etas);
+        bytes(2 * shape.etas) +
+        (select == nullptr ? 0.0
+                           : bytes(2 * select->blocks + 3 + 3 * m + 3));
     auto xsp = ws.alpha.device_span();
-    const auto dsp = std::as_const(ws.desc).device_span();
+    auto dsp = ws.desc.device_span();
     const auto ssp = std::as_const(*ws.sigma).device_span();
+    const auto rcsp = std::as_const(ws.d).device_span();
+    const auto bsp = std::as_const(ws.beta).device_span();
+    auto rsp = ws.ratio.device_span();
+    const Real pivot_tol = static_cast<Real>(ws.options.pivot_tol);
     dev_.launch_blocks(
         "eta_ftran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
-        {2.0 * double(shape.entries) + double(shape.etas), traffic,
-         sizeof(Real), 1 + shape.levels},
+        {2.0 * double(shape.entries) + double(shape.etas) +
+             (select == nullptr ? 0.0 : double(m)),
+         traffic, sizeof(Real), (select == nullptr ? 1 : 2) + shape.levels},
         [&](std::size_t, std::size_t, std::size_t) {
-          if (!q.has_value() && dsp[kDescQ] < Real{0}) return;
-          const auto aq = cols.column(
-              q.has_value() ? *q : static_cast<std::size_t>(dsp[kDescQ]));
+          std::size_t col = q;
+          if (select != nullptr) {
+            col = select->resolve(dsp);
+            select->publish(col, rcsp, dsp);
+            if (col == vgpu::detail::kNoIndex) return;  // optimal
+          }
+          const auto aq = cols.column(col);
           aq.annotate();
           for (std::size_t i = 0; i < m; ++i) xsp[i] = Real{0};
           aq.scatter(xsp, ssp);
@@ -544,6 +561,11 @@ class DeviceRevisedSimplex {
                         }
                         xsp[p] = t;
                       });
+          if (select != nullptr) {
+            leaving_block(
+                pivot_tol, 0, m, [&](std::size_t i) { return Real(xsp[i]); },
+                bsp, rsp, xsp, dsp, kDescP);
+          }
         });
   }
 
@@ -589,28 +611,6 @@ class DeviceRevisedSimplex {
                       });
           for (std::size_t r = 0; r < m; ++r) osp[r] = ysp[ssp[r]];
         });
-  }
-
-  /// Ratio test + leaving selection for the product form: the ratio half
-  /// of ftran_ratio_select, launched once the eta chain has finished
-  /// alpha. Speculative like the chain; writes
-  /// desc[kDescP/kDescTheta/kDescAlphaP].
-  void ratio_select(Workspace& ws) {
-    fused_detail::LeavingSelect<Real> select(
-        ws.m, static_cast<Real>(ws.options.pivot_tol));
-    auto asp = ws.alpha.device_span();
-    auto bsp = ws.beta.device_span();
-    auto rsp = ws.ratio.device_span();
-    auto dsp = ws.desc.device_span();
-    dev_.launch_blocks(
-        "ratio_select", ws.m, vgpu::Device::kBlockSize,
-        {double(ws.m), bytes(4 * ws.m + 6), sizeof(Real)},
-        [&](std::size_t blk, std::size_t lo, std::size_t hi) {
-          if (dsp[kDescQ] < Real{0}) return;  // optimal: nothing entered
-          const auto alpha_of = [&](std::size_t i) { return Real(asp[i]); };
-          select.block(blk, lo, hi, alpha_of, bsp, rsp, asp, dsp);
-        });
-    select.finish(dev_, rsp, asp, dsp);
   }
 
   /// The pivot's scalar bookkeeping: c_B[p] takes the entering cost, the
@@ -885,10 +885,10 @@ class DeviceRevisedSimplex {
   /// and the artificial drive-out alike. The explicit inverse runs
   /// pivot_apply, which leaves the pre-update row p in pivot_row for the
   /// Devex update after it. The product form solves for that row first,
-  /// then steps beta and appends the eta. Column q's Devex weight never
-  /// rises in either order (t = alpha_p / alpha_p = 1 gives cand = w_q;
-  /// after pivot_apply the poked mask skips q outright), and it is not
-  /// read again until q leaves the basis and the leaving branch resets it.
+  /// then steps beta and appends the eta. Either way devex_update leaves
+  /// column q's weight alone (lane q skips itself; after pivot_apply the
+  /// poked mask skips it too), and it is not read again until q leaves the
+  /// basis and the leaving branch resets it.
   void apply_pivot(Workspace& ws, std::size_t q, std::size_t p, Real theta,
                    Real alpha_p, bool devex) {
     const std::uint32_t leaving = ws.basic[p];
@@ -1062,34 +1062,40 @@ class DeviceRevisedSimplex {
   ///     pivot_apply also sums the next iteration's pi, so price_btran
   ///     runs only at loop entry and after a refactor;
   ///   product form:  eta_btran_chain -> price_select -> eta_ftran_chain
-  ///     -> ratio_select -> [descriptor d2h] -> [devex row + update]
+  ///     (with the ratio test) -> [descriptor d2h] -> [devex row + update]
   ///     -> pivot_beta -> [make_eta (+ the eta-support h2d), skipped for a
   ///     pivot-only alpha]; the chains are the only basis launches.
-  /// Selections spanning more than one block add a small combine launch.
-  /// The selections share the primitives' block-scan semantics, so the
-  /// pivot sequence is the one vgpu::argmin / find_first_below would pick;
-  /// tests/golden/ pins it bit for bit.
+  /// Every selection runs inside the launch that computes its input, at
+  /// any grid width: price_select's blocks leave their winners in the
+  /// descriptor, the FTRAN launch combines them into the entering column,
+  /// and the host reduces its per-block leaving triples from the one d2h.
+  /// The combines keep the primitives' block-scan order and tie rules, so
+  /// the pivot sequence is the one vgpu::argmin / find_first_below would
+  /// pick; tests/golden/ pins it bit for bit.
   LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
                     metrics::SimplexOpMetrics& om,
                     metrics::HealthMonitor& health, std::uint8_t phase) {
     const trace::Track& tr = dev_.trace();
     Loop loop{stats, om, health, phase, ws.current_objective()};
-    std::array<Real, kDescSlots> desc_h{};
+    // The product form's chain writes one leaving triple; ftran_ratio
+    // writes one per block.
+    const std::size_t triples = ws.product_form ? 1 : select_blocks(ws.m);
+    std::vector<Real> desc_h(desc_prefix(triples));
     for (std::size_t iter = 0; iter < budget; ++iter) {
       trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
                                   {{"iter", static_cast<double>(iter)}});
       begin_iteration(ws, loop);
-      const EnteringRule rule =
+      const EnteringSelect<Real> entering(
           loop.bland ? EnteringRule::kBland
                      : (ws.options.pricing == PricingRule::kDevex
                             ? EnteringRule::kDevex
-                            : EnteringRule::kDantzig);
+                            : EnteringRule::kDantzig),
+          static_cast<Real>(ws.options.opt_tol), ws.m, ws.n_aug);
       {
         trace::ScopedSpan op(tr, "price", clock(), "op");
         if (!ws.pi_current) btran(ws);
-        ws.at.price_select(ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
-                           ws.devex_w, ws.desc, rule,
-                           static_cast<Real>(ws.options.opt_tol));
+        ws.at.price_select(entering, ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
+                           ws.devex_w, ws.desc);
       }
       lap(loop, metrics::SimplexOp::kPrice);
       {
@@ -1097,30 +1103,28 @@ class DeviceRevisedSimplex {
         // a candidate; the kernels early-exit on-device when it did not.
         trace::ScopedSpan op(tr, "ftran", clock(), "op");
         if (ws.product_form) {
-          eta_ftran_chain(ws, std::nullopt);
+          eta_ftran_chain(ws, &entering);
         } else {
-          ws.at.ftran_ratio_select(*ws.binv, ws.beta, ws.alpha, ws.ratio,
-                                   ws.desc,
+          ws.at.ftran_ratio_select(entering, ws.d, *ws.binv, ws.beta,
+                                   ws.alpha, ws.ratio, ws.desc,
                                    static_cast<Real>(ws.options.pivot_tol));
         }
       }
       lap(loop, metrics::SimplexOp::kFtran);
       {
-        // The iteration's only d2h: one packed descriptor.
+        // The iteration's only d2h: the descriptor's prefix.
         trace::ScopedSpan op(tr, "ratio", clock(), "op");
-        if (ws.product_form) ratio_select(ws);
-        ws.desc.download(std::span<Real>(desc_h.data(), desc_h.size()));
+        ws.desc.download(std::span<Real>(desc_h));
       }
       lap(loop, metrics::SimplexOp::kRatio);
       if (desc_h[kDescQ] < Real{0}) return LoopExit::kOptimal;
-      // Zero-row edge: the ratio kernel is an empty grid (never launched),
-      // so the leaving slots are meaningless — no row can leave.
+      // Zero-row edge: no ratio block ran, so no row can leave.
       if (ws.m == 0) return LoopExit::kUnbounded;
       const std::size_t q = static_cast<std::size_t>(desc_h[kDescQ]);
-      const Step step{desc_h[kDescDq], desc_h[kDescTheta]};
+      const auto [p, theta, alpha_p] =
+          reduce_leaving(std::span<const Real>(desc_h), triples);
+      const Step step{desc_h[kDescDq], theta};
       if (step.theta == kInf) return LoopExit::kUnbounded;
-      const std::size_t p = static_cast<std::size_t>(desc_h[kDescP]);
-      const Real alpha_p = desc_h[kDescAlphaP];
       record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
                    alpha_p, step);
       {

@@ -484,8 +484,9 @@ TEST(BasisOracles, RejectedWarmStartChargesWhatRan) {
 // LU loaded by `sparse_refactor` and walked with the eta file by one
 // chain launch per direction) reaches the host optimum in both
 // precisions, its kernel stream carries the chain names, no
-// explicit-inverse kernel runs, and no base solve against B0
-// (sparse_ftran / sparse_btran) or per-eta kernel (eta_apply) comes back.
+// explicit-inverse kernel runs, no base solve against B0 (sparse_ftran /
+// sparse_btran) or per-eta kernel (eta_apply) comes back, and the ratio
+// test and both selections run inside other launches.
 template <typename Real, template <typename> class At>
 void expect_product_form_chains(const lp::LpProblem& problem, double ref,
                                 double tol) {
@@ -503,7 +504,8 @@ void expect_product_form_chains(const lp::LpProblem& problem, double ref,
   for (const char* gone :
        {"price_btran", "ftran", "ftran_ratio", "pivot_apply", "reinvert",
         "refresh_beta", "binv_init", "sparse_ftran", "sparse_btran",
-        "eta_apply"}) {
+        "eta_apply", "ratio_select", "price_select_final",
+        "ftran_ratio_final"}) {
     EXPECT_FALSE(pk.contains(gone)) << gone;
   }
 }

@@ -3,7 +3,10 @@
 // validation, and the modeled occupancy benefit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 
 #include "lp/generators.hpp"
 #include "record/record.hpp"
@@ -156,6 +159,52 @@ TEST(Batch, OccupancyMakesBatchingCheaperThanSequentialSolves) {
   const double batched = results.front().stats.sim_seconds;
   for (const auto& r : results) ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_LT(batched, sequential / 2.0);
+}
+
+TEST(Batch, RoundIsThreeLaunches) {
+  // Each problem's entering column is picked inside batch_price and its
+  // leaving row inside batch_ftran, so a round is batch_price,
+  // batch_ftran and batch_pivot_apply; the inverse expansion and the
+  // first BTRAN run once per solve.
+  const auto problems = make_batch(16, 24, 600);
+  vgpu::Device dev(vgpu::gtx280_model());
+  BatchRevisedSimplex<double> solver(dev);
+  const auto results = solver.solve(problems);
+  std::size_t rounds = 0;
+  for (const auto& r : results) {
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    rounds = std::max<std::size_t>(rounds, r.stats.iterations + 1);
+  }
+  const auto& ds = results.front().stats.device_stats;
+  std::set<std::string> kernels;
+  for (const auto& [name, rec] : ds.per_kernel) kernels.insert(name);
+  EXPECT_EQ(kernels, (std::set<std::string>{"batch_binv_init", "batch_btran",
+                                            "batch_price", "batch_ftran",
+                                            "batch_pivot_apply"}));
+  EXPECT_EQ(ds.per_kernel.at("batch_price").launches, rounds);
+  EXPECT_LE(ds.kernel_launches, 3 * rounds + 2);
+}
+
+TEST(Batch, ZeroRowProblemsFinish) {
+  // With no constraints a problem is optimal at the origin when no cost
+  // is negative and unbounded otherwise, and with no variables either it
+  // is optimal at 0; each problem's block still runs one lane to publish
+  // its decision.
+  std::vector<lp::LpProblem> problems(2);
+  for (const double cost : {2.0, -2.0}) {
+    lp::LpProblem& p = problems[cost > 0.0 ? 0 : 1];
+    p.add_variable("x", 1.0);
+    p.add_variable("y", cost);
+  }
+  vgpu::Device dev(vgpu::gtx280_model());
+  BatchRevisedSimplex<double> solver(dev);
+  const auto results = solver.solve(problems);
+  EXPECT_EQ(results[0].status, SolveStatus::kOptimal);
+  EXPECT_EQ(results[0].objective, 0.0);
+  EXPECT_EQ(results[1].status, SolveStatus::kUnbounded);
+  const auto empty = solver.solve(std::vector<lp::LpProblem>(2));
+  EXPECT_EQ(empty[0].status, SolveStatus::kOptimal);
+  EXPECT_EQ(empty[1].objective, 0.0);
 }
 
 TEST(Batch, FloatInstantiationWorks) {

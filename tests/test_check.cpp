@@ -299,28 +299,37 @@ TEST(CheckedEngines, AllEnginesSolveCleanUnderCheck) {
 // Both A^T formats under both bases: the CSR engine's product form runs
 // the sparse basis kernels (sparse_refactor and the two eta chains that
 // walk the LU factors with the eta file), whose declared costs the lint
-// checks too.
+// checks too. The 300 x 300 instance spans several blocks in every
+// n-wide and m-wide kernel, so a lane that writes what other blocks read
+// (the Devex reference weight, the selections' block winners) shows up
+// as a race.
 TEST(CheckedEngines, PricingAndBasisVariantsSolveCleanUnderCheck) {
-  const lp::LpProblem problem = lp::random_dense_lp({.rows = 20, .cols = 20, .seed = 5});
-  const double reference =
-      simplex::solve(problem, simplex::Engine::kHostRevised).objective;
-  for (simplex::Engine engine :
-       {simplex::Engine::kDeviceRevised, simplex::Engine::kSparseRevised}) {
-    for (simplex::PricingRule pricing :
-         {simplex::PricingRule::kDantzig, simplex::PricingRule::kDevex}) {
-      for (simplex::BasisScheme basis :
-           {simplex::BasisScheme::kExplicitInverse,
-            simplex::BasisScheme::kProductForm}) {
-        Checker chk;
-        simplex::SolverOptions opt = checked_options(chk);
-        opt.pricing = pricing;
-        opt.basis = basis;
-        const auto result = simplex::solve(problem, engine, opt);
-        const std::string label = std::string(simplex::to_string(engine)) +
-                                  " " + std::string(to_string(basis));
-        EXPECT_EQ(result.status, simplex::SolveStatus::kOptimal) << label;
-        EXPECT_NEAR(result.objective, reference, 1e-7) << label;
-        EXPECT_TRUE(chk.clean()) << label << "\n" << chk.report();
+  for (const lp::LpProblem& problem :
+       {lp::random_dense_lp({.rows = 20, .cols = 20, .seed = 5}),
+        lp::random_dense_lp({.rows = 300, .cols = 300, .seed = 3})}) {
+    const double reference =
+        simplex::solve(problem, simplex::Engine::kHostRevised).objective;
+    for (simplex::Engine engine :
+         {simplex::Engine::kDeviceRevised, simplex::Engine::kSparseRevised}) {
+      for (simplex::PricingRule pricing :
+           {simplex::PricingRule::kDantzig, simplex::PricingRule::kDevex}) {
+        for (simplex::BasisScheme basis :
+             {simplex::BasisScheme::kExplicitInverse,
+              simplex::BasisScheme::kProductForm}) {
+          Checker chk;
+          simplex::SolverOptions opt = checked_options(chk);
+          opt.pricing = pricing;
+          opt.basis = basis;
+          const auto result = simplex::solve(problem, engine, opt);
+          const std::string label =
+              std::to_string(problem.num_constraints()) + " rows " +
+              std::string(simplex::to_string(engine)) + " " +
+              std::string(to_string(pricing)) + " " +
+              std::string(to_string(basis));
+          EXPECT_EQ(result.status, simplex::SolveStatus::kOptimal) << label;
+          EXPECT_NEAR(result.objective, reference, 1e-7) << label;
+          EXPECT_TRUE(chk.clean()) << label << "\n" << chk.report();
+        }
       }
     }
   }
@@ -333,8 +342,9 @@ TEST(CheckedEngines, BatchEngineSolvesCleanUnderCheck) {
   }
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  // 24 problems x 12 rows = 288 fused lanes: spans multiple 256-thread
-  // blocks, so cross-problem races would be visible to the checker.
+  // Every problem is one block of the fused kernels (12 or 24 lanes), so
+  // a lane that touched another problem's state would show up as a
+  // cross-block race.
   simplex::BatchRevisedSimplex<double> batch(dev, checked_options(chk));
   const auto results = batch.solve(problems);
   for (std::size_t k = 0; k < problems.size(); ++k) {

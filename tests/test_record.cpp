@@ -173,8 +173,9 @@ TEST(RecordEngines, HostTableauDeviceAllRecord) {
   // The same holds across a corpus, so the host engine checks the device
   // kernels independently of the fused-vs-reference comparison (both of
   // which run the same kernel bodies): pricing rules, a two-phase
-  // instance, a pricing sweep over several blocks (n_aug = 512), and the
-  // CSR engine under both bases.
+  // instance, a pricing sweep over several blocks (n_aug = 512), every
+  // pivot combined across three pricing and two ratio blocks (m = 300)
+  // under Dantzig and Bland, and the CSR engine under both bases.
   struct Case {
     std::string label;
     lp::LpProblem problem;
@@ -196,6 +197,13 @@ TEST(RecordEngines, HostTableauDeviceAllRecord) {
   corpus.push_back({"transportation", lp::transportation(5, 6, 17)});
   corpus.push_back(
       {"dense256", lp::random_dense_lp({.rows = 256, .cols = 256, .seed = 3})});
+  for (const simplex::PricingRule rule :
+       {simplex::PricingRule::kDantzig, simplex::PricingRule::kBland}) {
+    Case c{"dense300 " + std::string(to_string(rule)),
+           lp::random_dense_lp({.rows = 300, .cols = 300, .seed = 3})};
+    c.opt.pricing = rule;
+    corpus.push_back(std::move(c));
+  }
   for (const simplex::BasisScheme basis :
        {simplex::BasisScheme::kExplicitInverse,
         simplex::BasisScheme::kProductForm}) {
@@ -244,7 +252,9 @@ TEST(RecordEngines, BatchEngineRecordsPerLane) {
     std::uint64_t last_iter = 0;
     for (const auto& d : rc.records) {
       if (d.kind != record::RecordKind::kPivot || d.lane != lane) continue;
-      if (pivots > 0) EXPECT_GT(d.iteration, last_iter);
+      if (pivots > 0) {
+        EXPECT_GT(d.iteration, last_iter);
+      }
       last_iter = d.iteration;
       ++pivots;
     }

@@ -408,8 +408,11 @@ TEST(Stats, DeviceEngineReportsKernelBreakdown) {
         "pivot_apply"}) {
     EXPECT_TRUE(ds.per_kernel.contains(kernel)) << kernel;
   }
-  for (const char* gone : {"price_reduced", "ftran", "ratio", "update_beta",
-                           "update_binv", "pivot_stage"}) {
+  // No selection or combine step is a launch of its own.
+  for (const char* gone :
+       {"price_reduced", "ftran", "ratio", "update_beta", "update_binv",
+        "pivot_stage", "price_select_final", "ftran_ratio_final",
+        "ratio_select", "batch_select_entering", "batch_ratio_select"}) {
     EXPECT_FALSE(ds.per_kernel.contains(gone)) << gone;
   }
   // pivot_apply sums the next iteration's pi, so a slack-startable solve

@@ -113,7 +113,7 @@ TEST(MetricsDiff, SubtractsCountersAndHistograms) {
   metrics::MetricsRegistry reg;
   reg.counter("work").inc(3.0);
   reg.histogram("lat", metrics::seconds_buckets()).observe(1e-6);
-  reg.warn({.kind = "early"});
+  reg.warn({.kind = "early", .message = {}});
   const metrics::MetricsSnapshot base = reg.snapshot();
 
   reg.counter("work").inc(2.0);
@@ -121,7 +121,7 @@ TEST(MetricsDiff, SubtractsCountersAndHistograms) {
   reg.gauge("depth").set(5.0);
   reg.histogram("lat", metrics::seconds_buckets()).observe(1e-6);
   reg.histogram("lat", metrics::seconds_buckets()).observe(2e-6);
-  reg.warn({.kind = "late"});
+  reg.warn({.kind = "late", .message = {}});
   const metrics::MetricsSnapshot delta = reg.snapshot().diff(base);
 
   EXPECT_DOUBLE_EQ(delta.counters.at("work"), 2.0);
