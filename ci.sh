@@ -28,6 +28,22 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}")
 }
 
+# One observer hook (OBSERVABILITY.md "Where observers attach"): only the
+# solve frame reads the observer fields of a SolverOptions. The pattern
+# matches a member access (`.` or `->`) of one of the eight field names
+# that is not an assignment (`=` but not `==`) or a method call (`(`),
+# on any line of src/ that is not a `//` comment; assignments such as the
+# service's per-job trace collector stay allowed.
+echo "==> observer fields are read only by src/simplex/solve_frame.hpp"
+observer_reads=$(grep -rnP --include='*.hpp' --include='*.cpp' \
+  '(\.|->)(trace_sink|checker|analyzer|metrics|health|recorder|profiler|telemetry)\b(?!\s*(=(?!=)|\())' \
+  src | grep -vP '^[^:]+:\d+:\s*//' \
+  | grep -v '^src/simplex/solve_frame.hpp:' || true)
+if [ -n "${observer_reads}" ]; then
+  echo "${observer_reads}"
+  echo "observer fields read outside the solve frame"; exit 1
+fi
+
 # The Release build compiles warnings-clean under -Wall -Wextra and keeps
 # it that way: any new warning fails CI.
 run_config build        -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
@@ -161,8 +177,10 @@ echo "==> recorder round-trip + divergence gates"
     --record=ci_tie_d.gsrec > /dev/null
   ./examples/lp_cli ../data/precision_tie.lp --engine device-float \
     --record=ci_tie_f.gsrec > /dev/null
+  # tee -a: a plain tee reopens stderr with O_TRUNC, which would erase
+  # everything logged so far when stderr is a file (./ci.sh > log 2>&1).
   ./examples/lp_cli --diff ci_tie_d.gsrec ci_tie_f.gsrec \
-    | tee /dev/stderr | grep -q 'diverge at pivot 0'
+    | tee -a /dev/stderr | grep -q 'diverge at pivot 0'
 )
 
 # Profiler gates (OBSERVABILITY.md "Profiler"): the roofline profiler's

@@ -13,6 +13,7 @@
 #include "profile/profile.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/solve_frame.hpp"
 #include "simplex/solver.hpp"
 #include "support/error.hpp"
 #include "telemetry/telemetry.hpp"
@@ -148,11 +149,8 @@ void SolveService::drain() {
     } catch (const gs::Error&) {
       it.ok = false;  // malformed request: dispatched cold, fails in-engine
     }
-    const simplex::SolverOptions& o = req.options;
-    it.observed = o.trace_sink != nullptr || o.checker != nullptr ||
-                  o.metrics != nullptr || o.recorder != nullptr ||
-                  o.warm_basis != nullptr || o.analyzer != nullptr ||
-                  o.profiler != nullptr || o.telemetry != nullptr;
+    it.observed = simplex::observed(req.options) ||
+                  req.options.warm_basis != nullptr;
     it.batchable = it.ok && slack_startable && !it.observed;
   }
 

@@ -25,11 +25,13 @@ namespace gs::simplex::basis {
 class ExplicitInverseOracle final : public BasisOracle {
  public:
   /// `binv_diag` seeds the crash-basis inverse (+/-1 per row); `cols`
-  /// must outlive the oracle (it is read on warm_start/refactorize).
+  /// must outlive the oracle (it is read on warm_start/refactorize). The
+  /// explicit inverse reads no option; it takes the options argument so
+  /// both oracles construct alike.
   ExplicitInverseOracle(std::size_t m, std::span<const double> binv_diag,
                         const ColumnSource& cols, CostMeter& meter,
-                        const SolverOptions& opt)
-      : m_(m), cols_(&cols), meter_(&meter), opt_(&opt), binv_(m, m) {
+                        const SolverOptions& /*opt*/)
+      : m_(m), cols_(&cols), meter_(&meter), binv_(m, m) {
     for (std::size_t i = 0; i < m_; ++i) binv_(i, i) = binv_diag[i];
   }
 
@@ -78,7 +80,6 @@ class ExplicitInverseOracle final : public BasisOracle {
     }
     meter_->charge("update_binv", 2.0 * double(m_) * double(m_),
                    double((2 * m_ * m_ + 2 * m_) * sizeof(double)));
-    ++pivots_since_refactor_;
   }
 
   [[nodiscard]] bool warm_start(std::span<const std::uint32_t> basis,
@@ -119,14 +120,6 @@ class ExplicitInverseOracle final : public BasisOracle {
     ++refactors_;
     charge_reinvert();
     return true;
-  }
-
-  /// Interval-only for the dense path: refactor_period pivots between
-  /// re-inversions, 0 (the default) meaning never — the rank-1 update is
-  /// exact, so re-inversion is purely a numerical-hygiene knob here.
-  [[nodiscard]] bool wants_refactor() const noexcept override {
-    return opt_->refactor_period > 0 &&
-           pivots_since_refactor_ >= opt_->refactor_period;
   }
 
   void ftran_raw(std::span<const double> col,
@@ -187,7 +180,6 @@ class ExplicitInverseOracle final : public BasisOracle {
   }
 
   void charge_reinvert() {
-    pivots_since_refactor_ = 0;
     meter_->charge("warm_init",
                    2.0 * double(m_) * double(m_) * double(m_) +
                        2.0 * double(m_) * double(m_),
@@ -197,10 +189,8 @@ class ExplicitInverseOracle final : public BasisOracle {
   std::size_t m_;
   const ColumnSource* cols_;
   CostMeter* meter_;
-  const SolverOptions* opt_;
   vblas::Matrix<double> binv_;
   std::size_t refactors_ = 0;
-  std::size_t pivots_since_refactor_ = 0;
 };
 
 }  // namespace gs::simplex::basis

@@ -30,10 +30,9 @@
 
 #include "lp/problem.hpp"
 #include "lp/standard_form.hpp"
-#include "profile/profile.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/solve_frame.hpp"
 #include "simplex/types.hpp"
-#include "support/timer.hpp"
 #include "trace/trace.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
@@ -51,30 +50,6 @@ class BatchRevisedSimplex {
   [[nodiscard]] std::vector<SolveResult> solve(
       std::span<const lp::LpProblem> problems) {
     GS_CHECK_MSG(!problems.empty(), "empty batch");
-    WallTimer wall;
-    dev_.reset_stats();
-    dev_.set_trace(profile::chain(opt_.profiler, opt_.trace_sink,
-                                  trace::kDevicePid, dev_.model()));
-    // Checker and capture are mutually exclusive sinks; detach the
-    // checker first so re-attaching on a reused device can never trip the
-    // exclusivity assert on a stale pointer.
-    dev_.set_checker(nullptr);
-    dev_.set_capture(opt_.analyzer);
-    dev_.set_checker(opt_.checker);
-    dev_.set_metrics(opt_.metrics);
-    // Batch-level metrics: lock-step rounds and the shrinking active set.
-    // The per-problem pivot streams are fused into wide kernels here, so
-    // the batch engine reports round granularity, not per-problem health.
-    metrics::Counter* rounds_metric = nullptr;
-    metrics::Gauge* active_metric = nullptr;
-    if (opt_.metrics != nullptr) {
-      rounds_metric = &opt_.metrics->counter("batch.rounds");
-      active_metric = &opt_.metrics->gauge("batch.active_problems");
-    }
-    const trace::Track& tr = dev_.trace();
-    const auto clock = [this] { return dev_.sim_seconds(); };
-    if (tr.enabled()) tr.name_thread("batch-revised");
-    trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
 
     // ---- Convert and validate the batch. ----
     const std::size_t batch = problems.size();
@@ -95,20 +70,29 @@ class BatchRevisedSimplex {
     const std::size_t m = augs.front().m;
     const std::size_t n = augs.front().n_aug;
 
-    record::Recorder* rec = opt_.recorder;
-    if (rec != nullptr) {
-      // One log for the whole batch: pivots carry their lane index, and
-      // the header digest folds every instance's digest together.
-      std::uint64_t digest = 1469598103934665603ull;
-      for (const AugmentedLp& a : augs) {
-        digest ^= decision_digest(a);
-        digest *= 1099511628211ull;
-      }
-      rec->begin_solve(std::string("batch-revised<") +
-                           (sizeof(Real) == 4 ? "float" : "double") + ">",
-                       sizeof(Real) * 8, m, n, digest);
-      rec->begin_phase(2);  // slack-startable batches skip phase 1
+    // One decision log for the whole batch: pivots carry their lane index,
+    // and the header digest folds every instance's digest together.
+    std::uint64_t digest = 1469598103934665603ull;
+    for (const AugmentedLp& a : augs) {
+      digest ^= decision_digest(a);
+      digest *= 1099511628211ull;
     }
+    // The per-problem pivot streams are fused into wide kernels here, so
+    // the batch engine reports round granularity, not per-pivot metrics.
+    SolveFrame frame(opt_, dev_,
+                     std::string("batch-revised<") +
+                         (sizeof(Real) == 4 ? "float" : "double") + ">",
+                     sizeof(Real) * 8, m, n, digest, /*pivot_metrics=*/false);
+    frame.record_phase(2);  // slack-startable batches skip phase 1
+    // Batch-level metrics: lock-step rounds and the shrinking active set.
+    metrics::Counter* rounds_metric = nullptr;
+    metrics::Gauge* active_metric = nullptr;
+    if (metrics::MetricsRegistry* reg = frame.metrics()) {
+      rounds_metric = &reg->counter("batch.rounds");
+      active_metric = &reg->gauge("batch.active_problems");
+    }
+    const trace::Track& tr = frame.track();
+    const auto clock = [this] { return dev_.sim_seconds(); };
 
     // ---- Flatten batch state into device arrays. ----
     // at[k*n*m + j*m + i] = A^T_k(j, i); binv[k*m*m + i*m + j]; beta[k*m+i].
@@ -335,7 +319,7 @@ class BatchRevisedSimplex {
       // Record this round's pivots before the update kernels overwrite
       // beta/binv. Reads go through host_view() — outside the machine
       // model, so recording charges no PCIe time and perturbs nothing.
-      if (rec != nullptr) {
+      if (frame.recording()) {
         const std::span<const Real> seld_h = sel_d.host_view();
         const std::span<const Real> selap_h = sel_alpha_p.host_view();
         const std::span<const Real> alpha_h = alpha.host_view();
@@ -343,23 +327,22 @@ class BatchRevisedSimplex {
         for (std::size_t k = 0; k < batch; ++k) {
           if (!active[k] || q_h[k] == kNone || p_h[k] == kNone) continue;
           const Real theta = theta_h[k];
-          std::uint32_t ties = 0;
-          for (std::size_t i = 0; i < m; ++i) {
-            const Real a = alpha_h[k * m + i];
-            if (a > pivot_tol && beta_hv[k * m + i] / a == theta) ++ties;
-          }
-          record::DecisionRecord r;
-          r.phase = 2;
-          r.lane = static_cast<std::uint32_t>(k);
-          r.iteration = iters[k];  // per-lane ordinal, pre-increment
-          r.entering = q_h[k];
-          r.leaving_row = p_h[k];
-          r.leaving_col = basic_h[k * m + p_h[k]];
-          r.ratio_ties = ties;
-          r.reduced_cost = static_cast<double>(seld_h[k]);
-          r.pivot_value = static_cast<double>(selap_h[k]);
-          r.theta = static_cast<double>(theta);
-          rec->record_pivot(r);
+          frame.record_pivot(
+              {.lane = k, .iteration = iters[k], .q = q_h[k], .p = p_h[k],
+               .leaving = basic_h[k * m + p_h[k]],
+               .d_q = static_cast<double>(seld_h[k]),
+               .alpha_p = static_cast<double>(selap_h[k]),
+               .theta = static_cast<double>(theta)},
+              [&] {
+                std::uint32_t ties = 0;
+                for (std::size_t i = 0; i < m; ++i) {
+                  const Real a = alpha_h[k * m + i];
+                  if (a > pivot_tol && beta_hv[k * m + i] / a == theta) {
+                    ++ties;
+                  }
+                }
+                return ties;
+              });
         }
       }
 
@@ -455,64 +438,37 @@ class BatchRevisedSimplex {
 
     // Finished lanes are never touched again on device, so ONE readback
     // each of beta and pi fills every optimal lane (not one per lane).
+    bool all_optimal = true;
     bool any_optimal = false;
-    for (const SolveResult& r : results) any_optimal |= r.optimal();
-    if (any_optimal) {
-      const std::vector<Real> beta_fin = beta.to_host();
-      const std::vector<Real> pi_fin = pi.to_host();
-      for (std::size_t k = 0; k < batch; ++k) {
-        if (results[k].optimal()) {
-          finish_problem(results[k], k, sfs[k], augs[k], basic_h, beta_fin,
-                         pi_fin, m);
-        }
-      }
+    for (const SolveResult& r : results) {
+      all_optimal &= r.optimal();
+      any_optimal |= r.optimal();
     }
-    // Problems still active hit the iteration limit.
+    std::vector<Real> beta_fin, pi_fin;
+    if (any_optimal) {
+      beta_fin = beta.to_host();
+      pi_fin = pi.to_host();
+    }
     for (std::size_t k = 0; k < batch; ++k) {
+      // Problems still active hit the iteration limit.
       if (active[k]) {
         results[k].status = SolveStatus::kIterationLimit;
         results[k].stats.iterations = iters[k];
       }
-      results[k].stats.wall_seconds = wall.seconds();
-      results[k].stats.sim_seconds = dev_.sim_seconds();
-      results[k].stats.device_stats = dev_.stats();
+      const auto lane = [k, m](const auto& v) {
+        return std::span(v).subspan(k * m, m);
+      };
+      if (results[k].optimal()) {
+        recover_optimum<Real>(sfs[k], lane(basic_h), lane(beta_fin),
+                              lane(pi_fin), results[k]);
+      }
+      frame.stamp(results[k], results[k].status, lane(basic_h));
     }
-    if (rec != nullptr) {
-      bool all_optimal = true;
-      for (const SolveResult& r : results) all_optimal &= r.optimal();
-      rec->end_solve(all_optimal ? "optimal" : "mixed", all_optimal,
-                     opt_.metrics ? opt_.metrics->warnings_total() : 0,
-                     basic_h);
-    }
+    frame.end_record(all_optimal ? "optimal" : "mixed", all_optimal, basic_h);
     return results;
   }
 
  private:
-  /// Fill one optimal problem's basis, x, objective and duals from the
-  /// batch's final beta and pi.
-  static void finish_problem(SolveResult& result, std::size_t k,
-                             const lp::StandardFormLp& sf,
-                             const AugmentedLp& aug,
-                             const std::vector<std::uint32_t>& basic_h,
-                             const std::vector<Real>& beta,
-                             const std::vector<Real>& pi, std::size_t m) {
-    result.basis.assign(basic_h.begin() + std::ptrdiff_t(k * m),
-                        basic_h.begin() + std::ptrdiff_t((k + 1) * m));
-    std::vector<double> x_std(aug.n, 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (basic_h[k * m + i] < aug.n) {
-        x_std[basic_h[k * m + i]] = static_cast<double>(beta[k * m + i]);
-      }
-    }
-    result.x = sf.recover(x_std);
-    double z = 0.0;
-    for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-    result.objective = sf.original_objective(z);
-    result.y = sf.recover_duals(std::vector<double>(
-        pi.begin() + std::ptrdiff_t(k * m),
-        pi.begin() + std::ptrdiff_t((k + 1) * m)));
-  }
-
   vgpu::Device& dev_;
   SolverOptions opt_;
 };

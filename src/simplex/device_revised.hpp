@@ -34,16 +34,14 @@
 
 #include "lp/problem.hpp"
 #include "lp/standard_form.hpp"
-#include "profile/profile.hpp"
 #include "simplex/at_policy.hpp"
 #include "simplex/basis/basis_oracle.hpp"
 #include "simplex/basis/sparse_lu.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/solve_frame.hpp"
 #include "simplex/types.hpp"
-#include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vblas/containers.hpp"
-#include "vblas/host_ref.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/primitives.hpp"
@@ -65,114 +63,67 @@ class DeviceRevisedSimplex {
 
   /// Solve a prepared standard form (used by benches that pre-scale).
   [[nodiscard]] SolveResult solve_standard(const lp::StandardFormLp& sf) {
-    WallTimer wall;
-    dev_.reset_stats();
-    dev_.set_trace(profile::chain(opt_.profiler, opt_.trace_sink,
-                                  trace::kDevicePid, dev_.model()));
-    // Checker and capture are mutually exclusive sinks; detach the
-    // checker first so re-attaching on a reused device can never trip the
-    // exclusivity assert on a stale pointer.
-    dev_.set_checker(nullptr);
-    dev_.set_capture(opt_.analyzer);
-    dev_.set_checker(opt_.checker);
-    dev_.set_metrics(opt_.metrics);
-    // Solver-level metrics live for the whole solve (not per run_loop call)
-    // so stall streaks and Bland activations span the phase boundary.
-    metrics::SimplexOpMetrics op_metrics;
-    op_metrics.attach(opt_.metrics);
-    metrics::HealthMonitor health(opt_.metrics, opt_.health);
-    const trace::Track& tr = dev_.trace();
-    if (tr.enabled()) tr.name_thread(engine_name());
-    // Top-level span; its destructor runs after every nested span's, so
-    // the trace unwinds in proper B/E order on any exit path.
-    trace::ScopedSpan solve_span(tr, "solve", clock(), "solve");
     const AugmentedLp aug = augment(sf);
+    SolveFrame frame(opt_, dev_, engine_name(), sizeof(Real) * 8, aug.m,
+                     aug.n_aug, decision_digest(aug));
     Workspace ws(dev_, aug, opt_);
     if (ws.product_form) {
       // The crash basis is diagonal, so this factorization always succeeds.
       const bool ok = load_factors(ws);
       GS_CHECK_MSG(ok, "product-form: singular crash basis");
     }
-    record::Recorder* rec = opt_.recorder;
-    if (rec != nullptr) {
-      rec->begin_solve(engine_name(), sizeof(Real) * 8, aug.m, aug.n_aug,
-                       decision_digest(aug));
-    }
-
     SolveResult result;
-    // Recorder end-of-solve wrapper around finish(): stamps the status and
-    // final basis, and triggers the post-mortem dump on a bad exit.
-    auto fin = [&](SolveStatus status) -> SolveResult {
-      if (rec != nullptr) {
-        rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                       opt_.metrics ? opt_.metrics->warnings_total() : 0,
-                       ws.basic);
-      }
-      result.basis = ws.basic;
-      return finish(result, status, wall);
+    const auto finish = [&](SolveStatus status) {
+      return frame.close(std::move(result), status, ws.basic);
     };
     std::size_t budget = opt_.max_iterations;
 
     // ---- Phase 1: minimize the artificial sum, if any were needed. ----
     if (aug.num_artificial > 0) {
-      trace::ScopedSpan phase_span(tr, "phase1", clock(), "phase");
-      if (rec != nullptr) rec->begin_phase(1);
+      const auto phase_span = frame.phase("phase1", 1);
       ws.load_costs(aug.c_phase1);
-      const LoopExit exit =
-          run_loop(ws, budget, result.stats, op_metrics, health, 1);
+      const LoopExit exit = run_loop(ws, frame, budget, result.stats, 1);
       result.stats.phase1_iterations = result.stats.iterations;
       if (exit == LoopExit::kIterationLimit) {
-        return fin(SolveStatus::kIterationLimit);
+        return finish(SolveStatus::kIterationLimit);
       }
       if (exit == LoopExit::kUnbounded) {
         // Phase-1 objective is bounded below by zero; reaching here means
         // the ratio test lost every pivot to numerics.
-        return fin(SolveStatus::kNumericalTrouble);
+        return finish(SolveStatus::kNumericalTrouble);
       }
       const double z1 = ws.current_objective();
       const double feas_tol =
           1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
       if (z1 > feas_tol) {
-        return fin(SolveStatus::kInfeasible);
+        return finish(SolveStatus::kInfeasible);
       }
-      drive_out_artificials(ws, result.stats.iterations);
+      drive_out_artificials(ws, frame, result.stats.iterations);
       budget -= std::min(budget, result.stats.iterations);
     }
 
     // ---- Phase 2: original costs, artificials permanently masked. ----
     LoopExit exit;
     {
-      trace::ScopedSpan phase_span(tr, "phase2", clock(), "phase");
-      if (rec != nullptr) rec->begin_phase(2);
+      const auto phase_span = frame.phase("phase2", 2);
       ws.load_costs(aug.c_phase2);
-      exit = run_loop(ws, budget, result.stats, op_metrics, health, 2);
+      exit = run_loop(ws, frame, budget, result.stats, 2);
     }
     switch (exit) {
       case LoopExit::kOptimal:
         break;
       case LoopExit::kUnbounded:
-        return fin(SolveStatus::kUnbounded);
+        return finish(SolveStatus::kUnbounded);
       case LoopExit::kIterationLimit:
-        return fin(SolveStatus::kIterationLimit);
+        return finish(SolveStatus::kIterationLimit);
     }
 
-    // Extract the optimum: x_std from the basic values, then map back.
-    const std::vector<Real> beta = ws.beta.to_host();
-    std::vector<double> x_std(aug.n, 0.0);
-    for (std::size_t i = 0; i < aug.m; ++i) {
-      if (ws.basic[i] < aug.n) {
-        x_std[ws.basic[i]] = static_cast<double>(beta[i]);
-      }
-    }
-    result.x = sf.recover(x_std);
-    double z = 0.0;
-    for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-    result.objective = sf.original_objective(z);
     // ws.pi still holds the optimal simplex multipliers (the loop priced,
     // found no entering candidate and stopped): they are the duals.
+    const std::vector<Real> beta = ws.beta.to_host();
     const std::vector<Real> pi = ws.pi.to_host();
-    result.y = sf.recover_duals(std::vector<double>(pi.begin(), pi.end()));
-    return fin(SolveStatus::kOptimal);
+    recover_optimum<Real>(sf, ws.basic, beta, pi, result);
+    return finish(SolveStatus::kOptimal);
   }
 
  private:
@@ -204,9 +155,6 @@ class DeviceRevisedSimplex {
                             : std::optional<vblas::DeviceMatrix<Real>>(
                                   std::in_place, dev, m, m)),
           beta(dev, m),
-          b_dev(product_form ? std::nullopt
-                             : std::optional<vgpu::DeviceBuffer<Real>>(
-                                   std::in_place, dev, m)),
           pi(dev, m),
           cb(dev, m),
           c(dev, n_aug),
@@ -225,11 +173,10 @@ class DeviceRevisedSimplex {
       // kernel expands them into the dense m x m matrix (the full-matrix
       // upload was ~a third of all H2D bytes at bench scale). The product
       // form factors the crash basis instead (load_factors).
-      std::vector<Real> diag0(m), beta0(m), b0(m);
+      std::vector<Real> diag0(m), beta0(m);
       for (std::size_t i = 0; i < m; ++i) {
         diag0[i] = static_cast<Real>(aug.binv_diag[i]);
         beta0[i] = static_cast<Real>(aug.beta_init[i]);
-        b0[i] = static_cast<Real>(aug.b[i]);
       }
       if (binv.has_value()) {
         vgpu::DeviceBuffer<Real> diag_dev(dev,
@@ -250,7 +197,6 @@ class DeviceRevisedSimplex {
             });
       }
       beta.upload(beta0);
-      if (b_dev.has_value()) b_dev->upload(b0);
       if (product_form) {
         csr.emplace(aug.csr_at());
         sigma.emplace(dev, m);
@@ -304,11 +250,10 @@ class DeviceRevisedSimplex {
     bool product_form;
 
     At<Real> at;
-    /// Dense B^-1 and the b it refreshes beta from: the explicit inverse
-    /// only; the product form holds B0 as `lu` below instead.
+    /// Dense B^-1: the explicit inverse only; the product form holds B0 as
+    /// `lu` below instead.
     std::optional<vblas::DeviceMatrix<Real>> binv;
     vgpu::DeviceBuffer<Real> beta;
-    std::optional<vgpu::DeviceBuffer<Real>> b_dev;
     vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
@@ -346,7 +291,6 @@ class DeviceRevisedSimplex {
     std::vector<bool> in_basis;
     std::vector<double> c_host;
     SolverOptions options;
-    std::size_t pivots_since_refactor = 0;
     /// pi = (B^-1)^T c_B for the current basis and costs. The
     /// explicit-inverse pivot_apply keeps it current; anything else that
     /// moves B^-1 or c_B clears it, and the loop re-runs BTRAN.
@@ -768,67 +712,6 @@ class DeviceRevisedSimplex {
     ws.etas.push_back(std::move(eta));
   }
 
-  /// Assemble the current basis matrix from the augmented problem's rows.
-  [[nodiscard]] vblas::Matrix<double> assemble_basis(const Workspace& ws) const {
-    const std::size_t m = ws.m;
-    std::vector<std::int64_t> pos_of_col(ws.n_aug, -1);
-    for (std::size_t i = 0; i < m; ++i) {
-      pos_of_col[ws.basic[i]] = std::int64_t(i);
-    }
-    vblas::Matrix<double> basis(m, m);
-    const lp::StandardFormLp& sf = *ws.aug.source;
-    for (std::size_t r = 0; r < m; ++r) {
-      for (const lp::Term& t : sf.rows[r]) {
-        const std::int64_t pos = pos_of_col[t.var];
-        if (pos >= 0) basis(r, static_cast<std::size_t>(pos)) = t.coef;
-      }
-    }
-    for (std::size_t k = 0; k < ws.aug.num_artificial; ++k) {
-      const std::int64_t pos = pos_of_col[ws.aug.n + k];
-      if (pos >= 0) {
-        basis(ws.aug.artificial_rows[k], static_cast<std::size_t>(pos)) = 1.0;
-      }
-    }
-    return basis;
-  }
-
-  /// Rebuild B^-1 from the current basis columns (host Gauss-Jordan in
-  /// double for exactness; charged as a device O(m^3) elimination) and
-  /// refresh beta = B^-1 b: the explicit inverse's refactor_period.
-  void reinvert(Workspace& ws) {
-    const std::size_t m = ws.m;
-    const vblas::Matrix<double> inv = vblas::ref::invert(assemble_basis(ws));
-    auto binv = ws.binv->device_span();
-    dev_.launch_blocks(
-        "reinvert", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m) * double(m), bytes(3 * m * m),
-         sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            for (std::size_t j = 0; j < m; ++j) {
-              binv[i * m + j] = static_cast<Real>(inv(i, j));
-            }
-          }
-        });
-    ws.pivots_since_refactor = 0;
-    ws.pi_current = false;
-    // beta = B^-1 b (clamped: the basis is primal feasible by invariant).
-    auto bsp = ws.b_dev->device_span();
-    auto betasp = ws.beta.device_span();
-    dev_.launch_blocks(
-        "refresh_beta", m, vgpu::Device::kBlockSize,
-        {2.0 * double(m) * double(m), bytes(m * m + 2 * m), sizeof(Real)},
-        [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            binv.read_range(i * m, i * m + m);
-            const Real* row = binv.data() + i * m;
-            Real acc{0};
-            for (std::size_t k = 0; k < m; ++k) acc += row[k] * bsp[k];
-            betasp[i] = acc < Real{0} ? Real{0} : acc;
-          }
-        });
-  }
-
   /// Product form's (re)factorization: factor the basis with the
   /// host oracle's SparseLu over the same columns, then load its position
   /// etas with ONE single-block `sparse_refactor` launch, declared like
@@ -919,16 +802,12 @@ class DeviceRevisedSimplex {
   // ---------------------------------------------------------------------
 
   /// Refactorization policy, mirrored from the host oracles. The explicit
-  /// inverse refactors on the opt-in refactor_period to shed rounding
-  /// error. The product form folds its eta file back every
-  /// reinversion_period etas (0 means every m), drive-out pivots included,
-  /// or as soon as an eta multiplier exceeds the growth limit, as
-  /// ProductFormOracle::wants_refactor does.
+  /// inverse never refactors (its rank-1 update is exact). The product form
+  /// folds its eta file back every reinversion_period etas (0 means every
+  /// m), drive-out pivots included, or as soon as an eta multiplier
+  /// exceeds the growth limit, as ProductFormOracle::wants_refactor does.
   [[nodiscard]] static bool refactor_due(const Workspace& ws) noexcept {
-    if (!ws.product_form) {
-      const std::size_t period = ws.options.refactor_period;
-      return period > 0 && ws.pivots_since_refactor >= period;
-    }
+    if (!ws.product_form) return false;
     const std::size_t period = ws.options.reinversion_period > 0
                                    ? ws.options.reinversion_period
                                    : ws.m;
@@ -936,18 +815,14 @@ class DeviceRevisedSimplex {
            ws.eta_growth > basis::kEtaGrowthLimit;
   }
 
-  /// One primal loop's bookkeeping: the per-op modeled-time laps on the
-  /// simulated clock (`lap` advances at each op boundary, so scalar
-  /// readbacks between ops are charged to the op that consumes them — the
-  /// same tiling the trace's op spans produce) and the objective tracker
-  /// behind the hybrid rule's Bland switch.
+  /// One primal loop's bookkeeping: the frame whose op laps and probes it
+  /// feeds, and the objective tracker behind the hybrid rule's Bland
+  /// switch.
   struct Loop {
+    SolveFrame& frame;
     SolverStats& stats;
-    metrics::SimplexOpMetrics& om;
-    metrics::HealthMonitor& health;
     std::uint8_t phase;
     double z;  ///< objective, advanced by theta * d_q per pivot
-    double lap = 0.0;
     std::size_t since_improve = 0;
     bool bland_mode = false;  ///< hybrid rule: Bland during a stall streak
     bool bland = false;       ///< this iteration prices with Bland
@@ -960,15 +835,7 @@ class DeviceRevisedSimplex {
       loop.bland_mode = loop.since_improve >= ws.options.degeneracy_window;
     }
     loop.bland = loop.bland_mode || ws.options.pricing == PricingRule::kBland;
-    if (loop.om.enabled()) loop.lap = dev_.sim_seconds();
-  }
-
-  /// Close the op that just ran on the metrics lap clock.
-  void lap(Loop& loop, metrics::SimplexOp op) {
-    if (!loop.om.enabled()) return;
-    const double now = dev_.sim_seconds();
-    loop.om.observe(op, now - loop.lap);
-    loop.lap = now;
+    loop.frame.lap_start();
   }
 
   /// A loop pivot's ratio-test outcome, logged with its decision.
@@ -977,35 +844,6 @@ class DeviceRevisedSimplex {
     Real theta;
   };
 
-  /// Log a pivot (column q enters at row p) to the attached recorder, if
-  /// any. A loop pivot passes its Step and counts the rows tied at theta
-  /// through host_view() — outside the machine model, so recording charges
-  /// no PCIe time and perturbs nothing. An artificial drive-out has no
-  /// ratio test: it logs one tie and no reduced cost or step.
-  void record_pivot(const Workspace& ws, std::uint8_t phase, bool bland,
-                    std::uint64_t iteration, std::size_t q, std::size_t p,
-                    Real alpha_p, std::optional<Step> step) const {
-    record::Recorder* rec = opt_.recorder;
-    if (rec == nullptr) return;
-    record::DecisionRecord r;
-    r.phase = phase;
-    r.bland = bland ? 1 : 0;
-    r.iteration = iteration;  // global ordinal, pre-increment
-    r.entering = static_cast<std::uint32_t>(q);
-    r.leaving_row = static_cast<std::uint32_t>(p);
-    r.leaving_col = ws.basic[p];
-    r.ratio_ties = 1;
-    r.pivot_value = static_cast<double>(alpha_p);
-    if (step.has_value()) {
-      const std::span<const Real> rv = ws.ratio.host_view();
-      r.ratio_ties = static_cast<std::uint32_t>(
-          std::count(rv.begin(), rv.end(), step->theta));
-      r.reduced_cost = static_cast<double>(step->d_q);
-      r.theta = static_cast<double>(step->theta);
-    }
-    rec->record_pivot(r);
-  }
-
   /// Everything after a loop pivot, in order: the iteration counters and
   /// health pivot, the hybrid rule's progress test, the objective counter
   /// and telemetry point, the refactor trigger, and the strided
@@ -1013,10 +851,10 @@ class DeviceRevisedSimplex {
   void end_iteration(Workspace& ws, Loop& loop, std::size_t iter,
                      Real alpha_p, Step step) {
     ++loop.stats.iterations;
-    loop.om.count_iteration();
-    loop.health.record_pivot(static_cast<double>(alpha_p),
-                             static_cast<double>(step.theta), loop.bland,
-                             iter);
+    loop.frame.op_metrics().count_iteration();
+    metrics::HealthMonitor& health = loop.frame.health();
+    health.record_pivot(static_cast<double>(alpha_p),
+                        static_cast<double>(step.theta), loop.bland, iter);
 
     const double dz =
         static_cast<double>(step.theta) * static_cast<double>(step.d_q);
@@ -1030,29 +868,20 @@ class DeviceRevisedSimplex {
     loop.z = new_z;
     const trace::Track& tr = dev_.trace();
     if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), loop.z);
-    telemetry::Telemetry* tel = ws.options.telemetry;
+    telemetry::Telemetry* tel = loop.frame.telemetry();
     const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
     if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), loop.z);
 
-    ++ws.pivots_since_refactor;
     if (refactor_due(ws)) {
       trace::ScopedSpan op(tr, "refactor", clock(), "op");
-      bool refactored = true;
-      if (ws.product_form) {
-        refactored = load_factors(ws);
-      } else {
-        reinvert(ws);
-      }
-      lap(loop, metrics::SimplexOp::kRefactor);
-      if (record::Recorder* rec = opt_.recorder; rec != nullptr && refactored) {
-        rec->record_refactor(loop.stats.iterations);
-      }
+      const bool refactored = load_factors(ws);
+      loop.frame.lap(metrics::SimplexOp::kRefactor);
+      if (refactored) loop.frame.record_refactor(loop.stats.iterations);
     }
 
-    const bool want_health = loop.health.want_residual_sample(iter);
+    const bool want_health = health.want_residual_sample(iter);
     if (want_health || want_tel) {
-      sample_health(ws, loop.health, want_health, want_tel ? tel : nullptr,
-                    iter);
+      sample_health(ws, health, want_health, want_tel ? tel : nullptr, iter);
     }
   }
 
@@ -1060,7 +889,7 @@ class DeviceRevisedSimplex {
   ///   explicit inverse:  [price_btran] -> price_select -> ftran_ratio
   ///     -> [descriptor d2h] -> pivot_apply -> [devex_update_fused];
   ///     pivot_apply also sums the next iteration's pi, so price_btran
-  ///     runs only at loop entry and after a refactor;
+  ///     runs only at loop entry;
   ///   product form:  eta_btran_chain -> price_select -> eta_ftran_chain
   ///     (with the ratio test) -> [descriptor d2h] -> [devex row + update]
   ///     -> pivot_beta -> [make_eta (+ the eta-support h2d), skipped for a
@@ -1072,11 +901,10 @@ class DeviceRevisedSimplex {
   /// The combines keep the primitives' block-scan order and tie rules, so
   /// the pivot sequence is the one vgpu::argmin / find_first_below would
   /// pick; tests/golden/ pins it bit for bit.
-  LoopExit run_loop(Workspace& ws, std::size_t budget, SolverStats& stats,
-                    metrics::SimplexOpMetrics& om,
-                    metrics::HealthMonitor& health, std::uint8_t phase) {
+  LoopExit run_loop(Workspace& ws, SolveFrame& frame, std::size_t budget,
+                    SolverStats& stats, std::uint8_t phase) {
     const trace::Track& tr = dev_.trace();
-    Loop loop{stats, om, health, phase, ws.current_objective()};
+    Loop loop{frame, stats, phase, ws.current_objective()};
     // The product form's chain writes one leaving triple; ftran_ratio
     // writes one per block.
     const std::size_t triples = ws.product_form ? 1 : select_blocks(ws.m);
@@ -1097,7 +925,7 @@ class DeviceRevisedSimplex {
         ws.at.price_select(entering, ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
                            ws.devex_w, ws.desc);
       }
-      lap(loop, metrics::SimplexOp::kPrice);
+      frame.lap(metrics::SimplexOp::kPrice);
       {
         // Speculative: issued before the host knows whether pricing found
         // a candidate; the kernels early-exit on-device when it did not.
@@ -1110,13 +938,13 @@ class DeviceRevisedSimplex {
                                    static_cast<Real>(ws.options.pivot_tol));
         }
       }
-      lap(loop, metrics::SimplexOp::kFtran);
+      frame.lap(metrics::SimplexOp::kFtran);
       {
         // The iteration's only d2h: the descriptor's prefix.
         trace::ScopedSpan op(tr, "ratio", clock(), "op");
         ws.desc.download(std::span<Real>(desc_h));
       }
-      lap(loop, metrics::SimplexOp::kRatio);
+      frame.lap(metrics::SimplexOp::kRatio);
       if (desc_h[kDescQ] < Real{0}) return LoopExit::kOptimal;
       // Zero-row edge: no ratio block ran, so no row can leave.
       if (ws.m == 0) return LoopExit::kUnbounded;
@@ -1125,14 +953,25 @@ class DeviceRevisedSimplex {
           reduce_leaving(std::span<const Real>(desc_h), triples);
       const Step step{desc_h[kDescDq], theta};
       if (step.theta == kInf) return LoopExit::kUnbounded;
-      record_pivot(ws, loop.phase, loop.bland, stats.iterations, q, p,
-                   alpha_p, step);
+      // Ties are counted through host_view(), outside the machine model,
+      // so recording charges no PCIe time.
+      frame.record_pivot(
+          {.phase = loop.phase, .bland = loop.bland,
+           .iteration = stats.iterations, .q = q, .p = p,
+           .leaving = ws.basic[p], .d_q = static_cast<double>(step.d_q),
+           .alpha_p = static_cast<double>(alpha_p),
+           .theta = static_cast<double>(step.theta)},
+          [&] {
+            const std::span<const Real> rv = ws.ratio.host_view();
+            return static_cast<std::uint32_t>(
+                std::count(rv.begin(), rv.end(), step.theta));
+          });
       {
         trace::ScopedSpan op(tr, "update", clock(), "op");
         apply_pivot(ws, q, p, step.theta, alpha_p,
                     ws.options.pricing == PricingRule::kDevex);
       }
-      lap(loop, metrics::SimplexOp::kUpdate);
+      frame.lap(metrics::SimplexOp::kUpdate);
       end_iteration(ws, loop, iter, alpha_p, step);
     }
     return LoopExit::kIterationLimit;
@@ -1218,7 +1057,8 @@ class DeviceRevisedSimplex {
   /// nonzero pivot in its row, through the loop's apply_pivot (theta = 0,
   /// no Devex update); rows with no such column are redundant and keep
   /// their (permanently zero) artificial.
-  void drive_out_artificials(Workspace& ws, std::uint64_t iteration) {
+  void drive_out_artificials(Workspace& ws, const SolveFrame& frame,
+                             std::uint64_t iteration) {
     for (std::size_t i = 0; i < ws.m; ++i) {
       if (!ws.aug.is_artificial[ws.basic[i]]) continue;
       compute_binv_row(ws, i);
@@ -1237,18 +1077,11 @@ class DeviceRevisedSimplex {
       if (std::abs(static_cast<double>(alpha_p)) <= ws.options.pivot_tol) {
         continue;
       }
-      record_pivot(ws, 1, false, iteration, q, i, alpha_p, std::nullopt);
+      frame.record_pivot({.phase = 1, .iteration = iteration, .q = q, .p = i,
+                          .leaving = ws.basic[i],
+                          .alpha_p = static_cast<double>(alpha_p)});
       apply_pivot(ws, q, i, Real{0}, alpha_p, false);
     }
-  }
-
-  SolveResult& finish(SolveResult& result, SolveStatus status,
-                      WallTimer& wall) {
-    result.status = status;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = dev_.stats();
-    result.stats.sim_seconds = dev_.sim_seconds();
-    return result;
   }
 
   [[nodiscard]] static constexpr double bytes(std::size_t n) noexcept {

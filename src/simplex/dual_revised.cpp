@@ -6,13 +6,11 @@
 #include <vector>
 
 #include "metrics/health.hpp"
-#include "profile/profile.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/host_loop.hpp"
 #include "simplex/host_revised.hpp"
 #include "simplex/phase_setup.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 #include "trace/trace.hpp"
 #include "vblas/containers.hpp"
 
@@ -27,8 +25,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// `w`. The working costs s.c may carry dual-feasibility shifts.
 struct DualState : host::State {
   DualState(const AugmentedLp& aug_in, const SolverOptions& opt_in,
-            CostMeter& meter_in)
-      : host::State(aug_in, opt_in, meter_in), arow(n_aug), w(m, 1.0) {}
+            SolveFrame& frame_in)
+      : host::State(aug_in, opt_in, frame_in), arow(n_aug), w(m, 1.0) {}
 
   std::vector<double> arow, w;
 };
@@ -45,9 +43,9 @@ enum class DualExit {
 /// with a Bland fallback (lowest infeasible row) during degeneracy
 /// streaks; entering column by the dual ratio test min d_j / -alpha_rj
 /// over alpha_rj < -pivot_tol, ties to the lowest column index.
-DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
-                   metrics::SimplexOpMetrics& om,
-                   metrics::HealthMonitor& health) {
+DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
+  metrics::SimplexOpMetrics& om = s.frame.op_metrics();
+  metrics::HealthMonitor& health = s.frame.health();
   const trace::Track& tr = s.meter.trace();
   const auto clock = [&s] { return s.meter.sim_seconds(); };
   const double tol = s.opt.opt_tol;
@@ -120,20 +118,10 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats,
     }
     const double beta_r = s.beta[r];
     const double theta_p = beta_r / alpha_r;
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord rec_r;
-      rec_r.phase = 2;
-      rec_r.bland = bland ? 1 : 0;
-      rec_r.iteration = stats.iterations;
-      rec_r.entering = static_cast<std::uint32_t>(q);
-      rec_r.leaving_row = static_cast<std::uint32_t>(r);
-      rec_r.leaving_col = s.basic[r];
-      rec_r.ratio_ties = ties;
-      rec_r.reduced_cost = s.d[q];
-      rec_r.pivot_value = alpha_r;
-      rec_r.theta = theta_p;
-      rec->record_pivot(rec_r);
-    }
+    s.frame.record_pivot({.bland = bland, .iteration = stats.iterations,
+                          .q = q, .p = r, .leaving = s.basic[r], .d_q = s.d[q],
+                          .alpha_p = alpha_r, .theta = theta_p},
+                         [ties] { return ties; });
     // ---- updates: beta, reduced costs, reference weights ----
     for (std::size_t i = 0; i < s.m; ++i) {
       s.beta[i] -= theta_p * s.alpha[i];
@@ -240,49 +228,20 @@ SolveResult DualRevisedSimplex::solve_standard(
   // cold solves delegate to the primal host engine (same options, same
   // oracle choice) so every instance the primal engines accept still
   // solves under Engine::kDualRevised.
-  {
-    const AugmentedLp probe = augment(sf);
-    if (probe.num_artificial > 0 && options_.warm_basis == nullptr) {
-      return HostRevisedSimplex(options_, model_).solve_standard(sf);
-    }
-  }
-  WallTimer wall;
-  CostMeter meter(model_,
-                  profile::chain(options_.profiler, options_.trace_sink,
-                                 trace::kHostPid, model_),
-                  options_.metrics);
-  metrics::SimplexOpMetrics op_metrics;
-  op_metrics.attach(options_.metrics);
-  metrics::HealthMonitor health(options_.metrics, options_.health);
-  const trace::Track& tr = meter.trace();
-  const auto clock = [&meter] { return meter.sim_seconds(); };
-  if (tr.enabled()) tr.name_thread("dual-revised");
-  trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
   const AugmentedLp aug = augment(sf);
-  DualState state(aug, options_, meter);
-  record::Recorder* rec = options_.recorder;
-  if (rec != nullptr) {
-    rec->begin_solve("dual-revised", 64, aug.m, aug.n_aug,
-                     decision_digest(aug));
+  if (aug.num_artificial > 0 && options_.warm_basis == nullptr) {
+    return HostRevisedSimplex(options_, model_).solve_standard(sf);
   }
-
+  SolveFrame frame(options_, model_, "dual-revised", aug.m, aug.n_aug,
+                   decision_digest(aug));
+  DualState state(aug, options_, frame);
   SolveResult result;
-  auto finish = [&](SolveStatus status) -> SolveResult {
-    result.status = status;
-    result.basis = state.basic;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = meter.stats();
-    result.stats.sim_seconds = meter.sim_seconds();
-    if (rec != nullptr) {
-      rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                     options_.metrics ? options_.metrics->warnings_total() : 0,
-                     state.basic);
-    }
-    return result;
+  const auto finish = [&](SolveStatus status) {
+    return frame.close(std::move(result), status, state.basic);
   };
 
   if (options_.warm_basis != nullptr) {
-    trace::ScopedSpan warm_span(tr, "warm_init", clock, "phase");
+    const auto warm_span = frame.phase("warm_init");
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
     if (!result.stats.warm_started && aug.num_artificial > 0) {
       // Rejected warm basis on an artificial-needing instance: the cold
@@ -302,9 +261,8 @@ SolveResult DualRevisedSimplex::solve_standard(
 
   DualExit dexit;
   {
-    trace::ScopedSpan phase_span(tr, "dual", clock, "phase");
-    if (rec != nullptr) rec->begin_phase(2);
-    dexit = dual_loop(state, budget, result.stats, op_metrics, health);
+    const auto phase_span = frame.phase("dual", 2);
+    dexit = dual_loop(state, budget, result.stats);
   }
   if (dexit == DualExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
@@ -325,11 +283,11 @@ SolveResult DualRevisedSimplex::solve_standard(
   // start on an already-primal-feasible crash basis does all its work.
   host::LoopExit pexit;
   {
-    trace::ScopedSpan phase_span(tr, "primal_cleanup", clock, "phase");
+    const auto phase_span = frame.phase("primal_cleanup");
     // Restore true costs (only needed when the dual start shifted them;
     // the pricing pass inside the loop recomputes every reduced cost).
     if (shifted) state.c = aug.c_phase2;
-    pexit = host::run_loop(state, budget, result.stats, op_metrics, health, 2);
+    pexit = host::run_loop(state, budget, result.stats, 2);
   }
   if (pexit == host::LoopExit::kUnbounded) {
     return finish(SolveStatus::kUnbounded);
@@ -337,7 +295,7 @@ SolveResult DualRevisedSimplex::solve_standard(
   if (pexit == host::LoopExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
   }
-  host::recover_optimum(state, sf, result);
+  recover_optimum<double>(sf, state.basic, state.beta, state.pi, result);
   return finish(SolveStatus::kOptimal);
 }
 

@@ -8,11 +8,10 @@
 #include <memory>
 #include <vector>
 
-#include "lp/standard_form.hpp"
-#include "metrics/health.hpp"
 #include "simplex/basis/basis_oracle.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/phase_setup.hpp"
+#include "simplex/solve_frame.hpp"
 #include "simplex/types.hpp"
 #include "vblas/containers.hpp"
 
@@ -21,10 +20,11 @@ namespace gs::simplex::host {
 /// Mutable solver state for one solve (all host memory). The basis
 /// representation lives behind the BasisOracle seam: SolverOptions::basis
 /// selects the explicit dense inverse (the default, bit-identical to the
-/// pre-oracle engine) or the product-form/eta scheme.
+/// pre-oracle engine) or the product-form/eta scheme. Work is charged to
+/// the frame's meter.
 struct State {
   State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
-        CostMeter& meter_in);
+        SolveFrame& frame_in);
 
   [[nodiscard]] bool may_enter(std::size_t j) const {
     return !in_basis[j] && !aug.is_artificial[j];
@@ -48,6 +48,7 @@ struct State {
   /// Current phase costs (the dual engine's may carry feasibility shifts).
   std::vector<double> c;
   const SolverOptions& opt;
+  SolveFrame& frame;
   CostMeter& meter;
 };
 
@@ -58,9 +59,9 @@ void price(State& s);
 /// alpha = B^-1 a_q via the oracle's FTRAN.
 void ftran(State& s, std::size_t q);
 /// Fold the basis back into fresh factors when the oracle asks (the
-/// product form's interval or growth trigger, or the explicit inverse's
-/// opt-in refactor_period), as a "refactor" op span. A singular basis
-/// keeps the eta file; the representation stays exact either way.
+/// product form's interval or growth trigger), as a "refactor" op span. A
+/// singular basis keeps the eta file; the representation stays exact
+/// either way.
 void maybe_refactor(State& s, const SolverStats& stats);
 
 enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
@@ -69,12 +70,6 @@ enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 /// the costs in s.c: Dantzig pricing, or Bland's rule under kBland and
 /// during a kHybrid degeneracy streak.
 LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
-                  metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
                   std::uint8_t phase);
-
-/// Fill x, the objective and the duals of an optimal `result` from the
-/// final basis: s.pi still holds the multipliers of the last pricing pass.
-void recover_optimum(const State& s, const lp::StandardFormLp& sf,
-                     SolveResult& result);
 
 }  // namespace gs::simplex::host

@@ -8,14 +8,12 @@
 #include <vector>
 
 #include "metrics/health.hpp"
-#include "profile/profile.hpp"
 #include "simplex/basis/basis_oracle.hpp"
 #include "simplex/basis/explicit_inverse.hpp"
 #include "simplex/basis/product_form.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/host_loop.hpp"
 #include "simplex/phase_setup.hpp"
-#include "support/timer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 #include "vblas/containers.hpp"
@@ -26,7 +24,7 @@ namespace gs::simplex {
 namespace host {
 
 State::State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
-             CostMeter& meter_in)
+             SolveFrame& frame_in)
     : aug(aug_in),
       m(aug_in.m),
       n_aug(aug_in.n_aug),
@@ -41,7 +39,8 @@ State::State(const AugmentedLp& aug_in, const SolverOptions& opt_in,
       basic(aug_in.basic),
       in_basis(n_aug, false),
       opt(opt_in),
-      meter(meter_in) {
+      frame(frame_in),
+      meter(frame_in.meter()) {
   if (opt.basis == BasisScheme::kExplicitInverse) {
     oracle = std::make_unique<basis::ExplicitInverseOracle>(
         m, aug.binv_diag, cols, meter, opt);
@@ -82,11 +81,7 @@ void maybe_refactor(State& s, const SolverStats& stats) {
   if (!s.oracle->wants_refactor()) return;
   trace::ScopedSpan op(s.meter.trace(), "refactor",
                        [&s] { return s.meter.sim_seconds(); }, "op");
-  if (s.oracle->refactorize(s.basic)) {
-    if (record::Recorder* rec = s.opt.recorder) {
-      rec->record_refactor(stats.iterations);
-    }
-  }
+  if (s.oracle->refactorize(s.basic)) s.frame.record_refactor(stats.iterations);
 }
 
 }  // namespace host
@@ -346,17 +341,8 @@ void drive_out_artificials(State& s, std::uint64_t iteration) {
     if (q == s.n_aug) continue;
     ftran(s, q);
     if (std::abs(s.alpha[i]) <= s.opt.pivot_tol) continue;
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord r;
-      r.phase = 1;
-      r.iteration = iteration;
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(i);
-      r.leaving_col = s.basic[i];
-      r.ratio_ties = 1;
-      r.pivot_value = s.alpha[i];
-      rec->record_pivot(r);
-    }
+    s.frame.record_pivot({.phase = 1, .iteration = iteration, .q = q, .p = i,
+                          .leaving = s.basic[i], .alpha_p = s.alpha[i]});
     pivot(s, q, i, 0.0);
   }
 }
@@ -366,20 +352,11 @@ void drive_out_artificials(State& s, std::uint64_t iteration) {
 namespace host {
 
 LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
-                  metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
                   std::uint8_t phase) {
+  SolveFrame& frame = s.frame;
+  metrics::HealthMonitor& health = frame.health();
   const trace::Track& tr = s.meter.trace();
   const auto clock = [&s] { return s.meter.sim_seconds(); };
-  // Per-op laps on the meter's simulated clock, advancing at op
-  // boundaries — the metrics mirror of the trace's op spans.
-  const bool om_on = om.enabled();
-  double lap = 0.0;
-  const auto lap_observe = [&](metrics::SimplexOp op) {
-    if (!om_on) return;
-    const double now = s.meter.sim_seconds();
-    om.observe(op, now - lap);
-    lap = now;
-  };
   double z = s.objective();
   std::size_t since_improve = 0;
   for (std::size_t iter = 0; iter < budget; ++iter) {
@@ -389,7 +366,7 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
          since_improve >= s.opt.degeneracy_window);
     trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
                                 {{"iter", static_cast<double>(iter)}});
-    if (om_on) lap = s.meter.sim_seconds();
+    frame.lap_start();
     std::optional<std::size_t> entering;
     {
       trace::ScopedSpan op(tr, "price", clock, "op");
@@ -397,7 +374,7 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
       price(s);
       entering = select_entering(s, bland);
     }
-    lap_observe(metrics::SimplexOp::kPrice);
+    frame.lap(metrics::SimplexOp::kPrice);
     if (!entering.has_value()) return LoopExit::kOptimal;
     const std::size_t q = *entering;
     const double d_q = s.d[q];
@@ -405,40 +382,31 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
       trace::ScopedSpan op(tr, "ftran", clock, "op");
       ftran(s, q);
     }
-    lap_observe(metrics::SimplexOp::kFtran);
+    frame.lap(metrics::SimplexOp::kFtran);
     std::optional<std::pair<std::size_t, double>> leave;
     {
       trace::ScopedSpan op(tr, "ratio", clock, "op");
       leave = ratio_test(s);
     }
-    lap_observe(metrics::SimplexOp::kRatio);
+    frame.lap(metrics::SimplexOp::kRatio);
     if (!leave.has_value()) return LoopExit::kUnbounded;
     const auto [p, theta] = *leave;
     const double alpha_p = s.alpha[p];
-    if (record::Recorder* rec = s.opt.recorder) {
-      record::DecisionRecord r;
-      r.phase = phase;
-      r.bland = bland ? 1 : 0;
-      r.iteration = stats.iterations;  // global pivot ordinal, pre-increment
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(p);
-      r.leaving_col = s.basic[p];
-      r.ratio_ties = count_ratio_ties(s, theta);
-      r.reduced_cost = d_q;
-      r.pivot_value = alpha_p;
-      r.theta = theta;
-      rec->record_pivot(r);
-    }
+    frame.record_pivot({.phase = phase, .bland = bland,
+                        .iteration = stats.iterations, .q = q, .p = p,
+                        .leaving = s.basic[p], .d_q = d_q, .alpha_p = alpha_p,
+                        .theta = theta},
+                       [&] { return count_ratio_ties(s, theta); });
     {
       trace::ScopedSpan op(tr, "update", clock, "op");
       pivot(s, q, p, theta);
     }
-    lap_observe(metrics::SimplexOp::kUpdate);
+    frame.lap(metrics::SimplexOp::kUpdate);
     ++stats.iterations;
     maybe_refactor(s, stats);
-    om.count_iteration();
+    frame.op_metrics().count_iteration();
     health.record_pivot(alpha_p, theta, bland, iter);
-    telemetry::Telemetry* tel = s.opt.telemetry;
+    telemetry::Telemetry* tel = frame.telemetry();
     const bool want_health = health.want_residual_sample(iter);
     const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
     if (want_health || want_tel) {
@@ -457,19 +425,6 @@ LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
   return LoopExit::kIterationLimit;
 }
 
-void recover_optimum(const State& s, const lp::StandardFormLp& sf,
-                     SolveResult& result) {
-  std::vector<double> x_std(s.aug.n, 0.0);
-  for (std::size_t i = 0; i < s.m; ++i) {
-    if (s.basic[i] < s.aug.n) x_std[s.basic[i]] = s.beta[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < s.aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
-  result.y = sf.recover_duals(s.pi);
-}
-
 }  // namespace host
 
 SolveResult HostRevisedSimplex::solve(const lp::LpProblem& problem) const {
@@ -479,57 +434,28 @@ SolveResult HostRevisedSimplex::solve(const lp::LpProblem& problem) const {
 
 SolveResult HostRevisedSimplex::solve_standard(
     const lp::StandardFormLp& sf) const {
-  WallTimer wall;
-  CostMeter meter(model_,
-                  profile::chain(options_.profiler, options_.trace_sink,
-                                 trace::kHostPid, model_),
-                  options_.metrics);
-  // Solver-level metrics live for the whole solve (not per run_loop call)
-  // so stall streaks and Bland activations span the phase boundary.
-  metrics::SimplexOpMetrics op_metrics;
-  op_metrics.attach(options_.metrics);
-  metrics::HealthMonitor health(options_.metrics, options_.health);
-  const trace::Track& tr = meter.trace();
-  const auto clock = [&meter] { return meter.sim_seconds(); };
-  if (tr.enabled()) tr.name_thread("host-revised");
-  trace::ScopedSpan solve_span(tr, "solve", clock, "solve");
   const AugmentedLp aug = augment(sf);
-  host::State state(aug, options_, meter);
-  record::Recorder* rec = options_.recorder;
-  if (rec != nullptr) {
-    rec->begin_solve("host-revised", 64, aug.m, aug.n_aug,
-                     decision_digest(aug));
-  }
-
+  SolveFrame frame(options_, model_, "host-revised", aug.m, aug.n_aug,
+                   decision_digest(aug));
+  host::State state(aug, options_, frame);
   SolveResult result;
-  auto finish = [&](SolveStatus status) -> SolveResult {
-    result.status = status;
-    result.basis = state.basic;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = meter.stats();
-    result.stats.sim_seconds = meter.sim_seconds();
-    if (rec != nullptr) {
-      rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                     options_.metrics ? options_.metrics->warnings_total() : 0,
-                     state.basic);
-    }
-    return result;
+  const auto finish = [&](SolveStatus status) {
+    return frame.close(std::move(result), status, state.basic);
   };
 
   // Warm start: a feasible caller-provided basis replaces the crash basis
   // and skips phase 1 outright (feasibility is what phase 1 buys).
   if (options_.warm_basis != nullptr) {
-    trace::ScopedSpan warm_span(tr, "warm_init", clock, "phase");
+    const auto warm_span = frame.phase("warm_init");
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
   }
 
   std::size_t budget = options_.max_iterations;
   if (aug.num_artificial > 0 && !result.stats.warm_started) {
-    trace::ScopedSpan phase_span(tr, "phase1", clock, "phase");
-    if (rec != nullptr) rec->begin_phase(1);
+    const auto phase_span = frame.phase("phase1", 1);
     state.c = aug.c_phase1;
     const host::LoopExit exit =
-        host::run_loop(state, budget, result.stats, op_metrics, health, 1);
+        host::run_loop(state, budget, result.stats, 1);
     result.stats.phase1_iterations = result.stats.iterations;
     if (exit == host::LoopExit::kIterationLimit) {
       return finish(SolveStatus::kIterationLimit);
@@ -548,10 +474,9 @@ SolveResult HostRevisedSimplex::solve_standard(
 
   host::LoopExit exit;
   {
-    trace::ScopedSpan phase_span(tr, "phase2", clock, "phase");
-    if (rec != nullptr) rec->begin_phase(2);
+    const auto phase_span = frame.phase("phase2", 2);
     state.c = aug.c_phase2;
-    exit = host::run_loop(state, budget, result.stats, op_metrics, health, 2);
+    exit = host::run_loop(state, budget, result.stats, 2);
   }
   if (exit == host::LoopExit::kUnbounded) {
     return finish(SolveStatus::kUnbounded);
@@ -560,7 +485,8 @@ SolveResult HostRevisedSimplex::solve_standard(
     return finish(SolveStatus::kIterationLimit);
   }
 
-  host::recover_optimum(state, sf, result);
+  // state.pi still holds the multipliers of the last pricing pass.
+  recover_optimum<double>(sf, state.basic, state.beta, state.pi, result);
   if (options_.ranging) result.ranging = compute_ranging(state, sf);
   return finish(SolveStatus::kOptimal);
 }

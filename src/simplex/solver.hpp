@@ -5,13 +5,12 @@
 #include <cstdint>
 #include <memory>
 
-#include "profile/profile.hpp"
 #include "simplex/device_revised.hpp"
 #include "simplex/dual_revised.hpp"
 #include "simplex/host_revised.hpp"
+#include "simplex/solve_frame.hpp"
 #include "simplex/tableau.hpp"
 #include "simplex/types.hpp"
-#include "telemetry/telemetry.hpp"
 #include "trace/trace.hpp"
 #include "vgpu/machine_model.hpp"
 
@@ -68,45 +67,6 @@ enum class Engine {
   }
   GS_FAIL("unknown engine");
 }
-
-namespace detail {
-
-/// The options of a solve stage that starts `offset` modeled seconds after
-/// the first stage, on the `pid` timeline of `model`: its trace events
-/// (through the profiler, if one is attached) and its telemetry points
-/// land after the earlier stages, on their clock. The recorder stays with
-/// the first stage, because Recorder::begin_solve clears its log.
-class LaterStage {
- public:
-  LaterStage(const SolverOptions& first, double offset, std::uint32_t pid,
-             const vgpu::MachineModel& model)
-      : shifted_(profile::chain(first.profiler, first.trace_sink, pid, model),
-                 offset),
-        telemetry_(first.telemetry),
-        saved_offset_(telemetry_ ? telemetry_->time_offset() : 0.0) {
-    options = first;
-    if (first.profiler != nullptr || first.trace_sink != nullptr) {
-      options.trace_sink = &shifted_;
-    }
-    options.profiler = nullptr;
-    options.recorder = nullptr;
-    if (telemetry_) telemetry_->set_time_offset(saved_offset_ + offset);
-  }
-  ~LaterStage() {
-    if (telemetry_) telemetry_->set_time_offset(saved_offset_);
-  }
-  LaterStage(const LaterStage&) = delete;
-  LaterStage& operator=(const LaterStage&) = delete;
-
-  SolverOptions options;
-
- private:
-  trace::ShiftedSink shifted_;
-  telemetry::Telemetry* telemetry_;
-  double saved_offset_;
-};
-
-}  // namespace detail
 
 /// The service's device route (DESIGN.md, "Float iterations, double
 /// answer"). `DeviceRevisedSimplex<float>` runs both phases on a fresh

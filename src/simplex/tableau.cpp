@@ -6,11 +6,9 @@
 #include <optional>
 #include <vector>
 
-#include "metrics/health.hpp"
-#include "profile/profile.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/phase_setup.hpp"
-#include "support/timer.hpp"
+#include "simplex/solve_frame.hpp"
 #include "vblas/containers.hpp"
 
 namespace gs::simplex {
@@ -126,11 +124,21 @@ void eliminate(Tableau& t, std::size_t p, std::size_t q) {
   t.in_basis[q] = true;
 }
 
+/// Rows tied at the winning ratio in column q (recorder bookkeeping only).
+[[nodiscard]] std::uint32_t count_ratio_ties(const Tableau& t, std::size_t q,
+                                             double theta) {
+  std::uint32_t ties = 0;
+  for (std::size_t i = 0; i < t.m; ++i) {
+    const double a = t.body(i, q);
+    if (a > t.opt.pivot_tol && t.rhs[i] / a == theta) ++ties;
+  }
+  return ties;
+}
+
 enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 
-LoopExit run_loop(Tableau& t, std::size_t budget, SolverStats& stats,
-                  metrics::SimplexOpMetrics& om, metrics::HealthMonitor& health,
-                  std::uint8_t phase) {
+LoopExit run_loop(Tableau& t, SolveFrame& frame, std::size_t budget,
+                  SolverStats& stats, std::uint8_t phase) {
   std::size_t since_improve = 0;
   double last_obj = kInf;
   for (std::size_t iter = 0; iter < budget; ++iter) {
@@ -159,29 +167,15 @@ LoopExit run_loop(Tableau& t, std::size_t budget, SolverStats& stats,
     // The full tableau maintains no B^-1 to probe for residual drift; the
     // health signals here are the pivot stream (magnitude, degeneracy,
     // Bland activations) and the iteration tally.
-    health.record_pivot(t.body(p, q), theta, bland, iter);
-    if (record::Recorder* rec = t.opt.recorder) {
-      std::uint32_t ties = 0;
-      for (std::size_t i = 0; i < t.m; ++i) {
-        const double a = t.body(i, q);
-        if (a > t.opt.pivot_tol && t.rhs[i] / a == theta) ++ties;
-      }
-      record::DecisionRecord r;
-      r.phase = phase;
-      r.bland = bland ? 1 : 0;
-      r.iteration = stats.iterations;  // global pivot ordinal, pre-increment
-      r.entering = static_cast<std::uint32_t>(q);
-      r.leaving_row = static_cast<std::uint32_t>(p);
-      r.leaving_col = t.basic[p];
-      r.ratio_ties = ties;
-      r.reduced_cost = t.drow[q];
-      r.pivot_value = t.body(p, q);
-      r.theta = theta;
-      rec->record_pivot(r);
-    }
+    frame.health().record_pivot(t.body(p, q), theta, bland, iter);
+    frame.record_pivot({.phase = phase, .bland = bland,
+                        .iteration = stats.iterations, .q = q, .p = p,
+                        .leaving = t.basic[p], .d_q = t.drow[q],
+                        .alpha_p = t.body(p, q), .theta = theta},
+                       [&] { return count_ratio_ties(t, q, theta); });
     eliminate(t, p, q);
     ++stats.iterations;
-    om.count_iteration();
+    frame.op_metrics().count_iteration();
     const double obj = t.z;
     if (obj < last_obj - 1e-12 * (1.0 + std::abs(last_obj))) {
       since_improve = 0;
@@ -202,22 +196,15 @@ LoopExit run_loop(Tableau& t, std::size_t budget, SolverStats& stats,
 
 /// Pivot lingering zero-level artificials out where possible. `iteration`
 /// is the pivot ordinal stamped on recorded drive-out pivots.
-void drive_out_artificials(Tableau& t, std::uint64_t iteration) {
+void drive_out_artificials(Tableau& t, const SolveFrame& frame,
+                           std::uint64_t iteration) {
   for (std::size_t i = 0; i < t.m; ++i) {
     if (!t.aug.is_artificial[t.basic[i]]) continue;
     for (std::size_t j = 0; j < t.aug.n; ++j) {
       if (!t.in_basis[j] && std::abs(t.body(i, j)) > 1e-7) {
-        if (record::Recorder* rec = t.opt.recorder) {
-          record::DecisionRecord r;
-          r.phase = 1;
-          r.iteration = iteration;
-          r.entering = static_cast<std::uint32_t>(j);
-          r.leaving_row = static_cast<std::uint32_t>(i);
-          r.leaving_col = t.basic[i];
-          r.ratio_ties = 1;
-          r.pivot_value = t.body(i, j);
-          rec->record_pivot(r);
-        }
+        frame.record_pivot({.phase = 1, .iteration = iteration, .q = j,
+                            .p = i, .leaving = t.basic[i],
+                            .alpha_p = t.body(i, j)});
         eliminate(t, i, j);
         break;
       }
@@ -234,41 +221,20 @@ SolveResult TableauSimplex::solve(const lp::LpProblem& problem) const {
 
 SolveResult TableauSimplex::solve_standard(
     const lp::StandardFormLp& sf) const {
-  WallTimer wall;
-  CostMeter meter(model_,
-                  profile::chain(options_.profiler, options_.trace_sink,
-                                 trace::kHostPid, model_),
-                  options_.metrics);
-  metrics::SimplexOpMetrics op_metrics;
-  op_metrics.attach(options_.metrics);
-  metrics::HealthMonitor health(options_.metrics, options_.health);
   const AugmentedLp aug = augment(sf);
-  Tableau tab(aug, options_, meter);
-  record::Recorder* rec = options_.recorder;
-  if (rec != nullptr) {
-    rec->begin_solve("tableau", 64, aug.m, aug.n_aug, decision_digest(aug));
-  }
-
+  SolveFrame frame(options_, model_, "tableau", aug.m, aug.n_aug,
+                   decision_digest(aug));
+  Tableau tab(aug, options_, frame.meter());
   SolveResult result;
-  auto finish = [&](SolveStatus status) -> SolveResult {
-    result.status = status;
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.device_stats = meter.stats();
-    result.stats.sim_seconds = meter.sim_seconds();
-    if (rec != nullptr) {
-      rec->end_solve(to_string(status), status == SolveStatus::kOptimal,
-                     options_.metrics ? options_.metrics->warnings_total() : 0,
-                     tab.basic);
-    }
-    return result;
+  const auto finish = [&](SolveStatus status) {
+    return frame.close(std::move(result), status, tab.basic);
   };
 
   std::size_t budget = options_.max_iterations;
   if (aug.num_artificial > 0) {
-    if (rec != nullptr) rec->begin_phase(1);
+    const auto phase_span = frame.phase("phase1", 1);
     tab.price_from_scratch(aug.c_phase1);
-    const LoopExit exit =
-        run_loop(tab, budget, result.stats, op_metrics, health, 1);
+    const LoopExit exit = run_loop(tab, frame, budget, result.stats, 1);
     result.stats.phase1_iterations = result.stats.iterations;
     if (exit == LoopExit::kIterationLimit) {
       return finish(SolveStatus::kIterationLimit);
@@ -281,43 +247,32 @@ SolveResult TableauSimplex::solve_standard(
     if (objective_of(tab, aug.c_phase1) > feas_tol) {
       return finish(SolveStatus::kInfeasible);
     }
-    drive_out_artificials(tab, result.stats.iterations);
+    drive_out_artificials(tab, frame, result.stats.iterations);
     budget -= std::min(budget, result.stats.iterations);
   }
 
-  if (rec != nullptr) rec->begin_phase(2);
-  tab.price_from_scratch(aug.c_phase2);
-  const LoopExit exit =
-      run_loop(tab, budget, result.stats, op_metrics, health, 2);
+  LoopExit exit;
+  {
+    const auto phase_span = frame.phase("phase2", 2);
+    tab.price_from_scratch(aug.c_phase2);
+    exit = run_loop(tab, frame, budget, result.stats, 2);
+  }
   if (exit == LoopExit::kUnbounded) return finish(SolveStatus::kUnbounded);
   if (exit == LoopExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
   }
 
-  std::vector<double> x_std(aug.n, 0.0);
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    if (tab.basic[i] < aug.n) x_std[tab.basic[i]] = tab.rhs[i];
-  }
-  result.x = sf.recover(x_std);
-  double z = 0.0;
-  for (std::size_t j = 0; j < aug.n; ++j) z += sf.c[j] * x_std[j];
-  result.objective = sf.original_objective(z);
   // Duals from the reduced costs of each row's identity column (its slack,
   // or its artificial where no slack exists): d_col = -y_i at optimality.
-  {
-    std::vector<double> pi(aug.m, 0.0);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < aug.m; ++i) {
-      std::size_t col;
-      if (sf.slack_col[i] >= 0) {
-        col = static_cast<std::size_t>(sf.slack_col[i]);
-      } else {
-        col = aug.n + k++;
-      }
-      pi[i] = -tab.drow[col];
-    }
-    result.y = sf.recover_duals(pi);
+  std::vector<double> pi(aug.m, 0.0);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < aug.m; ++i) {
+    const std::size_t col = sf.slack_col[i] >= 0
+                                ? static_cast<std::size_t>(sf.slack_col[i])
+                                : aug.n + k++;
+    pi[i] = -tab.drow[col];
   }
+  recover_optimum<double>(sf, tab.basic, tab.rhs, pi, result);
   return finish(SolveStatus::kOptimal);
 }
 

@@ -96,19 +96,18 @@ struct SolverOptions {
   BasisScheme basis = BasisScheme::kExplicitInverse;
   /// Product-form basis: refactor after this many etas (0 = at m etas).
   std::size_t reinversion_period = 0;
-  /// Explicit inverse: recompute B^-1 from scratch every this many
-  /// iterations to shed accumulated rounding error (0 = never).
-  std::size_t refactor_period = 0;
 
-  /// Observability (OBSERVABILITY.md): when non-null, the engine streams
-  /// structured events into this sink — kernel launches and PCIe copies as
-  /// complete slices, algorithm phases (solve / phase1 / phase2 /
-  /// iteration / price / ftran / ratio / update) as nested spans, and the
-  /// objective as a counter — all timestamped in simulated seconds. Null
-  /// (the default) disables tracing entirely; the disabled path is a
-  /// single branch per event site, so modelled stats are identical with
-  /// and without a sink. The sink is borrowed, not owned, and must outlive
-  /// the solve.
+  // The seven observers below (OBSERVABILITY.md, CHECKING.md) are
+  // borrowed, not owned, and must outlive the solve. Null (the default)
+  // turns one off at one branch per event site. Attaching any of them
+  // leaves results, DeviceStats and iteration paths bit-identical
+  // (tests/test_observers.cpp). Only SolveFrame (simplex/solve_frame.hpp)
+  // reads them; it attaches them for every engine.
+
+  /// Trace sink: kernel launches and PCIe copies as complete slices,
+  /// algorithm phases (solve / phase1 / phase2 / iteration / price /
+  /// ftran / ratio / update) as nested spans, and the objective as a
+  /// counter, all timestamped in simulated seconds.
   trace::TraceSink* trace_sink = nullptr;
 
   /// Optional kernel-safety checker (CHECKING.md). While attached, the
@@ -116,11 +115,9 @@ struct SolverOptions {
   /// kernel launch for cross-block data races, out-of-bounds indexing,
   /// NaN introduction, and cost-declaration drift; findings accumulate on
   /// the checker for the caller to inspect (`lp_cli --check` prints
-  /// them). Host engines (host-revised, tableau) execute plain loops
-  /// through a CostMeter — no kernel semantics to check — and ignore it.
-  /// Null (the default) disables checking: results and kernel stats are
-  /// bit-identical with and without a checker, the same guarantee the
-  /// trace sink gives. Borrowed, not owned; must outlive the solve.
+  /// them). Host engines (host-revised, dual, tableau) execute plain
+  /// loops through a CostMeter — no kernel semantics to check — and
+  /// ignore it.
   vgpu::check::Checker* checker = nullptr;
 
   /// Optional metrics registry (OBSERVABILITY.md, "Metrics"). While
@@ -129,10 +126,7 @@ struct SolverOptions {
   /// histograms (`simplex.op_seconds.*`), and the numerical-health signals
   /// sampled by the HealthMonitor (`health.*`, thresholds from `health`
   /// below) — all exportable as JSON via MetricsRegistry::snapshot()
-  /// (`lp_cli --metrics`). Null (the default) disables metrics: results,
-  /// DeviceStats and iteration paths are bit-identical with and without a
-  /// registry, the same guarantee the trace sink and checker give.
-  /// Borrowed, not owned; must outlive the solve.
+  /// (`lp_cli --metrics`).
   metrics::MetricsRegistry* metrics = nullptr;
 
   /// Thresholds and sampling cadence for the HealthMonitor; consulted only
@@ -146,10 +140,7 @@ struct SolverOptions {
   /// that can be replayed against a later run, diffed against another
   /// recording (float vs double, host vs device), or auto-dumped as a
   /// post-mortem window on a bad exit (`lp_cli --record / --replay /
-  /// --diff`). Null (the default) disables recording: results, DeviceStats
-  /// and iteration paths are bit-identical with and without a recorder,
-  /// the same guarantee the trace sink, checker and metrics registry give.
-  /// Borrowed, not owned; must outlive the solve.
+  /// --diff`).
   record::Recorder* recorder = nullptr;
 
   /// Optional warm-start basis (SERVICE.md, "Warm-start cache"): one
@@ -173,11 +164,8 @@ struct SolverOptions {
   /// stores, redundant transfers, uninitialized reads, buffer-lifetime
   /// stats and cost-declaration drift over the whole launch graph
   /// (`lp_cli --analyze`). Mutually exclusive with `checker` (both consume
-  /// the device's access stream). Host and tableau engines run no device
-  /// stream and ignore it. Null (the default) disables capture: results,
-  /// DeviceStats and iteration paths are bit-identical with and without a
-  /// capture log, the same guarantee every other observer gives.
-  /// Borrowed, not owned; must outlive the solve.
+  /// the device's access stream). Host engines run no device stream and
+  /// ignore it.
   vgpu::analyze::CaptureLog* analyzer = nullptr;
 
   /// Optional roofline profiler (OBSERVABILITY.md, "Profiler"). While
@@ -188,10 +176,7 @@ struct SolverOptions {
   /// (launch-bound / bandwidth-bound / compute-bound), a ranked top-N
   /// table, a collapsed-stack flamegraph and `gs-profile-v1` JSON; the
   /// per-kernel modeled-time totals reconcile with
-  /// `DeviceStats::kernel_seconds` bit-exactly. Null (the default)
-  /// disables profiling: results, DeviceStats and iteration paths are
-  /// bit-identical with and without a profiler, the same guarantee every
-  /// other observer gives. Borrowed, not owned; must outlive the solve.
+  /// `DeviceStats::kernel_seconds` bit-exactly.
   profile::Profiler* profiler = nullptr;
 
   /// Optional time-series telemetry pipeline (OBSERVABILITY.md,
@@ -200,10 +185,7 @@ struct SolverOptions {
   /// `iteration_stride`-th iteration, plus `engine.residual_inf` /
   /// `engine.binv_growth` (or `engine.eta_count` for eta-file bases) at
   /// the same cadence, sharing the HealthMonitor's pure-read probes
-  /// without perturbing its own sampling. Null (the default) disables
-  /// telemetry: results, DeviceStats and iteration paths are bit-identical
-  /// with and without a sink, the same guarantee every other observer
-  /// gives. Borrowed, not owned; must outlive the solve.
+  /// without perturbing its own sampling.
   telemetry::Telemetry* telemetry = nullptr;
 };
 
@@ -243,8 +225,8 @@ struct SolveResult {
   /// Sensitivity ranges; present iff requested and the solve was optimal.
   std::optional<RangingInfo> ranging;
   /// Final basis snapshot: the augmented column basic in each row, the
-  /// same layout a Recording's basis field uses. Exported by the host,
-  /// device and batch engines; feed it back through
+  /// same layout a Recording's basis field uses. Exported by every
+  /// engine, whatever the status; feed it back through
   /// `SolverOptions::warm_basis` to warm-start a repeat or perturbed
   /// solve (SERVICE.md). Meaningful as a warm-start seed iff optimal.
   std::vector<std::uint32_t> basis;

@@ -392,11 +392,6 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
   rep.buffer_table = bufs;
   rep.node_count = nodes.size();
 
-  const auto skip_lint = [&cfg](const std::string& name) {
-    return std::find(cfg.lint_skip.begin(), cfg.lint_skip.end(), name) !=
-           cfg.lint_skip.end();
-  };
-
   // ---- Replay: initialized sets, last writers, redundancy, lifetime. ----
   std::vector<IntervalSet> initialized(bufs.size());
   std::vector<std::vector<WriteRec>> writers(bufs.size());
@@ -562,7 +557,7 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
           footprint += static_cast<double>(a.hi - a.lo);
           do_write(a, i);
         }
-        if (n.kind == NodeKind::kKernel && !skip_lint(n.name) &&
+        if (n.kind == NodeKind::kKernel &&
             (footprint >= cfg.cost_min_bytes ||
              n.declared_bytes >= cfg.cost_min_bytes) &&
             footprint > n.declared_bytes * cfg.cost_ratio_tol) {

@@ -280,10 +280,6 @@ struct AnalyzeConfig {
   /// Ignore launches whose declared and footprint bytes are both below
   /// this (fixed-size seeds, scalar postludes).
   double cost_min_bytes = 64.0;
-  /// Kernels exempt from the cost consistency check (same rationale as
-  /// CheckConfig::lint_skip: gemm's declaration models ideal cached
-  /// traffic).
-  std::vector<std::string> lint_skip = {"gemm"};
   /// Cap per report list; totals always cover everything.
   std::size_t max_findings = 64;
 };

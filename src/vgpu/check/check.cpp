@@ -250,9 +250,6 @@ void Checker::analyze_non_finite() {
 }
 
 void Checker::analyze_cost() {
-  for (const std::string& skip : cfg_.lint_skip) {
-    if (kernel_ == skip) return;
-  }
   double observed = 0.0;
   for (const auto& [base, log] : logs_) {
     for (const auto& iv : log.reads) {

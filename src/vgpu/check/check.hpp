@@ -90,9 +90,6 @@ struct CheckConfig {
   /// Launches whose declared *and* observed traffic are both below this
   /// are ignored by the lint (fixed-size seeds, scalar postludes).
   double cost_min_bytes = 64.0;
-  /// Kernels exempt from the cost lint. gemm re-reads each B row per
-  /// output row by design; its declaration models ideal cached traffic.
-  std::vector<std::string> lint_skip = {"gemm"};
   /// Stop growing the findings list after this many distinct entries.
   std::size_t max_findings = 64;
 };

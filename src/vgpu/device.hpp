@@ -45,6 +45,8 @@ struct KernelRecord {
   double sim_seconds = 0.0;  ///< modelled time incl. per-launch overhead
   double flops = 0.0;        ///< total declared floating-point operations
   double bytes = 0.0;        ///< total declared DRAM traffic
+
+  friend bool operator==(const KernelRecord&, const KernelRecord&) = default;
 };
 
 /// Everything the device has been charged for since the last reset: the
@@ -75,6 +77,8 @@ struct DeviceStats {
   [[nodiscard]] double transfer_seconds() const noexcept {
     return h2d_seconds + d2h_seconds;
   }
+
+  friend bool operator==(const DeviceStats&, const DeviceStats&) = default;
 };
 
 /// One virtual device. A host CPU is modelled the same way with a

@@ -370,28 +370,6 @@ TEST(CheckedEngines, MultiBlockSolveRunsCleanUnderCheck) {
   EXPECT_GT(chk.launches_checked(), 10u);
 }
 
-TEST(CheckedEngines, CheckedModeDoesNotPerturbResultsOrStats) {
-  const lp::LpProblem problem = lp::random_dense_lp({.rows = 28, .cols = 28, .seed = 9});
-  const auto plain =
-      simplex::solve(problem, simplex::Engine::kDeviceRevised);
-  Checker chk;
-  const auto checked = simplex::solve(problem, simplex::Engine::kDeviceRevised,
-                                      checked_options(chk));
-  EXPECT_TRUE(chk.clean()) << chk.report();
-  // Bit-identical results and kernel stats — the trace-layer guarantee.
-  EXPECT_EQ(plain.objective, checked.objective);
-  EXPECT_EQ(plain.stats.iterations, checked.stats.iterations);
-  EXPECT_EQ(plain.stats.device_stats.kernel_launches,
-            checked.stats.device_stats.kernel_launches);
-  EXPECT_EQ(plain.stats.device_stats.total_flops,
-            checked.stats.device_stats.total_flops);
-  EXPECT_EQ(plain.stats.device_stats.total_bytes,
-            checked.stats.device_stats.total_bytes);
-  EXPECT_EQ(plain.stats.device_stats.kernel_seconds,
-            checked.stats.device_stats.kernel_seconds);
-  EXPECT_EQ(plain.x, checked.x);
-}
-
 TEST(CheckedEngines, MultiWorkerCheckedSolveMatchesSingleWorker) {
   const lp::LpProblem problem = lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 2});
   simplex::SolverOptions opt;

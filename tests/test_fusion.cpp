@@ -68,9 +68,9 @@ Golden golden(std::string name, lp::LpProblem problem, SolverOptions opt) {
 /// float under every pricing rule (the hybrid on Beale's cycling LP, where
 /// its stall switch to Bland fires), Devex in both precisions, the CSR
 /// explicit inverse in float, phase 1 with the artificial drive-out (and
-/// under Devex, whose weights the drive-out pivots leave alone), the
-/// periodic reinversion, multi-block selections on both layouts, and the
-/// product form at reinversion periods 0 and 4.
+/// under Devex, whose weights the drive-out pivots leave alone),
+/// multi-block selections on both layouts, and the product form at
+/// reinversion periods 0 and 4.
 std::vector<Golden> golden_corpus() {
   const auto dense64 = lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 5});
   const auto transport = lp::transportation(5, 6, 17);
@@ -86,8 +86,6 @@ std::vector<Golden> golden_corpus() {
       lp::random_dense_lp({.rows = 150, .cols = 300, .seed = 3});
   const auto sparse300 = lp::random_sparse_lp(
       {.rows = 300, .cols = 300, .density = 0.02, .seed = 6});
-  SolverOptions period4 = rule_options(PricingRule::kHybrid);
-  period4.refactor_period = 4;
   return {
       golden<float>("beale_f32_hybrid", lp::beale_cycling(),
                     rule_options(PricingRule::kHybrid)),
@@ -120,9 +118,6 @@ std::vector<Golden> golden_corpus() {
                      rule_options(PricingRule::kDevex)),
       golden<double, SparseAt>("drive_out_devex_csr_pf_f64", devex_drive_out,
                                product_form(PricingRule::kDevex)),
-      golden<double>("refactor4_f64",
-                     lp::random_dense_lp({.rows = 32, .cols = 32, .seed = 9}),
-                     period4),
       golden<double>("multiblock_dense_dantzig", dense150,
                      rule_options(PricingRule::kDantzig, 12)),
       golden<double>("multiblock_dense_bland", dense150,

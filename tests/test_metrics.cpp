@@ -437,46 +437,4 @@ TEST(MetricsHealth, FloatSolveTripsResidualThreshold) {
   EXPECT_DOUBLE_EQ(dreg.counter("health.warnings.residual-drift").value(), 0.0);
 }
 
-// ---------------------------------------------------------------------
-// Off by default: no registry, no model perturbation.
-// ---------------------------------------------------------------------
-
-TEST(MetricsDisabled, NoRegistryMeansBitIdenticalResultsAndStats) {
-  const auto problem = lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 5});
-
-  const auto plain = solve_device_metered(nullptr, problem);
-  metrics::MetricsRegistry reg;
-  const auto metered = solve_device_metered(&reg, problem);
-
-  ASSERT_TRUE(plain.optimal());
-  ASSERT_TRUE(metered.optimal());
-  EXPECT_GT(reg.counter("vgpu.kernel.launches").value(), 0.0);
-
-  // Metrics must not perturb the model: bit-identical results and stats.
-  EXPECT_EQ(plain.objective, metered.objective);
-  EXPECT_EQ(plain.x, metered.x);
-  EXPECT_EQ(plain.stats.iterations, metered.stats.iterations);
-  EXPECT_EQ(plain.stats.sim_seconds, metered.stats.sim_seconds);
-  const auto& a = plain.stats.device_stats;
-  const auto& b = metered.stats.device_stats;
-  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
-  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
-  EXPECT_EQ(a.total_flops, b.total_flops);
-  EXPECT_EQ(a.h2d_count, b.h2d_count);
-  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-  EXPECT_EQ(a.d2h_count, b.d2h_count);
-  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
-
-  // Same guarantee for the host engine.
-  const auto hplain =
-      simplex::HostRevisedSimplex(simplex::SolverOptions{}).solve(problem);
-  simplex::SolverOptions hopt;
-  metrics::MetricsRegistry hreg;
-  hopt.metrics = &hreg;
-  const auto hmetered = simplex::HostRevisedSimplex(hopt).solve(problem);
-  EXPECT_EQ(hplain.objective, hmetered.objective);
-  EXPECT_EQ(hplain.stats.iterations, hmetered.stats.iterations);
-  EXPECT_EQ(hplain.stats.sim_seconds, hmetered.stats.sim_seconds);
-}
-
 }  // namespace

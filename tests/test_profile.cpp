@@ -290,40 +290,6 @@ TEST(ProfileCompose, ForwardsEveryEventDownstream) {
   }
 }
 
-// Attaching a profiler changes no decision and no stat: the decision log
-// aligns with zero divergence and zero payload delta, and DeviceStats
-// matches field for field.
-TEST(ProfileCompose, AttachingProfilerIsBitIdentical) {
-  const lp::LpProblem problem = tiny_lp(11);
-  record::Recorder plain_rec, prof_rec;
-  simplex::SolverOptions plain_opt;
-  plain_opt.recorder = &plain_rec;
-  const auto plain = solve_device(problem, plain_opt);
-
-  profile::Profiler prof;
-  simplex::SolverOptions prof_opt;
-  prof_opt.recorder = &prof_rec;
-  prof_opt.profiler = &prof;
-  const auto profiled = solve_device(problem, prof_opt);
-
-  ASSERT_TRUE(plain.optimal());
-  ASSERT_TRUE(profiled.optimal());
-  EXPECT_EQ(plain.objective, profiled.objective);
-  const record::DiffResult d =
-      record::diff(plain_rec.recording(), prof_rec.recording());
-  EXPECT_TRUE(d.comparable);
-  EXPECT_FALSE(d.diverged);
-  EXPECT_EQ(d.max_reduced_cost_delta, 0.0);
-  EXPECT_EQ(d.max_theta_delta, 0.0);
-
-  const auto& a = plain.stats.device_stats;
-  const auto& b = profiled.stats.device_stats;
-  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
-  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
-  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
-}
-
 // ---------------------------------------------------------------------
 // Exports.
 // ---------------------------------------------------------------------

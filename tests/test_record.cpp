@@ -456,51 +456,4 @@ TEST(RecordPostMortem, CleanOptimalSolveDumpsNothing) {
   EXPECT_FALSE(std::filesystem::exists(path));
 }
 
-// ---------------------------------------------------------------------
-// Off by default: no recorder, no model perturbation.
-// ---------------------------------------------------------------------
-
-TEST(RecordDisabled, NoRecorderMeansBitIdenticalResultsAndStats) {
-  const auto problem = lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 5});
-
-  auto solve_with = [&](record::Recorder* rec) {
-    simplex::SolverOptions opt;
-    opt.recorder = rec;
-    vgpu::Device dev(vgpu::gtx280_model());
-    simplex::DeviceRevisedSimplex<double> solver(dev, opt);
-    return solver.solve(problem);
-  };
-  const auto plain = solve_with(nullptr);
-  record::Recorder rec;
-  const auto recorded = solve_with(&rec);
-
-  ASSERT_TRUE(plain.optimal());
-  ASSERT_TRUE(recorded.optimal());
-  ASSERT_FALSE(rec.recording().records.empty());
-
-  // Recording must not perturb the model: bit-identical results and stats.
-  EXPECT_EQ(plain.objective, recorded.objective);
-  EXPECT_EQ(plain.x, recorded.x);
-  EXPECT_EQ(plain.stats.iterations, recorded.stats.iterations);
-  EXPECT_EQ(plain.stats.sim_seconds, recorded.stats.sim_seconds);
-  const auto& a = plain.stats.device_stats;
-  const auto& b = recorded.stats.device_stats;
-  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
-  EXPECT_EQ(a.kernel_seconds, b.kernel_seconds);
-  EXPECT_EQ(a.total_flops, b.total_flops);
-  EXPECT_EQ(a.h2d_count, b.h2d_count);
-  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-  EXPECT_EQ(a.d2h_count, b.d2h_count);
-  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
-
-  // Same guarantee for the host engine.
-  const auto hplain =
-      simplex::HostRevisedSimplex(simplex::SolverOptions{}).solve(problem);
-  record::Recorder hrec;
-  const auto hrecorded = solve_host_recorded(&hrec, problem);
-  EXPECT_EQ(hplain.objective, hrecorded.objective);
-  EXPECT_EQ(hplain.stats.iterations, hrecorded.stats.iterations);
-  EXPECT_EQ(hplain.stats.sim_seconds, hrecorded.stats.sim_seconds);
-}
-
 }  // namespace

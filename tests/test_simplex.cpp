@@ -360,16 +360,6 @@ TEST(BasisSchemes, ProductFormHandlesTwoPhase) {
   EXPECT_NEAR(r.objective, expect, 1e-6 * (1.0 + std::abs(expect)));
 }
 
-TEST(BasisSchemes, ExplicitRefactorPeriodPreservesResult) {
-  const auto problem = lp::random_dense_lp({.rows = 30, .cols = 30, .seed = 2});
-  const double expect = solve(problem, Engine::kDeviceRevised).objective;
-  SolverOptions opt;
-  opt.refactor_period = 7;
-  const SolveResult r = solve(problem, Engine::kDeviceRevised, opt);
-  ASSERT_EQ(r.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.objective, expect, 1e-9 * (1.0 + std::abs(expect)));
-}
-
 // -------------------------------------------------------------- precision
 
 TEST(Precision, FloatTracksDoubleWithinTolerance) {

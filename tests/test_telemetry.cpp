@@ -264,57 +264,6 @@ TEST(TelemetryEngine, HostSolveRecordsSeries) {
                    result.objective);
 }
 
-// Attaching telemetry must not change a single pivot or modeled cost:
-// the recorder sees identical decision streams and DeviceStats matches
-// bit-for-bit (EXPECT_EQ on doubles is deliberate).
-TEST(TelemetryEngine, DeviceSolveIsBitIdenticalWithTelemetryAttached) {
-  record::Recorder plain_rec, tel_rec;
-  simplex::SolverOptions plain_opt;
-  plain_opt.recorder = &plain_rec;
-  const auto plain = solve_device(tiny_lp(), plain_opt);
-
-  telemetry::Telemetry tel;
-  simplex::SolverOptions tel_opt;
-  tel_opt.recorder = &tel_rec;
-  tel_opt.telemetry = &tel;
-  const auto with_tel = solve_device(tiny_lp(), tel_opt);
-
-  const record::DiffResult dr =
-      record::diff(plain_rec.recording(), tel_rec.recording());
-  EXPECT_TRUE(dr.comparable);
-  EXPECT_FALSE(dr.diverged);
-  EXPECT_DOUBLE_EQ(dr.max_reduced_cost_delta, 0.0);
-
-  EXPECT_EQ(plain.objective, with_tel.objective);
-  EXPECT_EQ(plain.x, with_tel.x);
-  EXPECT_EQ(plain.stats.iterations, with_tel.stats.iterations);
-  EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
-  EXPECT_EQ(plain.stats.device_stats.kernel_seconds,
-            with_tel.stats.device_stats.kernel_seconds);
-  EXPECT_EQ(plain.stats.device_stats.kernel_launches,
-            with_tel.stats.device_stats.kernel_launches);
-}
-
-TEST(TelemetryEngine, HostSolveIsBitIdenticalWithTelemetryAttached) {
-  record::Recorder plain_rec, tel_rec;
-  simplex::SolverOptions plain_opt;
-  plain_opt.recorder = &plain_rec;
-  const auto plain = simplex::HostRevisedSimplex(plain_opt).solve(tiny_lp());
-
-  telemetry::Telemetry tel;
-  simplex::SolverOptions tel_opt;
-  tel_opt.recorder = &tel_rec;
-  tel_opt.telemetry = &tel;
-  const auto with_tel = simplex::HostRevisedSimplex(tel_opt).solve(tiny_lp());
-
-  const record::DiffResult dr =
-      record::diff(plain_rec.recording(), tel_rec.recording());
-  EXPECT_TRUE(dr.comparable);
-  EXPECT_FALSE(dr.diverged);
-  EXPECT_EQ(plain.objective, with_tel.objective);
-  EXPECT_EQ(plain.stats.sim_seconds, with_tel.stats.sim_seconds);
-}
-
 // ---------------------------------------------------------------------
 // Service wiring: sampling, determinism, inertness.
 // ---------------------------------------------------------------------

@@ -7,7 +7,6 @@
 #include "support/rng.hpp"
 #include "vblas/blas1.hpp"
 #include "vblas/blas2.hpp"
-#include "vblas/blas3.hpp"
 #include "vblas/containers.hpp"
 #include "vblas/host_ref.hpp"
 #include "vgpu/machine_model.hpp"
@@ -233,35 +232,6 @@ TEST(Blas2, ShapeMismatchThrows) {
   DeviceMatrix<double> a(dev, 3, 4);
   DeviceBuffer<double> x(dev, 5), y(dev, 3);
   EXPECT_THROW(gemv(1.0, a, x, 0.0, y), Error);
-}
-
-// ------------------------------------------------------------------ BLAS-3
-
-TEST(Blas3, GemmMatchesReference) {
-  Device dev(vgpu::gtx280_model());
-  const auto a = random_matrix(17, 9, 40);
-  const auto b = random_matrix(9, 13, 41);
-  DeviceMatrix<double> da(dev, a), db(dev, b), dc(dev, 17, 13);
-  gemm(1.0, da, db, 0.0, dc);
-  const auto expect = ref::gemm(a, b);
-  const auto got = dc.to_host();
-  for (std::size_t i = 0; i < 17; ++i) {
-    for (std::size_t j = 0; j < 13; ++j) {
-      EXPECT_NEAR(got(i, j), expect(i, j), 1e-10);
-    }
-  }
-}
-
-TEST(Blas3, GemmBetaAccumulates) {
-  Device dev(vgpu::gtx280_model());
-  const auto a = random_matrix(4, 4, 42);
-  const auto eye = Matrix<double>::identity(4);
-  DeviceMatrix<double> da(dev, a), di(dev, eye), dc(dev, a);
-  gemm(1.0, da, di, 1.0, dc);  // c = a*I + c = 2a
-  const auto got = dc.to_host();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_NEAR(got.flat()[i], 2.0 * a.flat()[i], 1e-12);
-  }
 }
 
 // ------------------------------------------------------------------ invert
