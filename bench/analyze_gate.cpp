@@ -1,9 +1,12 @@
 // CI gate: every shipped engine's kernel-launch stream must be clean under
-// the static analyzer (src/vgpu/analyze) — zero dataflow hazards, zero
-// uninitialized device reads, zero cost-declaration findings, and dead
-// (redundant) transfer bytes at most 1% of captured PCIe traffic.
+// both reports over the device's access stream — the static analyzer
+// (src/vgpu/analyze: zero dataflow hazards, zero uninitialized device
+// reads, zero cost-declaration findings, and dead (redundant) transfer
+// bytes at most 1% of captured PCIe traffic) and the kernel-safety
+// checker (src/vgpu/check: no race, out-of-bounds, NaN or cost finding).
 //
-// One CaptureLog per run, attached via SolverOptions::analyzer:
+// One CaptureLog and one Checker per run, attached via
+// SolverOptions::analyzer and SolverOptions::checker:
 //   * device-revised double and float, explicit inverse
 //   * device-revised double, product form (the dense layout's sparse LU
 //     and eta chains)
@@ -17,12 +20,13 @@
 // itself is size-independent (the detectors walk the captured node list),
 // so the tiny gate exercises the same code paths as the full one.
 //
-// Exit 0 when every run is gate-clean; exit 1 with the offending report
-// summaries otherwise.
+// Exit 0 when every run is clean under both; exit 1 with the offending
+// reports otherwise.
 
 #include <cstddef>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -30,6 +34,7 @@
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
 #include "vgpu/analyze/analyze.hpp"
+#include "vgpu/check/check.hpp"
 
 namespace {
 
@@ -37,6 +42,30 @@ struct RunOutcome {
   std::string name;
   gs::vgpu::analyze::Report report;
   std::size_t launches = 0;
+  std::size_t checker_findings = 0;
+  std::string checker_report;
+
+  [[nodiscard]] bool clean(double dead_transfer_budget) const {
+    return report.gate_clean(dead_transfer_budget) && checker_findings == 0;
+  }
+};
+
+/// The observers of one run: the outcome reads both reports.
+struct Observed {
+  gs::vgpu::check::Checker checker;
+  gs::vgpu::analyze::CaptureLog capture;
+
+  [[nodiscard]] gs::simplex::SolverOptions options() {
+    gs::simplex::SolverOptions opt;
+    opt.analyzer = &capture;
+    opt.checker = &checker;
+    return opt;
+  }
+  [[nodiscard]] RunOutcome outcome(std::string name) {
+    return {std::move(name), gs::vgpu::analyze::analyze(capture),
+            capture.launches_captured(), checker.findings().size(),
+            checker.report()};
+  }
 };
 
 /// Budget shared with ci.sh: dead transfers may waste at most 1% of the
@@ -45,10 +74,11 @@ constexpr double kDeadTransferBudget = 0.01;
 
 void print_row(const RunOutcome& run) {
   const auto& r = run.report;
-  std::cout << (r.gate_clean(kDeadTransferBudget) ? "  ok   " : "  FAIL ")
+  std::cout << (run.clean(kDeadTransferBudget) ? "  ok   " : "  FAIL ")
             << run.name << ": " << run.launches << " launches, "
             << r.hazards.size() << " hazards, " << r.uninit_reads.size()
             << " uninit, " << r.cost_findings.size() << " cost, "
+            << run.checker_findings << " checker findings, "
             << static_cast<long long>(r.redundant_h2d_bytes +
                                       r.redundant_d2h_bytes)
             << "/" << static_cast<long long>(r.h2d_bytes + r.d2h_bytes)
@@ -65,9 +95,10 @@ int main(int argc, char** argv) {
   const std::size_t batch_k = tiny ? 4 : 16;
 
   bench::print_header(
-      "analyze_gate: static dataflow gate over every engine's launch stream",
+      "analyze_gate: analyzer and checker gate over every engine's launch "
+      "stream",
       "0 hazards / 0 uninit reads / 0 cost findings / <=1% dead transfer "
-      "bytes on all engines");
+      "bytes / 0 checker findings on all engines");
 
   const vgpu::MachineModel model = vgpu::gtx280_model();
   const lp::LpProblem dense =
@@ -82,17 +113,15 @@ int main(int argc, char** argv) {
   // and eta chains run on the dense A^T as on the CSR one.
   const auto run_device = [&](const std::string& name,
                               simplex::BasisScheme basis, bool use_float) {
-    vgpu::analyze::CaptureLog capture;
-    simplex::SolverOptions opt;
+    Observed obs;
+    simplex::SolverOptions opt = obs.options();
     opt.basis = basis;
-    opt.analyzer = &capture;
     if (use_float) {
       (void)bench::solve_device_float(dense, model, opt);
     } else {
       (void)bench::solve_device(dense, model, opt);
     }
-    runs.push_back({name, vgpu::analyze::analyze(capture),
-                    capture.launches_captured()});
+    runs.push_back(obs.outcome(name));
   };
   run_device("device-revised<double>",
              simplex::BasisScheme::kExplicitInverse, false);
@@ -103,12 +132,10 @@ int main(int argc, char** argv) {
 
   // Sparse CSR engine (Ext. C) through the public solve() dispatch.
   {
-    vgpu::analyze::CaptureLog capture;
-    simplex::SolverOptions opt;
-    opt.analyzer = &capture;
-    (void)simplex::solve(sparse, simplex::Engine::kSparseRevised, opt, model);
-    runs.push_back({"sparse-revised<double>", vgpu::analyze::analyze(capture),
-                    capture.launches_captured()});
+    Observed obs;
+    (void)simplex::solve(sparse, simplex::Engine::kSparseRevised,
+                         obs.options(), model);
+    runs.push_back(obs.outcome("sparse-revised<double>"));
   }
 
   // Same engine under the product-form basis: the sparse-LU and eta-file
@@ -117,14 +144,11 @@ int main(int argc, char** argv) {
   // uninit- and cost-clean as the explicit-inverse stream (DESIGN.md
   // "Basis oracles").
   {
-    vgpu::analyze::CaptureLog capture;
-    simplex::SolverOptions opt;
-    opt.analyzer = &capture;
+    Observed obs;
+    simplex::SolverOptions opt = obs.options();
     opt.basis = simplex::BasisScheme::kProductForm;
     (void)simplex::solve(sparse, simplex::Engine::kSparseRevised, opt, model);
-    runs.push_back({"sparse-revised<double> product-form",
-                    vgpu::analyze::analyze(capture),
-                    capture.launches_captured()});
+    runs.push_back(obs.outcome("sparse-revised<double> product-form"));
   }
 
   // Batch engine and a service-style round: both go through
@@ -137,14 +161,11 @@ int main(int argc, char** argv) {
       round.push_back(
           lp::random_dense_lp({.rows = m, .cols = m, .seed = seed0 + i}));
     }
-    vgpu::analyze::CaptureLog capture;
-    simplex::SolverOptions opt;
-    opt.analyzer = &capture;
+    Observed obs;
     vgpu::Device dev(model);
-    simplex::BatchRevisedSimplex<double> engine(dev, opt);
+    simplex::BatchRevisedSimplex<double> engine(dev, obs.options());
     (void)engine.solve(round);
-    runs.push_back({name, vgpu::analyze::analyze(capture),
-                    capture.launches_captured()});
+    runs.push_back(obs.outcome(name));
   };
   run_batch("batch-revised<double> K=" + std::to_string(batch_k), 1);
   run_batch("service batch round K=" + std::to_string(batch_k), 101);
@@ -152,18 +173,19 @@ int main(int argc, char** argv) {
   bool all_clean = true;
   for (const auto& run : runs) {
     print_row(run);
-    if (!run.report.gate_clean(kDeadTransferBudget)) {
+    if (!run.clean(kDeadTransferBudget)) {
       all_clean = false;
-      std::cout << run.report.summary() << "\n";
+      std::cout << run.report.summary() << run.checker_report << "\n";
     }
   }
   if (!all_clean) {
     std::cerr << "analyze_gate: FAIL — at least one engine stream is not "
-                 "hazard/dead-transfer clean\n";
+                 "clean under the analyzer and the checker\n";
     return 1;
   }
   std::cout << "analyze_gate: all " << runs.size()
-            << " engine streams gate-clean (dead-transfer budget "
-            << kDeadTransferBudget * 100.0 << "%)\n";
+            << " engine streams clean under the analyzer (dead-transfer "
+               "budget "
+            << kDeadTransferBudget * 100.0 << "%) and the checker\n";
   return 0;
 }

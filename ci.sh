@@ -157,7 +157,8 @@ fi
 # product form, sparse, batch, and a service-style batch round — must carry
 # zero dataflow hazards, zero uninitialized device reads, zero
 # cost-declaration findings, and waste at most 1% of its PCIe traffic on
-# redundant transfers. Exits 1 with the offending report otherwise.
+# redundant transfers, and the checker on the same capture must report
+# nothing. Exits 1 with the offending reports otherwise.
 echo "==> analyze-gate (static dataflow analysis over all engines)"
 (cd build && ./bench/analyze_gate)
 
@@ -225,8 +226,9 @@ echo "==> telemetry + SLO gates"
 # SERVICE.md warm-start): the static analyzer and roofline profiler must
 # account the dual engine and the product-form device path natively —
 # analyze_gate covers the sparse/product-form kernel stream (including the
-# single-block eta chains), the dynamic checker must run the CSR product
-# form clean (no race, OOB, NaN or cost-declaration finding: exit 0), and
+# single-block eta chains), one solve of the CSR product form must be
+# clean under both the checker and the analyzer (no race, OOB, NaN,
+# hazard, uninitialized read or cost-declaration finding: exit 0), and
 # the profiler must reconcile bit-exactly over both. The Klee–Minty cube is
 # the classic exponential-path/cycling stressor: the dual engine must
 # finish it optimally (anti-cycling smoke) rather than stall.
@@ -241,7 +243,7 @@ echo "==> basis-oracle + dual-engine gates"
     --profile=ci_pf_profile.json \
     | grep 'profile: reconciled bit-exactly'
   ./examples/lp_cli --gen sparse:64 --engine sparse --basis product-form \
-    --check > /dev/null
+    --check --analyze > /dev/null
   ./examples/lp_cli --gen klee:12 --engine dual \
     | grep -i 'status: *optimal'
 )

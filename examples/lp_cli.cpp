@@ -509,14 +509,7 @@ int main(int argc, char** argv) {
     vgpu::check::Checker checker;
     if (check_on) options.checker = &checker;
     vgpu::analyze::CaptureLog capture;
-    if (analyze_on) {
-      if (check_on) {
-        std::cerr << "error: --check and --analyze are mutually exclusive "
-                     "(both consume the device access stream)\n";
-        return 1;
-      }
-      options.analyzer = &capture;
-    }
+    if (analyze_on) options.analyzer = &capture;
     metrics::MetricsRegistry registry;
     if (metrics_on) options.metrics = &registry;
     profile::Profiler profiler;
@@ -730,12 +723,14 @@ int main(int argc, char** argv) {
                   << " series to " << telemetry_path << "\n";
       }
     }
+    // Both reports print before either finding exits 1.
+    bool findings = false;
     if (check_on) {
       std::cout << "checked mode: " << checker.launches_checked()
                 << " launches analysed (CHECKING.md)\n";
       if (!checker.clean()) {
         std::cerr << "error: kernel-safety findings\n" << checker.report();
-        return 1;
+        findings = true;
       }
     }
     if (analyze_on) {
@@ -751,9 +746,10 @@ int main(int argc, char** argv) {
       if (!rep.gate_clean()) {
         std::cerr << "error: launch-graph findings (hazards/uninit/cost "
                      "drift, or dead transfers over 1% of traffic)\n";
-        return 1;
+        findings = true;
       }
     }
+    if (findings) return 1;
     if (metrics_on) {
       const metrics::MetricsSnapshot snap = registry.snapshot();
       if (snap.warnings_total > 0) {

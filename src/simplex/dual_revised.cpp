@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "metrics/health.hpp"
@@ -232,6 +234,24 @@ SolveResult DualRevisedSimplex::solve_standard(
   if (aug.num_artificial > 0 && options_.warm_basis == nullptr) {
     return HostRevisedSimplex(options_, model_).solve_standard(sf);
   }
+  double rejected_at = 0.0;
+  if (std::optional<SolveResult> result = solve_dual(sf, aug, rejected_at)) {
+    return *std::move(result);
+  }
+  // Rejected warm basis on an artificial-needing instance: the cold path
+  // is the primal engine's, which must not try the same basis again. It
+  // starts once the dual's frame has closed, as a later stage on the host
+  // timeline, and keeps the recorder: the decision log is the primal
+  // engine's.
+  detail::LaterStage cold(options_, rejected_at, trace::kHostPid, model_,
+                          /*records=*/true);
+  cold.options.warm_basis = nullptr;
+  return HostRevisedSimplex(cold.options, model_).solve_standard(sf);
+}
+
+std::optional<SolveResult> DualRevisedSimplex::solve_dual(
+    const lp::StandardFormLp& sf, const AugmentedLp& aug,
+    double& rejected_at) const {
   SolveFrame frame(options_, model_, "dual-revised", aug.m, aug.n_aug,
                    decision_digest(aug));
   DualState state(aug, options_, frame);
@@ -244,12 +264,8 @@ SolveResult DualRevisedSimplex::solve_standard(
     const auto warm_span = frame.phase("warm_init");
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
     if (!result.stats.warm_started && aug.num_artificial > 0) {
-      // Rejected warm basis on an artificial-needing instance: the cold
-      // path is the primal engine's, which must not try the same basis
-      // again.
-      SolverOptions cold = options_;
-      cold.warm_basis = nullptr;
-      return HostRevisedSimplex(cold, model_).solve_standard(sf);
+      rejected_at = frame.now();
+      return std::nullopt;
     }
   }
 

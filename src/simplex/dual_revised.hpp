@@ -27,12 +27,16 @@
 // engine's run_loop.
 #pragma once
 
+#include <optional>
+
 #include "lp/problem.hpp"
 #include "lp/standard_form.hpp"
 #include "simplex/types.hpp"
 #include "vgpu/machine_model.hpp"
 
 namespace gs::simplex {
+
+struct AugmentedLp;
 
 class DualRevisedSimplex {
  public:
@@ -45,6 +49,13 @@ class DualRevisedSimplex {
   [[nodiscard]] SolveResult solve_standard(const lp::StandardFormLp& sf) const;
 
  private:
+  /// The dual solve in its own frame, or nullopt when the warm basis is
+  /// rejected on an instance that needs artificials; `rejected_at` is
+  /// then the frame's modeled time at the rejection.
+  [[nodiscard]] std::optional<SolveResult> solve_dual(
+      const lp::StandardFormLp& sf, const AugmentedLp& aug,
+      double& rejected_at) const;
+
   SolverOptions options_;
   vgpu::MachineModel model_;
 };

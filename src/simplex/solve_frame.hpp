@@ -96,7 +96,7 @@ class SolveFrame {
              std::size_t n_aug, std::uint64_t digest,
              bool pivot_metrics = true)
       : opt_(opt),
-        dev_(&attach(dev, opt)),
+        dev_(&attach(dev)),
         health_(pivot_metrics ? opt.metrics : nullptr, opt.health),
         solve_span_(open(engine, real_bits, m, n_aug, digest)) {
     if (pivot_metrics) op_metrics_.attach(opt.metrics);
@@ -104,6 +104,12 @@ class SolveFrame {
 
   SolveFrame(const SolveFrame&) = delete;
   SolveFrame& operator=(const SolveFrame&) = delete;
+
+  /// Detaches a capture the frame owns: the engine's DeviceBuffers report
+  /// their frees to the device's capture after the frame is gone.
+  ~SolveFrame() {
+    if (own_capture_) dev_->set_capture(nullptr);
+  }
 
   /// The engine's modeled clock and trace track.
   [[nodiscard]] double now() const {
@@ -203,16 +209,20 @@ class SolveFrame {
     double operator()() const { return frame->now(); }
   };
 
-  /// The checker is detached first: checker and capture exclude each
-  /// other, and a reused device may still hold a stale checker.
-  static vgpu::Device& attach(vgpu::Device& dev, const SolverOptions& opt) {
+  /// The checker and the analyzer read the device's one access stream:
+  /// the checker rides the analyzer's capture, or one the frame owns when
+  /// no analyzer is attached.
+  vgpu::Device& attach(vgpu::Device& dev) {
     dev.reset_stats();
-    dev.set_trace(profile::chain(opt.profiler, opt.trace_sink,
+    dev.set_trace(profile::chain(opt_.profiler, opt_.trace_sink,
                                  trace::kDevicePid, dev.model()));
-    dev.set_checker(nullptr);
-    dev.set_capture(opt.analyzer);
-    dev.set_checker(opt.checker);
-    dev.set_metrics(opt.metrics);
+    vgpu::analyze::CaptureLog* capture = opt_.analyzer;
+    if (capture == nullptr && opt_.checker != nullptr) {
+      capture = &own_capture_.emplace();
+    }
+    if (capture != nullptr) capture->set_checker(opt_.checker);
+    dev.set_capture(capture);
+    dev.set_metrics(opt_.metrics);
     return dev;
   }
 
@@ -247,6 +257,7 @@ class SolveFrame {
 
   const SolverOptions& opt_;
   WallTimer wall_;
+  std::optional<vgpu::analyze::CaptureLog> own_capture_;
   vgpu::Device* dev_ = nullptr;
   std::optional<CostMeter> meter_;
   metrics::SimplexOpMetrics op_metrics_;
@@ -261,11 +272,12 @@ namespace detail {
 /// the first stage, on the `pid` timeline of `model`: its trace events
 /// (through the profiler, if one is attached) and its telemetry points
 /// land after the earlier stages, on their clock. The recorder stays with
-/// the first stage, because Recorder::begin_solve clears its log.
+/// the first stage, because Recorder::begin_solve clears its log, unless
+/// `records`: then this stage's decision log replaces the earlier ones.
 class LaterStage {
  public:
   LaterStage(const SolverOptions& first, double offset, std::uint32_t pid,
-             const vgpu::MachineModel& model)
+             const vgpu::MachineModel& model, bool records = false)
       : shifted_(profile::chain(first.profiler, first.trace_sink, pid, model),
                  offset),
         telemetry_(first.telemetry),
@@ -275,7 +287,7 @@ class LaterStage {
       options.trace_sink = &shifted_;
     }
     options.profiler = nullptr;
-    options.recorder = nullptr;
+    if (!records) options.recorder = nullptr;
     if (telemetry_) telemetry_->set_time_offset(saved_offset_ + offset);
   }
   ~LaterStage() {

@@ -111,13 +111,13 @@ struct SolverOptions {
   trace::TraceSink* trace_sink = nullptr;
 
   /// Optional kernel-safety checker (CHECKING.md). While attached, the
-  /// device engines record per-block access footprints and analyse every
-  /// kernel launch for cross-block data races, out-of-bounds indexing,
-  /// NaN introduction, and cost-declaration drift; findings accumulate on
-  /// the checker for the caller to inspect (`lp_cli --check` prints
-  /// them). Host engines (host-revised, dual, tableau) execute plain
-  /// loops through a CostMeter — no kernel semantics to check — and
-  /// ignore it.
+  /// device engines' access stream is captured (into `analyzer`, if that
+  /// is attached too) and every kernel launch is checked as it retires
+  /// for cross-block data races, out-of-bounds indexing, NaN introduction
+  /// and cost-declaration drift; findings accumulate on the checker for
+  /// the caller to inspect (`lp_cli --check` prints them). Host engines
+  /// (host-revised, dual, tableau) execute plain loops through a
+  /// CostMeter — no kernel semantics to check — and ignore it.
   vgpu::check::Checker* checker = nullptr;
 
   /// Optional metrics registry (OBSERVABILITY.md, "Metrics"). While
@@ -163,9 +163,9 @@ struct SolverOptions {
   /// solve, `analyze::analyze(*analyzer)` reports ordering hazards, dead
   /// stores, redundant transfers, uninitialized reads, buffer-lifetime
   /// stats and cost-declaration drift over the whole launch graph
-  /// (`lp_cli --analyze`). Mutually exclusive with `checker` (both consume
-  /// the device's access stream). Host engines run no device stream and
-  /// ignore it.
+  /// (`lp_cli --analyze`). A `checker` attached too is fed from this
+  /// capture, so both reports come from one solve. Host engines run no
+  /// device stream and ignore it.
   vgpu::analyze::CaptureLog* analyzer = nullptr;
 
   /// Optional roofline profiler (OBSERVABILITY.md, "Profiler"). While

@@ -1,7 +1,6 @@
 #include "vgpu/analyze/analyze.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <sstream>
 #include <tuple>
@@ -58,19 +57,6 @@ std::pair<std::uint64_t, std::uint64_t> IntervalSet::first_gap(
     }
   }
   return {at, gap_end};
-}
-
-std::string_view to_string(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kKernel: return "kernel";
-    case NodeKind::kHost: return "host";
-    case NodeKind::kH2d: return "h2d";
-    case NodeKind::kD2h: return "d2h";
-    case NodeKind::kAlloc: return "alloc";
-    case NodeKind::kFree: return "free";
-    case NodeKind::kFence: return "fence";
-  }
-  return "?";
 }
 
 namespace {
@@ -138,18 +124,38 @@ Node& CaptureLog::append_locked(NodeKind kind, std::string name) {
   return nodes_.back();
 }
 
+void CaptureLog::set_checker(check::Checker* checker) {
+  std::lock_guard<std::mutex> lock(mu_);
+  checker_ = checker;
+}
+
 void CaptureLog::retire_pending_locked() {
-  for (auto& [id, pa] : pending_access_) {
-    merge_sorted(pa.reads);
-    merge_sorted(pa.writes);
-    merge_sorted(pa.prior_reads);
-    for (const auto& [lo, hi] : pa.reads) pending_.reads.push_back({id, lo, hi});
-    for (const auto& [lo, hi] : pa.writes) {
-      pending_.writes.push_back({id, lo, hi});
-    }
-    for (const auto& [lo, hi] : pa.prior_reads) {
-      pending_.prior_reads.push_back({id, lo, hi});
-    }
+  // Drop the block ids: the node keeps each buffer's merged byte ranges.
+  double traffic = 0.0;
+  std::vector<const check::SpanLog*> logs;
+  for (const auto& [id, pa] : pending_access_) {
+    const std::uint64_t es = pa.log.elem_size;
+    const auto ranges = [&](const std::vector<check::detail::Interval>& ivs) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+      out.reserve(ivs.size());
+      for (const check::detail::Interval& iv : ivs) {
+        out.emplace_back(iv.lo, iv.hi);
+        traffic += static_cast<double>((iv.hi - iv.lo) * es);
+      }
+      return out;
+    };
+    const auto emit = [&, id = id](auto elems, std::vector<Access>& out) {
+      merge_sorted(elems);
+      for (const auto& [lo, hi] : elems) out.push_back({id, lo * es, hi * es});
+    };
+    emit(ranges(pa.log.reads), pending_.reads);
+    emit(ranges(pa.log.writes), pending_.writes);
+    emit(pa.prior_reads, pending_.prior_reads);
+    logs.push_back(&pa.log);
+  }
+  if (pending_.kind == NodeKind::kKernel) {
+    if (checker_ != nullptr) checker_->check_launch(pending_.name, logs);
+    lint_cost_locked(traffic);
   }
   pending_access_.clear();
   pending_.seq = seq_++;
@@ -158,25 +164,43 @@ void CaptureLog::retire_pending_locked() {
   pending_ = Node{};
 }
 
+void CaptureLog::lint_cost_locked(double traffic) {
+  const double declared = declared_bytes_;
+  if (traffic <= 0.0 ||
+      (traffic < kCostMinBytes && declared < kCostMinBytes) ||
+      traffic <= declared * kCostRatioTol) {
+    return;
+  }
+  const std::string& kernel = pending_.name;
+  const double ratio = declared > 0.0 ? traffic / declared : 1e99;
+  CostFinding& c = cost_[kernel];
+  if (c.count == 0 || ratio > c.ratio) {
+    c = {kernel, declared, traffic, ratio, c.count};
+  }
+  ++c.count;
+  if (checker_ != nullptr) {
+    std::ostringstream os;
+    os << "observed " << traffic << " bytes of element traffic vs declared "
+       << declared << " (tolerance x" << kCostRatioTol << ")";
+    checker_->add_finding(check::FindingKind::kCostMismatch, kernel,
+                          os.str());
+  }
+}
+
 void CaptureLog::flush_host_locked() {
   if (!host_pending_) return;
   host_pending_ = false;
   retire_pending_locked();
 }
 
-void CaptureLog::begin_launch(std::string_view kernel, double declared_flops,
-                              double declared_bytes, std::size_t threads,
-                              std::size_t block_size) {
-  (void)block_size;  // block structure is the dynamic checker's domain
+void CaptureLog::begin_launch(std::string_view kernel, double declared_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   GS_CHECK_MSG(!in_launch_, "nested launch capture");
   flush_host_locked();
   pending_ = Node{};
   pending_.kind = NodeKind::kKernel;
   pending_.name = std::string(kernel);
-  pending_.declared_flops = declared_flops;
-  pending_.declared_bytes = declared_bytes;
-  pending_.threads = threads;
+  declared_bytes_ = declared_bytes;
   in_launch_ = true;
 }
 
@@ -190,7 +214,6 @@ void CaptureLog::end_launch() {
 void CaptureLog::note_range(const void* base, std::size_t extent,
                             check::ElemKind kind, std::size_t elem_size,
                             std::size_t lo, std::size_t hi, bool is_write) {
-  (void)kind;
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint32_t id =
       id_for_locked(base, static_cast<std::uint64_t>(extent) * elem_size,
@@ -204,29 +227,33 @@ void CaptureLog::note_range(const void* base, std::size_t extent,
     pending_.name = "<host>";
     host_pending_ = true;
   }
-  note_range_locked(id, static_cast<std::uint64_t>(lo) * elem_size,
-                    static_cast<std::uint64_t>(hi) * elem_size, is_write);
-}
-
-void CaptureLog::note_range_locked(std::uint32_t id, std::uint64_t lo,
-                                   std::uint64_t hi, bool is_write) {
   PendingAccess& pa = pending_access_[id];
-  auto& v = is_write ? pa.writes : pa.reads;
-  if (!v.empty() && v.back().second == lo) {
-    v.back().second = hi;  // the common stride-1 case
+  check::SpanLog& log = pa.log;
+  if (log.base == nullptr) {
+    log.base = static_cast<const std::byte*>(base);
+    log.extent = extent;
+    log.elem_size = elem_size;
+    log.kind = kind;
+  }
+  // Host glue between launches is single-threaded: one shared block id.
+  const std::uint32_t block = in_launch_ ? check::detail::tls_block : 0;
+  // A block's streaming loop extends its last interval; anything else
+  // appends. Interleaved kernels interleave across *different* spans, so
+  // the common case stays O(1).
+  auto& side = is_write ? log.writes : log.reads;
+  if (!side.empty() && side.back().block == block && side.back().hi == lo) {
+    side.back().hi = hi;
   } else {
-    v.emplace_back(lo, hi);
+    side.push_back({lo, hi, block});
   }
   // Intra-launch ordering: a block's accesses run in program order, so a
-  // read of bytes the SAME block wrote earlier in this launch observes
-  // those writes, not pre-launch state. Host glue between launches is
-  // single-threaded — one shared key gives it the same treatment.
-  const std::uint32_t blk = in_launch_ ? check::detail::tls_block : 0;
+  // read of elements the SAME block wrote earlier in this launch observes
+  // those writes, not pre-launch state.
   if (is_write) {
-    pa.block_writes[blk].add(lo, hi);
+    pa.block_writes[block].add(lo, hi);
     return;
   }
-  const auto it = pa.block_writes.find(blk);
+  const auto it = pa.block_writes.find(block);
   std::uint64_t at = lo;
   while (at < hi) {
     std::uint64_t gap_lo = at, gap_hi = hi;
@@ -235,7 +262,8 @@ void CaptureLog::note_range_locked(std::uint32_t id, std::uint64_t lo,
       if (gap_lo >= hi) break;  // remainder fully covered by own writes
     }
     auto& pr = pa.prior_reads;
-    if (!pr.empty() && pr.back().second >= gap_lo) {
+    if (!pr.empty() && pr.back().first <= gap_lo &&
+        gap_lo <= pr.back().second) {
       pr.back().second = std::max(pr.back().second, gap_hi);
     } else {
       pr.emplace_back(gap_lo, gap_hi);
@@ -246,7 +274,13 @@ void CaptureLog::note_range_locked(std::uint32_t id, std::uint64_t lo,
 
 void CaptureLog::note_oob(std::size_t index, std::size_t extent,
                           bool is_write) {
-  (void)index, (void)extent, (void)is_write;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (checker_ == nullptr) return;
+  std::ostringstream os;
+  os << (is_write ? "write" : "read") << " at index " << index
+     << " in span of size " << extent;
+  checker_->add_finding(check::FindingKind::kOutOfBounds,
+                        in_launch_ ? pending_.name : "<host>", os.str());
 }
 
 void CaptureLog::on_alloc(const void* base, std::size_t bytes,
@@ -324,6 +358,7 @@ void CaptureLog::reset() {
   live_.clear();
   pending_access_.clear();
   pending_ = Node{};
+  cost_.clear();
   seq_ = 0;
   stream_ = 0;
   stream_count_ = 1;
@@ -384,7 +419,7 @@ std::string human_bytes(double b) {
 
 }  // namespace
 
-Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
+Report analyze(CaptureLog& log) {
   const std::vector<Node>& nodes = log.nodes();
   const std::vector<BufferInfo>& bufs = log.buffers();
 
@@ -407,7 +442,6 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
   std::map<std::pair<std::string, std::uint32_t>, DeadStore> dead;
   std::map<std::pair<std::string, std::uint32_t>, RedundantTransfer> redundant;
   std::map<std::pair<std::string, std::uint32_t>, UninitRead> uninit;
-  std::map<std::string, CostFinding> cost;
   std::set<std::pair<std::size_t, std::size_t>> raw_edges;
 
   std::uint64_t live = 0;
@@ -531,11 +565,7 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
       case NodeKind::kKernel:
       case NodeKind::kHost: {
         if (n.kind == NodeKind::kKernel) ++rep.kernel_nodes;
-        double footprint = 0.0;
-        for (const Access& a : n.reads) {
-          footprint += static_cast<double>(a.hi - a.lo);
-          mark_read(a, i);
-        }
+        for (const Access& a : n.reads) mark_read(a, i);
         // Uninitialized reads are judged on prior_reads only: bytes a
         // block read before ITS OWN first write in the launch observe
         // pre-launch state (x[i] += c); bytes it wrote first (fill-then-
@@ -553,29 +583,7 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
             }
           }
         }
-        for (const Access& a : n.writes) {
-          footprint += static_cast<double>(a.hi - a.lo);
-          do_write(a, i);
-        }
-        if (n.kind == NodeKind::kKernel &&
-            (footprint >= cfg.cost_min_bytes ||
-             n.declared_bytes >= cfg.cost_min_bytes) &&
-            footprint > n.declared_bytes * cfg.cost_ratio_tol) {
-          CostFinding& c = cost[n.name];
-          if (c.count == 0) {
-            c.kernel = n.name;
-            c.declared_bytes = n.declared_bytes;
-            c.footprint_bytes = footprint;
-          }
-          const double ratio =
-              n.declared_bytes > 0.0 ? footprint / n.declared_bytes : 1e99;
-          if (ratio > c.ratio) {
-            c.ratio = ratio;
-            c.declared_bytes = n.declared_bytes;
-            c.footprint_bytes = footprint;
-          }
-          ++c.count;
-        }
+        for (const Access& a : n.writes) do_write(a, i);
         break;
       }
       case NodeKind::kFence:
@@ -608,7 +616,7 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
     };
     const auto add_hazard = [&](const char* kind, const Node& a,
                                 const Node& b, const Access& where) {
-      if (rep.hazards.size() >= cfg.max_findings) return;
+      if (rep.hazards.size() >= check::kMaxFindings) return;
       rep.hazards.push_back({kind, a.seq, b.seq, a.name, b.name, where.buffer,
                              where.lo, where.hi});
     };
@@ -633,16 +641,16 @@ Report analyze(CaptureLog& log, const AnalyzeConfig& cfg) {
     }
   }
 
-  const auto take = [&cfg](auto& map_in, auto& vec_out) {
-    for (auto& [key, value] : map_in) {
-      if (vec_out.size() >= cfg.max_findings) break;
-      vec_out.push_back(std::move(value));
+  const auto take = [](const auto& map_in, auto& vec_out) {
+    for (const auto& [key, value] : map_in) {
+      if (vec_out.size() >= check::kMaxFindings) break;
+      vec_out.push_back(value);
     }
   };
   take(dead, rep.dead_stores);
   take(redundant, rep.redundant_transfers);
   take(uninit, rep.uninit_reads);
-  take(cost, rep.cost_findings);
+  take(log.cost_findings(), rep.cost_findings);
   return rep;
 }
 

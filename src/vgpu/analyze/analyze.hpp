@@ -1,48 +1,37 @@
-// Launch-graph static analyzer for the virtual GPU (CHECKING.md, "Static
-// analysis").
+// The device's access stream and the launch-graph analyzer over it
+// (CHECKING.md, "Static analysis").
 //
-// The dynamic checker (src/vgpu/check) validates each launch while it
-// runs; nothing there proves properties of the launch *stream* — that the
-// issue order covers every data dependency, that no transferred byte is
-// wasted, that buffers are not leaked or churned. This subsystem adds an
-// offline pass over a captured trace of the stream:
+// `CaptureLog` is the one sink the substrate reports to: every kernel
+// launch, PCIe transfer, allocation, free and element access through a
+// DeviceBuffer span. It records each launch, transfer, allocation and
+// free as a node carrying its merged byte-range footprint per buffer,
+// and as each launch retires it runs the one cost lint and, with a
+// `check::Checker` attached, hands the launch's block-tagged footprints
+// to the checker (races, NaN introduction; out-of-bounds accesses go to
+// the checker as they happen). Attach it with `Device::set_capture` or
+// through `SolverOptions::analyzer`; like every observer it leaves
+// results bit-identical.
 //
-//   CaptureLog  — a check::AccessSink that records every kernel launch,
-//                 PCIe transfer, allocation, and free as a node carrying
-//                 its merged byte-range footprint per buffer. Capture is
-//                 attach-and-forget (SolverOptions::analyzer or
-//                 Device::set_capture) and bit-identical-when-off like
-//                 every other observer.
-//   analyze()   — builds the buffer-level dependency DAG over the nodes
-//                 and reports:
-//                   (a) RAW/WAR/WAW hazards: conflicting accesses between
-//                       nodes with no ordering edge (different streams, no
-//                       fence). All engines issue on one stream, so they
-//                       are machine-checked hazard-free; the stream/fence
-//                       API exists for seeded defects today and the
-//                       multi-device sharding work (ROADMAP item 4).
-//                   (b) dead stores (bytes written, never read before
-//                       overwrite or free) and redundant transfers (h2d of
-//                       bytes whose content is unchanged since the last
-//                       upload, d2h of a range the device has not written
-//                       since it was last downloaded), with wasted-bytes
-//                       totals;
-//                   (c) uninitialized device reads — a kernel reading
-//                       bytes never written by a kernel or upload since
-//                       allocation. The substrate zero-fills allocations,
-//                       but real device allocators do not; relying on the
-//                       zero-fill is a latent porting bug.
-//                   (d) buffer-lifetime stats: peak live bytes, alloc/free
-//                       churn, leaks — the gated baseline for ROADMAP
-//                       item 5's arena allocator;
-//                   (e) static cost-declaration consistency: merged
-//                       footprint bytes vs the declared KernelCost, the
-//                       offline twin of the checker's dynamic 2x lint.
+// `analyze()` builds the buffer-level dependency DAG over the nodes and
+// reports:
+//   (a) RAW/WAR/WAW hazards: conflicting accesses between nodes with no
+//       ordering edge (different streams, no fence). All engines issue on
+//       one stream, so they are machine-checked hazard-free; the
+//       stream/fence API exists for seeded defects and multi-stream work;
+//   (b) dead stores (bytes written, never read before overwrite or free)
+//       and redundant transfers (h2d of bytes whose content is unchanged
+//       since the last upload, d2h of a range the device has not written
+//       since it was last downloaded), with wasted-bytes totals;
+//   (c) uninitialized device reads — a kernel reading bytes never written
+//       by a kernel or upload since allocation. The substrate zero-fills
+//       allocations, but real device allocators do not; relying on the
+//       zero-fill is a latent porting bug;
+//   (d) buffer-lifetime stats: peak live bytes, alloc/free churn, leaks;
+//   (e) the cost lint's findings: kernels whose recorded traffic exceeds
+//       the declared KernelCost bytes.
 //
-// The capture drops per-block detail (cross-block races inside one launch
-// stay the dynamic checker's domain) and keeps only merged per-buffer
-// intervals, so capture cost is far below checked execution. At most one
-// sink (checker or capture) can be attached to a Device at a time.
+// Recording costs about as much as checked execution (OBSERVABILITY.md
+// measures both): every element access takes the capture's lock.
 #pragma once
 
 #include <cstddef>
@@ -59,8 +48,9 @@
 
 namespace gs::vgpu::analyze {
 
-/// Sorted, disjoint, half-open byte intervals. Small helper shared by the
-/// capture (footprint merging) and the analyzer (initialized-byte sets).
+/// Sorted, disjoint, half-open intervals. Small helper shared by the
+/// capture (each block's written elements) and the analyzer
+/// (initialized-byte sets).
 class IntervalSet {
  public:
   void add(std::uint64_t lo, std::uint64_t hi);
@@ -69,11 +59,6 @@ class IntervalSet {
   /// First sub-range of [lo, hi) NOT contained (valid when !covers).
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> first_gap(
       std::uint64_t lo, std::uint64_t hi) const;
-  [[nodiscard]] bool empty() const { return ivals_.empty(); }
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
-  intervals() const {
-    return ivals_;
-  }
 
  private:
   std::vector<std::pair<std::uint64_t, std::uint64_t>> ivals_;
@@ -89,8 +74,6 @@ enum class NodeKind : std::uint8_t {
   kFence,   ///< CaptureLog::fence() — global ordering barrier
 };
 
-std::string_view to_string(NodeKind kind);
-
 /// One byte-range access of a node into one buffer.
 struct Access {
   std::uint32_t buffer;     ///< index into CaptureLog::buffers()
@@ -104,9 +87,6 @@ struct Node {
   std::uint64_t seq = 0;         ///< position in the stream
   std::uint32_t stream = 0;      ///< issue stream (engines use 0)
   std::uint32_t buffer = kNoBuffer;  ///< transfer/alloc/free target
-  double declared_flops = 0.0;   ///< kernel nodes: declared KernelCost
-  double declared_bytes = 0.0;
-  std::size_t threads = 0;
   std::uint64_t content_hash = 0;  ///< h2d nodes: FNV-1a of staged bytes
   std::vector<Access> reads, writes;  ///< merged byte footprints
   /// Reads of PRE-launch state: bytes read before any write by the same
@@ -135,36 +115,62 @@ struct BufferInfo {
   std::int64_t free_seq = -1;  ///< -1: still live when capture ended
 };
 
-/// Access-stream recorder. Attach to a Device with set_capture() (or let
-/// an engine do it via SolverOptions::analyzer), run the workload, then
-/// hand the log to analyze(). The log is borrowed by the device and must
-/// outlive the attachment; it may span multiple solves and accumulates
-/// until reset(). Recording is mutex-serialised (launch bodies touch
-/// spans from every pool worker).
-class CaptureLog : public check::AccessSink {
+/// The cost lint's record of one kernel (analyze::Report).
+struct CostFinding {
+  std::string kernel;
+  double declared_bytes;
+  double footprint_bytes;  ///< bytes of every recorded access in the launch
+  double ratio;
+  std::size_t count = 0;  ///< launches of this kernel over the tolerance
+};
+
+/// The cost lint flags a launch whose recorded traffic (the bytes of
+/// every element access, re-touches included) exceeds its declared bytes
+/// by this factor. Declarations are worst-case dense models, so less
+/// traffic than declared is legitimate (early-outs, sparsity);
+/// under-declaration is the bug.
+inline constexpr double kCostRatioTol = 2.0;
+/// Launches whose declared and recorded traffic are both below this are
+/// not linted (fixed-size seeds, scalar postludes).
+inline constexpr double kCostMinBytes = 64.0;
+
+/// The device's access stream. Attach to a Device with set_capture() (or
+/// let an engine do it via SolverOptions::analyzer), run the workload,
+/// then hand the log to analyze(). The log is borrowed by the device and
+/// must outlive the attachment; it may span multiple solves and
+/// accumulates until reset(). Recording is mutex-serialised (launch
+/// bodies touch spans from every pool worker).
+class CaptureLog {
  public:
   CaptureLog() = default;
   CaptureLog(const CaptureLog&) = delete;
   CaptureLog& operator=(const CaptureLog&) = delete;
 
-  // ---- AccessSink interface (Device / DeviceBuffer / CheckedSpan). -------
-  void begin_launch(std::string_view kernel, double declared_flops,
-                    double declared_bytes, std::size_t threads,
-                    std::size_t block_size) override;
-  void end_launch() override;
+  /// Feed `checker` (nullptr: no checker) every launch that retires from
+  /// now on, every out-of-bounds access and every cost-lint hit. The
+  /// checker is borrowed and must outlive the attachment.
+  void set_checker(check::Checker* checker);
+
+  // ---- Substrate hooks (Device / DeviceBuffer / CheckedSpan). -------------
+  /// Device brackets every launch body with these.
+  void begin_launch(std::string_view kernel, double declared_bytes);
+  void end_launch();
+  /// An access to elements [lo, hi) of the `extent`-element span at
+  /// `base`, from the block in check::detail::tls_block.
   void note_range(const void* base, std::size_t extent, check::ElemKind kind,
                   std::size_t elem_size, std::size_t lo, std::size_t hi,
-                  bool is_write) override;
-  /// Bounds violations are the dynamic checker's job; the capture ignores
-  /// them (the access is redirected to scratch and never lands here).
-  void note_oob(std::size_t index, std::size_t extent, bool is_write) override;
-  void on_alloc(const void* base, std::size_t bytes,
-                std::size_t elem_size) override;
-  void on_free(const void* base) override;
+                  bool is_write);
+  /// An out-of-bounds access, inside a launch or outside one; CheckedSpan
+  /// redirects the access itself to scratch.
+  void note_oob(std::size_t index, std::size_t extent, bool is_write);
+  // Buffer lifetime and PCIe transfers (DeviceBuffer). `bytes` may be zero
+  // for empty buffers; `host_data` holds the staged upload bytes for the
+  // duration of the call (hashed, not retained).
+  void on_alloc(const void* base, std::size_t bytes, std::size_t elem_size);
+  void on_free(const void* base);
   void on_h2d(const void* base, std::size_t lo_byte, std::size_t hi_byte,
-              const void* host_data) override;
-  void on_d2h(const void* base, std::size_t lo_byte,
-              std::size_t hi_byte) override;
+              const void* host_data);
+  void on_d2h(const void* base, std::size_t lo_byte, std::size_t hi_byte);
 
   // ---- Stream model. -----------------------------------------------------
   /// Subsequent nodes are issued on `stream`. Engines never call this
@@ -178,7 +184,8 @@ class CaptureLog : public check::AccessSink {
   /// Name the buffer at `base` for reports (defaults to "#<id>").
   void set_label(const void* base, std::string label);
 
-  /// Drop all captured state (labels included).
+  /// Drop all captured state (labels and cost-lint hits included; the
+  /// checker stays attached).
   void reset();
 
   // ---- Analyzer-facing view. ---------------------------------------------
@@ -188,6 +195,11 @@ class CaptureLog : public check::AccessSink {
   [[nodiscard]] const std::vector<BufferInfo>& buffers() const {
     return buffers_;
   }
+  /// The cost lint's hits so far, by kernel name.
+  [[nodiscard]] const std::map<std::string, CostFinding>& cost_findings()
+      const {
+    return cost_;
+  }
   [[nodiscard]] std::size_t launches_captured() const { return launches_; }
   [[nodiscard]] std::uint32_t stream_count() const { return stream_count_; }
 
@@ -196,36 +208,38 @@ class CaptureLog : public check::AccessSink {
                               std::size_t elem_size);
   void flush_host_locked();
   Node& append_locked(NodeKind kind, std::string name);
+  void retire_pending_locked();
+  void lint_cost_locked(double traffic);
 
   mutable std::mutex mu_;
+  check::Checker* checker_ = nullptr;
   std::vector<Node> nodes_;
   std::vector<BufferInfo> buffers_;
   std::unordered_map<const void*, std::uint32_t> live_;  ///< base -> id
+  std::map<std::string, CostFinding> cost_;
   std::uint64_t seq_ = 0;
   std::uint32_t stream_ = 0;
   std::uint32_t stream_count_ = 1;
   std::size_t launches_ = 0;
 
-  // In-flight launch (or pending host) footprint: per buffer, raw
-  // append-or-extend interval lists, merged when the node retires.
+  // In-flight launch (or pending host) footprint per buffer: the
+  // block-tagged element intervals, merged into byte ranges when the node
+  // retires.
   struct PendingAccess {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> reads, writes;
-    /// Subranges of `reads` not preceded by a same-block write in this
+    check::SpanLog log;
+    /// Subranges of `log.reads` not preceded by a same-block write in this
     /// launch (feeds Node::prior_reads).
     std::vector<std::pair<std::uint64_t, std::uint64_t>> prior_reads;
-    /// Bytes written so far in this launch, keyed by block id
-    /// (check::detail::tls_block) — block-local program order is the
-    /// only intra-launch ordering the capture may assume.
+    /// Elements written so far in this launch, keyed by block id —
+    /// block-local program order is the only intra-launch ordering the
+    /// capture may assume.
     std::map<std::uint32_t, IntervalSet> block_writes;
   };
   bool in_launch_ = false;
+  double declared_bytes_ = 0.0;
   Node pending_;
   std::map<std::uint32_t, PendingAccess> pending_access_;
   bool host_pending_ = false;
-
-  void note_range_locked(std::uint32_t id, std::uint64_t lo, std::uint64_t hi,
-                         bool is_write);
-  void retire_pending_locked();
 };
 
 // ---- Analysis results. ---------------------------------------------------
@@ -261,27 +275,6 @@ struct UninitRead {
   std::uint32_t buffer;
   std::uint64_t lo, hi;  ///< first uninitialized byte range read
   std::uint64_t seq;
-};
-
-struct CostFinding {
-  std::string kernel;
-  double declared_bytes;
-  double footprint_bytes;
-  double ratio;
-  std::size_t count = 0;  ///< launches of this kernel over the tolerance
-};
-
-struct AnalyzeConfig {
-  /// Flag kernels whose merged footprint exceeds declared bytes by this
-  /// factor. Matches the dynamic checker's tightened lint; the static
-  /// footprint is merged (re-touches collapse), so dynamic-clean implies
-  /// static-clean.
-  double cost_ratio_tol = 2.0;
-  /// Ignore launches whose declared and footprint bytes are both below
-  /// this (fixed-size seeds, scalar postludes).
-  double cost_min_bytes = 64.0;
-  /// Cap per report list; totals always cover everything.
-  std::size_t max_findings = 64;
 };
 
 struct Report {
@@ -329,6 +322,8 @@ struct Report {
 
 /// Run every detector over the captured stream. Flushes the log's pending
 /// host node; the log itself is not consumed and may keep accumulating.
-Report analyze(CaptureLog& log, const AnalyzeConfig& config = {});
+/// Each report list holds at most check::kMaxFindings entries; totals
+/// always cover everything.
+Report analyze(CaptureLog& log);
 
 }  // namespace gs::vgpu::analyze

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "vgpu/check/span.hpp"
 #include "vgpu/device.hpp"
 
 namespace gs::vgpu {
@@ -33,7 +34,7 @@ class DeviceBuffer {
   }
 
   // Moves hand over the storage (the std::vector move keeps the data
-  // pointer stable, so an attached capture sink's base->buffer identity
+  // pointer stable, so an attached capture's base->buffer identity
   // survives); the source is left detached so only one handle ever
   // reports the free. These used to be `= default`, but a defaulted move
   // assignment would silently destroy the target's storage without the
@@ -61,15 +62,15 @@ class DeviceBuffer {
   [[nodiscard]] Device& device() const noexcept { return *device_; }
 
   /// Device-side view; by convention only dereferenced inside kernel bodies.
-  /// The returned CheckedSpan carries the device's active access sink
-  /// (checker or capture log): when one is attached (CHECKING.md) every
-  /// element access is recorded and bounds-checked; detached, each access
-  /// is one null test around the raw load/store.
+  /// The returned CheckedSpan carries the device's capture: when one is
+  /// attached (CHECKING.md) every element access is recorded and
+  /// bounds-checked; detached, each access is one null test around the
+  /// raw load/store.
   [[nodiscard]] check::CheckedSpan<T> device_span() noexcept {
-    return {storage_.data(), storage_.size(), device_->access_sink()};
+    return {storage_.data(), storage_.size(), device_->capture()};
   }
   [[nodiscard]] check::CheckedSpan<const T> device_span() const noexcept {
-    return {storage_.data(), storage_.size(), device_->access_sink()};
+    return {storage_.data(), storage_.size(), device_->capture()};
   }
 
   /// Instrumentation-only peek at device memory from the host, outside
@@ -98,7 +99,7 @@ class DeviceBuffer {
     std::memcpy(storage_.data() + offset, host.data(),
                 host.size() * sizeof(T));
     device_->account_h2d(host.size() * sizeof(T));
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_h2d(storage_.data(), offset * sizeof(T),
                 (offset + host.size()) * sizeof(T), host.data());
     }
@@ -114,7 +115,7 @@ class DeviceBuffer {
     std::memcpy(host.data(), storage_.data() + offset,
                 host.size() * sizeof(T));
     device_->account_d2h(host.size() * sizeof(T));
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_d2h(storage_.data(), offset * sizeof(T),
                 (offset + host.size()) * sizeof(T));
     }
@@ -131,7 +132,7 @@ class DeviceBuffer {
   [[nodiscard]] T download_value(std::size_t index) const {
     GS_CHECK_MSG(index < storage_.size(), "download_value out of range");
     device_->account_d2h(sizeof(T));
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_d2h(storage_.data(), index * sizeof(T), (index + 1) * sizeof(T));
     }
     return storage_[index];
@@ -142,7 +143,7 @@ class DeviceBuffer {
     GS_CHECK_MSG(index < storage_.size(), "upload_value out of range");
     device_->account_h2d(sizeof(T));
     storage_[index] = value;
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_h2d(storage_.data(), index * sizeof(T), (index + 1) * sizeof(T),
                 &value);
     }
@@ -167,16 +168,16 @@ class DeviceBuffer {
 
  private:
   void notify_alloc() {
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_alloc(storage_.data(), storage_.size() * sizeof(T), sizeof(T));
     }
   }
 
-  /// Report the free to the active sink and detach. Safe to call on
+  /// Report the free to the device's capture and detach. Safe to call on
   /// moved-from handles (device_ == nullptr).
   void release() noexcept {
     if (device_ == nullptr) return;
-    if (check::AccessSink* s = device_->access_sink()) {
+    if (analyze::CaptureLog* s = device_->capture()) {
       s->on_free(storage_.data());
     }
     device_ = nullptr;

@@ -18,7 +18,7 @@
 #include "metrics/metrics.hpp"
 #include "support/error.hpp"
 #include "trace/trace.hpp"
-#include "vgpu/check/check.hpp"
+#include "vgpu/analyze/analyze.hpp"
 #include "vgpu/machine_model.hpp"
 #include "vgpu/thread_pool.hpp"
 
@@ -109,44 +109,19 @@ class Device {
   /// own algorithm-phase spans so everything nests on one timeline.
   [[nodiscard]] const trace::Track& trace() const noexcept { return trace_; }
 
-  /// Attach (or with nullptr detach) a kernel-safety checker (CHECKING.md).
-  /// While attached, spans handed out by DeviceBuffer::device_span()
-  /// record per-block access footprints and every launch is analysed for
-  /// cross-block races, out-of-bounds indexing, NaN introduction, and
-  /// cost-declaration drift. Detached (the default) checking costs one
-  /// branch per launch and one per element access — results and stats are
-  /// bit-identical either way, the same guarantee the trace sink gives.
-  void set_checker(check::Checker* checker) {
-    GS_CHECK_MSG(checker == nullptr || capture_ == nullptr,
-                 "checker and capture sink are mutually exclusive");
-    check_ = checker;
-  }
+  /// Attach (or with nullptr detach) the access-stream capture
+  /// (CHECKING.md). While attached, every kernel launch, PCIe copy, buffer
+  /// alloc/free and element access through a DeviceBuffer span is recorded
+  /// into it: the capture keeps the launch graph for analyze::analyze()
+  /// and feeds each retiring launch to the check::Checker attached to it.
+  /// Detached (the default) costs one pointer test per launch, copy and
+  /// element access, and changes no result bit or DeviceStats field.
+  void set_capture(analyze::CaptureLog* capture) { capture_ = capture; }
 
-  /// The attached checker, or nullptr.
-  [[nodiscard]] check::Checker* checker() const noexcept { return check_; }
-
-  /// Attach (or with nullptr detach) a static-analysis capture sink
-  /// (CHECKING.md, "Static analysis"). While attached, every launch,
-  /// buffer alloc/free, and PCIe transfer is recorded as a node with its
-  /// footprint for offline launch-graph analysis (src/vgpu/analyze).
-  /// Mutually exclusive with the checker — both consume the same access
-  /// stream and at most one sink is consulted per event. Detached (the
-  /// default) capture costs one pointer test per launch/copy and changes
-  /// no result bit or DeviceStats field.
-  void set_capture(check::AccessSink* capture) {
-    GS_CHECK_MSG(capture == nullptr || check_ == nullptr,
-                 "checker and capture sink are mutually exclusive");
-    capture_ = capture;
-  }
-
-  /// The attached capture sink, or nullptr.
-  [[nodiscard]] check::AccessSink* capture() const noexcept { return capture_; }
-
-  /// The active access sink (checker or capture, never both), or nullptr.
-  /// DeviceBuffer stamps this into the CheckedSpans it hands out.
-  [[nodiscard]] check::AccessSink* access_sink() const noexcept {
-    return check_ != nullptr ? static_cast<check::AccessSink*>(check_)
-                             : capture_;
+  /// The attached capture, or nullptr. DeviceBuffer stamps it into the
+  /// CheckedSpans it hands out.
+  [[nodiscard]] analyze::CaptureLog* capture() const noexcept {
+    return capture_;
   }
 
   /// Attach (or with nullptr detach) a metrics registry (OBSERVABILITY.md,
@@ -218,20 +193,18 @@ class Device {
     if (n == 0) return;
     {
       const std::size_t blocks = (n + block_size - 1) / block_size;
-      check::AccessSink* sink = access_sink();
-      if (sink != nullptr) {
-        // Observed path (checker or capture): bracket the launch so
-        // footprints recorded by CheckedSpans are attributed to this
-        // kernel, and stamp the executing block id into thread-local
-        // state for race detection.
-        sink->begin_launch(name, cost.flops, cost.bytes, n, block_size);
+      if (capture_ != nullptr) {
+        // Captured path: bracket the launch so footprints recorded by
+        // CheckedSpans are attributed to this kernel, and stamp the
+        // executing block id into thread-local state for race detection.
+        capture_->begin_launch(name, cost.bytes);
         pool_.run_chunks(blocks, [&](std::size_t b) {
           check::detail::tls_block = static_cast<std::uint32_t>(b);
           const std::size_t begin = b * block_size;
           const std::size_t end = std::min(n, begin + block_size);
           body(b, begin, end);
         });
-        sink->end_launch();
+        capture_->end_launch();
       } else {
         pool_.run_chunks(blocks, [&](std::size_t b) {
           const std::size_t begin = b * block_size;
@@ -377,8 +350,7 @@ class Device {
   ThreadPool pool_;
   DeviceStats stats_;
   trace::Track trace_;
-  check::Checker* check_ = nullptr;  ///< borrowed; see set_checker()
-  check::AccessSink* capture_ = nullptr;  ///< borrowed; see set_capture()
+  analyze::CaptureLog* capture_ = nullptr;  ///< borrowed; see set_capture()
   metrics::MetricsRegistry* metrics_ = nullptr;  ///< borrowed; see set_metrics()
   AggregateMetricRefs agg_;
   std::map<std::string, KernelMetricRefs, std::less<>> kernel_metrics_;

@@ -4,13 +4,13 @@
 #   cli_observability.sh <path-to-lp_cli> <source data dir>
 #
 # Checks, end to end against the real binary:
-#   1. Enabling --trace/--metrics/--check/--record/--profile/--telemetry
-#      individually or all at once leaves the solve bit-identical to a
-#      plain run (status, iterations, objective, modeled time), the
-#      recording written by the combined run is byte-identical to the
-#      record-only run, and the profile and telemetry JSON artifacts
-#      (deterministic: modeled time only) are byte-identical between the
-#      solo and combined runs.
+#   1. Enabling --trace/--metrics/--check/--analyze/--record/--profile/
+#      --telemetry individually or all at once leaves the solve
+#      bit-identical to a plain run (status, iterations, objective,
+#      modeled time), the recording written by the combined run is
+#      byte-identical to the record-only run, and the analyze, profile and
+#      telemetry JSON artifacts (deterministic: modeled time only) are
+#      byte-identical between the solo and combined runs.
 #   2. A record -> replay round trip verifies every decision with zero
 #      mismatches and reproduces the same solve.
 #   3. A float-vs-double pair on data/precision_tie.lp diverges at pivot 0
@@ -37,25 +37,31 @@ solve_lines() {
 "$LP_CLI" --gen $GEN --metrics=metrics_solo.json >metrics.out \
   || fail "--metrics run"
 "$LP_CLI" --gen $GEN --check >check.out || fail "--check run"
+"$LP_CLI" --gen $GEN --analyze=analyze_solo.json >analyze.out \
+  || fail "--analyze run"
 "$LP_CLI" --gen $GEN --record=solo.gsrec >record.out || fail "--record run"
 "$LP_CLI" --gen $GEN --profile=prof_solo.json >profile.out \
   || fail "--profile run"
 "$LP_CLI" --gen $GEN --telemetry=tel_solo.json >telemetry.out \
   || fail "--telemetry run"
 "$LP_CLI" --gen $GEN --trace trace_comb.json --metrics=metrics_comb.json \
-  --check --record=comb.gsrec --profile=prof_comb.json \
-  --telemetry=tel_comb.json >combined.out \
+  --check --analyze=analyze_comb.json --record=comb.gsrec \
+  --profile=prof_comb.json --telemetry=tel_comb.json >combined.out \
   || fail "combined run"
 
 solve_lines plain.out >expected.txt
-for f in trace.out metrics.out check.out record.out profile.out \
-         telemetry.out combined.out; do
+for f in trace.out metrics.out check.out analyze.out record.out \
+         profile.out telemetry.out combined.out; do
   solve_lines "$f" >got.txt
   diff expected.txt got.txt >/dev/null \
     || fail "$f: solve differs from plain run (observers must be inert)"
 done
 cmp -s solo.gsrec comb.gsrec \
   || fail "combined-run recording differs from record-only recording"
+grep -q 'gs-analyze-v1' analyze_solo.json \
+  || fail "analyze artifact is missing its schema tag"
+cmp -s analyze_solo.json analyze_comb.json \
+  || fail "combined-run analyze report differs from analyze-only run"
 grep -q 'profile: reconciled bit-exactly' profile.out \
   || fail "--profile run did not report bit-exact reconciliation"
 cmp -s prof_solo.json prof_comb.json \

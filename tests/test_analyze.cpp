@@ -30,7 +30,6 @@ namespace {
 using vgpu::Device;
 using vgpu::DeviceBuffer;
 using vgpu::KernelCost;
-using vgpu::analyze::AnalyzeConfig;
 using vgpu::analyze::CaptureLog;
 using vgpu::analyze::IntervalSet;
 using vgpu::analyze::Report;
@@ -224,6 +223,32 @@ TEST(Analyzer, DetectsUninitializedDeviceRead) {
   EXPECT_FALSE(rep.gate_clean());
 }
 
+/// A read of an uninitialized element below one the same block read
+/// before it is still an uninitialized read.
+TEST(Analyzer, DetectsUninitializedReadBelowAnEarlierRead) {
+  Device dev(vgpu::gtx280_model());
+  CaptureLog cap;
+  dev.set_capture(&cap);
+  DeviceBuffer<double> buf(dev, 16);
+  auto sp = buf.device_span();
+  dev.launch_blocks("init_element_10", 1, 1, KernelCost{0.0, 8.0},
+                    [&](std::size_t, std::size_t, std::size_t) {
+                      sp[10] = 1.0;
+                    });
+  double sum = 0.0;
+  dev.launch_blocks("descending_reader", 1, 1, KernelCost{0.0, 16.0},
+                    [&](std::size_t, std::size_t, std::size_t) {
+                      sum += sp[10];
+                      sum += sp[2];
+                    });
+
+  const Report rep = vgpu::analyze::analyze(cap);
+  ASSERT_EQ(rep.uninit_reads.size(), 1u);
+  EXPECT_EQ(rep.uninit_reads[0].kernel, "descending_reader");
+  EXPECT_EQ(rep.uninit_reads[0].lo, 2u * sizeof(double));
+  EXPECT_EQ(rep.uninit_reads[0].hi, 3u * sizeof(double));
+}
+
 /// The fused-kernel scratch pattern — write a block-local range, then
 /// reduce over it in the SAME launch — is initialized-before-read and
 /// must NOT be flagged.
@@ -368,17 +393,50 @@ TEST(Analyzer, CaptureAccumulatesAcrossSolvesUntilReset) {
   EXPECT_EQ(cap.launches_captured(), 0u);
 }
 
-/// Checker and capture share the instrumentation seam and are mutually
-/// exclusive on a device.
-TEST(Analyzer, CheckerAndCaptureAreMutuallyExclusive) {
-  Device dev(vgpu::gtx280_model());
-  vgpu::check::Checker chk;
-  CaptureLog cap;
-  dev.set_checker(&chk);
-  EXPECT_THROW(dev.set_capture(&cap), gs::Error);
-  dev.set_checker(nullptr);
-  dev.set_capture(&cap);
-  EXPECT_THROW(dev.set_checker(&chk), gs::Error);
+/// A stream with one cross-block race (every block of `racy_accumulate`
+/// writes element 0) and one uninitialized read (`eager_reader` reads a
+/// buffer nothing wrote).
+void seeded_stream(Device& dev) {
+  DeviceBuffer<double> acc(dev, 64), fresh(dev, 16);
+  auto a = acc.device_span();
+  auto f = fresh.device_span();
+  dev.launch_blocks("racy_accumulate", 64, 8, KernelCost{0.0, 64.0 * 8.0},
+                    [&](std::size_t b, std::size_t, std::size_t) {
+                      a[0] = static_cast<double>(b);
+                    });
+  double sum = 0.0;
+  dev.launch_blocks("eager_reader", 16, 16, KernelCost{16.0, 16.0 * 8.0},
+                    [&](std::size_t, std::size_t lo, std::size_t hi) {
+                      for (std::size_t i = lo; i < hi; ++i) sum += f[i];
+                    });
+}
+
+/// The checker and the analyzer are two reports over one access stream:
+/// with both on one capture, the checker reports the race and analyze()
+/// the uninitialized read, and each report equals its solo run.
+TEST(Analyzer, CheckerAndCaptureReportOneStream) {
+  const auto run = [](CaptureLog& cap, vgpu::check::Checker* chk) {
+    Device dev(vgpu::gtx280_model());
+    cap.set_checker(chk);
+    dev.set_capture(&cap);
+    seeded_stream(dev);
+  };
+  vgpu::check::Checker solo_checker, checker;
+  CaptureLog solo_checker_capture, solo_capture, capture;
+  run(solo_checker_capture, &solo_checker);
+  run(solo_capture, nullptr);
+  run(capture, &checker);
+
+  ASSERT_EQ(checker.findings().size(), 1u) << checker.report();
+  EXPECT_EQ(checker.findings()[0].kind, vgpu::check::FindingKind::kRace);
+  EXPECT_EQ(checker.findings()[0].kernel, "racy_accumulate");
+  EXPECT_EQ(checker.report(), solo_checker.report());
+  const Report rep = vgpu::analyze::analyze(capture);
+  ASSERT_EQ(rep.uninit_reads.size(), 1u);
+  EXPECT_EQ(rep.uninit_reads[0].kernel, "eager_reader");
+  EXPECT_TRUE(rep.hazards.empty());
+  EXPECT_EQ(rep.to_json(), vgpu::analyze::analyze(solo_capture).to_json());
+  EXPECT_EQ(rep.summary(), vgpu::analyze::analyze(solo_capture).summary());
 }
 
 // ------------------------------------------------------- service routing

@@ -20,6 +20,7 @@
 #include "simplex/solver.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
+#include "trace/ring_sink.hpp"
 #include "vgpu/analyze/analyze.hpp"
 
 namespace gs {
@@ -420,6 +421,60 @@ TEST(DualEngine, WarmStartFromUnrelatedBasisAgreesWithHost) {
                   1e-9 * (1.0 + std::abs(ref.objective)))
           << "pair " << k << " scheme " << to_string(scheme);
     }
+  }
+}
+
+// A warm basis the dual engine rejects on an instance that needs
+// artificials hands the solve to a cold host engine. That solve starts
+// once the dual's frame has closed, as a later stage on the host track:
+// the track's timestamps never step back, the stage opens at the dual
+// frame's closing time, the decision log is the host engine's, and the
+// answer is the cold host solve's, bit for bit. Both a basis of the wrong
+// shape and a full-size singular one are covered.
+TEST(DualEngine, RejectedWarmBasisRunsAColdHostStageAfterTheDualFrame) {
+  const lp::LpProblem problem = test_lps::degenerate_drive_out();
+  const auto cold = simplex::solve(problem, simplex::Engine::kHostRevised);
+  // Columns x0, x1, x2 and x4 are all zero in row r0.
+  const std::vector<std::uint32_t> short_basis = {0};
+  const std::vector<std::uint32_t> singular_basis = {0, 1, 2, 4};
+  for (const auto* warm : {&short_basis, &singular_basis}) {
+    SCOPED_TRACE(warm == &singular_basis ? "singular basis"
+                                         : "one-entry basis");
+    trace::RingBufferSink sink(1 << 16);
+    record::Recorder recorder;
+    simplex::SolverOptions opt;
+    opt.warm_basis = warm;
+    opt.trace_sink = &sink;
+    opt.recorder = &recorder;
+    const auto r = simplex::solve(problem, simplex::Engine::kDualRevised, opt);
+
+    EXPECT_EQ(r.status, cold.status);
+    EXPECT_EQ(r.objective, cold.objective);
+    EXPECT_EQ(r.x, cold.x);
+    EXPECT_EQ(r.y, cold.y);
+    EXPECT_EQ(r.basis, cold.basis);
+    EXPECT_EQ(r.stats.iterations, cold.stats.iterations);
+    EXPECT_EQ(r.stats.sim_seconds, cold.stats.sim_seconds);
+    EXPECT_FALSE(r.stats.warm_started);
+    EXPECT_EQ(recorder.recording().header.engine, "host-revised");
+
+    // The dual frame's "solve" span, then the stage's.
+    double last = 0.0;
+    std::vector<double> solve_begins, closed_before;
+    for (const trace::TraceEvent& e : sink.events()) {
+      if (e.pid != trace::kHostPid ||
+          e.phase == trace::EventPhase::kMetadata) {
+        continue;
+      }
+      EXPECT_GE(e.ts, last) << e.name;
+      if (e.phase == trace::EventPhase::kBegin && e.name == "solve") {
+        solve_begins.push_back(e.ts);
+        closed_before.push_back(last);
+      }
+      last = std::max(last, e.ts);
+    }
+    ASSERT_EQ(solve_begins.size(), 2u);
+    EXPECT_EQ(solve_begins[1], closed_before[1]);
   }
 }
 

@@ -15,6 +15,7 @@
 #include "lp/generators.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
+#include "vgpu/analyze/analyze.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/check/check.hpp"
 #include "vgpu/device.hpp"
@@ -27,9 +28,15 @@ namespace {
 using vgpu::Device;
 using vgpu::DeviceBuffer;
 using vgpu::KernelCost;
+using vgpu::analyze::CaptureLog;
 using vgpu::check::Checker;
-using vgpu::check::CheckConfig;
 using vgpu::check::FindingKind;
+
+/// Feed `chk` from `dev`'s access stream, captured into `cap`.
+void feed(Device& dev, CaptureLog& cap, Checker& chk) {
+  cap.set_checker(&chk);
+  dev.set_capture(&cap);
+}
 
 bool has_finding(const Checker& chk, FindingKind kind, const char* kernel) {
   for (const auto& f : chk.findings()) {
@@ -43,7 +50,8 @@ bool has_finding(const Checker& chk, FindingKind kind, const char* kernel) {
 TEST(Checker, DetectsCrossBlockWriteWriteRace) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 64);
   auto sp = buf.device_span();
   // Every block writes element 0: a textbook cross-block race.
@@ -59,7 +67,8 @@ TEST(Checker, DetectsCrossBlockWriteWriteRace) {
 TEST(Checker, DetectsCrossBlockReadWriteRace) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 64);
   auto sp = buf.device_span();
   // Block 0 writes element 0 while every other block reads it — unordered
@@ -80,7 +89,8 @@ TEST(Checker, DetectsCrossBlockReadWriteRace) {
 TEST(Checker, DisjointFootprintsAreClean) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> in(dev, 1024), out(dev, 1024);
   auto is = in.device_span();
   auto os = out.device_span();
@@ -93,7 +103,8 @@ TEST(Checker, DisjointFootprintsAreClean) {
 TEST(Checker, SameBlockOverlapIsNotARace) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 8);
   auto sp = buf.device_span();
   // One block re-writes its own elements: serial within a block, legal.
@@ -109,7 +120,8 @@ TEST(Checker, SameBlockOverlapIsNotARace) {
 TEST(Checker, DetectsOutOfBoundsReadWithoutCrashing) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 16);
   auto sp = buf.device_span();
   dev.parallel_for("oob_read", 16, KernelCost{0.0, 16.0 * 8.0},
@@ -126,7 +138,8 @@ TEST(Checker, DetectsOutOfBoundsReadWithoutCrashing) {
 TEST(Checker, DetectsOutOfBoundsWriteAndRedirectsIt) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 8);
   auto sp = buf.device_span();
   dev.parallel_for("oob_write", 1, KernelCost{0.0, 8.0},
@@ -140,7 +153,8 @@ TEST(Checker, DetectsOutOfBoundsWriteAndRedirectsIt) {
 TEST(Checker, OutOfBoundsCaughtEvenOutsideLaunches) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 4);
   auto sp = buf.device_span();
   const double v = sp[9];  // host-side slip: still bounds-checked
@@ -151,7 +165,8 @@ TEST(Checker, OutOfBoundsCaughtEvenOutsideLaunches) {
 TEST(Checker, DetectsNaNIntroduction) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   std::vector<double> host(32, 1.5);
   DeviceBuffer<double> in(dev, std::span<const double>(host));
   DeviceBuffer<double> out(dev, 32);
@@ -170,7 +185,8 @@ TEST(Checker, DetectsNaNIntroduction) {
 TEST(Checker, NaNPropagationIsNotFlagged) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   std::vector<double> host(32, 1.5);
   host[3] = std::numeric_limits<double>::quiet_NaN();
   DeviceBuffer<double> in(dev, std::span<const double>(host));
@@ -184,29 +200,27 @@ TEST(Checker, NaNPropagationIsNotFlagged) {
   EXPECT_TRUE(chk.clean()) << chk.report();
 }
 
-TEST(Checker, InfiniteIsAllowedByDefaultAndFlaggedOnRequest) {
+TEST(Checker, InfiniteIsAllowed) {
   // The ratio-test kernel legitimately writes +inf for ineligible rows,
-  // so Inf is only a finding under CheckConfig::flag_infinite.
-  for (bool flag : {false, true}) {
-    CheckConfig cfg;
-    cfg.flag_infinite = flag;
-    Checker chk(cfg);
-    Device dev(vgpu::gtx280_model());
-    dev.set_checker(&chk);
-    DeviceBuffer<double> out(dev, 8);
-    auto os = out.device_span();
-    dev.parallel_for("inf_writer", 8, KernelCost{0.0, 64.0},
-                     [&](std::size_t i) {
-                       os[i] = std::numeric_limits<double>::infinity();
-                     });
-    EXPECT_EQ(chk.clean(), !flag) << chk.report();
-  }
+  // so Inf is not a finding.
+  Checker chk;
+  Device dev(vgpu::gtx280_model());
+  CaptureLog cap;
+  feed(dev, cap, chk);
+  DeviceBuffer<double> out(dev, 8);
+  auto os = out.device_span();
+  dev.parallel_for("inf_writer", 8, KernelCost{0.0, 64.0},
+                   [&](std::size_t i) {
+                     os[i] = std::numeric_limits<double>::infinity();
+                   });
+  EXPECT_TRUE(chk.clean()) << chk.report();
 }
 
 TEST(Checker, DetectsCostUnderdeclaration) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 4096);
   auto sp = buf.device_span();
   // Streams 32 KiB of element traffic but declares 64 bytes: the roofline
@@ -221,7 +235,8 @@ TEST(Checker, DetectsCostUnderdeclaration) {
 TEST(Checker, AccurateDeclarationPassesCostLint) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> in(dev, 4096), out(dev, 4096);
   auto is = in.device_span();
   auto os = out.device_span();
@@ -233,7 +248,8 @@ TEST(Checker, AccurateDeclarationPassesCostLint) {
 TEST(Checker, ResetClearsFindings) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   DeviceBuffer<double> buf(dev, 8);
   auto sp = buf.device_span();
   dev.parallel_for("oob_once", 1, KernelCost{0.0, 8.0},
@@ -249,7 +265,8 @@ TEST(Checker, ResetClearsFindings) {
 TEST(Checker, PrimitivesRunCleanUnderCheckedMode) {
   Device dev(vgpu::gtx280_model());
   Checker chk;
-  dev.set_checker(&chk);
+  CaptureLog cap;
+  feed(dev, cap, chk);
   std::vector<double> host(777);
   for (std::size_t i = 0; i < host.size(); ++i) {
     host[i] = static_cast<double>((i * 37) % 101) - 50.0;
