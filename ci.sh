@@ -163,17 +163,22 @@ echo "==> analyze-gate (static dataflow analysis over all engines)"
 (cd build && ./bench/analyze_gate)
 
 # Recorder gates (OBSERVABILITY.md "Recorder"): the byte format carries no
-# timestamps, so record -> record must be byte-identical; record -> replay
-# must verify every decision; and the crafted float-vs-double witness must
-# diverge at pivot 0 with both candidates reported.
+# timestamps, so on every engine, on a two-phase instance, record -> record
+# must be byte-identical and record -> replay must verify every decision;
+# and the crafted float-vs-double witness must diverge at pivot 0 with both
+# candidates reported.
 echo "==> recorder round-trip + divergence gates"
 (
   cd build
-  ./examples/lp_cli --gen dense:32:11 --record=ci_a.gsrec > /dev/null
-  ./examples/lp_cli --gen dense:32:11 --record=ci_b.gsrec > /dev/null
-  cmp ci_a.gsrec ci_b.gsrec
-  ./examples/lp_cli --gen dense:32:11 --replay=ci_a.gsrec \
-    | grep 'replay: verified'
+  for engine in device device-float sparse host tableau dual; do
+    ./examples/lp_cli ../data/testprob.mps --engine "${engine}" \
+      --record="ci_${engine}_a.gsrec" > /dev/null
+    ./examples/lp_cli ../data/testprob.mps --engine "${engine}" \
+      --record="ci_${engine}_b.gsrec" > /dev/null
+    cmp "ci_${engine}_a.gsrec" "ci_${engine}_b.gsrec"
+    ./examples/lp_cli ../data/testprob.mps --engine "${engine}" \
+      --replay="ci_${engine}_a.gsrec" | grep 'replay: verified'
+  done
   ./examples/lp_cli ../data/precision_tie.lp --engine device \
     --record=ci_tie_d.gsrec > /dev/null
   ./examples/lp_cli ../data/precision_tie.lp --engine device-float \

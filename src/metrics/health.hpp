@@ -93,9 +93,9 @@ struct HealthConfig {
 /// solver state, so attaching it cannot perturb the solve.
 ///
 /// Residual and growth values are *computed by the engine* (each engine
-/// knows its own basis representation — see `sample_health` in
-/// device_revised.hpp / host_revised.cpp) and only judged here; the
-/// monitor decides *when* via `want_residual_sample`.
+/// knows its own basis representation — see the `probe` hooks in
+/// device_revised.hpp / host_revised.cpp, fed by SolveFrame) and only
+/// judged here; the monitor decides *when* via `want_residual_sample`.
 class HealthMonitor {
  public:
   HealthMonitor(MetricsRegistry* registry, const HealthConfig& config)

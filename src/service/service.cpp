@@ -434,7 +434,7 @@ void SolveService::drain() {
   // ---- Telemetry sampling (drain thread, derived purely from the
   // modelled timeline stamped above — deterministic for any worker
   // count). The drain's [epoch, epoch + makespan] span is sliced into
-  // fixed sample_interval_seconds intervals; each completion lands in the
+  // fixed kSampleIntervalSeconds intervals; each completion lands in the
   // interval containing its latency offset (warm hits at offset zero),
   // in-flight depth counts requests completing in a later interval, and
   // rejects since the last drain are attributed to the first interval. ----
@@ -459,7 +459,7 @@ void SolveService::drain() {
       d.warm_hit = it.served_from_cache;
       done.push_back(d);
     }
-    const double dt = telemetry_->config().sample_interval_seconds;
+    const double dt = telemetry::kSampleIntervalSeconds;
     const std::size_t n_samples = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(makespan / dt)));
     const std::span<const double> ladder = metrics::seconds_buckets();

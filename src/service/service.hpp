@@ -188,7 +188,7 @@ class SolveService {
 
   /// Attach a time-series telemetry pipeline (OBSERVABILITY.md, "Telemetry
   /// & SLOs"). While attached, drain() slices its modelled makespan into
-  /// fixed `sample_interval_seconds` intervals on the epoch clock and
+  /// fixed `kSampleIntervalSeconds` intervals on the epoch clock and
   /// emits one ServiceSample per interval — completions, deadline misses,
   /// rejects, in-flight depth, warm-cache lookups and a latency histogram
   /// — feeding the service.* series and, when an SLO spec is attached,

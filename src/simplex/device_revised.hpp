@@ -40,7 +40,6 @@
 #include "simplex/phase_setup.hpp"
 #include "simplex/solve_frame.hpp"
 #include "simplex/types.hpp"
-#include "telemetry/telemetry.hpp"
 #include "vblas/containers.hpp"
 #include "vgpu/buffer.hpp"
 #include "vgpu/device.hpp"
@@ -72,58 +71,29 @@ class DeviceRevisedSimplex {
       const bool ok = load_factors(ws);
       GS_CHECK_MSG(ok, "product-form: singular crash basis");
     }
-    SolveResult result;
-    const auto finish = [&](SolveStatus status) {
-      return frame.close(std::move(result), status, ws.basic);
-    };
-    std::size_t budget = opt_.max_iterations;
-
-    // ---- Phase 1: minimize the artificial sum, if any were needed. ----
-    if (aug.num_artificial > 0) {
-      const auto phase_span = frame.phase("phase1", 1);
-      ws.load_costs(aug.c_phase1);
-      const LoopExit exit = run_loop(ws, frame, budget, result.stats, 1);
-      result.stats.phase1_iterations = result.stats.iterations;
-      if (exit == LoopExit::kIterationLimit) {
-        return finish(SolveStatus::kIterationLimit);
-      }
-      if (exit == LoopExit::kUnbounded) {
-        // Phase-1 objective is bounded below by zero; reaching here means
-        // the ratio test lost every pivot to numerics.
-        return finish(SolveStatus::kNumericalTrouble);
-      }
-      const double z1 = ws.current_objective();
-      const double feas_tol =
-          1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-      if (z1 > feas_tol) {
-        return finish(SolveStatus::kInfeasible);
-      }
-      drive_out_artificials(ws, frame, result.stats.iterations);
-      budget -= std::min(budget, result.stats.iterations);
-    }
-
-    // ---- Phase 2: original costs, artificials permanently masked. ----
-    LoopExit exit;
-    {
-      const auto phase_span = frame.phase("phase2", 2);
-      ws.load_costs(aug.c_phase2);
-      exit = run_loop(ws, frame, budget, result.stats, 2);
-    }
-    switch (exit) {
-      case LoopExit::kOptimal:
-        break;
-      case LoopExit::kUnbounded:
-        return finish(SolveStatus::kUnbounded);
-      case LoopExit::kIterationLimit:
-        return finish(SolveStatus::kIterationLimit);
-    }
-
-    // ws.pi still holds the optimal simplex multipliers (the loop priced,
-    // found no entering candidate and stopped): they are the duals.
-    const std::vector<Real> beta = ws.beta.to_host();
-    const std::vector<Real> pi = ws.pi.to_host();
-    recover_optimum<Real>(sf, ws.basic, beta, pi, result);
-    return finish(SolveStatus::kOptimal);
+    // Phase 1 minimizes the artificial sum, if any were needed; phase 2
+    // runs the original costs with the artificials permanently masked.
+    return frame.two_phase(
+        aug, ws.basic,
+        {.load_costs = [&](const std::vector<double>& c) { ws.load_costs(c); },
+         .loop =
+             [&](std::size_t budget, SolverStats& stats, std::uint8_t phase) {
+               return run_loop(ws, frame, budget, stats, phase);
+             },
+         .objective = [&] { return ws.current_objective(); },
+         .drive_out =
+             [&](std::uint64_t iteration) {
+               drive_out_artificials(ws, frame, iteration);
+             },
+         .recover =
+             [&](SolveResult& optimal) {
+               // ws.pi still holds the optimal simplex multipliers (the
+               // loop priced, found no entering candidate and stopped):
+               // they are the duals.
+               const std::vector<Real> beta = ws.beta.to_host();
+               const std::vector<Real> pi = ws.pi.to_host();
+               recover_optimum<Real>(sf, ws.basic, beta, pi, optimal);
+             }});
   }
 
  private:
@@ -134,13 +104,6 @@ class DeviceRevisedSimplex {
     return std::string("device-revised<") +
            (sizeof(Real) == 4 ? "float" : "double") + ">";
   }
-
-  /// The simulated-clock reader trace spans take.
-  [[nodiscard]] auto clock() const {
-    return [this] { return dev_.sim_seconds(); };
-  }
-
-  enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 
   /// All device-resident solver state for one solve.
   struct Workspace {
@@ -718,7 +681,7 @@ class DeviceRevisedSimplex {
   /// ProductFormOracle::install's charge (4 nnz + 2m flops, 2 nnz + 2m
   /// elements) plus one dependent step per basis column. beta is not
   /// refreshed, as on the host. A singular basis keeps the current factors
-  /// and eta file and returns false (host::maybe_refactor).
+  /// and eta file and returns false, as the host oracle does.
   [[nodiscard]] bool load_factors(Workspace& ws) {
     basis::SparseLu lu;
     if (!lu.factorize(basis::CsrColumnSource(*ws.csr), ws.basic)) {
@@ -801,89 +764,31 @@ class DeviceRevisedSimplex {
   // Main loop
   // ---------------------------------------------------------------------
 
-  /// Refactorization policy, mirrored from the host oracles. The explicit
-  /// inverse never refactors (its rank-1 update is exact). The product form
-  /// folds its eta file back every reinversion_period etas (0 means every
-  /// m), drive-out pivots included, or as soon as an eta multiplier
-  /// exceeds the growth limit, as ProductFormOracle::wants_refactor does.
-  [[nodiscard]] static bool refactor_due(const Workspace& ws) noexcept {
-    if (!ws.product_form) return false;
-    const std::size_t period = ws.options.reinversion_period > 0
-                                   ? ws.options.reinversion_period
-                                   : ws.m;
-    return (period > 0 && ws.etas.size() >= period) ||
-           ws.eta_growth > basis::kEtaGrowthLimit;
-  }
-
-  /// One primal loop's bookkeeping: the frame whose op laps and probes it
-  /// feeds, and the objective tracker behind the hybrid rule's Bland
-  /// switch.
-  struct Loop {
-    SolveFrame& frame;
-    SolverStats& stats;
-    std::uint8_t phase;
-    double z;  ///< objective, advanced by theta * d_q per pivot
-    std::size_t since_improve = 0;
-    bool bland_mode = false;  ///< hybrid rule: Bland during a stall streak
-    bool bland = false;       ///< this iteration prices with Bland
+  /// The workspace's basis as SolveFrame::Loop's per-iteration step sees
+  /// it: the product form's refactorization and the health probe.
+  struct Basis {
+    DeviceRevisedSimplex& engine;
+    Workspace& ws;
+    /// Refactorization policy, mirrored from the host oracles. The
+    /// explicit inverse never refactors (its rank-1 update is exact). The
+    /// product form folds its eta file back every reinversion_period etas
+    /// (0 means every m), drive-out pivots included, or as soon as an eta
+    /// multiplier exceeds the growth limit, as
+    /// ProductFormOracle::wants_refactor does.
+    [[nodiscard]] bool refactor_due() const {
+      if (!ws.product_form) return false;
+      const std::size_t period = ws.options.reinversion_period > 0
+                                     ? ws.options.reinversion_period
+                                     : ws.m;
+      return (period > 0 && ws.etas.size() >= period) ||
+             ws.eta_growth > basis::kEtaGrowthLimit;
+    }
+    [[nodiscard]] bool refactor() const { return engine.load_factors(ws); }
+    [[nodiscard]] HealthSample probe(std::size_t iter,
+                                     std::size_t probes) const {
+      return engine.probe(ws, iter, probes);
+    }
   };
-
-  /// Start an iteration (inside its trace span): resolve the pricing rule
-  /// and restart the op lap clock.
-  void begin_iteration(const Workspace& ws, Loop& loop) {
-    if (ws.options.pricing == PricingRule::kHybrid) {
-      loop.bland_mode = loop.since_improve >= ws.options.degeneracy_window;
-    }
-    loop.bland = loop.bland_mode || ws.options.pricing == PricingRule::kBland;
-    loop.frame.lap_start();
-  }
-
-  /// A loop pivot's ratio-test outcome, logged with its decision.
-  struct Step {
-    Real d_q;
-    Real theta;
-  };
-
-  /// Everything after a loop pivot, in order: the iteration counters and
-  /// health pivot, the hybrid rule's progress test, the objective counter
-  /// and telemetry point, the refactor trigger, and the strided
-  /// health/telemetry samples.
-  void end_iteration(Workspace& ws, Loop& loop, std::size_t iter,
-                     Real alpha_p, Step step) {
-    ++loop.stats.iterations;
-    loop.frame.op_metrics().count_iteration();
-    metrics::HealthMonitor& health = loop.frame.health();
-    health.record_pivot(static_cast<double>(alpha_p),
-                        static_cast<double>(step.theta), loop.bland, iter);
-
-    const double dz =
-        static_cast<double>(step.theta) * static_cast<double>(step.d_q);
-    const double new_z = loop.z + dz;
-    if (new_z < loop.z - 1e-12 * (1.0 + std::abs(loop.z))) {
-      loop.since_improve = 0;
-      loop.bland_mode = false;
-    } else {
-      ++loop.since_improve;
-    }
-    loop.z = new_z;
-    const trace::Track& tr = dev_.trace();
-    if (tr.enabled()) tr.counter("objective", dev_.sim_seconds(), loop.z);
-    telemetry::Telemetry* tel = loop.frame.telemetry();
-    const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
-    if (want_tel) tel->record("engine.objective", dev_.sim_seconds(), loop.z);
-
-    if (refactor_due(ws)) {
-      trace::ScopedSpan op(tr, "refactor", clock(), "op");
-      const bool refactored = load_factors(ws);
-      loop.frame.lap(metrics::SimplexOp::kRefactor);
-      if (refactored) loop.frame.record_refactor(loop.stats.iterations);
-    }
-
-    const bool want_health = health.want_residual_sample(iter);
-    if (want_health || want_tel) {
-      sample_health(ws, health, want_health, want_tel ? tel : nullptr, iter);
-    }
-  }
 
   /// The primal loop. Per iteration:
   ///   explicit inverse:  [price_btran] -> price_select -> ftran_ratio
@@ -900,36 +805,35 @@ class DeviceRevisedSimplex {
   /// and the host reduces its per-block leaving triples from the one d2h.
   /// The combines keep the primitives' block-scan order and tie rules, so
   /// the pivot sequence is the one vgpu::argmin / find_first_below would
-  /// pick; tests/golden/ pins it bit for bit.
+  /// pick; tests/golden/ pins it bit for bit. The loop's objective starts
+  /// from one d2h of beta (current_objective) and then advances by
+  /// theta * d_q per pivot.
   LoopExit run_loop(Workspace& ws, SolveFrame& frame, std::size_t budget,
                     SolverStats& stats, std::uint8_t phase) {
-    const trace::Track& tr = dev_.trace();
-    Loop loop{frame, stats, phase, ws.current_objective()};
+    using metrics::SimplexOp;
+    SolveFrame::Loop loop =
+        frame.primal_loop(stats, phase, ws.current_objective());
+    Basis basis{*this, ws};
     // The product form's chain writes one leaving triple; ftran_ratio
     // writes one per block.
     const std::size_t triples = ws.product_form ? 1 : select_blocks(ws.m);
     std::vector<Real> desc_h(desc_prefix(triples));
     for (std::size_t iter = 0; iter < budget; ++iter) {
-      trace::ScopedSpan iter_span(tr, "iteration", clock(), "iteration",
-                                  {{"iter", static_cast<double>(iter)}});
-      begin_iteration(ws, loop);
+      const auto span = loop.iteration(iter);
       const EnteringSelect<Real> entering(
-          loop.bland ? EnteringRule::kBland
-                     : (ws.options.pricing == PricingRule::kDevex
-                            ? EnteringRule::kDevex
-                            : EnteringRule::kDantzig),
+          loop.bland() ? EnteringRule::kBland
+                       : (ws.options.pricing == PricingRule::kDevex
+                              ? EnteringRule::kDevex
+                              : EnteringRule::kDantzig),
           static_cast<Real>(ws.options.opt_tol), ws.m, ws.n_aug);
-      {
-        trace::ScopedSpan op(tr, "price", clock(), "op");
+      loop.op(SimplexOp::kPrice, [&] {
         if (!ws.pi_current) btran(ws);
         ws.at.price_select(entering, ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
                            ws.devex_w, ws.desc);
-      }
-      frame.lap(metrics::SimplexOp::kPrice);
-      {
-        // Speculative: issued before the host knows whether pricing found
-        // a candidate; the kernels early-exit on-device when it did not.
-        trace::ScopedSpan op(tr, "ftran", clock(), "op");
+      });
+      // Speculative: issued before the host knows whether pricing found a
+      // candidate; the kernels early-exit on-device when it did not.
+      loop.op(SimplexOp::kFtran, [&] {
         if (ws.product_form) {
           eta_ftran_chain(ws, &entering);
         } else {
@@ -937,70 +841,56 @@ class DeviceRevisedSimplex {
                                    ws.alpha, ws.ratio, ws.desc,
                                    static_cast<Real>(ws.options.pivot_tol));
         }
-      }
-      frame.lap(metrics::SimplexOp::kFtran);
-      {
-        // The iteration's only d2h: the descriptor's prefix.
-        trace::ScopedSpan op(tr, "ratio", clock(), "op");
-        ws.desc.download(std::span<Real>(desc_h));
-      }
-      frame.lap(metrics::SimplexOp::kRatio);
+      });
+      // The iteration's only d2h: the descriptor's prefix.
+      loop.op(SimplexOp::kRatio,
+              [&] { ws.desc.download(std::span<Real>(desc_h)); });
       if (desc_h[kDescQ] < Real{0}) return LoopExit::kOptimal;
       // Zero-row edge: no ratio block ran, so no row can leave.
       if (ws.m == 0) return LoopExit::kUnbounded;
       const std::size_t q = static_cast<std::size_t>(desc_h[kDescQ]);
       const auto [p, theta, alpha_p] =
           reduce_leaving(std::span<const Real>(desc_h), triples);
-      const Step step{desc_h[kDescDq], theta};
-      if (step.theta == kInf) return LoopExit::kUnbounded;
+      const Real d_q = desc_h[kDescDq];
+      if (theta == kInf) return LoopExit::kUnbounded;
       // Ties are counted through host_view(), outside the machine model,
       // so recording charges no PCIe time.
-      frame.record_pivot(
-          {.phase = loop.phase, .bland = loop.bland,
-           .iteration = stats.iterations, .q = q, .p = p,
-           .leaving = ws.basic[p], .d_q = static_cast<double>(step.d_q),
-           .alpha_p = static_cast<double>(alpha_p),
-           .theta = static_cast<double>(step.theta)},
-          [&] {
-            const std::span<const Real> rv = ws.ratio.host_view();
-            return static_cast<std::uint32_t>(
-                std::count(rv.begin(), rv.end(), step.theta));
-          });
-      {
-        trace::ScopedSpan op(tr, "update", clock(), "op");
-        apply_pivot(ws, q, p, step.theta, alpha_p,
+      loop.record({.q = q, .p = p, .leaving = ws.basic[p],
+                   .d_q = static_cast<double>(d_q),
+                   .alpha_p = static_cast<double>(alpha_p),
+                   .theta = static_cast<double>(theta)},
+                  [&] {
+                    const std::span<const Real> rv = ws.ratio.host_view();
+                    return static_cast<std::uint32_t>(
+                        std::count(rv.begin(), rv.end(), theta));
+                  });
+      loop.op(SimplexOp::kUpdate, [&] {
+        apply_pivot(ws, q, p, theta, alpha_p,
                     ws.options.pricing == PricingRule::kDevex);
-      }
-      frame.lap(metrics::SimplexOp::kUpdate);
-      end_iteration(ws, loop, iter, alpha_p, step);
+      });
+      loop.pivoted(static_cast<double>(alpha_p), static_cast<double>(theta),
+                   static_cast<double>(d_q), basis);
     }
     return LoopExit::kIterationLimit;
   }
 
-  /// HealthMonitor sampling hook (strided; see HealthConfig). Reads device
-  /// state through DeviceBuffer::host_view() — outside the machine model,
+  /// The health probe (SolveFrame::Loop's strided sample). Reads device
+  /// state through DeviceBuffer::host_view(), outside the machine model,
   /// so sampling charges no PCIe time and perturbs nothing.
   ///
-  /// Explicit inverse: probe `residual_probes` entries of B·B⁻¹ − I — for
-  /// a probed (i, j), row i of B comes straight from the standard form's
-  /// sparse rows (plus any basic artificial on that row), so one probe is
+  /// Explicit inverse: probe `probes` entries of B·B⁻¹ − I. For a probed
+  /// (i, j), row i of B comes straight from the standard form's sparse
+  /// rows (plus any basic artificial on that row), so one probe is
   /// O(nnz(row i)); the max |probe| is a cheap lower-bound estimate of
   /// `‖B·B⁻¹ − I‖∞` that tracks drift in the rank-1 update. Growth is the
   /// max |B⁻¹| over the probed rows. The product form has no drifting
   /// inverse to probe; it reports the eta-file length instead.
-  /// The health monitor and the telemetry sink sample on independent
-  /// strides; each consumer is fed only when its own gate fired, so
-  /// attaching telemetry never changes what the HealthMonitor records.
-  void sample_health(Workspace& ws, metrics::HealthMonitor& health,
-                     bool record_health, telemetry::Telemetry* tel,
-                     std::size_t iter) {
+  [[nodiscard]] HealthSample probe(const Workspace& ws, std::size_t iter,
+                                   std::size_t probes) const {
+    HealthSample out;
     if (ws.options.basis != BasisScheme::kExplicitInverse) {
-      if (record_health) health.record_eta_count(ws.etas.size());
-      if (tel != nullptr) {
-        tel->record("engine.eta_count", dev_.sim_seconds(),
-                    static_cast<double>(ws.etas.size()));
-      }
-      return;
+      out.etas = ws.etas.size();
+      return out;
     }
     const std::size_t m = ws.m;
     const std::span<const Real> binv = ws.binv->buffer().host_view();
@@ -1009,11 +899,7 @@ class DeviceRevisedSimplex {
       pos_of_col[ws.basic[k]] = static_cast<std::int64_t>(k);
     }
     const lp::StandardFormLp& sf = *ws.aug.source;
-    const std::size_t probes =
-        std::max<std::size_t>(1, health.config().residual_probes);
     const std::size_t step = std::max<std::size_t>(1, m / probes);
-    double residual = 0.0;
-    double growth = 0.0;
     for (std::size_t t = 0; t < probes; ++t) {
       // Rotate the probed rows with the iteration so successive samples
       // cover different parts of the inverse; alternate diagonal and
@@ -1035,21 +921,14 @@ class DeviceRevisedSimplex {
           acc += static_cast<double>(binv[static_cast<std::size_t>(k) * m + j]);
         }
       }
-      const double r = std::abs(acc - (i == j ? 1.0 : 0.0));
-      if (r > residual) residual = r;
+      out.residual =
+          std::max(out.residual, std::abs(acc - (i == j ? 1.0 : 0.0)));
       for (std::size_t col = 0; col < m; ++col) {
-        const double v = std::abs(static_cast<double>(binv[i * m + col]));
-        if (v > growth) growth = v;
+        out.growth = std::max(
+            out.growth, std::abs(static_cast<double>(binv[i * m + col])));
       }
     }
-    if (record_health) {
-      health.record_residual(residual, iter);
-      health.record_growth(growth, iter);
-    }
-    if (tel != nullptr) {
-      tel->record("engine.residual_inf", dev_.sim_seconds(), residual);
-      tel->record("engine.binv_growth", dev_.sim_seconds(), growth);
-    }
+    return out;
   }
 
   /// After a degenerate phase 1, artificials can linger in the basis at

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/health.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/host_loop.hpp"
 #include "simplex/host_revised.hpp"
@@ -42,29 +41,22 @@ enum class DualExit {
 
 /// The dual loop: walk dual-feasible bases until primal feasibility.
 /// Leaving row by dual-Devex-lite (max beta_r^2 / w_r among beta_r < -tol)
-/// with a Bland fallback (lowest infeasible row) during degeneracy
-/// streaks; entering column by the dual ratio test min d_j / -alpha_rj
-/// over alpha_rj < -pivot_tol, ties to the lowest column index.
+/// with a Bland fallback (lowest infeasible row) where the frame's
+/// PivotRule says so; entering column by the dual ratio test
+/// min d_j / -alpha_rj over alpha_rj < -pivot_tol, ties to the lowest
+/// column index.
 DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
-  metrics::SimplexOpMetrics& om = s.frame.op_metrics();
-  metrics::HealthMonitor& health = s.frame.health();
+  SolveFrame::Loop loop = s.frame.dual_loop(stats);
   const trace::Track& tr = s.meter.trace();
-  const auto clock = [&s] { return s.meter.sim_seconds(); };
   const double tol = s.opt.opt_tol;
-  std::size_t since_improve = 0;
   for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        s.opt.pricing == PricingRule::kBland ||
-        (s.opt.pricing != PricingRule::kBland &&
-         since_improve >= s.opt.degeneracy_window);
-    trace::ScopedSpan iter_span(tr, "dual_iteration", clock, "iteration",
-                                {{"iter", static_cast<double>(iter)}});
+    const auto span = loop.iteration(iter, "dual_iteration");
     // ---- leaving row ----
     std::size_t r = s.m;
     double best_score = 0.0;
     for (std::size_t i = 0; i < s.m; ++i) {
       if (s.beta[i] >= -tol) continue;
-      if (bland) {
+      if (loop.bland()) {
         r = i;
         break;
       }
@@ -120,10 +112,9 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
     }
     const double beta_r = s.beta[r];
     const double theta_p = beta_r / alpha_r;
-    s.frame.record_pivot({.bland = bland, .iteration = stats.iterations,
-                          .q = q, .p = r, .leaving = s.basic[r], .d_q = s.d[q],
-                          .alpha_p = alpha_r, .theta = theta_p},
-                         [ties] { return ties; });
+    loop.record({.q = q, .p = r, .leaving = s.basic[r], .d_q = s.d[q],
+                 .alpha_p = alpha_r, .theta = theta_p},
+                [ties] { return ties; });
     // ---- updates: beta, reduced costs, reference weights ----
     for (std::size_t i = 0; i < s.m; ++i) {
       s.beta[i] -= theta_p * s.alpha[i];
@@ -148,17 +139,9 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
     s.basic[r] = static_cast<std::uint32_t>(q);
     s.in_basis[leaving] = false;
     s.in_basis[q] = true;
-    ++stats.iterations;
-    host::maybe_refactor(s, stats);
-    om.count_iteration();
-    health.record_pivot(alpha_r, theta_p, bland, iter);
     // Progress = dual-objective gain theta_d * |beta_r|; a degenerate
     // streak (theta_d == 0) trips the Bland fallback above.
-    if (theta_d * -beta_r > 1e-12) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
+    loop.dual_pivoted(alpha_r, theta_p, theta_d * -beta_r > 1e-12, s);
     if (tr.enabled()) {
       tr.counter("primal_infeasibility", s.meter.sim_seconds(), [&] {
         double inf = 0.0;
@@ -297,7 +280,7 @@ std::optional<SolveResult> DualRevisedSimplex::solve_dual(
   // Primal cleanup: once primal feasible, the host engine's primal loop
   // finishes the solve under the true costs. This is also where a cold
   // start on an already-primal-feasible crash basis does all its work.
-  host::LoopExit pexit;
+  LoopExit pexit;
   {
     const auto phase_span = frame.phase("primal_cleanup");
     // Restore true costs (only needed when the dual start shifted them;
@@ -305,10 +288,10 @@ std::optional<SolveResult> DualRevisedSimplex::solve_dual(
     if (shifted) state.c = aug.c_phase2;
     pexit = host::run_loop(state, budget, result.stats, 2);
   }
-  if (pexit == host::LoopExit::kUnbounded) {
+  if (pexit == LoopExit::kUnbounded) {
     return finish(SolveStatus::kUnbounded);
   }
-  if (pexit == host::LoopExit::kIterationLimit) {
+  if (pexit == LoopExit::kIterationLimit) {
     return finish(SolveStatus::kIterationLimit);
   }
   recover_optimum<double>(sf, state.basic, state.beta, state.pi, result);

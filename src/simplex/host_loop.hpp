@@ -36,6 +36,17 @@ struct State {
     return z;
   }
 
+  // The basis as SolveFrame::Loop's per-iteration step sees it.
+  /// True when the oracle asks to fold its updates back into fresh
+  /// factors (the product form's interval or growth trigger).
+  [[nodiscard]] bool refactor_due() const { return oracle->wants_refactor(); }
+  /// Refactor the basis; a singular one keeps the eta file, and the
+  /// representation stays exact either way.
+  [[nodiscard]] bool refactor() { return oracle->refactorize(basic); }
+  /// The health probe: `probes` entries of B·B⁻¹ − I and max |B⁻¹| over
+  /// the probed rows, rotating with `iter`.
+  [[nodiscard]] HealthSample probe(std::size_t iter, std::size_t probes) const;
+
   const AugmentedLp& aug;
   std::size_t m, n_aug;
   vblas::Matrix<double> at;  ///< A^T augmented (n_aug x m)
@@ -58,17 +69,10 @@ void btran(State& s);
 void price(State& s);
 /// alpha = B^-1 a_q via the oracle's FTRAN.
 void ftran(State& s, std::size_t q);
-/// Fold the basis back into fresh factors when the oracle asks (the
-/// product form's interval or growth trigger), as a "refactor" op span. A
-/// singular basis keeps the eta file; the representation stays exact
-/// either way.
-void maybe_refactor(State& s, const SolverStats& stats);
-
-enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 
 /// Primal revised simplex from the current (primal-feasible) basis under
-/// the costs in s.c: Dantzig pricing, or Bland's rule under kBland and
-/// during a kHybrid degeneracy streak.
+/// the costs in s.c: Dantzig pricing, or Bland's rule where the frame's
+/// PivotRule says so.
 LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
                   std::uint8_t phase);
 

@@ -7,15 +7,12 @@
 #include <optional>
 #include <vector>
 
-#include "metrics/health.hpp"
 #include "simplex/basis/basis_oracle.hpp"
 #include "simplex/basis/explicit_inverse.hpp"
 #include "simplex/basis/product_form.hpp"
 #include "simplex/cost_meter.hpp"
 #include "simplex/host_loop.hpp"
 #include "simplex/phase_setup.hpp"
-#include "telemetry/telemetry.hpp"
-#include "trace/trace.hpp"
 #include "vblas/containers.hpp"
 #include "vblas/host_ref.hpp"
 
@@ -77,11 +74,26 @@ void ftran(State& s, std::size_t q) {
   s.oracle->ftran(s.colbuf, s.alpha);
 }
 
-void maybe_refactor(State& s, const SolverStats& stats) {
-  if (!s.oracle->wants_refactor()) return;
-  trace::ScopedSpan op(s.meter.trace(), "refactor",
-                       [&s] { return s.meter.sim_seconds(); }, "op");
-  if (s.oracle->refactorize(s.basic)) s.frame.record_refactor(stats.iterations);
+/// Column k of B is the constraint column of basic[k], so one probe of
+/// B·B⁻¹ − I is an O(m) dot product over the dense A^T. Pure reads;
+/// charges nothing to the meter.
+HealthSample State::probe(std::size_t iter, std::size_t probes) const {
+  const std::size_t step = std::max<std::size_t>(1, m / probes);
+  HealthSample out;
+  std::vector<double> bcol(m), brow(m);
+  for (std::size_t t = 0; t < probes; ++t) {
+    const std::size_t i = (iter + t * step) % m;
+    const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
+    oracle->binv_col(j, bcol);
+    double acc = 0.0;
+    for (std::size_t k = 0; k < m; ++k) acc += at(basic[k], i) * bcol[k];
+    out.residual = std::max(out.residual, std::abs(acc - (i == j ? 1.0 : 0.0)));
+    oracle->binv_row(i, brow);
+    for (std::size_t col = 0; col < m; ++col) {
+      out.growth = std::max(out.growth, std::abs(brow[col]));
+    }
+  }
+  return out;
 }
 
 }  // namespace host
@@ -240,50 +252,6 @@ void pivot(State& s, std::size_t q, std::size_t p, double theta) {
   return out;
 }
 
-/// HealthMonitor/telemetry sampling hook for the host engine (strided; see
-/// HealthConfig). Probes entries of B·B⁻¹ − I directly from the dense A^T
-/// — column k of B is the constraint column of basic[k], so one probe is
-/// an O(m) dot product — and takes max |B⁻¹| over the probed rows as the
-/// growth estimate. Pure reads; charges nothing to the meter. The health
-/// monitor and the telemetry sink sample on independent strides, so each
-/// consumer is fed only when its own gate fired — attaching telemetry
-/// never changes what the HealthMonitor records.
-void sample_health(const State& s, metrics::HealthMonitor& health,
-                   bool record_health, telemetry::Telemetry* tel,
-                   std::size_t iter) {
-  const std::size_t m = s.m;
-  const std::size_t probes =
-      std::max<std::size_t>(1, health.config().residual_probes);
-  const std::size_t step = std::max<std::size_t>(1, m / probes);
-  double residual = 0.0;
-  double growth = 0.0;
-  std::vector<double> bcol(m), brow(m);
-  for (std::size_t t = 0; t < probes; ++t) {
-    const std::size_t i = (iter + t * step) % m;
-    const std::size_t j = (t % 2 == 0) ? i : (i + 1) % m;
-    s.oracle->binv_col(j, bcol);
-    double acc = 0.0;
-    for (std::size_t k = 0; k < m; ++k) {
-      acc += s.at(s.basic[k], i) * bcol[k];
-    }
-    const double r = std::abs(acc - (i == j ? 1.0 : 0.0));
-    if (r > residual) residual = r;
-    s.oracle->binv_row(i, brow);
-    for (std::size_t col = 0; col < m; ++col) {
-      const double v = std::abs(brow[col]);
-      if (v > growth) growth = v;
-    }
-  }
-  if (record_health) {
-    health.record_residual(residual, iter);
-    health.record_growth(growth, iter);
-  }
-  if (tel != nullptr) {
-    tel->record("engine.residual_inf", s.meter.sim_seconds(), residual);
-    tel->record("engine.binv_growth", s.meter.sim_seconds(), growth);
-  }
-}
-
 /// Rows tied at the winning ratio, using the exact ratio-test expression
 /// (recorder bookkeeping only; never runs when no recorder is attached).
 [[nodiscard]] std::uint32_t count_ratio_ties(const State& s, double theta) {
@@ -353,74 +321,30 @@ namespace host {
 
 LoopExit run_loop(State& s, std::size_t budget, SolverStats& stats,
                   std::uint8_t phase) {
-  SolveFrame& frame = s.frame;
-  metrics::HealthMonitor& health = frame.health();
-  const trace::Track& tr = s.meter.trace();
-  const auto clock = [&s] { return s.meter.sim_seconds(); };
-  double z = s.objective();
-  std::size_t since_improve = 0;
+  using metrics::SimplexOp;
+  SolveFrame::Loop loop = s.frame.primal_loop(stats, phase, s.objective());
   for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        s.opt.pricing == PricingRule::kBland ||
-        (s.opt.pricing == PricingRule::kHybrid &&
-         since_improve >= s.opt.degeneracy_window);
-    trace::ScopedSpan iter_span(tr, "iteration", clock, "iteration",
-                                {{"iter", static_cast<double>(iter)}});
-    frame.lap_start();
-    std::optional<std::size_t> entering;
-    {
-      trace::ScopedSpan op(tr, "price", clock, "op");
-      btran(s);
-      price(s);
-      entering = select_entering(s, bland);
-    }
-    frame.lap(metrics::SimplexOp::kPrice);
+    const auto span = loop.iteration(iter);
+    const std::optional<std::size_t> entering =
+        loop.op(SimplexOp::kPrice, [&] {
+          btran(s);
+          price(s);
+          return select_entering(s, loop.bland());
+        });
     if (!entering.has_value()) return LoopExit::kOptimal;
     const std::size_t q = *entering;
     const double d_q = s.d[q];
-    {
-      trace::ScopedSpan op(tr, "ftran", clock, "op");
-      ftran(s, q);
-    }
-    frame.lap(metrics::SimplexOp::kFtran);
-    std::optional<std::pair<std::size_t, double>> leave;
-    {
-      trace::ScopedSpan op(tr, "ratio", clock, "op");
-      leave = ratio_test(s);
-    }
-    frame.lap(metrics::SimplexOp::kRatio);
+    loop.op(SimplexOp::kFtran, [&] { ftran(s, q); });
+    const std::optional<std::pair<std::size_t, double>> leave =
+        loop.op(SimplexOp::kRatio, [&] { return ratio_test(s); });
     if (!leave.has_value()) return LoopExit::kUnbounded;
     const auto [p, theta] = *leave;
     const double alpha_p = s.alpha[p];
-    frame.record_pivot({.phase = phase, .bland = bland,
-                        .iteration = stats.iterations, .q = q, .p = p,
-                        .leaving = s.basic[p], .d_q = d_q, .alpha_p = alpha_p,
-                        .theta = theta},
-                       [&] { return count_ratio_ties(s, theta); });
-    {
-      trace::ScopedSpan op(tr, "update", clock, "op");
-      pivot(s, q, p, theta);
-    }
-    frame.lap(metrics::SimplexOp::kUpdate);
-    ++stats.iterations;
-    maybe_refactor(s, stats);
-    frame.op_metrics().count_iteration();
-    health.record_pivot(alpha_p, theta, bland, iter);
-    telemetry::Telemetry* tel = frame.telemetry();
-    const bool want_health = health.want_residual_sample(iter);
-    const bool want_tel = tel != nullptr && tel->want_iteration_sample(iter);
-    if (want_health || want_tel) {
-      sample_health(s, health, want_health, want_tel ? tel : nullptr, iter);
-    }
-    const double new_z = z + theta * d_q;
-    if (new_z < z - 1e-12 * (1.0 + std::abs(z))) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
-    z = new_z;
-    if (tr.enabled()) tr.counter("objective", s.meter.sim_seconds(), z);
-    if (want_tel) tel->record("engine.objective", s.meter.sim_seconds(), z);
+    loop.record({.q = q, .p = p, .leaving = s.basic[p], .d_q = d_q,
+                 .alpha_p = alpha_p, .theta = theta},
+                [&] { return count_ratio_ties(s, theta); });
+    loop.op(SimplexOp::kUpdate, [&] { pivot(s, q, p, theta); });
+    loop.pivoted(alpha_p, theta, d_q, s);
   }
   return LoopExit::kIterationLimit;
 }
@@ -439,9 +363,6 @@ SolveResult HostRevisedSimplex::solve_standard(
                    decision_digest(aug));
   host::State state(aug, options_, frame);
   SolveResult result;
-  const auto finish = [&](SolveStatus status) {
-    return frame.close(std::move(result), status, state.basic);
-  };
 
   // Warm start: a feasible caller-provided basis replaces the crash basis
   // and skips phase 1 outright (feasibility is what phase 1 buys).
@@ -450,45 +371,29 @@ SolveResult HostRevisedSimplex::solve_standard(
     result.stats.warm_started = try_warm_start(state, *options_.warm_basis);
   }
 
-  std::size_t budget = options_.max_iterations;
-  if (aug.num_artificial > 0 && !result.stats.warm_started) {
-    const auto phase_span = frame.phase("phase1", 1);
-    state.c = aug.c_phase1;
-    const host::LoopExit exit =
-        host::run_loop(state, budget, result.stats, 1);
-    result.stats.phase1_iterations = result.stats.iterations;
-    if (exit == host::LoopExit::kIterationLimit) {
-      return finish(SolveStatus::kIterationLimit);
-    }
-    if (exit == host::LoopExit::kUnbounded) {
-      return finish(SolveStatus::kNumericalTrouble);
-    }
-    const double feas_tol =
-        1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-    if (state.objective() > feas_tol) {
-      return finish(SolveStatus::kInfeasible);
-    }
-    drive_out_artificials(state, result.stats.iterations);
-    budget -= std::min(budget, result.stats.iterations);
-  }
-
-  host::LoopExit exit;
-  {
-    const auto phase_span = frame.phase("phase2", 2);
-    state.c = aug.c_phase2;
-    exit = host::run_loop(state, budget, result.stats, 2);
-  }
-  if (exit == host::LoopExit::kUnbounded) {
-    return finish(SolveStatus::kUnbounded);
-  }
-  if (exit == host::LoopExit::kIterationLimit) {
-    return finish(SolveStatus::kIterationLimit);
-  }
-
-  // state.pi still holds the multipliers of the last pricing pass.
-  recover_optimum<double>(sf, state.basic, state.beta, state.pi, result);
-  if (options_.ranging) result.ranging = compute_ranging(state, sf);
-  return finish(SolveStatus::kOptimal);
+  return frame.two_phase(
+      aug, state.basic,
+      {.load_costs = [&](const std::vector<double>& c) { state.c = c; },
+       .loop =
+           [&](std::size_t budget, SolverStats& stats, std::uint8_t phase) {
+             return host::run_loop(state, budget, stats, phase);
+           },
+       .objective = [&] { return state.objective(); },
+       .drive_out =
+           [&](std::uint64_t iteration) {
+             drive_out_artificials(state, iteration);
+           },
+       .recover =
+           [&](SolveResult& optimal) {
+             // state.pi still holds the multipliers of the last pricing
+             // pass.
+             recover_optimum<double>(sf, state.basic, state.beta, state.pi,
+                                     optimal);
+             if (options_.ranging) {
+               optimal.ranging = compute_ranging(state, sf);
+             }
+           }},
+      std::move(result));
 }
 
 }  // namespace gs::simplex

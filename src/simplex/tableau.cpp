@@ -69,7 +69,7 @@ struct Tableau {
   vblas::Matrix<double> body;
   std::vector<double> rhs;
   std::vector<double> drow;
-  double z = 0.0;
+  double z = 0.0;  ///< c_B^T rhs as installed (each loop tracks it on)
   std::vector<std::uint32_t> basic;
   std::vector<bool> in_basis;
   const SolverOptions& opt;
@@ -114,7 +114,6 @@ void eliminate(Tableau& t, std::size_t p, std::size_t q) {
   const double fd = t.drow[q];
   if (fd != 0.0) {
     for (std::size_t j = 0; j < t.n_aug; ++j) t.drow[j] -= fd * prow[j];
-    t.z += fd * t.rhs[p];  // z tracks -c_B beta convention via elimination
   }
   t.meter.charge("eliminate", 2.0 * double(t.m + 1) * double(t.n_aug),
                  double((2 * (t.m + 1) * t.n_aug) * sizeof(double)));
@@ -135,18 +134,16 @@ void eliminate(Tableau& t, std::size_t p, std::size_t q) {
   return ties;
 }
 
-enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
-
+/// The primal loop over the tableau. The full tableau maintains no B^-1
+/// to probe for residual drift and never refactors; its health signals
+/// are the pivot stream (magnitude, degeneracy, Bland activations) and
+/// the iteration tally.
 LoopExit run_loop(Tableau& t, SolveFrame& frame, std::size_t budget,
                   SolverStats& stats, std::uint8_t phase) {
-  std::size_t since_improve = 0;
-  double last_obj = kInf;
+  SolveFrame::Loop loop = frame.primal_loop(stats, phase, t.z);
   for (std::size_t iter = 0; iter < budget; ++iter) {
-    const bool bland =
-        t.opt.pricing == PricingRule::kBland ||
-        (t.opt.pricing == PricingRule::kHybrid &&
-         since_improve >= t.opt.degeneracy_window);
-    const auto entering = select_entering(t, bland);
+    const auto span = loop.iteration(iter);
+    const auto entering = select_entering(t, loop.bland());
     if (!entering.has_value()) return LoopExit::kOptimal;
     const std::size_t q = *entering;
     // Ratio test on column q of the tableau body.
@@ -164,25 +161,13 @@ LoopExit run_loop(Tableau& t, SolveFrame& frame, std::size_t budget,
     }
     t.meter.charge("ratio", double(t.m), double(2 * t.m * sizeof(double)));
     if (p == t.m) return LoopExit::kUnbounded;
-    // The full tableau maintains no B^-1 to probe for residual drift; the
-    // health signals here are the pivot stream (magnitude, degeneracy,
-    // Bland activations) and the iteration tally.
-    frame.health().record_pivot(t.body(p, q), theta, bland, iter);
-    frame.record_pivot({.phase = phase, .bland = bland,
-                        .iteration = stats.iterations, .q = q, .p = p,
-                        .leaving = t.basic[p], .d_q = t.drow[q],
-                        .alpha_p = t.body(p, q), .theta = theta},
-                       [&] { return count_ratio_ties(t, q, theta); });
+    const double alpha_p = t.body(p, q);
+    const double d_q = t.drow[q];
+    loop.record({.q = q, .p = p, .leaving = t.basic[p], .d_q = d_q,
+                 .alpha_p = alpha_p, .theta = theta},
+                [&] { return count_ratio_ties(t, q, theta); });
     eliminate(t, p, q);
-    ++stats.iterations;
-    frame.op_metrics().count_iteration();
-    const double obj = t.z;
-    if (obj < last_obj - 1e-12 * (1.0 + std::abs(last_obj))) {
-      since_improve = 0;
-    } else {
-      ++since_improve;
-    }
-    last_obj = obj;
+    loop.pivoted(alpha_p, theta, d_q, t);
   }
   return LoopExit::kIterationLimit;
 }
@@ -225,55 +210,35 @@ SolveResult TableauSimplex::solve_standard(
   SolveFrame frame(options_, model_, "tableau", aug.m, aug.n_aug,
                    decision_digest(aug));
   Tableau tab(aug, options_, frame.meter());
-  SolveResult result;
-  const auto finish = [&](SolveStatus status) {
-    return frame.close(std::move(result), status, tab.basic);
-  };
-
-  std::size_t budget = options_.max_iterations;
-  if (aug.num_artificial > 0) {
-    const auto phase_span = frame.phase("phase1", 1);
-    tab.price_from_scratch(aug.c_phase1);
-    const LoopExit exit = run_loop(tab, frame, budget, result.stats, 1);
-    result.stats.phase1_iterations = result.stats.iterations;
-    if (exit == LoopExit::kIterationLimit) {
-      return finish(SolveStatus::kIterationLimit);
-    }
-    if (exit == LoopExit::kUnbounded) {
-      return finish(SolveStatus::kNumericalTrouble);
-    }
-    const double feas_tol =
-        1e-6 * (1.0 + *std::max_element(aug.b.begin(), aug.b.end()));
-    if (objective_of(tab, aug.c_phase1) > feas_tol) {
-      return finish(SolveStatus::kInfeasible);
-    }
-    drive_out_artificials(tab, frame, result.stats.iterations);
-    budget -= std::min(budget, result.stats.iterations);
-  }
-
-  LoopExit exit;
-  {
-    const auto phase_span = frame.phase("phase2", 2);
-    tab.price_from_scratch(aug.c_phase2);
-    exit = run_loop(tab, frame, budget, result.stats, 2);
-  }
-  if (exit == LoopExit::kUnbounded) return finish(SolveStatus::kUnbounded);
-  if (exit == LoopExit::kIterationLimit) {
-    return finish(SolveStatus::kIterationLimit);
-  }
-
-  // Duals from the reduced costs of each row's identity column (its slack,
-  // or its artificial where no slack exists): d_col = -y_i at optimality.
-  std::vector<double> pi(aug.m, 0.0);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < aug.m; ++i) {
-    const std::size_t col = sf.slack_col[i] >= 0
-                                ? static_cast<std::size_t>(sf.slack_col[i])
-                                : aug.n + k++;
-    pi[i] = -tab.drow[col];
-  }
-  recover_optimum<double>(sf, tab.basic, tab.rhs, pi, result);
-  return finish(SolveStatus::kOptimal);
+  return frame.two_phase(
+      aug, tab.basic,
+      {.load_costs =
+           [&](const std::vector<double>& c) { tab.price_from_scratch(c); },
+       .loop =
+           [&](std::size_t budget, SolverStats& stats, std::uint8_t phase) {
+             return run_loop(tab, frame, budget, stats, phase);
+           },
+       .objective = [&] { return objective_of(tab, aug.c_phase1); },
+       .drive_out =
+           [&](std::uint64_t iteration) {
+             drive_out_artificials(tab, frame, iteration);
+           },
+       .recover =
+           [&](SolveResult& optimal) {
+             // Duals from the reduced costs of each row's identity column
+             // (its slack, or its artificial where no slack exists): d_col
+             // = -y_i at optimality.
+             std::vector<double> pi(aug.m, 0.0);
+             std::size_t k = 0;
+             for (std::size_t i = 0; i < aug.m; ++i) {
+               const std::size_t col =
+                   sf.slack_col[i] >= 0
+                       ? static_cast<std::size_t>(sf.slack_col[i])
+                       : aug.n + k++;
+               pi[i] = -tab.drow[col];
+             }
+             recover_optimum<double>(sf, tab.basic, tab.rhs, pi, optimal);
+           }});
 }
 
 }  // namespace gs::simplex

@@ -86,9 +86,6 @@ struct SolverOptions {
   double pivot_tol = 1e-9;
 
   PricingRule pricing = PricingRule::kHybrid;
-  /// Hybrid rule: switch to Bland after this many iterations without strict
-  /// objective improvement; switch back on improvement.
-  std::size_t degeneracy_window = 40;
 
   /// Compute post-optimal sensitivity ranges (HostRevisedSimplex only).
   bool ranging = false;
@@ -180,12 +177,11 @@ struct SolverOptions {
   profile::Profiler* profiler = nullptr;
 
   /// Optional time-series telemetry pipeline (OBSERVABILITY.md,
-  /// "Telemetry & SLOs"). While attached, the engine records per-iteration
-  /// series on the modeled clock — `engine.objective` every
-  /// `iteration_stride`-th iteration, plus `engine.residual_inf` /
-  /// `engine.binv_growth` (or `engine.eta_count` for eta-file bases) at
-  /// the same cadence, sharing the HealthMonitor's pure-read probes
-  /// without perturbing its own sampling.
+  /// "Telemetry & SLOs"). While attached, the primal loops record
+  /// per-iteration series on the modeled clock — `engine.objective`, plus
+  /// `engine.residual_inf` / `engine.binv_growth` (or `engine.eta_count`
+  /// for eta-file bases) where the engine has a health probe, sharing the
+  /// HealthMonitor's pure-read probes without perturbing its own sampling.
   telemetry::Telemetry* telemetry = nullptr;
 };
 

@@ -11,14 +11,14 @@ namespace gs::telemetry {
 void Telemetry::record(std::string_view series, double t, double v) {
   auto it = series_.find(series);
   if (it == series_.end()) {
-    it = series_.emplace(std::string(series), Series(cfg_.series_capacity))
+    it = series_.emplace(std::string(series), Series(kSeriesCapacity))
              .first;
   }
   it->second.record(t + time_offset_, v);
 }
 
 void Telemetry::event(std::string_view name, double t, std::string detail) {
-  if (events_.size() >= cfg_.event_capacity) {
+  if (events_.size() >= kEventCapacity) {
     ++events_dropped_;
     return;
   }
@@ -79,7 +79,7 @@ std::string Telemetry::to_json() const {
   out += "{\n  \"schema\": ";
   json_write_string(out, kSchema);
   out += ",\n  \"sample_interval_seconds\": ";
-  json_write_number(out, cfg_.sample_interval_seconds);
+  json_write_number(out, kSampleIntervalSeconds);
 
   out += ",\n  \"series\": {";
   bool first = true;

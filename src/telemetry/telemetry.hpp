@@ -8,7 +8,7 @@
 // identical runs produce byte-identical `gs-telemetry-v1` JSON regardless
 // of machine load or worker count.
 //
-// Retention is bounded: each series keeps at most `series_capacity` points.
+// Retention is bounded: each series keeps at most kSeriesCapacity points.
 // When a series fills, every other point is dropped and the acceptance
 // stride doubles (1, 2, 4, ...) — classic power-of-two downsampling that
 // keeps a uniform subsample of the full run at a fixed memory ceiling,
@@ -37,18 +37,14 @@
 
 namespace gs::telemetry {
 
-struct TelemetryConfig {
-  /// Width of one service sample interval on the epoch clock. 1 ms spans
-  /// a batch drain (~8-15 ms makespans at the bench sizes) with enough
-  /// resolution for the SLO windows to see bursts.
-  double sample_interval_seconds = 1e-3;
-  /// Per-series point cap; must be a power of two for clean downsampling.
-  std::size_t series_capacity = 512;
-  /// Cap on stored timestamped events (drains, SLO transitions).
-  std::size_t event_capacity = 256;
-  /// Engines record every `iteration_stride`-th iteration.
-  std::size_t iteration_stride = 1;
-};
+/// Width of one service sample interval on the epoch clock. 1 ms spans a
+/// batch drain (~8-15 ms makespans at the bench sizes) with enough
+/// resolution for the SLO windows to see bursts.
+inline constexpr double kSampleIntervalSeconds = 1e-3;
+/// Per-series point cap; a power of two for clean downsampling.
+inline constexpr std::size_t kSeriesCapacity = 512;
+/// Cap on stored timestamped events (drains, SLO transitions).
+inline constexpr std::size_t kEventCapacity = 256;
 
 struct SeriesPoint {
   double t = 0.0;
@@ -99,14 +95,10 @@ struct TimedEvent {
 
 class Telemetry {
  public:
-  explicit Telemetry(TelemetryConfig config = {}) : cfg_(config) {}
-
-  [[nodiscard]] const TelemetryConfig& config() const noexcept { return cfg_; }
-
   /// Append one point to the named series (created on first use).
   void record(std::string_view series, double t, double v);
 
-  /// Record a timestamped event (bounded by event_capacity; overflow is
+  /// Record a timestamped event (bounded by kEventCapacity; overflow is
   /// counted, not stored).
   void event(std::string_view name, double t, std::string detail = {});
 
@@ -115,11 +107,6 @@ class Telemetry {
   /// already finished, so all its points share the first stage's clock.
   void set_time_offset(double seconds) noexcept { time_offset_ = seconds; }
   [[nodiscard]] double time_offset() const noexcept { return time_offset_; }
-
-  /// Engines gate per-iteration sampling on this (stride check only).
-  [[nodiscard]] bool want_iteration_sample(std::size_t iter) const noexcept {
-    return iter % cfg_.iteration_stride == 0;
-  }
 
   /// Snapshot `registry`, diff against the previous snapshot, and record
   /// each counter delta as series `registry.<name>` plus each gauge's
@@ -163,7 +150,6 @@ class Telemetry {
   static constexpr std::string_view kSchema = "gs-telemetry-v1";
 
  private:
-  TelemetryConfig cfg_;
   double time_offset_ = 0.0;
   std::map<std::string, Series, std::less<>> series_;
   std::vector<TimedEvent> events_;

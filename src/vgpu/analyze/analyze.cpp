@@ -131,9 +131,16 @@ void CaptureLog::set_checker(check::Checker* checker) {
 
 void CaptureLog::retire_pending_locked() {
   // Drop the block ids: the node keeps each buffer's merged byte ranges.
+  // Buffers retire in id order.
+  std::vector<const PendingAccess*> by_id;
+  for (const auto& entry : pending_access_) by_id.push_back(&entry.second);
+  std::sort(by_id.begin(), by_id.end(),
+            [](const auto* a, const auto* b) { return a->id < b->id; });
   double traffic = 0.0;
   std::vector<const check::SpanLog*> logs;
-  for (const auto& [id, pa] : pending_access_) {
+  for (const PendingAccess* access : by_id) {
+    const PendingAccess& pa = *access;
+    const std::uint32_t id = pa.id;
     const std::uint64_t es = pa.log.elem_size;
     const auto ranges = [&](const std::vector<check::detail::Interval>& ivs) {
       std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
@@ -144,7 +151,7 @@ void CaptureLog::retire_pending_locked() {
       }
       return out;
     };
-    const auto emit = [&, id = id](auto elems, std::vector<Access>& out) {
+    const auto emit = [&](auto elems, std::vector<Access>& out) {
       merge_sorted(elems);
       for (const auto& [lo, hi] : elems) out.push_back({id, lo * es, hi * es});
     };
@@ -215,9 +222,6 @@ void CaptureLog::note_range(const void* base, std::size_t extent,
                             check::ElemKind kind, std::size_t elem_size,
                             std::size_t lo, std::size_t hi, bool is_write) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint32_t id =
-      id_for_locked(base, static_cast<std::uint64_t>(extent) * elem_size,
-                    elem_size);
   if (!in_launch_ && !host_pending_) {
     // Span access between launches: scalar glue the engines run on the
     // host (e.g. reading the value at a just-found index). Accumulate
@@ -227,7 +231,14 @@ void CaptureLog::note_range(const void* base, std::size_t extent,
     pending_.name = "<host>";
     host_pending_ = true;
   }
-  PendingAccess& pa = pending_access_[id];
+  const auto [entry, fresh] = pending_access_.try_emplace(base);
+  PendingAccess& pa = entry->second;
+  // A buffer's id is fixed for the whole node: resolve it at the node's
+  // first access to the base (and again for a span of another extent).
+  if (fresh || pa.log.extent != extent) {
+    pa.id = id_for_locked(
+        base, static_cast<std::uint64_t>(extent) * elem_size, elem_size);
+  }
   check::SpanLog& log = pa.log;
   if (log.base == nullptr) {
     log.base = static_cast<const std::byte*>(base);
@@ -237,6 +248,11 @@ void CaptureLog::note_range(const void* base, std::size_t extent,
   }
   // Host glue between launches is single-threaded: one shared block id.
   const std::uint32_t block = in_launch_ ? check::detail::tls_block : 0;
+  if (pa.last_block != block) {
+    const auto it = pa.block_writes.find(block);
+    pa.last_block = block;
+    pa.last_writes = it != pa.block_writes.end() ? &it->second : nullptr;
+  }
   // A block's streaming loop extends its last interval; anything else
   // appends. Interleaved kernels interleave across *different* spans, so
   // the common case stays O(1).
@@ -250,15 +266,15 @@ void CaptureLog::note_range(const void* base, std::size_t extent,
   // read of elements the SAME block wrote earlier in this launch observes
   // those writes, not pre-launch state.
   if (is_write) {
-    pa.block_writes[block].add(lo, hi);
+    if (pa.last_writes == nullptr) pa.last_writes = &pa.block_writes[block];
+    pa.last_writes->add(lo, hi);
     return;
   }
-  const auto it = pa.block_writes.find(block);
   std::uint64_t at = lo;
   while (at < hi) {
     std::uint64_t gap_lo = at, gap_hi = hi;
-    if (it != pa.block_writes.end()) {
-      std::tie(gap_lo, gap_hi) = it->second.first_gap(at, hi);
+    if (pa.last_writes != nullptr) {
+      std::tie(gap_lo, gap_hi) = pa.last_writes->first_gap(at, hi);
       if (gap_lo >= hi) break;  // remainder fully covered by own writes
     }
     auto& pr = pa.prior_reads;

@@ -31,13 +31,15 @@
 //       the declared KernelCost bytes.
 //
 // Recording costs about as much as checked execution (OBSERVABILITY.md
-// measures both): every element access takes the capture's lock.
+// measures both): every element access takes the capture's lock and one
+// hash lookup.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -226,6 +228,7 @@ class CaptureLog {
   // block-tagged element intervals, merged into byte ranges when the node
   // retires.
   struct PendingAccess {
+    std::uint32_t id = 0;  ///< the buffer's, resolved once per node
     check::SpanLog log;
     /// Subranges of `log.reads` not preceded by a same-block write in this
     /// launch (feeds Node::prior_reads).
@@ -234,11 +237,17 @@ class CaptureLog {
     /// block-local program order is the only intra-launch ordering the
     /// capture may assume.
     std::map<std::uint32_t, IntervalSet> block_writes;
+    /// The last accessing block and its entry in block_writes (nullptr
+    /// while it has written nothing): a block's run of accesses finds it
+    /// once.
+    std::optional<std::uint32_t> last_block;
+    IntervalSet* last_writes = nullptr;
   };
   bool in_launch_ = false;
   double declared_bytes_ = 0.0;
   Node pending_;
-  std::map<std::uint32_t, PendingAccess> pending_access_;
+  /// Keyed by span base: each access costs one hash lookup.
+  std::unordered_map<const void*, PendingAccess> pending_access_;
   bool host_pending_ = false;
 };
 

@@ -4,11 +4,13 @@
 // one packed descriptor readback. Golden recordings (tests/golden/, the
 // recorder's gs-record-v1 format) pin its decision stream bit for bit —
 // in both precisions, under every pricing rule, on both A^T layouts and
-// both basis schemes — and the budget tests hold the launches and
-// transfers the collapse exists to buy.
+// both basis schemes — together with the host, tableau and dual engines'
+// streams through the same solve protocol; the budget tests hold the
+// launches and transfers the collapse exists to buy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -21,6 +23,7 @@
 #include "lp/standard_form.hpp"
 #include "record/record.hpp"
 #include "simplex/device_revised.hpp"
+#include "simplex/solver.hpp"
 #include "vgpu/machine_model.hpp"
 #include "vgpu/primitives.hpp"
 
@@ -64,13 +67,31 @@ Golden golden(std::string name, lp::LpProblem problem, SolverOptions opt) {
           }};
 }
 
+/// One golden solve on `engine` through simplex::solve, warm-started from
+/// `warm` when it is not empty.
+Golden engine_golden(std::string name, lp::LpProblem problem, Engine engine,
+                     SolverOptions opt,
+                     std::vector<std::uint32_t> warm = {}) {
+  return {std::move(name), [problem = std::move(problem), engine, opt,
+                            warm = std::move(warm)](record::Recorder& rec) {
+            SolverOptions o = opt;
+            o.recorder = &rec;
+            if (!warm.empty()) o.warm_basis = &warm;
+            return solve(problem, engine, o);
+          }};
+}
+
 /// The device decision streams no host-vs-device identity test covers:
 /// float under every pricing rule (the hybrid on Beale's cycling LP, where
 /// its stall switch to Bland fires), Devex in both precisions, the CSR
 /// explicit inverse in float, phase 1 with the artificial drive-out (and
 /// under Devex, whose weights the drive-out pivots leave alone),
 /// multi-block selections on both layouts, and the product form at
-/// reinversion periods 0 and 4.
+/// reinversion periods 0 and 4. Then the host-side engines: the host
+/// engine under both basis schemes, host and tableau on Beale under the
+/// hybrid rule (the Bland switch fires) and on the transportation LP
+/// (phase 1 and the drive-out), and the dual engine warm-started from an
+/// unrelated same-shape optimum under both basis schemes.
 std::vector<Golden> golden_corpus() {
   const auto dense64 = lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 5});
   const auto transport = lp::transportation(5, 6, 17);
@@ -86,6 +107,12 @@ std::vector<Golden> golden_corpus() {
       lp::random_dense_lp({.rows = 150, .cols = 300, .seed = 3});
   const auto sparse300 = lp::random_sparse_lp(
       {.rows = 300, .cols = 300, .density = 0.02, .seed = 6});
+  const auto dense24 =
+      lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 11});
+  const std::vector<std::uint32_t> donor24 =
+      solve(lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 12}),
+            Engine::kHostRevised)
+          .basis;
   return {
       golden<float>("beale_f32_hybrid", lp::beale_cycling(),
                     rule_options(PricingRule::kHybrid)),
@@ -97,8 +124,7 @@ std::vector<Golden> golden_corpus() {
                     rule_options(PricingRule::kDevex)),
       golden<double>("dense_f64_devex", dense64,
                      rule_options(PricingRule::kDevex)),
-      golden<double>("dense_f64_devex_24x24",
-                     lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 11}),
+      golden<double>("dense_f64_devex_24x24", dense24,
                      rule_options(PricingRule::kDevex)),
       golden<float, SparseAt>("csr_f32_devex", sparse32,
                               rule_options(PricingRule::kDevex)),
@@ -136,6 +162,22 @@ std::vector<Golden> golden_corpus() {
                               product_form(PricingRule::kDevex, 4)),
       golden<float, SparseAt>("csr_pf_f32_bland_p4", sparse32x128,
                               product_form(PricingRule::kBland, 4)),
+      engine_golden("host_dense64_explicit", dense64, Engine::kHostRevised,
+                    rule_options(PricingRule::kHybrid)),
+      engine_golden("host_dense64_pf_p4", dense64, Engine::kHostRevised,
+                    product_form(PricingRule::kHybrid, 4)),
+      engine_golden("host_beale_hybrid", lp::beale_cycling(),
+                    Engine::kHostRevised, rule_options(PricingRule::kHybrid)),
+      engine_golden("tableau_beale_hybrid", lp::beale_cycling(),
+                    Engine::kTableau, rule_options(PricingRule::kHybrid)),
+      engine_golden("host_transport", transport, Engine::kHostRevised,
+                    rule_options(PricingRule::kHybrid)),
+      engine_golden("tableau_transport", transport, Engine::kTableau,
+                    rule_options(PricingRule::kHybrid)),
+      engine_golden("dual_warm_explicit", dense24, Engine::kDualRevised,
+                    rule_options(PricingRule::kHybrid), donor24),
+      engine_golden("dual_warm_pf", dense24, Engine::kDualRevised,
+                    product_form(PricingRule::kHybrid, 4), donor24),
   };
 }
 

@@ -6,6 +6,7 @@
 // fails here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "lp/generators.hpp"
 #include "metrics/health.hpp"
 #include "metrics/metrics.hpp"
+#include "record/record.hpp"
 #include "simplex/batch_revised.hpp"
 #include "simplex/solver.hpp"
 
@@ -308,6 +310,37 @@ TEST(MetricsSolve, DualEngineRecordsIterationsAndOpSeconds) {
         snap.histograms.find(std::string("simplex.op_seconds.") + op);
     ASSERT_NE(it, snap.histograms.end()) << op;
     EXPECT_GT(it->second.count, 0u) << op;
+  }
+}
+
+// Every refactorization is one `refactor` op observation on every engine
+// with a product form: the host and dual engines lap it as the device
+// engines do, so the histogram counts the decision log's refactor events.
+TEST(MetricsSolve, RefactorHistogramCountsEveryRefactorization) {
+  using simplex::Engine;
+  for (const Engine e : {Engine::kHostRevised, Engine::kDualRevised,
+                         Engine::kDeviceRevised, Engine::kSparseRevised}) {
+    SCOPED_TRACE(std::string(simplex::to_string(e)));
+    metrics::MetricsRegistry reg;
+    record::Recorder rec;
+    simplex::SolverOptions opt;
+    opt.metrics = &reg;
+    opt.recorder = &rec;
+    opt.basis = simplex::BasisScheme::kProductForm;
+    opt.reinversion_period = 4;
+    const auto result = simplex::solve(
+        lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 3}), e, opt);
+    ASSERT_TRUE(result.optimal());
+    const auto& records = rec.recording().records;
+    const auto refactors = static_cast<std::size_t>(
+        std::count_if(records.begin(), records.end(), [](const auto& d) {
+          return d.kind == record::RecordKind::kRefactor;
+        }));
+    ASSERT_GT(refactors, 0u);
+    EXPECT_EQ(reg.histogram("simplex.op_seconds.refactor",
+                            metrics::seconds_buckets())
+                  .count(),
+              refactors);
   }
 }
 

@@ -85,9 +85,9 @@ struct Observers {
 };
 
 /// A solve path: every Engine value, the dual engine's warm start, the
-/// batch engine and the service's float-then-double route. `feeds` are the layers it reports into: the
-/// host engines run no device stream (no checker or analyzer), and the
-/// tableau and the batch engine sample no telemetry series.
+/// batch engine and the service's float-then-double route. `feeds` are the
+/// layers it reports into: the host engines run no device stream (no
+/// checker or analyzer), and the batch engine samples no telemetry series.
 struct Path {
   std::string name;
   unsigned feeds;
@@ -126,8 +126,8 @@ std::vector<Path> paths() {
         engine_path("host_" + t, Engine::kHostRevised, kHostFeeds, problem));
     out.push_back(
         engine_path("dual_" + t, Engine::kDualRevised, kHostFeeds, problem));
-    out.push_back(engine_path("tableau_" + t, Engine::kTableau,
-                              kHostFeeds & ~kTelemetry, problem));
+    out.push_back(
+        engine_path("tableau_" + t, Engine::kTableau, kHostFeeds, problem));
     out.push_back({"float_then_double_" + t, kEveryLayer,
                    [problem](const SolverOptions& o) {
                      return std::vector<SolveResult>{

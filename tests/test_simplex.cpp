@@ -4,10 +4,12 @@
 // and statistics plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "lp/generators.hpp"
 #include "lp/problem.hpp"
+#include "record/record.hpp"
 #include "simplex/solver.hpp"
 
 namespace gs::simplex {
@@ -265,12 +267,40 @@ TEST(Pricing, BlandTerminatesOnBeale) {
 TEST(Pricing, HybridEscapesBealeCycle) {
   SolverOptions opt;
   opt.pricing = PricingRule::kHybrid;
-  opt.degeneracy_window = 20;
   for (Engine e : {Engine::kHostRevised, Engine::kDeviceRevised,
                    Engine::kTableau}) {
     const SolveResult r = solve(lp::beale_cycling(), e, opt);
     ASSERT_EQ(r.status, SolveStatus::kOptimal) << to_string(e);
     EXPECT_NEAR(r.objective, -0.05, 1e-9) << to_string(e);
+  }
+}
+
+// Beale's cycle behind one improving pivot: x8 <= 1 at cost -100 enters
+// first (theta = 1), then the degenerate cycle runs until the hybrid
+// rule's stall switch hands pricing to Bland after 40 pivots without
+// progress. Each primal loop's streak starts from its own objective, so
+// the improving pivot resets it on every engine, and the first Bland
+// pivot comes at the same pivot ordinal everywhere.
+TEST(Pricing, HybridSwitchesToBlandAtTheSamePivotOnEveryPrimalEngine) {
+  LpProblem p = lp::beale_cycling();
+  const auto x8 = p.add_variable("x8", -100.0);
+  p.add_constraint("b4", {{x8, 1.0}}, RowSense::kLe, 1.0);
+  for (Engine e : {Engine::kHostRevised, Engine::kDeviceRevised,
+                   Engine::kTableau}) {
+    record::Recorder rec;
+    SolverOptions opt;
+    opt.pricing = PricingRule::kHybrid;
+    opt.recorder = &rec;
+    const SolveResult r = solve(p, e, opt);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal) << to_string(e);
+    EXPECT_NEAR(r.objective, -100.05, 1e-9) << to_string(e);
+    const auto& records = rec.recording().records;
+    const auto first_bland =
+        std::find_if(records.begin(), records.end(), [](const auto& d) {
+          return d.kind == record::RecordKind::kPivot && d.bland != 0;
+        });
+    ASSERT_NE(first_bland, records.end()) << to_string(e);
+    EXPECT_EQ(first_bland->iteration, 41u) << to_string(e);
   }
 }
 

@@ -366,13 +366,11 @@ TEST(TelemetryFormats, PrometheusExposesLatestValues) {
 }
 
 TEST(TelemetryFormats, EventCapIsCountedNotSilent) {
-  telemetry::TelemetryConfig cfg;
-  cfg.event_capacity = 2;
-  telemetry::Telemetry tel(cfg);
-  tel.event("a", 1e-3);
-  tel.event("b", 2e-3);
-  tel.event("c", 3e-3);
-  EXPECT_EQ(tel.events().size(), 2u);
+  telemetry::Telemetry tel;
+  for (std::size_t k = 0; k <= telemetry::kEventCapacity; ++k) {
+    tel.event("e", 1e-3 * static_cast<double>(k));
+  }
+  EXPECT_EQ(tel.events().size(), telemetry::kEventCapacity);
   EXPECT_NE(tel.to_json().find("\"events_dropped\": 1"), std::string::npos);
 }
 
