@@ -28,15 +28,41 @@ run_config() {
   (cd "${dir}" && ctest --output-on-failure -j "${JOBS}")
 }
 
+# One charge site (DESIGN.md "One ledger"): only vgpu::Ledger
+# (src/vgpu/ledger.{hpp,cpp}) turns a charge into modeled time or a trace
+# slice, so the device's launches and copies and the host's steps are
+# priced and published by the same code. The scan fails on any other file
+# under src/ that calls MachineModel::kernel_seconds / transfer_seconds
+# with arguments (a member call; DeviceStats::transfer_seconds() takes
+# none), or passes the "kernel" or "transfer" category to a Track's
+# complete() (the statement up to its `;`, which may span lines).
+echo "==> kernel and transfer charges go through src/vgpu/ledger only"
+charge_sites=$(find src -name '*.hpp' -o -name '*.cpp' | sort \
+  | grep -v '^src/vgpu/ledger\.\(hpp\|cpp\)$' \
+  | xargs perl -0777 -ne '
+      sub at { 1 + (substr($_, 0, $_[0]) =~ tr/\n//) }
+      while (/(?:\.|->)(?:kernel|transfer)_seconds\((?!\s*\))/g) {
+        printf "%s:%d: roofline time\n", $ARGV, at($-[0]);
+      }
+      while (/(?:\.|->)complete\s*\(([^;]*?)\)\s*;/sg) {
+        my ($pos, $args) = ($-[0], $1);
+        printf "%s:%d: %s slice\n", $ARGV, at($pos), $1
+          if $args =~ /"(kernel|transfer)"/;
+      }')
+if [ -n "${charge_sites}" ]; then
+  echo "${charge_sites}"
+  echo "charges priced or traced outside vgpu::Ledger"; exit 1
+fi
+
 # One observer hook (OBSERVABILITY.md "Where observers attach"): only the
 # solve frame reads the observer fields of a SolverOptions. The pattern
-# matches a member access (`.` or `->`) of one of the eight field names
+# matches a member access (`.` or `->`) of one of the seven field names
 # that is not an assignment (`=` but not `==`) or a method call (`(`),
 # on any line of src/ that is not a `//` comment; assignments such as the
 # service's per-job trace collector stay allowed.
 echo "==> observer fields are read only by src/simplex/solve_frame.hpp"
 observer_reads=$(grep -rnP --include='*.hpp' --include='*.cpp' \
-  '(\.|->)(trace_sink|checker|analyzer|metrics|health|recorder|profiler|telemetry)\b(?!\s*(=(?!=)|\())' \
+  '(\.|->)(trace_sink|checker|analyzer|metrics|recorder|profiler|telemetry)\b(?!\s*(=(?!=)|\())' \
   src | grep -vP '^[^:]+:\d+:\s*//' \
   | grep -v '^src/simplex/solve_frame.hpp:' || true)
 if [ -n "${observer_reads}" ]; then

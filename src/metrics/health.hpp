@@ -1,7 +1,7 @@
 // Solver-facing metrics helpers: the per-operation histogram bundle shared
 // by every simplex engine, and the HealthMonitor that samples numerical-
-// stability signals each iteration and raises structured warnings when a
-// configured threshold is crossed.
+// stability signals each iteration and raises structured warnings when one
+// of its fixed thresholds is crossed.
 //
 // Both follow the registry's cost discipline: when no registry is attached
 // every method is a single-branch no-op, and all metric names are resolved
@@ -63,33 +63,30 @@ struct SimplexOpMetrics {
   std::array<Histogram*, 5> op_seconds{};
 };
 
-/// Thresholds for the HealthMonitor. Defaults are deliberately permissive —
-/// they flag genuinely suspicious behaviour on double-precision solves
-/// without firing on healthy degenerate steps; tighten them per run via
-/// `SolverOptions::health`.
-struct HealthConfig {
-  /// Warn when the strided `‖B·B⁻¹ − I‖∞` probe estimate exceeds this.
-  double residual_tol = 1e-6;
-  /// Warn when a pivot element's magnitude falls below this.
-  double pivot_tiny_tol = 1e-7;
-  /// Warn when max |B⁻¹| (sampled) exceeds this (inverse blow-up).
-  double growth_limit = 1e8;
-  /// Steps with `theta <= degen_theta_tol` count as degenerate; this many
-  /// *consecutive* degenerate steps raise one "stall" warning per streak.
-  std::size_t stall_window = 25;
-  double degen_theta_tol = 1e-9;
-  /// Sample the residual/growth estimate every `residual_stride`-th
-  /// iteration (1 = every iteration), probing `residual_probes` entries.
-  std::size_t residual_stride = 16;
-  std::size_t residual_probes = 8;
-};
+/// The HealthMonitor's thresholds. They are deliberately permissive: they
+/// flag genuinely suspicious behaviour on double-precision solves without
+/// firing on healthy degenerate steps.
+/// Warn when the strided `‖B·B⁻¹ − I‖∞` probe estimate exceeds this.
+inline constexpr double kResidualTol = 1e-6;
+/// Warn when a pivot element's magnitude falls below this.
+inline constexpr double kPivotTinyTol = 1e-7;
+/// Warn when max |B⁻¹| (sampled) exceeds this (inverse blow-up).
+inline constexpr double kGrowthLimit = 1e8;
+/// Steps with `theta <= kDegenThetaTol` count as degenerate; this many
+/// *consecutive* degenerate steps raise one "stall" warning per streak.
+inline constexpr std::size_t kStallWindow = 25;
+inline constexpr double kDegenThetaTol = 1e-9;
+/// Sample the residual/growth estimate every `kResidualStride`-th
+/// iteration, probing `kResidualProbes` entries.
+inline constexpr std::size_t kResidualStride = 16;
+inline constexpr std::size_t kResidualProbes = 8;
 
 /// Samples numerical-stability signals from a simplex solve and records
 /// them into the registry: a pivot-magnitude histogram, degeneracy /
 /// stall-streak and Bland's-rule-activation counters, the basis-inverse
 /// residual and growth gauges — raising a structured HealthWarning (kinds
-/// "tiny-pivot", "stall", "residual-drift", "growth") whenever a
-/// configured threshold is crossed. The engines feed it; it never touches
+/// "tiny-pivot", "stall", "residual-drift", "growth") whenever one of the
+/// thresholds above is crossed. The engines feed it; it never touches
 /// solver state, so attaching it cannot perturb the solve.
 ///
 /// Residual and growth values are *computed by the engine* (each engine
@@ -98,8 +95,7 @@ struct HealthConfig {
 /// judged here; the monitor decides *when* via `want_residual_sample`.
 class HealthMonitor {
  public:
-  HealthMonitor(MetricsRegistry* registry, const HealthConfig& config)
-      : registry_(registry), cfg_(config) {
+  explicit HealthMonitor(MetricsRegistry* registry) : registry_(registry) {
     if (registry_ == nullptr) return;
     pivot_magnitude_ =
         &registry_->histogram("health.pivot_magnitude", magnitude_buckets());
@@ -111,7 +107,6 @@ class HealthMonitor {
   }
 
   [[nodiscard]] bool enabled() const noexcept { return registry_ != nullptr; }
-  [[nodiscard]] const HealthConfig& config() const noexcept { return cfg_; }
 
   /// One call per pivoting iteration, from the engine's update step.
   /// `alpha` is the pivot element, `theta` the primal step length, `bland`
@@ -121,23 +116,23 @@ class HealthMonitor {
     if (registry_ == nullptr) return;
     const double mag = alpha < 0 ? -alpha : alpha;
     pivot_magnitude_->observe(mag);
-    if (mag < cfg_.pivot_tiny_tol) {
+    if (mag < kPivotTinyTol) {
       registry_->warn({"tiny-pivot",
                        "pivot magnitude below pivot_tiny_tol; basis update "
                        "may amplify rounding error",
-                       mag, cfg_.pivot_tiny_tol, iteration});
+                       mag, kPivotTinyTol, iteration});
     }
     if (bland && !bland_active_) bland_activations_->inc();
     bland_active_ = bland;
-    if (theta <= cfg_.degen_theta_tol) {
+    if (theta <= kDegenThetaTol) {
       degenerate_steps_->inc();
       ++degen_streak_;
-      if (degen_streak_ == cfg_.stall_window) {
+      if (degen_streak_ == kStallWindow) {
         registry_->warn({"stall",
                          "stall_window consecutive degenerate steps (theta "
                          "~ 0); solver may be cycling",
                          static_cast<double>(degen_streak_),
-                         static_cast<double>(cfg_.stall_window), iteration});
+                         static_cast<double>(kStallWindow), iteration});
       }
     } else {
       degen_streak_ = 0;
@@ -148,20 +143,18 @@ class HealthMonitor {
   /// sample for this iteration. False whenever detached.
   [[nodiscard]] bool want_residual_sample(std::size_t iteration) const {
     if (registry_ == nullptr) return false;
-    const std::size_t stride = cfg_.residual_stride == 0 ? 1
-                                                         : cfg_.residual_stride;
-    return iteration % stride == 0;
+    return iteration % kResidualStride == 0;
   }
 
   /// Record an engine-computed `‖B·B⁻¹ − I‖∞` probe estimate.
   void record_residual(double residual_inf, std::size_t iteration) {
     if (registry_ == nullptr) return;
     residual_inf_->set(residual_inf);
-    if (residual_inf > cfg_.residual_tol) {
+    if (residual_inf > kResidualTol) {
       registry_->warn({"residual-drift",
                        "basis-inverse residual estimate exceeds residual_tol; "
                        "B^-1 has drifted from B",
-                       residual_inf, cfg_.residual_tol, iteration});
+                       residual_inf, kResidualTol, iteration});
     }
   }
 
@@ -169,11 +162,11 @@ class HealthMonitor {
   void record_growth(double max_abs, std::size_t iteration) {
     if (registry_ == nullptr) return;
     binv_growth_->set(max_abs);
-    if (max_abs > cfg_.growth_limit) {
+    if (max_abs > kGrowthLimit) {
       registry_->warn({"growth",
                        "basis-inverse entries exceed growth_limit; update "
                        "scheme is amplifying",
-                       max_abs, cfg_.growth_limit, iteration});
+                       max_abs, kGrowthLimit, iteration});
     }
   }
 
@@ -186,7 +179,6 @@ class HealthMonitor {
 
  private:
   MetricsRegistry* registry_;  ///< borrowed; nullptr = fully disabled
-  HealthConfig cfg_;
   Histogram* pivot_magnitude_ = nullptr;
   Counter* degenerate_steps_ = nullptr;
   Counter* bland_activations_ = nullptr;

@@ -102,7 +102,7 @@ void Profiler::on_complete(const trace::TraceEvent& e) {
 
 void Profiler::on_kernel_slice(const trace::TraceEvent& e) {
   // The accumulation below folds the same `dur` doubles, in the same
-  // emission order, as Device::record_kernel folds into
+  // emission order, as vgpu::Ledger::kernel folds into
   // DeviceStats::kernel_seconds / per_kernel sim_seconds — which is what
   // makes report() bit-exact against DeviceStats for a single-engine run.
   kernel_seconds_[e.pid] += e.dur;
@@ -113,10 +113,7 @@ void Profiler::on_kernel_slice(const trace::TraceEvent& e) {
   const double bytes = arg_value(e, "bytes", 0.0);
   agg.flops += flops;
   agg.bytes += bytes;
-  // Host CostMeter slices carry no threads arg: a host model saturates at
-  // one thread, so 1 is exact there.
-  const auto threads =
-      static_cast<std::size_t>(arg_value(e, "threads", 1.0));
+  const auto threads = static_cast<std::size_t>(arg_value(e, "threads", 0.0));
   if (has_arg(e, "scalar_bytes")) {
     agg.scalar_bytes =
         static_cast<std::size_t>(arg_value(e, "scalar_bytes", 8.0));

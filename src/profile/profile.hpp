@@ -170,7 +170,7 @@ struct ProfileReport {
 
 /// The aggregating TraceSink. Attach via SolverOptions::profiler (engines
 /// chain any SolverOptions::trace_sink downstream automatically), via
-/// SolveService::set_profiler, or hand-wire with Device::set_trace.
+/// SolveService::set_profiler, or hand-wire with Ledger::set_trace.
 class Profiler final : public trace::TraceSink {
  public:
   explicit Profiler(trace::TraceSink* downstream = nullptr)
@@ -186,7 +186,7 @@ class Profiler final : public trace::TraceSink {
 
   /// Bind the machine model behind a pid so per-launch roofline
   /// decomposition/classification can be recomputed from the declared
-  /// KernelCost. Engines bind their Device/CostMeter model before the
+  /// KernelCost. Engines bind their ledger's model before the
   /// solve; unbound pids still aggregate counts and seconds but carry no
   /// decomposition.
   void bind_machine(std::uint32_t pid, const vgpu::MachineModel& model) {

@@ -18,6 +18,7 @@
 #include "support/error.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/chrome_sink.hpp"
+#include "vgpu/ledger.hpp"
 
 namespace gs::service {
 
@@ -366,15 +367,12 @@ void SolveService::drain() {
   if (obs != nullptr) {
     if (!trace_named_) {
       trace_named_ = true;
-      trace::Track dev_track(obs, trace::kDevicePid, trace::kEngineTid);
-      dev_track.name_process("vgpu: " + device_model_.name);
-      dev_track.name_thread("service device timeline");
+      vgpu::machine_track(obs, vgpu::kDeviceNames, device_model_)
+          .name_thread("service device timeline");
       for (std::size_t k = 0; k < host_lanes.size(); ++k) {
-        trace::Track lane_track(obs, trace::kHostPid,
-                                trace::kEngineTid +
-                                    static_cast<std::uint32_t>(k));
-        lane_track.name_process("cpu: " + host_model_.name);
-        lane_track.name_thread("service host lane " + std::to_string(k));
+        vgpu::machine_track(obs, vgpu::kHostNames, host_model_,
+                            trace::kEngineTid + static_cast<std::uint32_t>(k))
+            .name_thread("service host lane " + std::to_string(k));
       }
       trace::Track(obs, trace::kHostPid, continuation_tid)
           .name_thread("service device-route continuation");

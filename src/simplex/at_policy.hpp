@@ -428,13 +428,15 @@ class DenseAt : public AtKernels<Real, DenseAt<Real>> {
       }
     };
 
-    /// a_j . y, summed in row order.
+    /// a_j . y, summed in row order; both footprints are declared once.
     template <typename YSpan>
     [[nodiscard]] Real dot(std::size_t j, const YSpan& y) const {
       at.read_range(j * m, (j + 1) * m);
+      y.read_range(0, m);
       const Real* col = at.data() + j * m;
+      const Real* ys = y.data();
       Real acc{0};
-      for (std::size_t i = 0; i < m; ++i) acc += col[i] * y[i];
+      for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
       return acc;
     }
 
@@ -548,13 +550,17 @@ class SparseAt : public AtKernels<Real, SparseAt<Real>> {
       }
     };
 
-    /// a_j . y, summed in CSR order.
+    /// a_j . y, summed in CSR order. The column's values and indices are
+    /// declared once; the scattered y reads stay per element.
     template <typename YSpan>
     [[nodiscard]] Real dot(std::size_t j, const YSpan& y) const {
+      const std::uint32_t lo = offs[j], hi = offs[j + 1];
+      vals.read_range(lo, hi);
+      cols.read_range(lo, hi);
+      const Real* vp = vals.data();
+      const std::uint32_t* cp = cols.data();
       Real acc{0};
-      for (std::uint32_t k = offs[j]; k < offs[j + 1]; ++k) {
-        acc += vals[k] * y[cols[k]];
-      }
+      for (std::uint32_t k = lo; k < hi; ++k) acc += vp[k] * y[cp[k]];
       return acc;
     }
 

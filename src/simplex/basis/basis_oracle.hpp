@@ -83,7 +83,6 @@ class BasisOracle {
  public:
   virtual ~BasisOracle() = default;
 
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
   [[nodiscard]] virtual std::size_t dim() const noexcept = 0;
 
   /// pi^T = c_B^T B^-1. `cb[i]` is the cost of the variable basic in row
@@ -132,13 +131,6 @@ class BasisOracle {
   /// uncharged. The explicit oracle copies; the product form solves.
   virtual void binv_row(std::size_t i, std::span<double> out) const = 0;
   virtual void binv_col(std::size_t j, std::span<double> out) const = 0;
-
-  /// Non-null only for the explicit-inverse oracle: direct access to the
-  /// dense B^-1 for probe-style readers (health sampling).
-  [[nodiscard]] virtual const vblas::Matrix<double>* dense_inverse()
-      const noexcept {
-    return nullptr;
-  }
 
   /// Product-form bookkeeping (0 / 0 for the explicit inverse).
   [[nodiscard]] virtual std::size_t eta_count() const noexcept { return 0; }

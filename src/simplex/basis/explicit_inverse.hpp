@@ -35,9 +35,6 @@ class ExplicitInverseOracle final : public BasisOracle {
     for (std::size_t i = 0; i < m_; ++i) binv_(i, i) = binv_diag[i];
   }
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return "explicit-inverse";
-  }
   [[nodiscard]] std::size_t dim() const noexcept override { return m_; }
 
   /// pi = (B^-1)^T c_B, accumulated row-wise for cache-friendly access.
@@ -150,11 +147,6 @@ class ExplicitInverseOracle final : public BasisOracle {
 
   void binv_col(std::size_t j, std::span<double> out) const override {
     for (std::size_t i = 0; i < m_; ++i) out[i] = binv_(i, j);
-  }
-
-  [[nodiscard]] const vblas::Matrix<double>* dense_inverse()
-      const noexcept override {
-    return &binv_;
   }
 
   [[nodiscard]] std::size_t refactor_count() const noexcept override {

@@ -12,7 +12,7 @@
 // Refactorization folds the eta file back into a fresh B_0 and is
 // triggered two ways, mirroring the device engine's policy:
 //   - interval: every `reinversion_period` etas (0 means every m), and
-//   - growth:   when any eta multiplier exceeds kGrowthLimit (the
+//   - growth:   when any eta multiplier exceeds kEtaGrowthLimit (the
 //     eta-file conditioning guard from the GPU-simplex literature).
 // The engine emits the recorder's refactor event when either fires.
 //
@@ -40,8 +40,6 @@ namespace gs::simplex::basis {
 
 class ProductFormOracle final : public BasisOracle {
  public:
-  static constexpr double kGrowthLimit = kEtaGrowthLimit;
-
   /// `cols` and `basis0` describe the initial (crash) basis; `cols` must
   /// outlive the oracle. The crash basis is diagonal (+/-1 slacks and
   /// artificials), so the initial factorization always succeeds.
@@ -53,9 +51,6 @@ class ProductFormOracle final : public BasisOracle {
     GS_CHECK_MSG(ok, "product-form: singular crash basis");
   }
 
-  [[nodiscard]] const char* name() const noexcept override {
-    return "product-form";
-  }
   [[nodiscard]] std::size_t dim() const noexcept override { return m_; }
 
   void btran(std::span<const double> cb, std::span<double> pi) override {
@@ -130,7 +125,7 @@ class ProductFormOracle final : public BasisOracle {
   [[nodiscard]] bool wants_refactor() const noexcept override {
     const std::size_t interval =
         opt_->reinversion_period > 0 ? opt_->reinversion_period : m_;
-    return etas_.size() >= interval || growth_ > kGrowthLimit;
+    return etas_.size() >= interval || growth_ > kEtaGrowthLimit;
   }
 
   void ftran_raw(std::span<const double> col,
@@ -165,8 +160,6 @@ class ProductFormOracle final : public BasisOracle {
   [[nodiscard]] std::size_t refactor_count() const noexcept override {
     return refactors_;
   }
-  [[nodiscard]] std::size_t factor_nnz() const noexcept { return lu_.nnz(); }
-  [[nodiscard]] std::size_t eta_nnz() const noexcept { return eta_nnz_; }
 
  private:
   struct EtaEntry {

@@ -1,121 +1,36 @@
 // Analytic cost meter for the host (CPU) baseline engines.
 //
 // The CPU baselines do plain serial math; each algorithmic step reports its
-// work here and the meter converts it to modelled seconds with the same
-// roofline the virtual GPU uses (threads = 1, no launch overhead), so
-// GPU-vs-CPU comparisons are model-vs-model on two calibrated machines.
-// See README.md "Model-vs-model timing" and DESIGN.md for the rationale.
+// work here and the meter charges it to the same vgpu::Ledger the virtual
+// GPU uses, as a single-thread kernel on a host MachineModel (no launch
+// overhead), so GPU-vs-CPU comparisons are model-vs-model on two
+// calibrated machines priced by one accounting path. See README.md
+// "Model-vs-model timing" and DESIGN.md for the rationale.
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <string_view>
+#include <utility>
 
-#include "metrics/metrics.hpp"
-#include "trace/trace.hpp"
-#include "vgpu/device.hpp"
+#include "vgpu/ledger.hpp"
 #include "vgpu/machine_model.hpp"
 
 namespace gs::simplex {
 
-/// Accumulates modelled time/flops/bytes for a host engine, producing the
-/// same vgpu::DeviceStats shape as a device solve so reporting code
-/// (vgpu::print_kernel_breakdown, the benches) is engine-agnostic.
-///
-/// The meter owns the host-side simulated clock: sim_seconds() advances by
-/// the roofline time of each charge() in call order. When a trace sink is
-/// attached (see OBSERVABILITY.md) every charge is additionally emitted as
-/// a "kernel"-category complete slice on the host track, timestamped on
-/// this clock, so host traces reconcile with stats() the same way device
-/// traces reconcile with Device::stats().
-class CostMeter {
+/// A Ledger on a host model (vgpu::kHostNames): its clock, its DeviceStats
+/// (transfer fields zero), its `cpu.step.*` metrics and its "kernel"
+/// slices on the host track, all through the Ledger.
+class CostMeter : public vgpu::Ledger {
  public:
-  /// `sink` and `registry` may be null (that observer off; each disabled
-  /// path is one branch). Metrics mirror the same per-step charges under
-  /// `cpu.step.*` names, distinct from the device's `vgpu.kernel.*`, so a
-  /// GPU-vs-CPU run in one registry keeps the two machines separable.
-  explicit CostMeter(vgpu::MachineModel model,
-                     trace::TraceSink* sink = nullptr,
-                     metrics::MetricsRegistry* registry = nullptr)
-      : model_(std::move(model)),
-        trace_(sink, trace::kHostPid, trace::kEngineTid),
-        metrics_(registry) {
-    if (trace_.enabled()) trace_.name_process("cpu: " + model_.name);
-    if (metrics_ != nullptr) {
-      step_count_ = &metrics_->counter("cpu.step.count");
-      step_seconds_ = &metrics_->counter("cpu.step.seconds");
-      step_flops_ = &metrics_->counter("cpu.step.flops");
-      step_bytes_ = &metrics_->counter("cpu.step.bytes");
-      step_hist_ = &metrics_->histogram("cpu.step_seconds",
-                                        metrics::seconds_buckets());
-    }
-  }
+  explicit CostMeter(vgpu::MachineModel model)
+      : Ledger(std::move(model), vgpu::kHostNames) {}
 
   /// Charge one step: `flops` floating ops and `bytes` of memory traffic.
   /// `scalar_bytes` selects the arithmetic roofline (4 float, 8 double).
   void charge(std::string_view step, double flops, double bytes,
               std::size_t scalar_bytes = 8) {
-    const double t = model_.kernel_seconds(flops, bytes, 1, scalar_bytes);
-    if (trace_.enabled()) {
-      trace_.complete(step, stats_.sim_seconds(), t, "kernel",
-                      {{"flops", flops},
-                       {"bytes", bytes},
-                       {"scalar_bytes", static_cast<double>(scalar_bytes)},
-                       {"sim_seconds", t}});
-    }
-    if (metrics_ != nullptr) {
-      step_count_->inc();
-      step_seconds_->inc(t);
-      step_flops_->inc(flops);
-      step_bytes_->inc(bytes);
-      step_hist_->observe(t);
-    }
-    ++stats_.kernel_launches;
-    stats_.kernel_seconds += t;
-    stats_.total_flops += flops;
-    stats_.total_bytes += bytes;
-    auto it = stats_.per_kernel.find(step);
-    if (it == stats_.per_kernel.end()) {
-      it = stats_.per_kernel.emplace(std::string(step), vgpu::KernelRecord{})
-               .first;
-    }
-    ++it->second.launches;
-    it->second.sim_seconds += t;
-    it->second.flops += flops;
-    it->second.bytes += bytes;
+    kernel(step, {flops, bytes, scalar_bytes}, 1);
   }
-
-  /// Aggregates in the device-stats shape (per-step map, totals). A host
-  /// meter never moves PCIe traffic, so the transfer fields stay zero.
-  [[nodiscard]] const vgpu::DeviceStats& stats() const noexcept {
-    return stats_;
-  }
-  /// Modelled seconds elapsed on this machine since construction.
-  [[nodiscard]] double sim_seconds() const noexcept {
-    return stats_.sim_seconds();
-  }
-  /// The calibrated machine this meter charges against.
-  [[nodiscard]] const vgpu::MachineModel& model() const noexcept {
-    return model_;
-  }
-  /// The host trace track (disabled when constructed without a sink);
-  /// engines reuse it for their algorithm-phase spans.
-  [[nodiscard]] const trace::Track& trace() const noexcept { return trace_; }
-
-  /// The attached metrics registry, or nullptr.
-  [[nodiscard]] metrics::MetricsRegistry* metrics() const noexcept {
-    return metrics_;
-  }
-
- private:
-  vgpu::MachineModel model_;
-  vgpu::DeviceStats stats_;
-  trace::Track trace_;
-  metrics::MetricsRegistry* metrics_;  ///< borrowed; nullptr = off
-  metrics::Counter* step_count_ = nullptr;
-  metrics::Counter* step_seconds_ = nullptr;
-  metrics::Counter* step_flops_ = nullptr;
-  metrics::Counter* step_bytes_ = nullptr;
-  metrics::Histogram* step_hist_ = nullptr;
 };
 
 }  // namespace gs::simplex

@@ -1,7 +1,8 @@
 // The frame every engine runs one solve in (OBSERVABILITY.md, "Where
 // observers attach"), and the only code that reads the observer fields of
-// SolverOptions. At open it attaches the observers to the engine's
-// CostMeter (host engines; the frame owns it) or Device, names the track,
+// SolverOptions. At open it attaches the trace sink and the registry to the
+// engine's ledger (a CostMeter the frame owns for host engines, the Device
+// otherwise) and the access-stream capture to a Device, names the track,
 // opens the solve span and starts the decision log. It owns the solve
 // protocol around each engine's linear algebra (DESIGN.md, "Solve
 // protocol"): two_phase() drives the primal engines, PivotRule is the one
@@ -134,11 +135,9 @@ class SolveFrame {
              std::string_view engine, std::size_t m, std::size_t n_aug,
              std::uint64_t digest)
       : opt_(opt),
-        meter_(std::in_place, model,
-               profile::chain(opt.profiler, opt.trace_sink, trace::kHostPid,
-                              model),
-               opt.metrics),
-        health_(opt.metrics, opt.health),
+        meter_(std::in_place, model),
+        ledger_(&attach(*meter_)),
+        health_(opt.metrics),
         solve_span_(open(engine, 64, m, n_aug, digest)) {
     op_metrics_.attach(opt.metrics);
   }
@@ -151,8 +150,9 @@ class SolveFrame {
              std::size_t n_aug, std::uint64_t digest,
              bool pivot_metrics = true)
       : opt_(opt),
-        dev_(&attach(dev)),
-        health_(pivot_metrics ? opt.metrics : nullptr, opt.health),
+        dev_(&attach_capture(dev)),
+        ledger_(&attach(dev)),
+        health_(pivot_metrics ? opt.metrics : nullptr),
         solve_span_(open(engine, real_bits, m, n_aug, digest)) {
     if (pivot_metrics) op_metrics_.attach(opt.metrics);
   }
@@ -167,11 +167,9 @@ class SolveFrame {
   }
 
   /// The engine's modeled clock and trace track.
-  [[nodiscard]] double now() const {
-    return dev_ != nullptr ? dev_->sim_seconds() : meter_->sim_seconds();
-  }
+  [[nodiscard]] double now() const { return ledger_->sim_seconds(); }
   [[nodiscard]] const trace::Track& track() const noexcept {
-    return dev_ != nullptr ? dev_->trace() : meter_->trace();
+    return ledger_->trace();
   }
   [[nodiscard]] CostMeter& meter() noexcept { return *meter_; }
   [[nodiscard]] metrics::MetricsRegistry* metrics() const noexcept {
@@ -378,8 +376,7 @@ class SolveFrame {
     result.status = status;
     result.basis.assign(basis.begin(), basis.end());
     result.stats.wall_seconds = wall_.seconds();
-    result.stats.device_stats = dev_ != nullptr ? dev_->stats()
-                                                : meter_->stats();
+    result.stats.device_stats = ledger_->stats();
     result.stats.sim_seconds = now();
   }
 
@@ -407,20 +404,26 @@ class SolveFrame {
     double operator()() const { return frame->now(); }
   };
 
+  /// Either machine's ledger: stats reset, the trace sink (through the
+  /// profiler, when one is attached) and the registry.
+  vgpu::Ledger& attach(vgpu::Ledger& ledger) {
+    ledger.reset_stats();
+    ledger.set_trace(profile::chain(opt_.profiler, opt_.trace_sink,
+                                    ledger.names().pid, ledger.model()));
+    ledger.set_metrics(opt_.metrics);
+    return ledger;
+  }
+
   /// The checker and the analyzer read the device's one access stream:
   /// the checker rides the analyzer's capture, or one the frame owns when
   /// no analyzer is attached.
-  vgpu::Device& attach(vgpu::Device& dev) {
-    dev.reset_stats();
-    dev.set_trace(profile::chain(opt_.profiler, opt_.trace_sink,
-                                 trace::kDevicePid, dev.model()));
+  vgpu::Device& attach_capture(vgpu::Device& dev) {
     vgpu::analyze::CaptureLog* capture = opt_.analyzer;
     if (capture == nullptr && opt_.checker != nullptr) {
       capture = &own_capture_.emplace();
     }
     if (capture != nullptr) capture->set_checker(opt_.checker);
     dev.set_capture(capture);
-    dev.set_metrics(opt_.metrics);
     return dev;
   }
 
@@ -472,8 +475,7 @@ class SolveFrame {
     const bool want_health = health_.want_residual_sample(iter);
     telemetry::Telemetry* tel = opt_.telemetry;
     if (!want_health && tel == nullptr) return;
-    const HealthSample h = basis.probe(
-        iter, std::max<std::size_t>(1, health_.config().residual_probes));
+    const HealthSample h = basis.probe(iter, metrics::kResidualProbes);
     const double t = now();
     if (h.etas.has_value()) {
       if (want_health) health_.record_eta_count(*h.etas);
@@ -511,8 +513,9 @@ class SolveFrame {
   const SolverOptions& opt_;
   WallTimer wall_;
   std::optional<vgpu::analyze::CaptureLog> own_capture_;
-  vgpu::Device* dev_ = nullptr;
-  std::optional<CostMeter> meter_;
+  std::optional<CostMeter> meter_;  ///< host engines' ledger
+  vgpu::Device* dev_ = nullptr;     ///< device engines: carries the capture
+  vgpu::Ledger* ledger_;            ///< meter_ or the engine's Device
   metrics::SimplexOpMetrics op_metrics_;
   metrics::HealthMonitor health_;
   double lap_ = 0.0;

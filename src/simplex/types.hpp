@@ -7,7 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "metrics/health.hpp"
+#include "metrics/metrics.hpp"
 #include "record/record.hpp"
 #include "trace/trace.hpp"
 #include "vgpu/analyze/analyze.hpp"
@@ -121,14 +121,10 @@ struct SolverOptions {
   /// attached, the engine tallies per-kernel launch/byte/time counters on
   /// its machine (`vgpu.*` / `cpu.*`), per-operation modeled-time
   /// histograms (`simplex.op_seconds.*`), and the numerical-health signals
-  /// sampled by the HealthMonitor (`health.*`, thresholds from `health`
-  /// below) — all exportable as JSON via MetricsRegistry::snapshot()
+  /// sampled by the HealthMonitor (`health.*`, thresholds in health.hpp)
+  /// — all exportable as JSON via MetricsRegistry::snapshot()
   /// (`lp_cli --metrics`).
   metrics::MetricsRegistry* metrics = nullptr;
-
-  /// Thresholds and sampling cadence for the HealthMonitor; consulted only
-  /// when `metrics` is attached.
-  metrics::HealthConfig health;
 
   /// Optional decision-log recorder (OBSERVABILITY.md, "Recorder"). While
   /// attached, the engine logs every basis change (entering/leaving pair,

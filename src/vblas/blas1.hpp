@@ -69,7 +69,7 @@ template <typename T>
       [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) total += partial[i];
       });
-  dev.account_d2h(sizeof(T));
+  dev.transfer(vgpu::Direction::kD2H, sizeof(T));
   return total;
 }
 
@@ -98,7 +98,7 @@ template <typename T>
       });
   T total{0};
   for (std::size_t b = 0; b < blocks; ++b) total += partial[b];
-  dev.account_d2h(sizeof(T));
+  dev.transfer(vgpu::Direction::kD2H, sizeof(T));
   return total;
 }
 

@@ -31,8 +31,9 @@
 //       the declared KernelCost bytes.
 //
 // Recording costs about as much as checked execution (OBSERVABILITY.md
-// measures both): every element access takes the capture's lock and one
-// hash lookup.
+// measures both): every declared range and every element indexed through
+// a span takes the capture's lock and one hash lookup, so a kernel that
+// declares its contiguous footprint once pays for it once.
 #pragma once
 
 #include <cstddef>

@@ -98,7 +98,7 @@ class DeviceBuffer {
     if (host.empty()) return;
     std::memcpy(storage_.data() + offset, host.data(),
                 host.size() * sizeof(T));
-    device_->account_h2d(host.size() * sizeof(T));
+    device_->transfer(Direction::kH2D, host.size() * sizeof(T));
     if (analyze::CaptureLog* s = device_->capture()) {
       s->on_h2d(storage_.data(), offset * sizeof(T),
                 (offset + host.size()) * sizeof(T), host.data());
@@ -114,7 +114,7 @@ class DeviceBuffer {
     if (host.empty()) return;
     std::memcpy(host.data(), storage_.data() + offset,
                 host.size() * sizeof(T));
-    device_->account_d2h(host.size() * sizeof(T));
+    device_->transfer(Direction::kD2H, host.size() * sizeof(T));
     if (analyze::CaptureLog* s = device_->capture()) {
       s->on_d2h(storage_.data(), offset * sizeof(T),
                 (offset + host.size()) * sizeof(T));
@@ -131,7 +131,7 @@ class DeviceBuffer {
   /// every simplex iteration (chosen index, theta, objective delta).
   [[nodiscard]] T download_value(std::size_t index) const {
     GS_CHECK_MSG(index < storage_.size(), "download_value out of range");
-    device_->account_d2h(sizeof(T));
+    device_->transfer(Direction::kD2H, sizeof(T));
     if (analyze::CaptureLog* s = device_->capture()) {
       s->on_d2h(storage_.data(), index * sizeof(T), (index + 1) * sizeof(T));
     }
@@ -141,7 +141,7 @@ class DeviceBuffer {
   /// Single-element write (H2D latency charge).
   void upload_value(std::size_t index, const T& value) {
     GS_CHECK_MSG(index < storage_.size(), "upload_value out of range");
-    device_->account_h2d(sizeof(T));
+    device_->transfer(Direction::kH2D, sizeof(T));
     storage_[index] = value;
     if (analyze::CaptureLog* s = device_->capture()) {
       s->on_h2d(storage_.data(), index * sizeof(T), (index + 1) * sizeof(T),

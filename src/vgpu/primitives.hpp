@@ -92,7 +92,7 @@ template <typename T>
       [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) total += partial[i];
       });
-  dev.account_d2h(sizeof(T));
+  dev.transfer(Direction::kD2H, sizeof(T));
   return total;
 }
 
@@ -128,7 +128,7 @@ template <typename T>
           }
         }
       });
-  dev.account_d2h(sizeof(T) + sizeof(std::size_t));
+  dev.transfer(Direction::kD2H, sizeof(T) + sizeof(std::size_t));
   return result;
 }
 
@@ -166,7 +166,7 @@ template <typename T>
           }
         }
       });
-  dev.account_d2h(sizeof(T) + sizeof(std::size_t));
+  dev.transfer(Direction::kD2H, sizeof(T) + sizeof(std::size_t));
   return result;
 }
 
@@ -201,7 +201,7 @@ template <typename T>
         }
       });
   if (result.found()) result.value = data[result.index];
-  dev.account_d2h(sizeof(T) + sizeof(std::size_t));
+  dev.transfer(Direction::kD2H, sizeof(T) + sizeof(std::size_t));
   return result;
 }
 
@@ -292,7 +292,7 @@ template <typename T, typename Pred>
       });
   std::size_t total = 0;
   for (std::size_t b = 0; b < blocks; ++b) total += partial[b];
-  dev.account_d2h(sizeof(std::size_t));
+  dev.transfer(Direction::kD2H, sizeof(std::size_t));
   return total;
 }
 
@@ -316,7 +316,7 @@ template <typename T, typename Pred>
       });
   std::vector<std::uint32_t> out;
   for (auto& p : partial) out.insert(out.end(), p.begin(), p.end());
-  dev.account_d2h(out.size() * sizeof(std::uint32_t));
+  dev.transfer(Direction::kD2H, out.size() * sizeof(std::uint32_t));
   return out;
 }
 

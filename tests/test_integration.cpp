@@ -274,6 +274,9 @@ TEST(Integration, CostMeterAccumulatesLikeTheModel) {
   const double expect_b = vgpu::cpu2009_model().kernel_seconds(5e5, 0.0, 1, 4);
   EXPECT_NEAR(meter.sim_seconds(), expect_a + expect_b, 1e-15);
   EXPECT_DOUBLE_EQ(stats.total_flops, 2.5e6);
+  // A host machine has no interconnect: its ledger refuses a copy.
+  EXPECT_THROW(meter.transfer(vgpu::Direction::kD2H, 8), Error);
+  EXPECT_EQ(meter.stats().d2h_count, 0u);
 }
 
 TEST(Integration, ScaledStandardFormStillSolvesWithEveryBasisScheme) {

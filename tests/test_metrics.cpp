@@ -29,8 +29,8 @@ lp::LpProblem tiny_lp() {
 }
 
 simplex::SolveResult solve_device_metered(metrics::MetricsRegistry* registry,
-                                          const lp::LpProblem& problem,
-                                          simplex::SolverOptions opt = {}) {
+                                          const lp::LpProblem& problem) {
+  simplex::SolverOptions opt;
   opt.metrics = registry;
   vgpu::Device dev(vgpu::gtx280_model());
   simplex::DeviceRevisedSimplex<double> solver(dev, opt);
@@ -222,58 +222,87 @@ TEST(MetricsJson, WriteFileRoundTrip) {
 // Solver instrumentation: metric values reconcile with DeviceStats.
 // ---------------------------------------------------------------------
 
-TEST(MetricsSolve, DeviceEngineCountersMatchDeviceStats) {
+// Both machines charge through one vgpu::Ledger, so every engine's metric
+// family (`vgpu.kernel` on the device, `cpu.step` on the host) reconciles
+// with its DeviceStats the same way: the aggregate counters, the per-name
+// tallies entry by entry, and the `<family>_seconds` histogram.
+class MachineMetrics : public ::testing::TestWithParam<simplex::Engine> {};
+
+TEST_P(MachineMetrics, FamilyMatchesDeviceStats) {
+  using simplex::Engine;
+  const Engine engine = GetParam();
+  const bool device =
+      engine == Engine::kDeviceRevised || engine == Engine::kDeviceRevisedFloat;
+  const std::string family = device ? "vgpu.kernel" : "cpu.step";
   metrics::MetricsRegistry reg;
-  const auto result = solve_device_metered(
-      &reg, lp::random_dense_lp({.rows = 24, .cols = 32, .seed = 3}));
+  simplex::SolverOptions opt;
+  opt.metrics = &reg;
+  const auto result = simplex::solve(
+      lp::random_dense_lp({.rows = 24, .cols = 32, .seed = 3}), engine, opt);
   ASSERT_TRUE(result.optimal());
   const auto& ds = result.stats.device_stats;
+  const auto counter = [&](const std::string& name) {
+    return reg.counter(family + name).value();
+  };
 
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.kernel.launches").value(),
-                   double(ds.kernel_launches));
-  EXPECT_NEAR(reg.counter("vgpu.kernel.seconds").value(), ds.kernel_seconds,
-              1e-12);
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.kernel.flops").value(), ds.total_flops);
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.h2d.count").value(), double(ds.h2d_count));
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.h2d.bytes").value(), double(ds.h2d_bytes));
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.d2h.count").value(), double(ds.d2h_count));
-  EXPECT_DOUBLE_EQ(reg.counter("vgpu.d2h.bytes").value(), double(ds.d2h_bytes));
-  EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(),
-                   double(result.stats.iterations));
-
-  // The kernel-time histogram saw every launch; transfer histograms tile
-  // the copy counts.
-  EXPECT_EQ(reg.histogram("vgpu.kernel_seconds", metrics::seconds_buckets())
-                .count(),
-            ds.kernel_launches);
+  EXPECT_EQ(counter(".launches"), double(ds.kernel_launches));
+  EXPECT_EQ(counter(".seconds"), ds.kernel_seconds);
+  EXPECT_EQ(counter(".flops"), ds.total_flops);
+  EXPECT_EQ(counter(".bytes"), ds.total_bytes);
   EXPECT_EQ(
-      reg.histogram("vgpu.h2d_bytes", metrics::bytes_buckets()).count() +
-          reg.histogram("vgpu.d2h_bytes", metrics::bytes_buckets()).count(),
-      ds.h2d_count + ds.d2h_count);
+      reg.histogram(family + "_seconds", metrics::seconds_buckets()).count(),
+      ds.kernel_launches);
 
-  // Per-kernel families exist and sum to the aggregate launch count.
+  // One tally per kernel name, entry by entry, summing to the aggregate.
+  ASSERT_GE(ds.per_kernel.size(), 3u);
+  double launches = 0.0;
+  for (const auto& [name, rec] : ds.per_kernel) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(counter("." + name + ".launches"), double(rec.launches));
+    EXPECT_EQ(counter("." + name + ".seconds"), rec.sim_seconds);
+    EXPECT_EQ(counter("." + name + ".bytes"), rec.bytes);
+    launches += counter("." + name + ".launches");
+  }
+  EXPECT_EQ(launches, counter(".launches"));
   const auto snap = reg.snapshot();
-  double per_kernel_launches = 0.0;
-  std::size_t kernel_families = 0;
+  std::size_t tallies = 0;
   for (const auto& [name, value] : snap.counters) {
-    if (name.rfind("vgpu.kernel.", 0) == 0 &&
-        name.size() > std::string_view(".launches").size() &&
-        name.compare(name.size() - 9, 9, ".launches") == 0 &&
-        name != "vgpu.kernel.launches") {
-      per_kernel_launches += value;
-      ++kernel_families;
+    if (name.starts_with(family + ".") && name.ends_with(".launches") &&
+        name != family + ".launches") {
+      ++tallies;
     }
   }
-  EXPECT_GT(kernel_families, 3u);
-  EXPECT_DOUBLE_EQ(per_kernel_launches, double(ds.kernel_launches));
+  EXPECT_EQ(tallies, ds.per_kernel.size());
 
-  // Per-operation histograms populated for the core four ops; the pivot
-  // histogram saw every pivoting iteration.
+  // Only the device has an interconnect: its copies tile the transfer
+  // counters and size histograms; the host registers none.
+  if (device) {
+    EXPECT_EQ(reg.counter("vgpu.h2d.count").value(), double(ds.h2d_count));
+    EXPECT_EQ(reg.counter("vgpu.h2d.bytes").value(), double(ds.h2d_bytes));
+    EXPECT_EQ(reg.counter("vgpu.d2h.count").value(), double(ds.d2h_count));
+    EXPECT_EQ(reg.counter("vgpu.d2h.bytes").value(), double(ds.d2h_bytes));
+    EXPECT_EQ(
+        reg.histogram("vgpu.h2d_bytes", metrics::bytes_buckets()).count() +
+            reg.histogram("vgpu.d2h_bytes", metrics::bytes_buckets()).count(),
+        ds.h2d_count + ds.d2h_count);
+  } else {
+    EXPECT_EQ(ds.transfer_seconds(), 0.0);
+    for (const auto& [name, value] : snap.counters) {
+      EXPECT_FALSE(name.starts_with("vgpu.")) << name;
+    }
+  }
+
+  // Per-operation histograms populated for the core four ops (the tableau
+  // runs no op spans); the pivot histogram saw every pivoting iteration.
+  EXPECT_EQ(reg.counter("simplex.iterations").value(),
+            double(result.stats.iterations));
   for (const char* op : {"price", "ftran", "ratio", "update"}) {
     const auto it =
         snap.histograms.find(std::string("simplex.op_seconds.") + op);
     ASSERT_NE(it, snap.histograms.end()) << op;
-    EXPECT_GT(it->second.count, 0u) << op;
+    if (engine != Engine::kTableau) {
+      EXPECT_GT(it->second.count, 0u) << op;
+    }
   }
   EXPECT_EQ(
       reg.histogram("health.pivot_magnitude", metrics::magnitude_buckets())
@@ -281,18 +310,17 @@ TEST(MetricsSolve, DeviceEngineCountersMatchDeviceStats) {
       result.stats.iterations);
 }
 
-TEST(MetricsSolve, HostEngineChargesCpuStepMetrics) {
-  metrics::MetricsRegistry reg;
-  simplex::SolverOptions opt;
-  opt.metrics = &reg;
-  const auto result = simplex::HostRevisedSimplex(opt).solve(tiny_lp());
-  ASSERT_TRUE(result.optimal());
-  EXPECT_GT(reg.counter("cpu.step.count").value(), 0.0);
-  EXPECT_NEAR(reg.counter("cpu.step.seconds").value(),
-              result.stats.device_stats.kernel_seconds, 1e-12);
-  EXPECT_DOUBLE_EQ(reg.counter("simplex.iterations").value(),
-                   double(result.stats.iterations));
-}
+INSTANTIATE_TEST_SUITE_P(
+    MetricsSolve, MachineMetrics,
+    ::testing::Values(simplex::Engine::kHostRevised,
+                      simplex::Engine::kDualRevised, simplex::Engine::kTableau,
+                      simplex::Engine::kDeviceRevised,
+                      simplex::Engine::kDeviceRevisedFloat),
+    [](const ::testing::TestParamInfo<simplex::Engine>& info) {
+      std::string name(simplex::to_string(info.param));
+      std::erase(name, '-');
+      return name;
+    });
 
 TEST(MetricsSolve, DualEngineRecordsIterationsAndOpSeconds) {
   metrics::MetricsRegistry reg;
@@ -379,95 +407,89 @@ TEST(MetricsSolve, ZeroByteTransfersEmitNothing) {
 // HealthMonitor warning machinery.
 // ---------------------------------------------------------------------
 
+// The stall warning fires once per streak, when the streak reaches
+// kStallWindow consecutive degenerate steps.
 TEST(MetricsHealth, TinyPivotAndStallAndBlandEdges) {
   metrics::MetricsRegistry reg;
-  metrics::HealthConfig cfg;
-  cfg.pivot_tiny_tol = 1e-7;
-  cfg.stall_window = 3;
-  metrics::HealthMonitor mon(&reg, cfg);
+  metrics::HealthMonitor mon(&reg);
   ASSERT_TRUE(mon.enabled());
+  ASSERT_EQ(metrics::kStallWindow, 25u);
 
   mon.record_pivot(1e-9, 1.0, false, 0);  // tiny pivot
   mon.record_pivot(0.5, 0.0, true, 1);    // degenerate + Bland on (edge)
-  mon.record_pivot(0.5, 0.0, true, 2);    // degenerate, Bland still on
-  mon.record_pivot(0.5, 0.0, true, 3);    // 3rd consecutive: one stall warn
-  mon.record_pivot(0.5, 0.0, false, 4);   // 4th: streak already warned
-  mon.record_pivot(0.5, 1.0, true, 5);    // streak reset; Bland re-edge
+  for (std::size_t it = 2; it <= 25; ++it) {
+    mon.record_pivot(0.5, 0.0, true, it);  // Bland still on; 25th: one warn
+  }
+  mon.record_pivot(0.5, 0.0, false, 26);  // 26th: streak already warned
+  mon.record_pivot(0.5, 1.0, true, 27);   // streak reset; Bland re-edge
 
   EXPECT_DOUBLE_EQ(reg.counter("health.warnings.tiny-pivot").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.counter("health.warnings.stall").value(), 1.0);
-  EXPECT_DOUBLE_EQ(reg.counter("health.degenerate_steps").value(), 4.0);
+  EXPECT_DOUBLE_EQ(reg.counter("health.degenerate_steps").value(), 26.0);
   EXPECT_DOUBLE_EQ(reg.counter("health.bland_activations").value(), 2.0);
   EXPECT_EQ(reg.warnings_total(), 2u);
   EXPECT_EQ(reg.warnings()[0].kind, "tiny-pivot");
   EXPECT_EQ(reg.warnings()[1].kind, "stall");
-  EXPECT_EQ(reg.warnings()[1].iteration, 3u);
+  EXPECT_EQ(reg.warnings()[1].iteration, 25u);
 }
 
 TEST(MetricsHealth, ResidualAndGrowthThresholds) {
   metrics::MetricsRegistry reg;
-  metrics::HealthConfig cfg;
-  cfg.residual_tol = 1e-6;
-  cfg.growth_limit = 1e3;
-  cfg.residual_stride = 4;
-  metrics::HealthMonitor mon(&reg, cfg);
+  metrics::HealthMonitor mon(&reg);
+  ASSERT_EQ(metrics::kResidualStride, 16u);
   EXPECT_TRUE(mon.want_residual_sample(0));
   EXPECT_FALSE(mon.want_residual_sample(3));
-  EXPECT_TRUE(mon.want_residual_sample(8));
+  EXPECT_TRUE(mon.want_residual_sample(16));
 
-  mon.record_residual(1e-9, 0);  // healthy
-  mon.record_residual(1e-3, 4);  // drift
-  mon.record_growth(10.0, 4);    // healthy
-  mon.record_growth(1e6, 8);     // blow-up
+  mon.record_residual(1e-9, 0);   // healthy
+  mon.record_residual(1e-3, 16);  // drift past kResidualTol = 1e-6
+  mon.record_growth(10.0, 16);    // healthy
+  mon.record_growth(1e9, 32);     // blow-up past kGrowthLimit = 1e8
   EXPECT_DOUBLE_EQ(reg.counter("health.warnings.residual-drift").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.counter("health.warnings.growth").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("health.residual_inf").value(), 1e-3);
-  EXPECT_DOUBLE_EQ(reg.gauge("health.binv_growth").max(), 1e6);
+  EXPECT_DOUBLE_EQ(reg.gauge("health.binv_growth").max(), 1e9);
 
   // Detached monitor: every call is a no-op, sampling never requested.
-  metrics::HealthMonitor off(nullptr, cfg);
+  metrics::HealthMonitor off(nullptr);
   EXPECT_FALSE(off.enabled());
   EXPECT_FALSE(off.want_residual_sample(0));
   off.record_pivot(0.0, 0.0, true, 0);
   off.record_residual(1.0, 0);
 }
 
-// The float device engine drifts past a tightened residual tolerance on a
-// seeded dense LP: product-form updates in float accumulate O(1e-6)
+// The float device engine drifts past the default residual tolerance on a
+// 300 x 300 dense LP: product-form updates in float accumulate O(1e-6)
 // relative error in B^-1, which the strided probe estimate must surface as
-// "residual-drift" warnings (the paper's motivation for the Tab. 2
+// a "residual-drift" warning (the paper's motivation for the Tab. 2
 // double-vs-float agreement study).
 TEST(MetricsHealth, FloatSolveTripsResidualThreshold) {
+  const lp::LpProblem lp =
+      lp::random_dense_lp({.rows = 300, .cols = 300, .seed = 3});
   metrics::MetricsRegistry reg;
   simplex::SolverOptions opt;
   opt.metrics = &reg;
-  opt.health.residual_stride = 1;   // probe every iteration
-  opt.health.residual_tol = 1e-12;  // far below float update roundoff
   vgpu::Device dev(vgpu::gtx280_model());
   simplex::DeviceRevisedSimplex<float> solver(dev, opt);
-  const auto result =
-      solver.solve(lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 3}));
+  const auto result = solver.solve(lp);
   ASSERT_TRUE(result.optimal());
 
   EXPECT_GT(reg.warnings_total(), 0u);
   EXPECT_GT(reg.counter("health.warnings.residual-drift").value(), 0.0);
   EXPECT_TRUE(reg.gauge("health.residual_inf").has_value());
-  EXPECT_GT(reg.gauge("health.residual_inf").max(), 1e-12);
+  EXPECT_GT(reg.gauge("health.residual_inf").max(), metrics::kResidualTol);
   for (const auto& w : reg.warnings()) {
     if (w.kind != "residual-drift") continue;
     EXPECT_GT(w.value, w.threshold);
   }
 
-  // The same solve in double stays orders of magnitude tighter: with the
-  // default (1e-6) tolerance no residual warning fires.
+  // The same solve in double stays orders of magnitude tighter: no
+  // residual warning fires.
   metrics::MetricsRegistry dreg;
-  simplex::SolverOptions dopt;
-  dopt.metrics = &dreg;
-  dopt.health.residual_stride = 1;
-  const auto dresult = solve_device_metered(
-      &dreg, lp::random_dense_lp({.rows = 24, .cols = 24, .seed = 3}), dopt);
+  const auto dresult = solve_device_metered(&dreg, lp);
   ASSERT_TRUE(dresult.optimal());
   EXPECT_DOUBLE_EQ(dreg.counter("health.warnings.residual-drift").value(), 0.0);
+  EXPECT_LT(dreg.gauge("health.residual_inf").max(), metrics::kResidualTol);
 }
 
 }  // namespace

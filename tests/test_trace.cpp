@@ -8,6 +8,8 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "lp/generators.hpp"
@@ -248,6 +250,35 @@ TEST(TraceReconcile, HostEngineSlicesMatchMeterStats) {
   }
 }
 
+// Both machines emit their kernel slices through one vgpu::Ledger, so a
+// host step carries the same args as a device launch (threads = 1).
+TEST(TraceReconcile, KernelSlicesCarryOneArgSetOnBothMachines) {
+  trace::ChromeTraceSink sink;
+  simplex::SolverOptions opt;
+  opt.trace_sink = &sink;
+  const lp::LpProblem lp = tiny_lp();
+  ASSERT_TRUE(simplex::HostRevisedSimplex(opt).solve(lp).optimal());
+  ASSERT_TRUE(solve_device_traced(&sink, lp).optimal());
+
+  const std::set<std::string> expected = {"flops", "bytes", "threads",
+                                          "scalar_bytes", "sim_seconds"};
+  std::map<std::uint32_t, std::size_t> slices;
+  for (const TraceEvent& e : sink.events()) {
+    if (e.phase != EventPhase::kComplete || e.category != "kernel") continue;
+    std::set<std::string> keys;
+    for (const auto& [key, value] : e.args) {
+      keys.insert(key);
+      if (key == "threads" && e.pid == trace::kHostPid) {
+        EXPECT_EQ(value, 1.0) << e.name;  // one host thread
+      }
+    }
+    EXPECT_EQ(keys, expected) << e.name << " on pid " << e.pid;
+    ++slices[e.pid];
+  }
+  EXPECT_GT(slices[trace::kHostPid], 0u);
+  EXPECT_GT(slices[trace::kDevicePid], 0u);
+}
+
 TEST(TraceReconcile, BatchEngineEmitsIterationSpans) {
   trace::ChromeTraceSink sink;
   simplex::SolverOptions opt;
@@ -331,7 +362,8 @@ TEST(TraceApi, DocumentedNamesCompileAndBehave) {
   EXPECT_TRUE(device.trace().enabled());
   device.set_trace(nullptr);
   EXPECT_FALSE(device.trace().enabled());
-  simplex::CostMeter meter(vgpu::cpu2009_model(), &ring);
+  simplex::CostMeter meter(vgpu::cpu2009_model());
+  meter.set_trace(&ring);
   EXPECT_TRUE(meter.trace().enabled());
   meter.charge("step", 10.0, 10.0);
 

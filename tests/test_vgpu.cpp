@@ -354,13 +354,13 @@ TEST(DeviceBuffer, ZeroByteCopiesAreNotCharged) {
 
 TEST(Device, ZeroByteAccountedTransfersAreUncharged) {
   // Regression: the sparse compaction path (indices_where with no hits)
-  // used to call account_d2h(0), which charged the full PCIe latency
+  // used to charge a zero-byte d2h copy the full PCIe latency
   // floor and bumped d2h_count for a transfer that never reaches the
   // driver. Zero-byte accounting must now be a no-op, matching the
   // DeviceBuffer empty upload/download behavior.
   Device dev(gtx280_model());
-  dev.account_h2d(0);
-  dev.account_d2h(0);
+  dev.transfer(Direction::kH2D, 0);
+  dev.transfer(Direction::kD2H, 0);
   EXPECT_EQ(dev.stats().h2d_count, 0u);
   EXPECT_EQ(dev.stats().d2h_count, 0u);
   EXPECT_EQ(dev.stats().h2d_seconds, 0.0);
