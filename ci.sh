@@ -191,8 +191,9 @@ echo "==> analyze-gate (static dataflow analysis over all engines)"
 # Recorder gates (OBSERVABILITY.md "Recorder"): the byte format carries no
 # timestamps, so on every engine, on a two-phase instance, record -> record
 # must be byte-identical and record -> replay must verify every decision;
-# and the crafted float-vs-double witness must diverge at pivot 0 with both
-# candidates reported.
+# the product form must make the same decisions on the host, dual, sparse
+# and device engines; and the crafted float-vs-double witness must diverge
+# at pivot 0 with both candidates reported.
 echo "==> recorder round-trip + divergence gates"
 (
   cd build
@@ -204,6 +205,24 @@ echo "==> recorder round-trip + divergence gates"
     cmp "ci_${engine}_a.gsrec" "ci_${engine}_b.gsrec"
     ./examples/lp_cli ../data/testprob.mps --engine "${engine}" \
       --replay="ci_${engine}_a.gsrec" | grep 'replay: verified'
+  done
+  # The product form's decisions on every engine that runs it, on an
+  # instance long enough to refactor (1,406 pivots, 4 refactors): record
+  # twice and compare, replay, and agree with the host engine's recording
+  # pivot for pivot with zero d_q and theta deltas.
+  pf=(--gen sparse:300:7 --basis product-form)
+  for engine in host dual sparse device; do
+    ./examples/lp_cli "${pf[@]}" --engine "${engine}" \
+      --record="ci_pf_${engine}_a.gsrec" > /dev/null
+    ./examples/lp_cli "${pf[@]}" --engine "${engine}" \
+      --record="ci_pf_${engine}_b.gsrec" > /dev/null
+    cmp "ci_pf_${engine}_a.gsrec" "ci_pf_${engine}_b.gsrec"
+    ./examples/lp_cli "${pf[@]}" --engine "${engine}" \
+      --replay="ci_pf_${engine}_a.gsrec" | grep 'replay: verified'
+  done
+  for engine in dual sparse device; do
+    ./examples/lp_cli --diff ci_pf_host_a.gsrec "ci_pf_${engine}_a.gsrec" \
+      | grep -F 'max |d_q delta| = 0, max |theta delta| = 0'
   done
   ./examples/lp_cli ../data/precision_tie.lp --engine device \
     --record=ci_tie_d.gsrec > /dev/null

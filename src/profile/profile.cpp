@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "metrics/metrics.hpp"
+#include "metrics/quantile.hpp"
 #include "support/table.hpp"
 
 namespace gs::profile {
@@ -120,29 +121,21 @@ void Profiler::on_kernel_slice(const trace::TraceEvent& e) {
   }
   auto mit = machines_.find(e.pid);
   if (mit != machines_.end()) {
-    // Re-derive the roofline decomposition of this launch exactly as
-    // MachineModel::kernel_seconds composed it.
+    // The roofline terms of this launch, as MachineModel::kernel_seconds
+    // composed them.
     const vgpu::MachineModel& m = mit->second;
-    const double peak = agg.scalar_bytes <= 4 ? m.peak_gflops_sp
-                                              : m.peak_gflops_dp;
-    const double occ = std::min(
-        1.0, static_cast<double>(std::max<std::size_t>(threads, 1)) /
-                 static_cast<double>(m.saturation_threads));
-    const double f_eff = peak * 1e9 * occ;
-    const double b_eff = m.mem_gbps * 1e9 * occ;
-    const double t_compute = f_eff > 0 ? flops / f_eff : 0.0;
-    const double t_memory = b_eff > 0 ? bytes / b_eff : 0.0;
+    const vgpu::MachineModel::LaunchTerms t = m.launch_terms(
+        flops, bytes, threads, agg.scalar_bytes,
+        static_cast<std::size_t>(arg_value(e, "dependent_steps", 0.0)));
     // Dependent steps are latency, not work: they join the launch term.
-    const double t_latency =
-        m.launch_overhead_s +
-        arg_value(e, "dependent_steps", 0.0) * m.dependent_step_s;
+    const double t_latency = m.launch_overhead_s + t.steps;
     agg.launch_seconds += t_latency;
-    agg.compute_seconds += t_compute;
-    agg.memory_seconds += t_memory;
+    agg.compute_seconds += t.compute;
+    agg.memory_seconds += t.memory;
     BoundClass cls;
-    if (t_latency >= std::max(t_compute, t_memory)) {
+    if (t_latency >= std::max(t.compute, t.memory)) {
       cls = BoundClass::kLaunch;
-    } else if (t_memory >= t_compute) {
+    } else if (t.memory >= t.compute) {
       cls = BoundClass::kBandwidth;
     } else {
       cls = BoundClass::kCompute;
@@ -218,8 +211,7 @@ ProfileReport Profiler::report() const {
       }
       if (mit != machines_.end()) {
         const vgpu::MachineModel& m = mit->second;
-        const double peak = agg.scalar_bytes <= 4 ? m.peak_gflops_sp
-                                                  : m.peak_gflops_dp;
+        const double peak = m.peak_gflops(agg.scalar_bytes);
         if (peak > 0) k.compute_fraction = k.achieved_gflops / peak;
         if (m.mem_gbps > 0) k.bandwidth_fraction = k.achieved_gbps / m.mem_gbps;
       }
@@ -314,9 +306,9 @@ RequestSummary ProfileReport::request_summary() const {
   RequestSummary s;
   s.count = requests.size();
   if (requests.empty()) return s;
-  // Sort request indices by latency; percentile ranks use the same index
-  // formulas as bench/svc_common.hpp so --profile output matches the
-  // service bench's reported p50/p99.
+  // Sort request indices by latency; percentile ranks are the shared
+  // nearest-rank ones (metrics::quantile_rank), as in bench/svc_common.hpp,
+  // so --profile output matches the service bench's reported p50/p99.
   std::vector<std::size_t> order(requests.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -324,11 +316,10 @@ RequestSummary ProfileReport::request_summary() const {
                      return requests[a].latency_seconds <
                             requests[b].latency_seconds;
                    });
-  const std::size_t n = order.size();
-  const std::size_t i50 = (n - 1) / 2;
-  const std::size_t i99 = std::min(n - 1, (n * 99 + 99) / 100 - 1);
-  const RequestProfile& q50 = requests[order[i50]];
-  const RequestProfile& q99 = requests[order[i99]];
+  const RequestProfile& q50 =
+      requests[order[metrics::quantile_rank(order.size(), 0.5)]];
+  const RequestProfile& q99 =
+      requests[order[metrics::quantile_rank(order.size(), 0.99)]];
   s.p50_seconds = q50.latency_seconds;
   s.p99_seconds = q99.latency_seconds;
   s.p50_stages = q50.stages;

@@ -266,7 +266,7 @@ void SolveService::drain() {
         }
         vgpu::Device dev(device_model_);
         // Batchable requests carry no observers; the round runs with the
-        // first member's numeric options (tolerances, iteration cap).
+        // first member's iteration cap.
         simplex::SolverOptions batch_opt =
             work[job.items.front()].request.options;
         if (job.collect) batch_opt.trace_sink = job.collect.get();

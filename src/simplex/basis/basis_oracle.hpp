@@ -12,8 +12,10 @@
 // This interface makes the choice a runtime knob (SolverOptions::basis)
 // instead of an engine rewrite: ExplicitInverseOracle preserves the
 // original dense path bit-for-bit (same arithmetic order, same CostMeter
-// charges), ProductFormOracle supplies the sparse path. Engines own the
-// simplex logic (pricing, ratio tests, beta updates); oracles own B.
+// charges), ProductFormOracle supplies the sparse path over an EtaFile
+// (eta_file.hpp), the representation, walk and refactor policy the device
+// product form shares. Engines own the simplex logic (pricing, ratio
+// tests, beta updates); oracles own B.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +25,6 @@
 #include "vblas/containers.hpp"
 
 namespace gs::simplex::basis {
-
-/// Eta-file conditioning guard shared by the host ProductFormOracle and the
-/// device engines' product form: refactorize as soon as an eta multiplier
-/// (|1/alpha_p| or |alpha_i/alpha_p|) exceeds it — a huge multiplier means
-/// the represented inverse is drifting.
-inline constexpr double kEtaGrowthLimit = 1e8;
 
 /// Singularity cutoff shared by both host oracles: a factorization (the
 /// sparse LU's, or the explicit inverse's Gauss-Jordan elimination)

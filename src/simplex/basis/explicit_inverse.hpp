@@ -37,26 +37,14 @@ class ExplicitInverseOracle final : public BasisOracle {
 
   [[nodiscard]] std::size_t dim() const noexcept override { return m_; }
 
-  /// pi = (B^-1)^T c_B, accumulated row-wise for cache-friendly access.
   void btran(std::span<const double> cb, std::span<double> pi) override {
-    for (std::size_t j = 0; j < m_; ++j) pi[j] = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double cbi = cb[i];
-      if (cbi == 0.0) continue;
-      const auto row = binv_.row(i);
-      for (std::size_t j = 0; j < m_; ++j) pi[j] += cbi * row[j];
-    }
+    btran_raw(cb, pi);
     meter_->charge("price_btran", 2.0 * double(m_) * double(m_),
                    double((m_ * m_ + 2 * m_) * sizeof(double)));
   }
 
   void ftran(std::span<const double> col, std::span<double> alpha) override {
-    for (std::size_t i = 0; i < m_; ++i) {
-      const auto row = binv_.row(i);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m_; ++k) acc += row[k] * col[k];
-      alpha[i] = acc;
-    }
+    ftran_raw(col, alpha);
     meter_->charge("ftran", 2.0 * double(m_) * double(m_),
                    double((m_ * m_ + 2 * m_) * sizeof(double)));
   }
@@ -129,6 +117,7 @@ class ExplicitInverseOracle final : public BasisOracle {
     }
   }
 
+  /// out = (B^-1)^T c_B, accumulated row-wise for cache-friendly access.
   void btran_raw(std::span<const double> cb,
                  std::span<double> out) const override {
     for (std::size_t j = 0; j < m_; ++j) out[j] = 0.0;

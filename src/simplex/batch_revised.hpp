@@ -143,8 +143,8 @@ class BatchRevisedSimplex {
     std::vector<std::size_t> iters(batch, 0);
     std::size_t n_active = batch;
 
-    const Real opt_tol = static_cast<Real>(opt_.opt_tol);
-    const Real pivot_tol = static_cast<Real>(opt_.pivot_tol);
+    const Real opt_tol = static_cast<Real>(PivotRule::kOptTol);
+    const Real pivot_tol = static_cast<Real>(PivotRule::kPivotTol);
     constexpr Real kInf = std::numeric_limits<Real>::infinity();
     constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 

@@ -8,8 +8,11 @@
 //   * B^-1          dense m x m, updated in place by a rank-1 Gauss-Jordan
 //                   elimination step each iteration (explicit-inverse
 //                   scheme) -- or, under the product form (the Ext. B
-//                   ablation), B0 as the host oracle's sparse LU factors
-//                   plus its eta file, on either A^T layout
+//                   ablation), the entries of the host oracle's eta file
+//                   (basis::EtaFile: B0's sparse LU as position etas,
+//                   then one update eta per pivot), on either A^T layout;
+//                   the file itself stays host metadata, and the chains
+//                   run its own FTRAN and BTRAN loops on device spans
 //   * beta = B^-1 b, pi, d, alpha, ratio vectors, pricing mask, c, c_B
 //
 // Per-iteration PCIe traffic is scalar-sized: one packed pivot descriptor
@@ -36,6 +39,7 @@
 #include "lp/standard_form.hpp"
 #include "simplex/at_policy.hpp"
 #include "simplex/basis/basis_oracle.hpp"
+#include "simplex/basis/eta_file.hpp"
 #include "simplex/basis/sparse_lu.hpp"
 #include "simplex/phase_setup.hpp"
 #include "simplex/solve_frame.hpp"
@@ -225,30 +229,21 @@ class DeviceRevisedSimplex {
     /// with one d2h.
     vgpu::DeviceBuffer<Real> desc;
 
-    /// Product-form eta file, one entry per pivot since the last
-    /// refactorization, in the host oracle's format: the support {i != p :
-    /// alpha_i != 0} as host metadata, its raw alpha_i on device as
-    /// (idx, val) pairs (absent for an empty support), and pval = alpha_p.
-    struct Eta {
-      std::size_t p;
-      Real pval;
-      std::vector<std::uint32_t> support;
+    /// Product form: the host oracle's EtaFile (B0's position etas from
+    /// SparseLu over `csr`, the augmented A^T, then one update eta per
+    /// pivot) as the chains' host metadata. Its entries live on the
+    /// device: sigma and B0's packed into lu_idx / lu_val, each update's
+    /// in its own buffers (none for a pivot-only alpha). eta_work is the
+    /// BTRAN chain's y.
+    std::optional<sparse::CsrMatrix<double>> csr;
+    basis::EtaFile file;
+    std::optional<vgpu::DeviceBuffer<std::uint32_t>> sigma, lu_idx;
+    std::optional<vgpu::DeviceBuffer<Real>> lu_val, eta_work;
+    struct UpdateEntries {
       std::optional<vgpu::DeviceBuffer<std::uint32_t>> idx;
       std::optional<vgpu::DeviceBuffer<Real>> val;
     };
-    std::vector<Eta> etas;
-    /// Largest eta multiplier since the last reinversion (growth trigger).
-    double eta_growth = 0.0;
-
-    /// Product form's B0: the host ProductFormOracle's SparseLu of the
-    /// basis, factored over `csr` (the augmented A^T), as position etas
-    /// (SparseLu::position_etas). sigma and the entries live on the
-    /// device; p, pval and the per-eta offsets are host metadata, like
-    /// the update etas' p and alpha_p. eta_work is the BTRAN chain's y.
-    std::optional<sparse::CsrMatrix<double>> csr;
-    basis::SparseLu::PositionEtas lu;
-    std::optional<vgpu::DeviceBuffer<std::uint32_t>> sigma, lu_idx;
-    std::optional<vgpu::DeviceBuffer<Real>> lu_val, eta_work;
+    std::vector<UpdateEntries> updates;
 
     std::vector<std::uint32_t> basic;
     std::vector<bool> in_basis;
@@ -312,29 +307,12 @@ class DeviceRevisedSimplex {
 
   // -------------------------------------------------------------------
   // Product form (either A^T layout): ONE single-block launch per
-  // direction walks B0's factor etas (load_factors) and the update etas in
-  // the host oracle's arithmetic, so device and host product forms are
-  // bit-identical in double. A chain is charged one block's
-  // occupancy on the roofline plus one dependent step
+  // direction runs the eta file's own loop (EtaFile::apply or
+  // apply_transposed) over its device entries, so device and host product
+  // forms are one code path, bit-identical in double. A chain is charged
+  // one block's occupancy on the roofline plus one dependent step
   // (KernelCost::dependent_steps) per level of its walk (chain_shape).
   // -------------------------------------------------------------------
-
-  /// Visit every eta in walk order: FTRAN takes the factor etas, then the
-  /// update etas oldest first; BTRAN (`transposed`) the exact reverse.
-  template <typename Factor, typename Update>
-  static void walk_etas(const Workspace& ws, bool transposed, Factor&& factor,
-                        Update&& update) {
-    const std::size_t nf = ws.lu.p.size();
-    const std::size_t total = nf + ws.etas.size();
-    for (std::size_t k = 0; k < total; ++k) {
-      const std::size_t e = transposed ? total - 1 - k : k;
-      if (e < nf) {
-        factor(e);
-      } else {
-        update(ws.etas[e - nf]);
-      }
-    }
-  }
 
   /// Size of one chain walk, from host metadata (the eta supports).
   struct ChainShape {
@@ -352,10 +330,13 @@ class DeviceRevisedSimplex {
   /// y_p and its entries and writes y_p.
   [[nodiscard]] static ChainShape chain_shape(const Workspace& ws,
                                               bool transposed) {
-    ChainShape shape;
+    const basis::EtaFile& file = ws.file;
+    ChainShape shape{.etas = file.size()};
     std::vector<std::size_t> written(ws.m, 0);  // level of the last write
-    const auto eta = [&](std::size_t p,
-                         std::span<const std::uint32_t> entries) {
+    for (std::size_t k = 0; k < file.size(); ++k) {
+      const std::size_t e = transposed ? file.size() - 1 - k : k;
+      const std::size_t p = file.pivot(e);
+      const std::span<const std::uint32_t> entries = file.support(e);
       const std::size_t level = shape.levels;
       bool raw = level == 0 || written[p] == level;
       if (transposed) {
@@ -366,50 +347,32 @@ class DeviceRevisedSimplex {
       if (!transposed) {
         for (const std::uint32_t i : entries) written[i] = shape.levels;
       }
-      ++shape.etas;
       shape.entries += entries.size();
-    };
-    const basis::SparseLu::PositionEtas& lu = ws.lu;
-    walk_etas(
-        ws, transposed,
-        [&](std::size_t e) {
-          eta(lu.p[e], std::span<const std::uint32_t>(lu.idx).subspan(
-                           lu.offsets[e], lu.offsets[e + 1] - lu.offsets[e]));
-        },
-        [&](const typename Workspace::Eta& u) { eta(u.p, u.support); });
+    }
     return shape;
   }
 
-  /// The walk inside a kernel body: `apply(p, pval, idx, val, lo, hi)`
-  /// runs one eta over entries [lo, hi) of its device spans (the packed
-  /// factor buffers, or an update eta's own).
-  template <typename Apply>
-  static void walk_device(const Workspace& ws, bool transposed,
-                          Apply&& apply) {
-    const basis::SparseLu::PositionEtas& lu = ws.lu;
-    const auto fidx = ws.lu_idx->device_span();
-    const auto fval = ws.lu_val->device_span();
-    walk_etas(
-        ws, transposed,
-        [&](std::size_t e) {
-          apply(lu.p[e], static_cast<Real>(lu.pval[e]), fidx, fval,
-                lu.offsets[e], lu.offsets[e + 1]);
-        },
-        [&](const typename Workspace::Eta& u) {
-          if (u.support.empty()) {
-            apply(u.p, u.pval, vgpu::check::CheckedSpan<const std::uint32_t>{},
-                  vgpu::check::CheckedSpan<const Real>{}, 0, 0);
-          } else {
-            apply(u.p, u.pval, u.idx->device_span(), u.val->device_span(), 0,
-                  u.support.size());
-          }
-        });
+  /// Eta e's entries on device, for the eta file's walks: B0's from the
+  /// packed factor buffers, an update's from its own.
+  [[nodiscard]] static auto device_entries(const Workspace& ws) {
+    using Entries =
+        basis::EtaEntries<vgpu::check::CheckedSpan<const std::uint32_t>,
+                          vgpu::check::CheckedSpan<const Real>>;
+    return [&ws, fidx = ws.lu_idx->device_span(),
+            fval = ws.lu_val->device_span()](std::size_t e) -> Entries {
+      const std::size_t nf = ws.file.factor_etas();
+      if (e < nf) {
+        const auto host = ws.file.entries(e);
+        return {fidx, fval, host.lo, host.hi};
+      }
+      const typename Workspace::UpdateEntries& u = ws.updates[e - nf];
+      if (!u.idx.has_value()) return {};
+      return {u.idx->device_span(), u.val->device_span(), 0, u.idx->size()};
+    };
   }
 
   /// alpha = B^-1 a_q in ONE launch: zero alpha, scatter a_q through
-  /// sigma, walk the factor etas, then the update etas oldest first. Per
-  /// eta, t = x_p / pval; if t != 0, x_i -= v_i * t over the entries;
-  /// then x_p = t (ProductFormOracle::apply_etas and SparseLu::ftran).
+  /// sigma, then walk the eta file (EtaFile::apply, the host's FTRAN loop).
   /// Without `select` it solves for the known column q (the drive-out).
   /// With it (the loop's speculative form) the launch first combines the
   /// pricing blocks' winners into the entering column, publishes it and
@@ -440,7 +403,7 @@ class DeviceRevisedSimplex {
     const auto rcsp = std::as_const(ws.d).device_span();
     const auto bsp = std::as_const(ws.beta).device_span();
     auto rsp = ws.ratio.device_span();
-    const Real pivot_tol = static_cast<Real>(ws.options.pivot_tol);
+    const auto entries = device_entries(ws);
     dev_.launch_blocks(
         "eta_ftran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
         {2.0 * double(shape.entries) + double(shape.etas) +
@@ -457,31 +420,20 @@ class DeviceRevisedSimplex {
           aq.annotate();
           for (std::size_t i = 0; i < m; ++i) xsp[i] = Real{0};
           aq.scatter(xsp, ssp);
-          walk_device(ws, false,
-                      [&](std::size_t p, Real pval, const auto& isp,
-                          const auto& vsp, std::size_t lo, std::size_t hi) {
-                        const Real t = xsp[p] / pval;
-                        if (t != Real{0}) {
-                          for (std::size_t k = lo; k < hi; ++k) {
-                            xsp[isp[k]] -= vsp[k] * t;
-                          }
-                        }
-                        xsp[p] = t;
-                      });
+          ws.file.apply(xsp, entries);
           if (select != nullptr) {
             leaving_block(
-                pivot_tol, 0, m, [&](std::size_t i) { return Real(xsp[i]); },
-                bsp, rsp, xsp, dsp, kDescP);
+                static_cast<Real>(PivotRule::kPivotTol), 0, m,
+                [&](std::size_t i) { return Real(xsp[i]); }, bsp, rsp, xsp,
+                dsp, kDescP);
           }
         });
   }
 
   /// out = (B^-1)^T y in ONE launch, where y is a copy of `seed` or, when
-  /// `seed` is null, the unit vector e_{unit_row}: walk the update etas
-  /// transposed newest first, then the factor etas transposed in reverse,
-  /// then gather out[r] = y[sigma[r]]. Per eta, acc = y_p; acc -= v_k *
-  /// y_{i_k} in entry order; then y_p = acc / pval
-  /// (ProductFormOracle::apply_etas_transposed and SparseLu::btran).
+  /// `seed` is null, the unit vector e_{unit_row}: walk the eta file
+  /// transposed (EtaFile::apply_transposed, the host's BTRAN loop), then
+  /// gather out[r] = y[sigma[r]].
   void eta_btran_chain(Workspace& ws, const vgpu::DeviceBuffer<Real>* seed,
                        std::size_t unit_row, vgpu::DeviceBuffer<Real>& out) {
     const std::size_t m = ws.m;
@@ -498,6 +450,7 @@ class DeviceRevisedSimplex {
     const auto ssp = std::as_const(*ws.sigma).device_span();
     const auto csp = seed != nullptr ? seed->device_span()
                                      : vgpu::check::CheckedSpan<const Real>{};
+    const auto entries = device_entries(ws);
     dev_.launch_blocks(
         "eta_btran_chain", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
         {2.0 * double(shape.entries) + double(shape.etas), traffic,
@@ -507,15 +460,7 @@ class DeviceRevisedSimplex {
             ysp[i] = seed != nullptr ? Real(csp[i])
                                      : (i == unit_row ? Real{1} : Real{0});
           }
-          walk_device(ws, true,
-                      [&](std::size_t p, Real pval, const auto& isp,
-                          const auto& vsp, std::size_t lo, std::size_t hi) {
-                        Real acc = ysp[p];
-                        for (std::size_t k = lo; k < hi; ++k) {
-                          acc -= vsp[k] * ysp[isp[k]];
-                        }
-                        ysp[p] = acc / pval;
-                      });
+          ws.file.apply_transposed(ysp, entries);
           for (std::size_t r = 0; r < m; ++r) osp[r] = ysp[ssp[r]];
         });
   }
@@ -636,30 +581,19 @@ class DeviceRevisedSimplex {
     ws.pi_current = true;
   }
 
-  /// Product form: append the eta for this pivot instead of updating B^-1,
-  /// in the host oracle's format. The support {i != p : alpha_i != 0} is
-  /// host metadata (the CUDA original would run a stream compaction; like
-  /// the CSR extents in SparseAt it is read outside the machine model) and
-  /// crosses PCIe once, and `make_eta` gathers the raw alpha_i on device.
-  /// pval = alpha_p. A pivot-only alpha uploads and launches nothing. The
-  /// growth trigger's multiplier max(|1/alpha_p|, |alpha_i/alpha_p|) — the
-  /// measure ProductFormOracle::update folds — is read from alpha through
-  /// host_view() as well.
-  void append_eta(Workspace& ws, std::size_t p, Real alpha_p) {
+  /// Product form: append the eta for this pivot to the eta file
+  /// (EtaFile::append, which also folds its growth measure) instead of
+  /// updating B^-1. The file reads alpha through host_view(), outside the
+  /// machine model, as the CUDA original would run a stream compaction
+  /// (like the CSR extents in SparseAt); the support crosses PCIe once, and
+  /// `make_eta` gathers the raw alpha_i on device. A pivot-only alpha
+  /// uploads and launches nothing.
+  void append_eta(Workspace& ws, std::size_t p) {
     ws.pi_current = false;
-    const std::span<const Real> ah = ws.alpha.host_view();
-    const double inv_p = std::abs(1.0 / static_cast<double>(alpha_p));
-    ws.eta_growth = std::max(ws.eta_growth, inv_p);
-    typename Workspace::Eta eta{p, alpha_p, {}, std::nullopt, std::nullopt};
-    for (std::uint32_t i = 0; i < ws.m; ++i) {
-      if (i == p) continue;
-      ws.eta_growth = std::max(
-          ws.eta_growth, std::abs(static_cast<double>(ah[i]) * inv_p));
-      if (ah[i] != Real{0}) eta.support.push_back(i);
-    }
-    const std::size_t nnz = eta.support.size();
+    const std::size_t nnz = ws.file.append(p, ws.alpha.host_view());
+    typename Workspace::UpdateEntries& eta = ws.updates.emplace_back();
     if (nnz > 0) {
-      eta.idx.emplace(dev_, std::span<const std::uint32_t>(eta.support));
+      eta.idx.emplace(dev_, ws.file.support(ws.file.size() - 1));
       eta.val.emplace(dev_, nnz);
       const auto asp = std::as_const(ws.alpha).device_span();
       const auto isp = std::as_const(*eta.idx).device_span();
@@ -672,42 +606,41 @@ class DeviceRevisedSimplex {
             for (std::size_t k = lo; k < hi; ++k) vsp[k] = asp[isp[k]];
           });
     }
-    ws.etas.push_back(std::move(eta));
   }
 
   /// Product form's (re)factorization: factor the basis with the
   /// host oracle's SparseLu over the same columns, then load its position
-  /// etas with ONE single-block `sparse_refactor` launch, declared like
-  /// ProductFormOracle::install's charge (4 nnz + 2m flops, 2 nnz + 2m
-  /// elements) plus one dependent step per basis column. beta is not
-  /// refreshed, as on the host. A singular basis keeps the current factors
-  /// and eta file and returns false, as the host oracle does.
+  /// etas with ONE single-block `sparse_refactor` launch, declared with
+  /// the eta file's factorization charge (EtaFile::factor_cost, as the
+  /// host charges it) plus one dependent step per basis column. beta is
+  /// not refreshed, as on the host. A singular basis keeps the current
+  /// factors and eta file and returns false, as the host oracle does.
   [[nodiscard]] bool load_factors(Workspace& ws) {
-    basis::SparseLu lu;
-    if (!lu.factorize(basis::CsrColumnSource(*ws.csr), ws.basic)) {
-      return false;
-    }
-    ws.lu = lu.position_etas();
+    std::optional<basis::EtaFile> file =
+        basis::SparseLu::factorize(basis::CsrColumnSource(*ws.csr), ws.basic);
+    if (!file.has_value()) return false;
+    ws.file = *std::move(file);
     const std::size_t m = ws.m;
-    const std::size_t entries = ws.lu.idx.size();
-    ws.lu_idx.emplace(dev_, entries);
-    ws.lu_val.emplace(dev_, entries);
+    const auto b0 = ws.file.factor_entries();
+    ws.lu_idx.emplace(dev_, b0.hi);
+    ws.lu_val.emplace(dev_, b0.hi);
     auto ssp = ws.sigma->device_span();
     auto isp = ws.lu_idx->device_span();
     auto vsp = ws.lu_val->device_span();
+    vgpu::KernelCost cost = ws.file.factor_cost(sizeof(Real));
+    cost.dependent_steps = m;
     dev_.launch_blocks(
         "sparse_refactor", vgpu::Device::kBlockSize, vgpu::Device::kBlockSize,
-        {4.0 * double(lu.nnz()) + 2.0 * double(m), bytes(2 * lu.nnz() + 2 * m),
-         sizeof(Real), m},
-        [&](std::size_t, std::size_t, std::size_t) {
-          for (std::size_t r = 0; r < m; ++r) ssp[r] = ws.lu.sigma[r];
-          for (std::size_t k = 0; k < entries; ++k) {
-            isp[k] = ws.lu.idx[k];
-            vsp[k] = static_cast<Real>(ws.lu.val[k]);
+        cost, [&](std::size_t, std::size_t, std::size_t) {
+          for (std::size_t r = 0; r < m; ++r) ssp[r] = ws.file.sigma()[r];
+          for (std::size_t k = 0; k < b0.hi; ++k) {
+            isp[k] = b0.idx[k];
+            vsp[k] = static_cast<Real>(b0.val[k]);
           }
         });
-    ws.etas.clear();
-    ws.eta_growth = 0.0;
+    // The old update etas' buffers are freed last, once the new factors
+    // are loaded: the analyzer's peak of live device bytes counts both.
+    ws.updates.clear();
     ws.pi_current = false;
     return true;
   }
@@ -747,7 +680,7 @@ class DeviceRevisedSimplex {
                            alpha_p);
       }
       pivot_beta(ws, p, theta, pokes);
-      append_eta(ws, p, alpha_p);
+      append_eta(ws, p);
     } else {
       pivot_apply(ws, p, theta, alpha_p, pokes);
       if (devex) {
@@ -769,19 +702,12 @@ class DeviceRevisedSimplex {
   struct Basis {
     DeviceRevisedSimplex& engine;
     Workspace& ws;
-    /// Refactorization policy, mirrored from the host oracles. The
-    /// explicit inverse never refactors (its rank-1 update is exact). The
-    /// product form folds its eta file back every reinversion_period etas
-    /// (0 means every m), drive-out pivots included, or as soon as an eta
-    /// multiplier exceeds the growth limit, as
-    /// ProductFormOracle::wants_refactor does.
+    /// The explicit inverse never refactors (its rank-1 update is exact);
+    /// the product form asks its eta file, as the host oracle does
+    /// (EtaFile::refactor_due), drive-out pivots included.
     [[nodiscard]] bool refactor_due() const {
-      if (!ws.product_form) return false;
-      const std::size_t period = ws.options.reinversion_period > 0
-                                     ? ws.options.reinversion_period
-                                     : ws.m;
-      return (period > 0 && ws.etas.size() >= period) ||
-             ws.eta_growth > basis::kEtaGrowthLimit;
+      return ws.product_form &&
+             ws.file.refactor_due(ws.options.reinversion_period);
     }
     [[nodiscard]] bool refactor() const { return engine.load_factors(ws); }
     [[nodiscard]] HealthSample probe(std::size_t iter,
@@ -825,7 +751,7 @@ class DeviceRevisedSimplex {
                        : (ws.options.pricing == PricingRule::kDevex
                               ? EnteringRule::kDevex
                               : EnteringRule::kDantzig),
-          static_cast<Real>(ws.options.opt_tol), ws.m, ws.n_aug);
+          static_cast<Real>(PivotRule::kOptTol), ws.m, ws.n_aug);
       loop.op(SimplexOp::kPrice, [&] {
         if (!ws.pi_current) btran(ws);
         ws.at.price_select(entering, ws.pi, ws.c, ws.mask, ws.d, ws.col_work,
@@ -839,7 +765,7 @@ class DeviceRevisedSimplex {
         } else {
           ws.at.ftran_ratio_select(entering, ws.d, *ws.binv, ws.beta,
                                    ws.alpha, ws.ratio, ws.desc,
-                                   static_cast<Real>(ws.options.pivot_tol));
+                                   static_cast<Real>(PivotRule::kPivotTol));
         }
       });
       // The iteration's only d2h: the descriptor's prefix.
@@ -889,7 +815,7 @@ class DeviceRevisedSimplex {
                                    std::size_t probes) const {
     HealthSample out;
     if (ws.options.basis != BasisScheme::kExplicitInverse) {
-      out.etas = ws.etas.size();
+      out.etas = ws.file.updates();
       return out;
     }
     const std::size_t m = ws.m;
@@ -953,7 +879,7 @@ class DeviceRevisedSimplex {
       if (q == ws.n_aug) continue;  // redundant row: artificial stays at 0
       ftran(ws, q);
       const Real alpha_p = ws.alpha.download_value(i);
-      if (std::abs(static_cast<double>(alpha_p)) <= ws.options.pivot_tol) {
+      if (std::abs(static_cast<double>(alpha_p)) <= PivotRule::kPivotTol) {
         continue;
       }
       frame.record_pivot({.phase = 1, .iteration = iteration, .q = q, .p = i,

@@ -43,12 +43,12 @@ enum class DualExit {
 /// Leaving row by dual-Devex-lite (max beta_r^2 / w_r among beta_r < -tol)
 /// with a Bland fallback (lowest infeasible row) where the frame's
 /// PivotRule says so; entering column by the dual ratio test
-/// min d_j / -alpha_rj over alpha_rj < -pivot_tol, ties to the lowest
+/// min d_j / -alpha_rj over alpha_rj < -kPivotTol, ties to the lowest
 /// column index.
 DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
   SolveFrame::Loop loop = s.frame.dual_loop(stats);
   const trace::Track& tr = s.meter.trace();
-  const double tol = s.opt.opt_tol;
+  const double tol = PivotRule::kOptTol;
   for (std::size_t iter = 0; iter < budget; ++iter) {
     const auto span = loop.iteration(iter, "dual_iteration");
     // ---- leaving row ----
@@ -90,7 +90,7 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
     double best_ratio = kInf;
     std::uint32_t ties = 0;
     for (std::size_t j = 0; j < s.n_aug; ++j) {
-      if (s.arow[j] >= -s.opt.pivot_tol || !s.may_enter(j)) continue;
+      if (s.arow[j] >= -PivotRule::kPivotTol || !s.may_enter(j)) continue;
       const double ratio = s.d[j] / (-s.arow[j]);
       if (ratio < best_ratio) {
         best_ratio = ratio;
@@ -107,7 +107,7 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
     // ---- FTRAN the entering column ----
     host::ftran(s, q);
     const double alpha_r = s.alpha[r];
-    if (std::abs(alpha_r) <= s.opt.pivot_tol) {
+    if (std::abs(alpha_r) <= PivotRule::kPivotTol) {
       return DualExit::kNumericalTrouble;  // rho/alpha disagree: bail out
     }
     const double beta_r = s.beta[r];
@@ -159,17 +159,10 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
 /// problems or a singular basis; the crash basis then stays installed.
 [[nodiscard]] bool try_warm_start(DualState& s,
                                   const std::vector<std::uint32_t>& basis) {
-  if (basis.size() != s.m) return false;
-  std::vector<bool> used(s.n_aug, false);
-  for (std::uint32_t col : basis) {
-    if (col >= s.n_aug || s.aug.is_artificial[col] || used[col]) return false;
-    used[col] = true;
+  if (!s.accepts_warm_basis(basis) || !s.oracle->refactorize(basis)) {
+    return false;
   }
-  std::vector<std::uint32_t> b(basis.begin(), basis.end());
-  if (!s.oracle->refactorize(b)) return false;
-  s.basic = std::move(b);
-  std::fill(s.in_basis.begin(), s.in_basis.end(), false);
-  for (const std::uint32_t col : s.basic) s.in_basis[col] = true;
+  s.install_basis(basis);
   s.oracle->ftran_raw(s.aug.b, s.beta);
   return true;
 }
@@ -186,11 +179,11 @@ DualExit dual_loop(DualState& s, std::size_t budget, SolverStats& stats) {
 bool shift_to_dual_feasible(DualState& s) {
   bool shifted = false;
   for (std::size_t j = 0; j < s.n_aug; ++j) {
-    if (s.may_enter(j) && s.d[j] < -s.opt.opt_tol) {
+    if (s.may_enter(j) && s.d[j] < -PivotRule::kOptTol) {
       const double u =
           static_cast<double>(SplitMix64(j).next() >> 11) * 0x1.0p-53;
       const double delta =
-          10.0 * s.opt.opt_tol * (1.0 + std::abs(s.c[j])) * (1.0 + u);
+          10.0 * PivotRule::kOptTol * (1.0 + std::abs(s.c[j])) * (1.0 + u);
       s.c[j] += delta - s.d[j];
       s.d[j] = delta;
       shifted = true;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "simplex/basis/basis_oracle.hpp"
@@ -46,6 +47,13 @@ struct State {
   /// The health probe: `probes` entries of B·B⁻¹ − I and max |B⁻¹| over
   /// the probed rows, rotating with `iter`.
   [[nodiscard]] HealthSample probe(std::size_t iter, std::size_t probes) const;
+
+  /// True when a caller's warm basis can stand here: m columns, each below
+  /// n_aug, none artificial and none repeated.
+  [[nodiscard]] bool accepts_warm_basis(
+      std::span<const std::uint32_t> basis) const;
+  /// Make `basis` the current basis (basic and in_basis).
+  void install_basis(std::span<const std::uint32_t> basis);
 
   const AugmentedLp& aug;
   std::size_t m, n_aug;

@@ -96,6 +96,22 @@ HealthSample State::probe(std::size_t iter, std::size_t probes) const {
   return out;
 }
 
+bool State::accepts_warm_basis(std::span<const std::uint32_t> basis) const {
+  if (basis.size() != m) return false;
+  std::vector<bool> used(n_aug, false);
+  for (const std::uint32_t col : basis) {
+    if (col >= n_aug || aug.is_artificial[col] || used[col]) return false;
+    used[col] = true;
+  }
+  return true;
+}
+
+void State::install_basis(std::span<const std::uint32_t> basis) {
+  basic.assign(basis.begin(), basis.end());
+  std::fill(in_basis.begin(), in_basis.end(), false);
+  for (const std::uint32_t col : basic) in_basis[col] = true;
+}
+
 }  // namespace host
 
 namespace {
@@ -106,7 +122,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 [[nodiscard]] std::optional<std::size_t> select_entering(const State& s,
                                                          bool bland) {
-  const double tol = s.opt.opt_tol;
+  const double tol = PivotRule::kOptTol;
   if (bland) {
     for (std::size_t j = 0; j < s.n_aug; ++j) {
       if (s.d[j] < -tol) return j;
@@ -132,7 +148,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
   std::size_t p = s.m;
   double theta = kInf;
   for (std::size_t i = 0; i < s.m; ++i) {
-    if (s.alpha[i] > s.opt.pivot_tol) {
+    if (s.alpha[i] > PivotRule::kPivotTol) {
       const double r = s.beta[i] / s.alpha[i];
       if (r < theta) {
         theta = r;
@@ -257,7 +273,7 @@ void pivot(State& s, std::size_t q, std::size_t p, double theta) {
 [[nodiscard]] std::uint32_t count_ratio_ties(const State& s, double theta) {
   std::uint32_t ties = 0;
   for (std::size_t i = 0; i < s.m; ++i) {
-    if (s.alpha[i] > s.opt.pivot_tol && s.beta[i] / s.alpha[i] == theta) {
+    if (s.alpha[i] > PivotRule::kPivotTol && s.beta[i] / s.alpha[i] == theta) {
       ++ties;
     }
   }
@@ -270,18 +286,13 @@ void pivot(State& s, std::size_t q, std::size_t p, double theta) {
 /// failure the crash basis stays installed and the solve proceeds cold.
 [[nodiscard]] bool try_warm_start(State& s,
                                   const std::vector<std::uint32_t>& basis) {
-  if (basis.size() != s.m) return false;
-  std::vector<bool> used(s.n_aug, false);
-  for (std::uint32_t col : basis) {
-    if (col >= s.n_aug || s.aug.is_artificial[col] || used[col]) return false;
-    used[col] = true;
-  }
   std::vector<double> beta;
-  if (!s.oracle->warm_start(basis, s.aug.b, beta)) return false;
+  if (!s.accepts_warm_basis(basis) ||
+      !s.oracle->warm_start(basis, s.aug.b, beta)) {
+    return false;
+  }
   s.beta = std::move(beta);
-  s.basic.assign(basis.begin(), basis.end());
-  std::fill(s.in_basis.begin(), s.in_basis.end(), false);
-  for (const std::uint32_t col : s.basic) s.in_basis[col] = true;
+  s.install_basis(basis);
   return true;
 }
 
@@ -308,7 +319,7 @@ void drive_out_artificials(State& s, std::uint64_t iteration) {
                    double((s.aug.n * s.m) * sizeof(double)));
     if (q == s.n_aug) continue;
     ftran(s, q);
-    if (std::abs(s.alpha[i]) <= s.opt.pivot_tol) continue;
+    if (std::abs(s.alpha[i]) <= PivotRule::kPivotTol) continue;
     s.frame.record_pivot({.phase = 1, .iteration = iteration, .q = q, .p = i,
                           .leaving = s.basic[i], .alpha_p = s.alpha[i]});
     pivot(s, q, i, 0.0);

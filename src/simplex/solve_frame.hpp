@@ -67,9 +67,16 @@ enum class LoopExit { kOptimal, kUnbounded, kIterationLimit };
 /// and the next improving pivot hands pricing back. kBland prices with
 /// Bland throughout; otherwise the switch is armed where the loop asks
 /// (the primal loops under kHybrid, the dual loop under every rule).
+/// Every engine prices and ratio-tests with the same two tolerances
+/// (the float engines cast them).
 class PivotRule {
  public:
   static constexpr std::size_t kStallPivots = 40;
+  /// Optimality tolerance: a column may enter only with d_j < -kOptTol.
+  static constexpr double kOptTol = 1e-7;
+  /// Ratio-test pivot tolerance: rows with alpha_i <= kPivotTol never
+  /// leave.
+  static constexpr double kPivotTol = 1e-9;
   PivotRule(PricingRule rule, bool armed) noexcept
       : always_(rule == PricingRule::kBland), armed_(armed) {}
   [[nodiscard]] bool bland() const noexcept {

@@ -78,7 +78,7 @@ struct Tableau {
 
 [[nodiscard]] std::optional<std::size_t> select_entering(const Tableau& t,
                                                          bool bland) {
-  const double tol = t.opt.opt_tol;
+  const double tol = PivotRule::kOptTol;
   if (bland) {
     for (std::size_t j = 0; j < t.n_aug; ++j) {
       if (t.may_enter(j) && t.drow[j] < -tol) return j;
@@ -129,7 +129,7 @@ void eliminate(Tableau& t, std::size_t p, std::size_t q) {
   std::uint32_t ties = 0;
   for (std::size_t i = 0; i < t.m; ++i) {
     const double a = t.body(i, q);
-    if (a > t.opt.pivot_tol && t.rhs[i] / a == theta) ++ties;
+    if (a > PivotRule::kPivotTol && t.rhs[i] / a == theta) ++ties;
   }
   return ties;
 }
@@ -151,7 +151,7 @@ LoopExit run_loop(Tableau& t, SolveFrame& frame, std::size_t budget,
     double theta = kInf;
     for (std::size_t i = 0; i < t.m; ++i) {
       const double a = t.body(i, q);
-      if (a > t.opt.pivot_tol) {
+      if (a > PivotRule::kPivotTol) {
         const double r = t.rhs[i] / a;
         if (r < theta) {
           theta = r;

@@ -80,11 +80,6 @@ enum class BasisScheme {
 struct SolverOptions {
   std::size_t max_iterations = 50000;
 
-  /// Optimality tolerance: entering candidates need d_j < -opt_tol.
-  double opt_tol = 1e-7;
-  /// Ratio-test pivot tolerance: rows with alpha_i <= pivot_tol are skipped.
-  double pivot_tol = 1e-9;
-
   PricingRule pricing = PricingRule::kHybrid;
 
   /// Compute post-optimal sensitivity ranges (HostRevisedSimplex only).

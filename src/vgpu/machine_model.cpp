@@ -4,22 +4,25 @@
 
 namespace gs::vgpu {
 
-double MachineModel::kernel_seconds(
+MachineModel::LaunchTerms MachineModel::launch_terms(
     double flops, double bytes, std::size_t threads, std::size_t scalar_bytes,
     std::size_t dependent_steps) const noexcept {
-  const double peak_gflops =
-      scalar_bytes <= 4 ? peak_gflops_sp : peak_gflops_dp;
   const double occupancy =
       std::min(1.0, static_cast<double>(std::max<std::size_t>(threads, 1)) /
                         static_cast<double>(saturation_threads));
-  const double f_eff = peak_gflops * 1e9 * occupancy;
+  const double f_eff = peak_gflops(scalar_bytes) * 1e9 * occupancy;
   const double b_eff = mem_gbps * 1e9 * occupancy;
-  const double t_compute = f_eff > 0 ? flops / f_eff : 0.0;
-  const double t_memory = b_eff > 0 ? bytes / b_eff : 0.0;
-  double t = launch_overhead_s + std::max(t_compute, t_memory);
-  if (dependent_steps > 0) {
-    t += static_cast<double>(dependent_steps) * dependent_step_s;
-  }
+  return {f_eff > 0 ? flops / f_eff : 0.0, b_eff > 0 ? bytes / b_eff : 0.0,
+          static_cast<double>(dependent_steps) * dependent_step_s};
+}
+
+double MachineModel::kernel_seconds(
+    double flops, double bytes, std::size_t threads, std::size_t scalar_bytes,
+    std::size_t dependent_steps) const noexcept {
+  const LaunchTerms terms =
+      launch_terms(flops, bytes, threads, scalar_bytes, dependent_steps);
+  double t = launch_overhead_s + std::max(terms.compute, terms.memory);
+  if (dependent_steps > 0) t += terms.steps;
   return t;
 }
 

@@ -56,10 +56,28 @@ struct MachineModel {
   /// already pays its dependencies in its flop/byte terms.
   double dependent_step_s = 0.0;
 
-  /// Roofline time for one kernel launch. `scalar_bytes` selects the
-  /// arithmetic peak: 4 -> single precision, 8 -> double precision.
-  /// `dependent_steps` adds exactly `dependent_steps * dependent_step_s`
-  /// on top of the roofline time (nothing at all when 0).
+  /// Arithmetic peak, GFLOP/s: 4 `scalar_bytes` -> single precision, 8 ->
+  /// double precision.
+  [[nodiscard]] double peak_gflops(std::size_t scalar_bytes) const noexcept {
+    return scalar_bytes <= 4 ? peak_gflops_sp : peak_gflops_dp;
+  }
+
+  /// One launch's terms, as kernel_seconds composes them: the compute and
+  /// memory times at the launch's occupancy, and the latency of its
+  /// dependent steps.
+  struct LaunchTerms {
+    double compute = 0.0;
+    double memory = 0.0;
+    double steps = 0.0;
+  };
+  [[nodiscard]] LaunchTerms launch_terms(
+      double flops, double bytes, std::size_t threads,
+      std::size_t scalar_bytes,
+      std::size_t dependent_steps = 0) const noexcept;
+
+  /// Roofline time for one kernel launch: t_launch + max(compute, memory),
+  /// then `dependent_steps * dependent_step_s` on top (nothing at all when
+  /// 0).
   [[nodiscard]] double kernel_seconds(
       double flops, double bytes, std::size_t threads,
       std::size_t scalar_bytes,

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "drive_out_lp.hpp"
@@ -17,6 +19,7 @@
 #include "simplex/basis/product_form.hpp"
 #include "simplex/basis/sparse_lu.hpp"
 #include "simplex/cost_meter.hpp"
+#include "simplex/phase_setup.hpp"
 #include "simplex/solver.hpp"
 #include "sparse/csr.hpp"
 #include "support/rng.hpp"
@@ -148,20 +151,21 @@ TEST(BasisOracles, UnitDiagonalBasesAgreeBitwise) {
   }
 }
 
-// Property: the sparse LU actually inverts what it factored — FTRAN then
+// Property: the eta file inverts what the sparse LU factored — FTRAN then
 // multiplying by B recovers the input, and likewise for BTRAN.
 TEST(SparseLuRoundTrip, FtranBtranInvertTheFactoredBasis) {
   for (const std::uint64_t seed : {3u, 19u}) {
     const std::size_t m = 64;
     const auto at = random_basis_at(m, 8, seed);
     const CsrColumnSource cols(at);
-    simplex::basis::SparseLu lu;
-    ASSERT_TRUE(lu.factorize(cols, identity_basis(m)));
+    const auto file =
+        simplex::basis::SparseLu::factorize(cols, identity_basis(m));
+    ASSERT_TRUE(file.has_value());
 
     const auto x = random_vec(m, seed + 1000);
     // alpha = B^-1 x, check B alpha == x.
-    std::vector<double> alpha = x;
-    lu.ftran(alpha);
+    std::vector<double> alpha(m);
+    file->ftran(x, alpha);
     std::vector<double> recon(m, 0.0), colbuf(m);
     for (std::size_t j = 0; j < m; ++j) {
       std::fill(colbuf.begin(), colbuf.end(), 0.0);
@@ -172,63 +176,14 @@ TEST(SparseLuRoundTrip, FtranBtranInvertTheFactoredBasis) {
       EXPECT_NEAR(recon[i], x[i], 1e-9 * (1.0 + std::abs(x[i]))) << i;
     }
     // y = B^-T x, check B^T y == x  (i.e. y . b_j == x_j for each column).
-    std::vector<double> y = x;
-    lu.btran(y);
+    std::vector<double> y(m);
+    file->btran(x, y);
     for (std::size_t j = 0; j < m; ++j) {
       std::fill(colbuf.begin(), colbuf.end(), 0.0);
       cols.gather(static_cast<std::uint32_t>(j), colbuf);
       double acc = 0.0;
       for (std::size_t i = 0; i < m; ++i) acc += colbuf[i] * y[i];
       EXPECT_NEAR(acc, x[j], 1e-9 * (1.0 + std::abs(x[j]))) << j;
-    }
-  }
-}
-
-// Property: the position-eta export repeats the LU's own solves bit for
-// bit — FTRAN of x[sigma[r]] = a[r] through the etas in order, and BTRAN
-// through them in reverse followed by the gather out[r] = y[sigma[r]] —
-// on dense and on mostly-zero right-hand sides.
-TEST(SparseLuRoundTrip, PositionEtasRepeatTheSolvesExactly) {
-  for (const std::uint64_t seed : {3u, 19u}) {
-    const std::size_t m = 64;
-    const auto at = random_basis_at(m, 8, seed);
-    simplex::basis::SparseLu lu;
-    ASSERT_TRUE(lu.factorize(CsrColumnSource(at), identity_basis(m)));
-    const auto f = lu.position_etas();
-    ASSERT_EQ(f.sigma.size(), m);
-    ASSERT_EQ(f.offsets.size(), f.p.size() + 1);
-    auto x = random_vec(m, seed + 7);
-    for (const bool sparse_rhs : {false, true}) {
-      if (sparse_rhs) {
-        for (std::size_t i = 0; i < m; ++i) x[i] = i % 9 == 4 ? x[i] : 0.0;
-      }
-      std::vector<double> want = x;
-      lu.ftran(want);
-      std::vector<double> got(m);
-      for (std::size_t r = 0; r < m; ++r) got[f.sigma[r]] = x[r];
-      for (std::size_t e = 0; e < f.p.size(); ++e) {
-        const double t = got[f.p[e]] / f.pval[e];
-        if (t != 0.0) {
-          for (std::size_t k = f.offsets[e]; k < f.offsets[e + 1]; ++k) {
-            got[f.idx[k]] -= f.val[k] * t;
-          }
-        }
-        got[f.p[e]] = t;
-      }
-      EXPECT_EQ(got, want);
-
-      want = x;
-      lu.btran(want);
-      std::vector<double> y = x;
-      for (std::size_t e = f.p.size(); e-- > 0;) {
-        double acc = y[f.p[e]];
-        for (std::size_t k = f.offsets[e]; k < f.offsets[e + 1]; ++k) {
-          acc -= f.val[k] * y[f.idx[k]];
-        }
-        y[f.p[e]] = acc / f.pval[e];
-      }
-      for (std::size_t r = 0; r < m; ++r) got[r] = y[f.sigma[r]];
-      EXPECT_EQ(got, want);
     }
   }
 }
@@ -477,6 +432,84 @@ TEST(DualEngine, RejectedWarmBasisRunsAColdHostStageAfterTheDualFrame) {
     EXPECT_EQ(solve_begins[1], closed_before[1]);
   }
 }
+
+// The host and dual engines refuse a caller's warm basis through one
+// check (host::State::accepts_warm_basis) when it is too short, names a
+// column past n_aug, names an artificial column or repeats a column. A
+// refused basis leaves no trace: no warm start is reported, and status,
+// values, basis, iterations and modeled seconds equal the same engine's
+// cold solve. The artificial case offers the crash basis of an instance
+// that needs artificials; the others edit the crash basis of a
+// slack-startable one.
+enum class WarmDefect { kShort, kOutOfRange, kArtificial, kRepeated };
+
+std::string_view to_string(WarmDefect d) {
+  switch (d) {
+    case WarmDefect::kShort: return "short";
+    case WarmDefect::kOutOfRange: return "out_of_range";
+    case WarmDefect::kArtificial: return "artificial";
+    case WarmDefect::kRepeated: return "repeated";
+  }
+  return "?";
+}
+
+using WarmCase =
+    std::tuple<simplex::Engine, simplex::BasisScheme, WarmDefect>;
+
+class WarmBasisRejection : public testing::TestWithParam<WarmCase> {};
+
+TEST_P(WarmBasisRejection, SolvesAsIfCold) {
+  const auto [engine, scheme, defect] = GetParam();
+  const lp::LpProblem problem =
+      defect == WarmDefect::kArtificial
+          ? test_lps::degenerate_drive_out()
+          : lp::random_dense_lp({.rows = 12, .cols = 16, .seed = 5});
+  const simplex::AugmentedLp aug =
+      simplex::augment(lp::to_standard_form(problem));
+  std::vector<std::uint32_t> warm = aug.basic;
+  switch (defect) {
+    case WarmDefect::kShort: warm.pop_back(); break;
+    case WarmDefect::kOutOfRange:
+      warm.back() = static_cast<std::uint32_t>(aug.n_aug);
+      break;
+    case WarmDefect::kArtificial:
+      ASSERT_TRUE(aug.is_artificial[warm.front()]);
+      break;
+    case WarmDefect::kRepeated: warm.back() = warm.front(); break;
+  }
+  simplex::SolverOptions opt;
+  opt.basis = scheme;
+  const auto cold = simplex::solve(problem, engine, opt);
+  ASSERT_TRUE(cold.optimal());
+  opt.warm_basis = &warm;
+  const auto r = simplex::solve(problem, engine, opt);
+  EXPECT_FALSE(r.stats.warm_started);
+  EXPECT_EQ(r.status, cold.status);
+  EXPECT_EQ(r.objective, cold.objective);
+  EXPECT_EQ(r.x, cold.x);
+  EXPECT_EQ(r.y, cold.y);
+  EXPECT_EQ(r.basis, cold.basis);
+  EXPECT_EQ(r.stats.iterations, cold.stats.iterations);
+  EXPECT_EQ(r.stats.sim_seconds, cold.stats.sim_seconds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HostAndDual, WarmBasisRejection,
+    testing::Combine(testing::Values(simplex::Engine::kHostRevised,
+                                     simplex::Engine::kDualRevised),
+                     testing::Values(simplex::BasisScheme::kExplicitInverse,
+                                     simplex::BasisScheme::kProductForm),
+                     testing::Values(WarmDefect::kShort,
+                                     WarmDefect::kOutOfRange,
+                                     WarmDefect::kArtificial,
+                                     WarmDefect::kRepeated)),
+    [](const testing::TestParamInfo<WarmCase>& info) {
+      std::string name = std::string(to_string(std::get<0>(info.param))) +
+                         "_" + std::string(to_string(std::get<1>(info.param))) +
+                         "_" + std::string(to_string(std::get<2>(info.param)));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // A warm start that is rejected for primal infeasibility still ran its
 // factorization and its beta = B^-1 b solve: the host engine must charge

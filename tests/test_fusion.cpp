@@ -267,7 +267,6 @@ TEST(Fusion, MultiBlockSelectionsMatchPrimitives) {
   rhs[1][511] = 6.0;
   rhs[1][512] = 3.0;
 
-  const SolverOptions defaults;
   for (std::size_t s = 0; s < costs.size(); ++s) {
     const std::vector<double>& alpha = alphas[s % 2];
     const lp::LpProblem problem = first_pivot_lp(costs[s], alpha, rhs[s % 2]);
@@ -279,11 +278,13 @@ TEST(Fusion, MultiBlockSelectionsMatchPrimitives) {
     std::vector<double> d(aug.n_aug, 0.0), score(aug.n_aug, 0.0);
     for (std::size_t j = 0; j < kN; ++j) {
       d[j] = aug.c_phase2[j];
-      if (d[j] < -defaults.opt_tol) score[j] = -(d[j] * d[j]);
+      if (d[j] < -PivotRule::kOptTol) score[j] = -(d[j] * d[j]);
     }
     std::vector<double> ratio(kM, std::numeric_limits<double>::infinity());
     for (std::size_t i = 0; i < kM; ++i) {
-      if (alpha[i] > defaults.pivot_tol) ratio[i] = aug.beta_init[i] / alpha[i];
+      if (alpha[i] > PivotRule::kPivotTol) {
+        ratio[i] = aug.beta_init[i] / alpha[i];
+      }
     }
     vgpu::Device ref_dev(vgpu::gtx280_model());
     const vgpu::DeviceBuffer<double> d_dev(ref_dev, std::span<const double>(d));
@@ -299,7 +300,7 @@ TEST(Fusion, MultiBlockSelectionsMatchPrimitives) {
          {PricingRule::kDantzig, PricingRule::kBland, PricingRule::kDevex}) {
       const auto entering =
           rule == PricingRule::kBland
-              ? vgpu::find_first_below(d_dev, -defaults.opt_tol)
+              ? vgpu::find_first_below(d_dev, -PivotRule::kOptTol)
               : vgpu::argmin(rule == PricingRule::kDevex ? s_dev : d_dev);
       ASSERT_TRUE(entering.found());
       for (const BasisScheme basis :
