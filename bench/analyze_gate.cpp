@@ -10,6 +10,9 @@
 //   * device-revised double and float, explicit inverse
 //   * device-revised double, product form (the dense layout's sparse LU
 //     and eta chains)
+//   * phase 1 on the device: the transportation LP under Devex, double and
+//     float, explicit inverse and product form (artificial columns, the
+//     drive-out and the Devex update over them)
 //   * sparse-revised (CSR) double, explicit inverse and product form
 //   * batch-revised (K simultaneous lanes)
 //   * a service-style batch round, constructed exactly as
@@ -112,23 +115,44 @@ int main(int argc, char** argv) {
   // explicit inverse, and double under the product form, whose sparse LU
   // and eta chains run on the dense A^T as on the CSR one.
   const auto run_device = [&](const std::string& name,
-                              simplex::BasisScheme basis, bool use_float) {
+                              const lp::LpProblem& problem,
+                              simplex::BasisScheme basis, bool use_float,
+                              simplex::PricingRule pricing) {
     Observed obs;
     simplex::SolverOptions opt = obs.options();
     opt.basis = basis;
+    opt.pricing = pricing;
     if (use_float) {
-      (void)bench::solve_device_float(dense, model, opt);
+      (void)bench::solve_device_float(problem, model, opt);
     } else {
-      (void)bench::solve_device(dense, model, opt);
+      (void)bench::solve_device(problem, model, opt);
     }
     runs.push_back(obs.outcome(name));
   };
-  run_device("device-revised<double>",
-             simplex::BasisScheme::kExplicitInverse, false);
-  run_device("device-revised<float>", simplex::BasisScheme::kExplicitInverse,
-             true);
-  run_device("device-revised<double> product-form",
-             simplex::BasisScheme::kProductForm, false);
+  const simplex::PricingRule hybrid = simplex::PricingRule::kHybrid;
+  run_device("device-revised<double>", dense,
+             simplex::BasisScheme::kExplicitInverse, false, hybrid);
+  run_device("device-revised<float>", dense,
+             simplex::BasisScheme::kExplicitInverse, true, hybrid);
+  run_device("device-revised<double> product-form", dense,
+             simplex::BasisScheme::kProductForm, false, hybrid);
+
+  // Phase 1 on the device: every row of the transportation LP is an '='
+  // row, so the solve starts from artificial columns and ends phase 1 with
+  // the drive-out; Devex updates weights over all of them.
+  const lp::LpProblem transport = lp::transportation(5, 6, 17);
+  for (const bool use_float : {false, true}) {
+    for (const simplex::BasisScheme basis :
+         {simplex::BasisScheme::kExplicitInverse,
+          simplex::BasisScheme::kProductForm}) {
+      run_device(std::string("phase-1 transport device-revised<") +
+                     (use_float ? "float" : "double") + "> devex" +
+                     (basis == simplex::BasisScheme::kProductForm
+                          ? " product-form"
+                          : ""),
+                 transport, basis, use_float, simplex::PricingRule::kDevex);
+    }
+  }
 
   // Sparse CSR engine (Ext. C) through the public solve() dispatch.
   {

@@ -593,13 +593,13 @@ int main(int argc, char** argv) {
       const lp::ScalingInfo info = it->second == "geometric"
                                        ? lp::scale_geometric(sf)
                                        : lp::scale_pow10(sf);
-      vgpu::Device device(device_model);
-      simplex::DeviceRevisedSimplex<double> solver(device, options);
-      result = solver.solve_standard(sf);
+      result = simplex::solve_standard(sf, engine, options, device_model);
       if (result.optimal()) {
         result.objective = info.unscale_objective(result.objective);
-        // x was recovered in the scaled space; duals are not unscaled here.
+        // x was recovered in the scaled space; duals and ranges are not
+        // unscaled here, so neither is reported.
         result.y.clear();
+        result.ranging.reset();
       }
     } else {
       result = simplex::solve(problem, engine, options, device_model);

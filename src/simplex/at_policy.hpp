@@ -2,7 +2,9 @@
 //
 // The engine is generic over how the (augmented, transposed) constraint
 // matrix A^T is stored on the device:
-//   * DenseAt  — dense n_aug x m row-major (the paper's layout), and
+//   * DenseAt  — dense row-major (the paper's layout), with the trailing
+//                single-entry columns (every logical column) stored as
+//                (row, value) pairs, and
 //   * SparseAt — CSR (the follow-on sparse variant, Ext. C).
 // A policy supplies only what the storage changes: column access — the
 // product a_j . y, the entering column a_q against one row of B^-1, and
@@ -377,110 +379,144 @@ class AtKernels {
   }
 };
 
-/// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels.
+/// Dense A^T policy: contiguous column reads, BLAS-2-shaped kernels. The
+/// buffer holds A^T in two parts (AugmentedLp::two_part_at): the columns
+/// before the trailing run of single-entry columns as dense rows of m
+/// entries, then each column of that run (every slack, surplus and
+/// artificial column) as one (row, value) pair, so no kernel streams the
+/// identity. A pair column's read is the dense loop's sum: the terms it
+/// skips are products with zero, which add signed zeros, so for finite
+/// operands every result has the dense loop's bits.
 template <typename Real>
 class DenseAt : public AtKernels<Real, DenseAt<Real>> {
  public:
   DenseAt(vgpu::Device& dev, const AugmentedLp& aug)
-      : m_(aug.m), n_aug_(aug.n_aug), at_(dev, host_at(aug)) {}
+      : m_(aug.m),
+        n_aug_(aug.n_aug),
+        n_dense_(aug.single_entry_tail()),
+        at_(dev, std::span<const Real>(aug.two_part_at<Real>(n_dense_))) {}
 
   [[nodiscard]] std::size_t m() const noexcept { return m_; }
   [[nodiscard]] std::size_t n_aug() const noexcept { return n_aug_; }
   [[nodiscard]] vgpu::Device& device() const noexcept { return at_.device(); }
-  /// Every column holds m entries.
-  [[nodiscard]] std::size_t max_col_nnz() const noexcept { return m_; }
+  /// m while any column is stored densely, else a pair's one entry.
+  [[nodiscard]] std::size_t max_col_nnz() const noexcept {
+    return n_dense_ > 0 ? m_ : 1;
+  }
 
-  /// Column access for one launch: column j is row j of A^T, contiguous,
-  /// annotated in bulk and read through a raw pointer.
+  /// Column access for one launch: a dense column is a contiguous row of
+  /// A^T, annotated in bulk and read through a raw pointer; a pair column
+  /// is its two stored elements.
   struct Columns {
     vgpu::check::CheckedSpan<const Real> at;
-    std::size_t m;
+    std::size_t m, n_dense;
 
-    /// The entering column a_q (all m entries).
+    /// The entering column a_q: m entries from `lo`, or the pair at `lo`.
     struct Entering {
       vgpu::check::CheckedSpan<const Real> at;
-      std::size_t q, m;
+      std::size_t lo, m;
+      bool pair;
 
-      [[nodiscard]] std::size_t nnz() const noexcept { return m; }
+      [[nodiscard]] std::size_t nnz() const noexcept { return pair ? 1 : m; }
       /// Declare the block's a_q read (cached across the block).
-      void annotate() const { at.read_range(q * m, q * m + m); }
+      void annotate() const { at.read_range(lo, lo + (pair ? 2 : m)); }
       /// Bytes scatter() moves for `nnz` rows: per row sigma[i], a_q[i]
-      /// and the x element written (the row is the loop index).
+      /// and the x element written, plus a pair's stored row.
       [[nodiscard]] static constexpr double scatter_bytes(std::size_t nnz) {
         return double(nnz) *
-               (double(sizeof(std::uint32_t)) + 2.0 * sizeof(Real));
+                   (double(sizeof(std::uint32_t)) + 2.0 * sizeof(Real)) +
+               (nnz == 1 ? double(sizeof(Real)) : 0.0);
       }
-      /// x[sigma[i]] = a_q[i] for every row i (after annotate()).
+      /// x[sigma[i]] = a_q[i] for every row i (after annotate()). A pair
+      /// writes its one row: the chain has already zeroed x.
       template <typename XSpan, typename SSpan>
       void scatter(const XSpan& x, const SSpan& sigma) const {
-        const Real* aq = at.data() + q * m;
+        const Real* aq = at.data() + lo;
+        if (pair) {
+          x[sigma[row()]] = aq[1];
+          return;
+        }
         for (std::size_t i = 0; i < m; ++i) x[sigma[i]] = aq[i];
       }
-      /// (B^-1 a_q)_i: row i of B^-1 against a_q, summed in row order.
+      /// (B^-1 a_q)_i: row i of B^-1 against a_q, summed in row order (a
+      /// pair reads its one element of the row).
       template <typename BSpan>
       [[nodiscard]] Real binv_row_dot(const BSpan& binv, std::size_t i) const {
-        binv.read_range(i * m, i * m + m);
-        const Real* row = binv.data() + i * m;
-        const Real* aq = at.data() + q * m;
+        const Real* aq = at.data() + lo;
         Real acc{0};
-        for (std::size_t k = 0; k < m; ++k) acc += row[k] * aq[k];
+        if (pair) {
+          acc += binv[i * m + row()] * aq[1];
+          return acc;
+        }
+        binv.read_range(i * m, i * m + m);
+        const Real* bi = binv.data() + i * m;
+        for (std::size_t k = 0; k < m; ++k) acc += bi[k] * aq[k];
         return acc;
+      }
+      /// A pair column's row.
+      [[nodiscard]] std::size_t row() const {
+        return static_cast<std::size_t>(at.data()[lo]);
       }
     };
 
-    /// a_j . y, summed in row order; both footprints are declared once.
+    /// a_j . y, summed in row order; both footprints are declared once (a
+    /// pair column's y read is its one element).
     template <typename YSpan>
     [[nodiscard]] Real dot(std::size_t j, const YSpan& y) const {
-      at.read_range(j * m, (j + 1) * m);
-      y.read_range(0, m);
-      const Real* col = at.data() + j * m;
-      const Real* ys = y.data();
+      const Entering col = column(j);
+      col.annotate();
+      const Real* aj = at.data() + col.lo;
       Real acc{0};
-      for (std::size_t i = 0; i < m; ++i) acc += col[i] * ys[i];
+      if (col.pair) {
+        acc += aj[1] * y[col.row()];
+        return acc;
+      }
+      y.read_range(0, m);
+      const Real* ys = y.data();
+      for (std::size_t i = 0; i < m; ++i) acc += aj[i] * ys[i];
       return acc;
     }
 
-    [[nodiscard]] Entering column(std::size_t q) const { return {at, q, m}; }
+    [[nodiscard]] Entering column(std::size_t q) const {
+      if (q < n_dense) return {at, q * m, m, false};
+      return {at, n_dense * m + 2 * (q - n_dense), m, true};
+    }
   };
 
-  [[nodiscard]] Columns columns() const { return {at_.device_span(), m_}; }
+  [[nodiscard]] Columns columns() const {
+    return {at_.device_span(), m_, n_dense_};
+  }
 
-  /// a_j . y over every column (A^T plus y), plus the kernel's own `flops`
-  /// and `elems` Real-sized vector touches.
+  /// a_j . y over every column (A^T's two parts plus y), plus the kernel's
+  /// own `flops` and `elems` Real-sized vector touches.
   [[nodiscard]] vgpu::KernelCost sweep_cost(double flops,
                                             std::size_t elems) const {
-    return {2.0 * double(n_aug_) * double(m_) + flops,
-            double((n_aug_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
+    const std::size_t pairs = n_aug_ - n_dense_;
+    return {2.0 * (double(n_dense_) * double(m_) + double(pairs)) + flops,
+            double((n_dense_ * m_ + 2 * pairs + m_ + elems) * sizeof(Real)),
+            sizeof(Real)};
   }
-  /// B^-1 a_q (B^-1 plus a_q; every column holds m entries), plus extras.
-  [[nodiscard]] vgpu::KernelCost ftran_cost(std::size_t /*nnz_q*/,
-                                            double flops,
+  /// B^-1 a_q for a column of nnz_q entries (m of B^-1's elements per
+  /// entry, plus a_q's storage: its m entries, or a pair), plus extras.
+  [[nodiscard]] vgpu::KernelCost ftran_cost(std::size_t nnz_q, double flops,
                                             std::size_t elems) const {
-    return {2.0 * double(m_) * double(m_) + flops,
-            double((m_ * m_ + m_ + elems) * sizeof(Real)), sizeof(Real)};
+    const std::size_t aq = nnz_q == 1 ? 2 : nnz_q;
+    return {2.0 * double(m_) * double(nnz_q) + flops,
+            double((m_ * nnz_q + aq + elems) * sizeof(Real)), sizeof(Real)};
   }
-  /// The FTRAN + ratio launch: B^-1 plus 7m + 2 vector elements and the
-  /// selection's `select_elems`. Unlike ftran_cost and the CSR twin, it
-  /// counts no separate a_q read.
+  /// The FTRAN + ratio launch: 7m + 2 vector elements and the selection's
+  /// `select_elems`, declared from the widest column (the entering index
+  /// is device-resident), as the CSR twin does.
   [[nodiscard]] vgpu::KernelCost ftran_ratio_cost(
       std::size_t select_elems) const {
-    return {2.0 * double(m_) * double(m_) + 3.0 * double(m_),
-            double((m_ * m_ + 7 * m_ + 2 + select_elems) * sizeof(Real)),
-            sizeof(Real)};
+    return ftran_cost(max_col_nnz(), 3.0 * double(m_),
+                      7 * m_ + 2 + select_elems);
   }
 
  private:
-  [[nodiscard]] static vblas::Matrix<Real> host_at(const AugmentedLp& aug) {
-    const vblas::Matrix<double> at64 = aug.dense_at();
-    vblas::Matrix<Real> out(at64.rows(), at64.cols());
-    for (std::size_t i = 0; i < at64.size(); ++i) {
-      out.flat()[i] = static_cast<Real>(at64.flat()[i]);
-    }
-    return out;
-  }
-
   std::size_t m_, n_aug_;
-  vblas::DeviceMatrix<Real> at_;
+  std::size_t n_dense_;  ///< columns stored densely; pairs after them
+  vgpu::DeviceBuffer<Real> at_;
 };
 
 /// CSR A^T policy: kernel cost scales with nnz instead of n_aug * m.

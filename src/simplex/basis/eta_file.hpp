@@ -35,6 +35,15 @@ struct EtaEntries {
   Idx idx;
   Val val;
   std::size_t lo = 0, hi = 0;
+
+  /// Declare the entries' read once on a device span, whose walk then reads
+  /// them through data(); a host std::span has nothing to declare.
+  void declare() const {
+    if constexpr (requires(const Idx& s) { s.read_range(lo, hi); }) {
+      idx.read_range(lo, hi);
+      val.read_range(lo, hi);
+    }
+  }
 };
 
 class EtaFile {
@@ -87,10 +96,15 @@ class EtaFile {
   void apply(const X& x, Entries&& entries) const {
     using Real = std::remove_cv_t<std::remove_pointer_t<decltype(x.data())>>;
     for (std::size_t e = 0; e < p_.size(); ++e) {
-      const auto [idx, val, lo, hi] = entries(e);
+      const auto eta = entries(e);
       const Real t = x[p_[e]] / static_cast<Real>(pval_[e]);
       if (t != Real{0}) {
-        for (std::size_t k = lo; k < hi; ++k) x[idx[k]] -= val[k] * t;
+        eta.declare();
+        const auto* idx = eta.idx.data();
+        const auto* val = eta.val.data();
+        for (std::size_t k = eta.lo; k < eta.hi; ++k) {
+          x[idx[k]] -= val[k] * t;
+        }
       }
       x[p_[e]] = t;
     }
@@ -102,9 +116,12 @@ class EtaFile {
   void apply_transposed(const Y& y, Entries&& entries) const {
     using Real = std::remove_cv_t<std::remove_pointer_t<decltype(y.data())>>;
     for (std::size_t e = p_.size(); e-- > 0;) {
-      const auto [idx, val, lo, hi] = entries(e);
+      const auto eta = entries(e);
+      eta.declare();
+      const auto* idx = eta.idx.data();
+      const auto* val = eta.val.data();
       Real acc = y[p_[e]];
-      for (std::size_t k = lo; k < hi; ++k) acc -= val[k] * y[idx[k]];
+      for (std::size_t k = eta.lo; k < eta.hi; ++k) acc -= val[k] * y[idx[k]];
       y[p_[e]] = acc / static_cast<Real>(pval_[e]);
     }
   }

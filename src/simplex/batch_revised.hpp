@@ -95,18 +95,30 @@ class BatchRevisedSimplex {
     const auto clock = [this] { return dev_.sim_seconds(); };
 
     // ---- Flatten batch state into device arrays. ----
-    // at[k*n*m + j*m + i] = A^T_k(j, i); binv[k*m*m + i*m + j]; beta[k*m+i].
-    // The initial inverses are diagonal, so only the batch*m diagonal
-    // entries cross PCIe; a device kernel expands them in place.
-    std::vector<Real> at_h(batch * n * m), diag_h(batch * m),
+    // Problem k's A^T starts at at[k * stride], in DenseAt's two parts
+    // (AugmentedLp::two_part_at) split at the batch's common n_dense, the
+    // latest start of a problem's trailing single-entry run: columns
+    // [0, n_dense) as dense rows of m entries, then one (row, value) pair
+    // per column. binv[k*m*m + i*m + j]; beta[k*m+i]. The initial inverses
+    // are diagonal, so only the batch*m diagonal entries cross PCIe; a
+    // device kernel expands them in place.
+    std::size_t n_dense = 0;
+    for (const AugmentedLp& a : augs) {
+      n_dense = std::max(n_dense, a.single_entry_tail());
+    }
+    const std::size_t pairs = n - n_dense;
+    const std::size_t stride = n_dense * m + 2 * pairs;
+    const auto col_lo = [&](std::size_t k, std::size_t j) {
+      return k * stride +
+             (j < n_dense ? j * m : n_dense * m + 2 * (j - n_dense));
+    };
+    std::vector<Real> at_h(batch * stride), diag_h(batch * m),
         beta_h(batch * m), c_h(batch * n), cb_h(batch * m, Real{0}),
         mask_h(batch * n);
     std::vector<std::uint32_t> basic_h(batch * m);
     for (std::size_t k = 0; k < batch; ++k) {
-      const auto at64 = augs[k].dense_at();
-      for (std::size_t e = 0; e < n * m; ++e) {
-        at_h[k * n * m + e] = static_cast<Real>(at64.flat()[e]);
-      }
+      const std::vector<Real> at_k = augs[k].two_part_at<Real>(n_dense);
+      std::copy(at_k.begin(), at_k.end(), at_h.begin() + k * stride);
       for (std::size_t i = 0; i < m; ++i) {
         diag_h[k * m + i] = static_cast<Real>(augs[k].binv_diag[i]);
         beta_h[k * m + i] = static_cast<Real>(augs[k].beta_init[i]);
@@ -169,6 +181,8 @@ class BatchRevisedSimplex {
     // zero-row or zero-column shape still gets one lane per problem).
     const std::size_t lanes_n = std::max<std::size_t>(n, 1);
     const std::size_t lanes_m = std::max<std::size_t>(m, 1);
+    // Entries of the widest column: m while any column is dense.
+    const std::size_t max_nnz = n_dense > 0 ? m : 1;
 
     // Expand the uploaded diagonals into the dense inverses on device.
     dev_.launch_blocks(
@@ -222,13 +236,17 @@ class BatchRevisedSimplex {
       }
       // -- Pricing and the entering pick: block k prices problem k's n
       // columns, then scans them (strict <, starting from -opt_tol, first
-      // index wins). The vgpu has no block-size cap; a CUDA port would
-      // stride each problem's lanes within a block of at most 1024
-      // threads, here and in batch_ftran. --
+      // index wins). A pair column's product is the dense loop's sum (the
+      // skipped terms add signed zeros), as in DenseAt. The vgpu has no
+      // block-size cap; a CUDA port would stride each problem's lanes
+      // within a block of at most 1024 threads, here and in batch_ftran. --
       dev_.launch_blocks(
           "batch_price", batch * lanes_n, lanes_n,
-          {2.0 * double(batch) * double(n) * double(m) + double(batch * n),
-           double(batch * (n * m + 3 * n + 2) * sizeof(Real)), sizeof(Real)},
+          {2.0 * double(batch) * (double(n_dense) * double(m) + double(pairs)) +
+               double(batch * n),
+           double(batch * (n_dense * m + 2 * pairs + 3 * n + 2) *
+                  sizeof(Real)),
+           sizeof(Real)},
           [&](std::size_t k, std::size_t, std::size_t) {
             Real* dk = d_s.data() + k * n;
             d_s.write_range(k * n, (k + 1) * n);
@@ -241,10 +259,18 @@ class BatchRevisedSimplex {
                 dk[j] = Real{0};
                 continue;
               }
-              at_s.read_range(k * n * m + j * m, k * n * m + (j + 1) * m);
-              const Real* col = at_s.data() + k * n * m + j * m;
+              const std::size_t lo = col_lo(k, j);
+              const Real* col = at_s.data() + lo;
               Real acc{0};
-              for (std::size_t i = 0; i < m; ++i) acc += col[i] * pi_s[k * m + i];
+              if (j < n_dense) {
+                at_s.read_range(lo, lo + m);
+                for (std::size_t i = 0; i < m; ++i) {
+                  acc += col[i] * pi_s[k * m + i];
+                }
+              } else {
+                at_s.read_range(lo, lo + 2);
+                acc += col[1] * pi_s[k * m + static_cast<std::size_t>(col[0])];
+              }
               dk[j] = c_s[k * n + j] - acc;
             }
             std::uint32_t best = kNone;
@@ -261,24 +287,37 @@ class BatchRevisedSimplex {
       // -- FTRAN, ratio test and the leaving pick: block k computes
       // problem k's m rows of alpha, then scans them (alpha > pivot_tol,
       // strict <, starting from +inf, first index wins) and packs its
-      // q/p/theta triple. --
+      // q/p/theta triple. Declared from the widest column (the entering
+      // index is device-resident): m rows of B^-1 per entry, a_q's
+      // storage, 3m vector elements and the selection's 7. --
       dev_.launch_blocks(
           "batch_ftran", batch * lanes_m, lanes_m,
-          {2.0 * double(batch) * double(m) * double(m) +
+          {2.0 * double(batch) * double(m) * double(max_nnz) +
                2.0 * double(batch) * double(m),
-           double(batch * (m * m + 4 * m + 7) * sizeof(Real)), sizeof(Real)},
+           double(batch * (m * max_nnz + (max_nnz == 1 ? 2 : max_nnz) +
+                           3 * m + 7) *
+                  sizeof(Real)),
+           sizeof(Real)},
           [&](std::size_t k, std::size_t, std::size_t) {
             if (act_s[k] == Real{0}) return;
             const std::uint32_t sq = selq_s[k];
             pack_s[3 * k] = sq == kNone ? Real{-1} : static_cast<Real>(sq);
             if (sq == kNone) return;
-            at_s.read_range(k * n * m + sq * m, k * n * m + (sq + 1) * m);
-            const Real* aq = at_s.data() + k * n * m + sq * m;
+            const bool pair = sq >= n_dense;
+            const std::size_t lo = col_lo(k, sq);
+            at_s.read_range(lo, lo + (pair ? 2 : m));
+            const Real* aq = at_s.data() + lo;
             for (std::size_t i = 0; i < m; ++i) {
-              binv_s.read_range(k * m * m + i * m, k * m * m + (i + 1) * m);
-              const Real* row = binv_s.data() + k * m * m + i * m;
               Real acc{0};
-              for (std::size_t t = 0; t < m; ++t) acc += row[t] * aq[t];
+              if (pair) {
+                acc += binv_s[k * m * m + i * m +
+                              static_cast<std::size_t>(aq[0])] *
+                       aq[1];
+              } else {
+                binv_s.read_range(k * m * m + i * m, k * m * m + (i + 1) * m);
+                const Real* row = binv_s.data() + k * m * m + i * m;
+                for (std::size_t t = 0; t < m; ++t) acc += row[t] * aq[t];
+              }
               alpha_s[k * m + i] = acc;
             }
             std::uint32_t p = kNone;

@@ -94,9 +94,9 @@ class DeviceRevisedSimplex {
                // ws.pi still holds the optimal simplex multipliers (the
                // loop priced, found no entering candidate and stopped):
                // they are the duals.
-               const std::vector<Real> beta = ws.beta.to_host();
                const std::vector<Real> pi = ws.pi.to_host();
-               recover_optimum<Real>(sf, ws.basic, beta, pi, optimal);
+               recover_optimum<Real>(sf, ws.basic, ws.beta_on_host(), pi,
+                                     optimal);
              }});
   }
 
@@ -199,10 +199,18 @@ class DeviceRevisedSimplex {
       mask.upload(mv);
     }
 
+    /// beta in host memory: one d2h, then that copy until a pivot moves
+    /// beta (apply_pivot drops it), so a phase's entry and the recovery
+    /// re-read nothing no launch has written.
+    [[nodiscard]] const std::vector<Real>& beta_on_host() {
+      if (!beta_host.has_value()) beta_host = beta.to_host();
+      return *beta_host;
+    }
+
     /// Exact objective of the current phase costs at the current basis
     /// (recomputed from beta; avoids incremental drift).
-    [[nodiscard]] double current_objective() const {
-      const std::vector<Real> bv = beta.to_host();
+    [[nodiscard]] double current_objective() {
+      const std::vector<Real>& bv = beta_on_host();
       double z = 0.0;
       for (std::size_t i = 0; i < m; ++i) {
         z += c_host[basic[i]] * static_cast<double>(bv[i]);
@@ -221,6 +229,7 @@ class DeviceRevisedSimplex {
     /// `lu` below instead.
     std::optional<vblas::DeviceMatrix<Real>> binv;
     vgpu::DeviceBuffer<Real> beta;
+    std::optional<std::vector<Real>> beta_host;  ///< see beta_on_host()
     vgpu::DeviceBuffer<Real> pi, cb, c, d, mask, alpha, ratio, pivot_row;
     vgpu::DeviceBuffer<Real> devex_w;
     vgpu::DeviceBuffer<Real> col_work;  ///< n_aug scratch (scores, rows)
@@ -673,6 +682,7 @@ class DeviceRevisedSimplex {
     const std::uint32_t leaving = ws.basic[p];
     const Pokes pokes{q, leaving, static_cast<Real>(ws.c_host[q]),
                       !ws.aug.is_artificial[leaving]};
+    ws.beta_host.reset();
     if (ws.product_form) {
       if (devex) {
         compute_binv_row(ws, p);
@@ -732,8 +742,8 @@ class DeviceRevisedSimplex {
   /// The combines keep the primitives' block-scan order and tie rules, so
   /// the pivot sequence is the one vgpu::argmin / find_first_below would
   /// pick; tests/golden/ pins it bit for bit. The loop's objective starts
-  /// from one d2h of beta (current_objective) and then advances by
-  /// theta * d_q per pivot.
+  /// from beta on the host (current_objective, one d2h unless no pivot ran
+  /// since the last) and then advances by theta * d_q per pivot.
   LoopExit run_loop(Workspace& ws, SolveFrame& frame, std::size_t budget,
                     SolverStats& stats, std::uint8_t phase) {
     using metrics::SimplexOp;

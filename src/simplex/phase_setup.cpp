@@ -117,6 +117,45 @@ vblas::Matrix<double> AugmentedLp::dense_at() const {
   return at;
 }
 
+std::size_t AugmentedLp::single_entry_tail() const {
+  GS_CHECK_MSG(source != nullptr, "AugmentedLp not initialized");
+  std::vector<std::size_t> count(n, 0);
+  for (const auto& row : source->rows) {
+    for (const lp::Term& t : row) ++count[t.var];
+  }
+  std::size_t tail = n;  // every artificial column has one entry
+  while (tail > 0 && count[tail - 1] == 1) --tail;
+  return tail;
+}
+
+template <typename Real>
+std::vector<Real> AugmentedLp::two_part_at(std::size_t n_dense) const {
+  GS_CHECK_MSG(source != nullptr, "AugmentedLp not initialized");
+  GS_CHECK_MSG(n_dense <= n_aug && m <= (std::size_t{1} << 24),
+               "two-part A^T: bad split or row index not exact");
+  std::vector<Real> at(n_dense * m + 2 * (n_aug - n_dense), Real{0});
+  const auto put = [&](std::size_t j, std::size_t i, double coef) {
+    if (j < n_dense) {
+      at[j * m + i] = static_cast<Real>(coef);
+    } else {
+      const std::size_t k = n_dense * m + 2 * (j - n_dense);
+      at[k] = static_cast<Real>(i);
+      at[k + 1] = static_cast<Real>(coef);
+    }
+  };
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (const lp::Term& t : source->rows[i]) put(t.var, i, t.coef);
+    if (is_artificial[basic[i]]) put(n + k++, i, 1.0);
+  }
+  GS_CHECK(k == num_artificial);
+  return at;
+}
+
+template std::vector<float> AugmentedLp::two_part_at<float>(std::size_t) const;
+template std::vector<double> AugmentedLp::two_part_at<double>(
+    std::size_t) const;
+
 sparse::CsrMatrix<double> AugmentedLp::csr_at() const {
   GS_CHECK_MSG(source != nullptr, "AugmentedLp not initialized");
   // Column-major walk of the standard form: transpose the row lists first.

@@ -46,6 +46,22 @@ struct AugmentedLp {
   /// storage gives contiguous column reads, the layout the paper uses.
   [[nodiscard]] vblas::Matrix<double> dense_at() const;
 
+  /// Start of the trailing run of columns with exactly one entry. The
+  /// standard form appends its slack and surplus columns after the
+  /// structural ones and augment() the artificials after those, so the run
+  /// holds every logical column (and any single-entry structural columns
+  /// just before them).
+  [[nodiscard]] std::size_t single_entry_tail() const;
+
+  /// Augmented A^T in the device's two parts, built in one pass like
+  /// dense_at(): columns [0, n_dense) as dense rows of m entries, then one
+  /// (row, value) pair per column of [n_dense, n_aug), its row stored as a
+  /// value (exact up to 2^24, as the pivot descriptor's indices).
+  /// n_dense >= single_entry_tail(); a larger n_dense stores the columns
+  /// in between densely (the batch engine's common split).
+  template <typename Real>
+  [[nodiscard]] std::vector<Real> two_part_at(std::size_t n_dense) const;
+
   /// Augmented A^T in CSR (for the sparse engine).
   [[nodiscard]] sparse::CsrMatrix<double> csr_at() const;
 

@@ -38,34 +38,46 @@ enum class Engine {
   return "?";
 }
 
-/// One-call solve with a fresh device of the given machine model (device
-/// engines) or the given model as the CPU cost meter (host engines).
-[[nodiscard]] inline SolveResult solve(
-    const lp::LpProblem& problem, Engine engine,
+/// One-call solve of a prepared (for example scaled) standard form with a
+/// fresh device of the given machine model (device engines) or the given
+/// model as the CPU cost meter (host engines).
+[[nodiscard]] inline SolveResult solve_standard(
+    const lp::StandardFormLp& sf, Engine engine,
     const SolverOptions& options = {},
     const vgpu::MachineModel& device_model = vgpu::gtx280_model(),
     const vgpu::MachineModel& host_model = vgpu::cpu2009_model()) {
   switch (engine) {
     case Engine::kDeviceRevised: {
       vgpu::Device dev(device_model);
-      return DeviceRevisedSimplex<double>(dev, options).solve(problem);
+      return DeviceRevisedSimplex<double>(dev, options).solve_standard(sf);
     }
     case Engine::kDeviceRevisedFloat: {
       vgpu::Device dev(device_model);
-      return DeviceRevisedSimplex<float>(dev, options).solve(problem);
+      return DeviceRevisedSimplex<float>(dev, options).solve_standard(sf);
     }
     case Engine::kHostRevised:
-      return HostRevisedSimplex(options, host_model).solve(problem);
+      return HostRevisedSimplex(options, host_model).solve_standard(sf);
     case Engine::kTableau:
-      return TableauSimplex(options, host_model).solve(problem);
+      return TableauSimplex(options, host_model).solve_standard(sf);
     case Engine::kSparseRevised: {
       vgpu::Device dev(device_model);
-      return SparseRevisedSimplex<double>(dev, options).solve(problem);
+      return SparseRevisedSimplex<double>(dev, options).solve_standard(sf);
     }
     case Engine::kDualRevised:
-      return DualRevisedSimplex(options, host_model).solve(problem);
+      return DualRevisedSimplex(options, host_model).solve_standard(sf);
   }
   GS_FAIL("unknown engine");
+}
+
+/// One-call solve of a general-form LP: its standard form through
+/// solve_standard.
+[[nodiscard]] inline SolveResult solve(
+    const lp::LpProblem& problem, Engine engine,
+    const SolverOptions& options = {},
+    const vgpu::MachineModel& device_model = vgpu::gtx280_model(),
+    const vgpu::MachineModel& host_model = vgpu::cpu2009_model()) {
+  return solve_standard(lp::to_standard_form(problem), engine, options,
+                        device_model, host_model);
 }
 
 /// The service's device route (DESIGN.md, "Float iterations, double

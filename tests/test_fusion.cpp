@@ -20,8 +20,10 @@
 #include "drive_out_lp.hpp"
 #include "lp/generators.hpp"
 #include "lp/problem.hpp"
+#include "lp/scaling.hpp"
 #include "lp/standard_form.hpp"
 #include "record/record.hpp"
+#include "simplex/batch_revised.hpp"
 #include "simplex/device_revised.hpp"
 #include "simplex/solver.hpp"
 #include "vgpu/machine_model.hpp"
@@ -67,6 +69,75 @@ Golden golden(std::string name, lp::LpProblem problem, SolverOptions opt) {
           }};
 }
 
+/// One golden solve on `engine` of `problem`'s standard form after
+/// geometric scaling, whose slack and surplus columns then carry
+/// coefficients other than 1, through simplex::solve_standard.
+Golden scaled_golden(std::string name, lp::LpProblem problem, Engine engine,
+                     SolverOptions opt) {
+  return {std::move(name), [problem = std::move(problem), engine,
+                            opt](record::Recorder& rec) {
+            lp::StandardFormLp sf = lp::to_standard_form(problem);
+            (void)lp::scale_geometric(sf);
+            SolverOptions o = opt;
+            o.recorder = &rec;
+            return solve_standard(sf, engine, o);
+          }};
+}
+
+/// One golden batch round. The round's verdict is the first lane that is
+/// not optimal (optimal if none), its basis every lane's in lane order, as
+/// the batch recording stores them.
+Golden batch_golden(std::string name, std::vector<lp::LpProblem> problems) {
+  return {std::move(name), [problems = std::move(problems)](
+                               record::Recorder& rec) {
+            vgpu::Device dev(vgpu::gtx280_model());
+            SolverOptions o;
+            o.recorder = &rec;
+            SolveResult round;
+            round.status = SolveStatus::kOptimal;
+            for (const SolveResult& r :
+                 BatchRevisedSimplex<double>(dev, o).solve(problems)) {
+              if (round.optimal()) round.status = r.status;
+              round.basis.insert(round.basis.end(), r.basis.begin(),
+                                 r.basis.end());
+            }
+            return round;
+          }};
+}
+
+/// random_dense_lp over `cols - 1` columns plus a last structural column
+/// with one entry (in row 0, at the most attractive cost), so the trailing
+/// run of single-entry columns starts at a structural column.
+lp::LpProblem singleton_tail_lp(std::size_t rows, std::size_t cols,
+                                std::uint64_t seed) {
+  const lp::LpProblem dense =
+      lp::random_dense_lp({.rows = rows, .cols = cols - 1, .seed = seed});
+  lp::LpProblem p(lp::Objective::kMinimize, "singleton_tail");
+  for (const lp::Variable& v : dense.variables()) {
+    p.add_variable(v.name, v.objective_coef);
+  }
+  const std::uint32_t tail = p.add_variable("x_tail", -2.0);
+  for (const lp::Constraint& row : dense.constraints()) {
+    std::vector<lp::Term> terms = row.terms;
+    if (p.num_constraints() == 0) terms.push_back({tail, 0.75});
+    p.add_constraint(row.name, std::move(terms), row.sense, row.rhs);
+  }
+  return p;
+}
+
+/// random_dense_lp's '<=' rows plus a '>=' row over every column and an
+/// '=' row over the first two: slack, surplus and artificial columns in one
+/// LP, and a phase 1.
+lp::LpProblem mixed_sense_lp(std::size_t n, std::uint64_t seed) {
+  lp::LpProblem p = lp::random_dense_lp({.rows = n, .cols = n, .seed = seed});
+  std::vector<lp::Term> all;
+  for (std::uint32_t j = 0; j < n; ++j) all.push_back({j, 1.0});
+  p.add_constraint("cover", std::move(all), lp::RowSense::kGe,
+                   0.05 * double(n));
+  p.add_constraint("pair", {{0, 1.0}, {1, 1.0}}, lp::RowSense::kEq, 0.1);
+  return p;
+}
+
 /// One golden solve on `engine` through simplex::solve, warm-started from
 /// `warm` when it is not empty.
 Golden engine_golden(std::string name, lp::LpProblem problem, Engine engine,
@@ -91,7 +162,14 @@ Golden engine_golden(std::string name, lp::LpProblem problem, Engine engine,
 /// engine under both basis schemes, host and tableau on Beale under the
 /// hybrid rule (the Bland switch fires) and on the transportation LP
 /// (phase 1 and the drive-out), and the dual engine warm-started from an
-/// unrelated same-shape optimum under both basis schemes.
+/// unrelated same-shape optimum under both basis schemes. Last, the paths
+/// the device's A^T layout stores specially: the product form on the dense
+/// layout (Devex in double; in float on the transportation LP, whose
+/// artificial columns run through the scatter and the drive-out), a
+/// geometrically scaled standard form (slack and surplus coefficients other
+/// than 1) under both basis schemes, a structural single-entry column at
+/// the end of the structural block, and a 4-lane batch round whose last
+/// lane has such a column.
 std::vector<Golden> golden_corpus() {
   const auto dense64 = lp::random_dense_lp({.rows = 64, .cols = 64, .seed = 5});
   const auto transport = lp::transportation(5, 6, 17);
@@ -178,6 +256,23 @@ std::vector<Golden> golden_corpus() {
                     rule_options(PricingRule::kHybrid), donor24),
       engine_golden("dual_warm_pf", dense24, Engine::kDualRevised,
                     product_form(PricingRule::kHybrid, 4), donor24),
+      golden<double>("dense_pf_f64_devex", dense64,
+                     product_form(PricingRule::kDevex)),
+      golden<float>("transport_dense_pf_f32_hybrid", transport,
+                    product_form(PricingRule::kHybrid)),
+      scaled_golden("scaled_f64_explicit", mixed_sense_lp(24, 9),
+                    Engine::kDeviceRevised,
+                    rule_options(PricingRule::kHybrid)),
+      scaled_golden("scaled_pf_f32", mixed_sense_lp(24, 9),
+                    Engine::kDeviceRevisedFloat,
+                    product_form(PricingRule::kHybrid)),
+      golden<double>("singleton_tail_f64", singleton_tail_lp(24, 24, 21),
+                     rule_options(PricingRule::kDantzig)),
+      batch_golden("batch4_f64",
+                   {lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 31}),
+                    lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 32}),
+                    lp::random_dense_lp({.rows = 16, .cols = 16, .seed = 33}),
+                    singleton_tail_lp(16, 16, 34)}),
   };
 }
 

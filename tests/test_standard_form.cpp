@@ -240,6 +240,27 @@ TEST(Augment, MatrixFormsAgree) {
       EXPECT_DOUBLE_EQ(at(j, i), csr_at.at(j, i));
     }
   }
+  // The device's two parts: x dense, then y (a structural single-entry
+  // column just before the logical ones) and every logical column as a
+  // (row, value) pair; a later split (the batch engine's common one)
+  // stores the columns in between densely.
+  EXPECT_EQ(aug.single_entry_tail(), 1u);
+  for (const std::size_t n_dense : {aug.single_entry_tail(), aug.n}) {
+    const std::vector<double> two = aug.two_part_at<double>(n_dense);
+    ASSERT_EQ(two.size(), n_dense * aug.m + 2 * (aug.n_aug - n_dense));
+    for (std::size_t j = 0; j < aug.n_aug; ++j) {
+      for (std::size_t i = 0; i < aug.m; ++i) {
+        double stored = 0.0;
+        if (j < n_dense) {
+          stored = two[j * aug.m + i];
+        } else if (const std::size_t k = n_dense * aug.m + 2 * (j - n_dense);
+                   two[k] == double(i)) {
+          stored = two[k + 1];
+        }
+        EXPECT_DOUBLE_EQ(at(j, i), stored) << "column " << j;
+      }
+    }
+  }
 }
 
 TEST(Augment, CrashBasisRespectsScaledSlackCoefficient) {
